@@ -1,6 +1,6 @@
 //! Runs the fig5 Mode-1 workload on the wheel scheduler in a loop, for
 //! profiler attachment (`gprofng collect app`) and quick Mev/s spot
-//! checks. Not the scoreboard: no JSON, no baseline comparison.
+//! checks. Not the benchmark (`benchmark/`): no JSON, no baseline comparison.
 
 use incast_core::modes::{run_incast_with, ModesConfig};
 use simnet::TimingWheel;

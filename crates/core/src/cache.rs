@@ -2,9 +2,9 @@
 //!
 //! A sweep is hundreds of *pure* simulations: the result is a function of
 //! the configuration and seed alone. The benches, examples, and study
-//! modules share large config overlaps (fig5 and simperf both run the
-//! 100-flow/15 ms point; production and stability revisit the same service
-//! cells across processes), so recomputing is pure waste. [`RunCache`]
+//! modules share large config overlaps (a re-run figure bench repeats every
+//! point; production and stability revisit the same service cells across
+//! processes), so recomputing is pure waste. [`RunCache`]
 //! memoizes by *content address*: the canonical key of a run is the full
 //! `Debug` rendering of its config (every field, in declaration order, so
 //! two configs differing in any one field get different keys), prefixed
@@ -38,7 +38,7 @@ use millisampler::{BurstRow, CtrlTallies, TraceSummary};
 use simnet::SimTime;
 use stats::TimeSeries;
 use telemetry::json::{write_f64, Obj};
-use telemetry::{EventTallies, LoopProfile, MetricsRegistry};
+use telemetry::{EventTallies, LoopProfile};
 use workload::SnapshotModel;
 
 /// Bumped whenever an encoding or a simulation-visible default changes, so
@@ -154,17 +154,6 @@ impl CacheStats {
             self.misses,
             self.entries
         )
-    }
-
-    /// Publishes the counters into a metrics registry under the `sweep`
-    /// component.
-    pub fn publish(&self, reg: &mut MetricsRegistry) {
-        reg.count("sweep", "cache_mem_hits", 0, self.mem_hits);
-        reg.count("sweep", "cache_disk_hits", 0, self.disk_hits);
-        reg.count("sweep", "cache_misses", 0, self.misses);
-        reg.count("sweep", "cache_disk_writes", 0, self.disk_writes);
-        reg.count("sweep", "cache_disk_retries", 0, self.disk_retries);
-        reg.gauge("sweep", "cache_entries", 0, self.entries as f64);
     }
 }
 
@@ -324,12 +313,6 @@ impl RunCache {
             disk_writes: self.disk_writes.load(Ordering::Relaxed),
             disk_retries: self.disk_retries.load(Ordering::Relaxed),
         }
-    }
-
-    /// Drops every in-memory entry (disk entries persist). Counters keep
-    /// accumulating.
-    pub fn clear_memory(&self) {
-        self.mem.lock().expect("cache map").clear();
     }
 }
 

@@ -7,12 +7,9 @@
 //! queue. [`run_straggler`] reruns that experiment; [`flight_skew`] turns
 //! the polled per-flow series into distribution-over-time points.
 
-use crate::cache::RunCache;
 use crate::modes::{run_incast, IncastRunResult, ModesConfig};
-use crate::sweep::run_incast_cached;
 use simnet::SimTime;
 use stats::{Cdf, TimeSeries};
-use std::sync::Arc;
 
 /// One time point of the per-flow in-flight distribution.
 #[derive(Debug, Clone, Copy)]
@@ -112,18 +109,6 @@ pub fn straggler_config(
 /// Runs the paper's Figure-7 experiment with the default K=65 threshold.
 pub fn run_straggler(num_flows: usize, num_bursts: u32, seed: u64) -> IncastRunResult {
     run_incast(&straggler_config(num_flows, 65, num_bursts, seed))
-}
-
-/// [`run_straggler`] through the run cache: the per-flow flight series
-/// round-trip the cache bit-exactly, so a warm hit feeds [`flight_skew`]
-/// the same input as a cold run.
-pub fn run_straggler_cached(
-    num_flows: usize,
-    num_bursts: u32,
-    seed: u64,
-    cache: &RunCache,
-) -> Arc<IncastRunResult> {
-    run_incast_cached(&straggler_config(num_flows, 65, num_bursts, seed), cache)
 }
 
 #[cfg(test)]

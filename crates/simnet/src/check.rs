@@ -11,7 +11,7 @@
 //! Everything here is cheap relative to the event loop (a few integer
 //! compares per packet operation) but not free, which is why the real
 //! implementation is behind a cargo feature that defaults to off: release
-//! binaries and the `simperf` benchmark pay zero cost unless
+//! binaries and the benchmark pay zero cost unless
 //! `--features check` is given. The module itself is always present so
 //! callers (tests, the supervisor, transport's blackhole suite) can call
 //! `reset`/`violation_count` unconditionally; without the feature those

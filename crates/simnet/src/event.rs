@@ -81,10 +81,13 @@ pub trait Scheduler: Default {
     fn schedule(&mut self, time: SimTime, kind: EventKind);
 
     /// Consumes and returns the next sequence number without scheduling
-    /// anything. A logical event held outside the scheduler (the
-    /// simulator's per-link delivery FIFOs) still claims its tie-break seq
-    /// at "schedule" time, so the global `(time, seq)` order is identical
-    /// to the order an unbatched scheduler would have produced.
+    /// anything, so an event held outside the scheduler can still claim its
+    /// tie-break seq at "schedule" time.
+    ///
+    /// The simulator no longer calls this, [`Scheduler::schedule_reserved`]
+    /// or [`Scheduler::peek_key`]: all three are kept for the out-of-tree
+    /// scheduler recorder (`benchmark/src/probes.rs` implements them on its
+    /// wrapper); remove together with the next `benchmark` PR.
     fn reserve_seq(&mut self) -> u64;
 
     /// Schedules `kind` at `time` under a seq from [`Scheduler::reserve_seq`]
@@ -110,9 +113,8 @@ pub trait Scheduler: Default {
     /// implementations (the timing wheel) advance internal state to find it.
     fn peek_time(&mut self) -> Option<SimTime>;
 
-    /// `(time, seq)` key of the earliest pending event. The coalescing
-    /// fast path compares this against deferred deliveries to decide
-    /// whether one can run inline without perturbing pop order.
+    /// `(time, seq)` key of the earliest pending event. Kept for the
+    /// out-of-tree scheduler recorder; see [`Scheduler::reserve_seq`].
     fn peek_key(&mut self) -> Option<(SimTime, u64)>;
 
     /// Number of pending events.

@@ -82,8 +82,6 @@ pub use topology::{
     build_clos, build_clos_with, build_dumbbell, build_fabric, build_fabric_with, ClosConfig,
     ClosError, ClosFabric, FabricConfig, IncastFabric,
 };
-pub use trace::{
-    drop_cause, packet_info, to_telemetry, PacketTracer, TextTracer, TraceEvent, TraceEventKind,
-};
+pub use trace::{drop_cause, packet_info, TextTracer};
 pub use units::Rate;
 pub use wheel::TimingWheel;

@@ -473,7 +473,7 @@ impl PacketPool {
 
     /// Slots ever allocated — the pool's total heap footprint in packets.
     /// Equals [`PacketPool::high_water`] by construction; reported
-    /// separately as the allocs-per-run baseline in `simperf`.
+    /// separately as the packet path's allocs-per-run baseline.
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }

@@ -17,12 +17,11 @@ use crate::node::Node;
 use crate::packet::{Ecn, Packet, PacketPool, PacketSlot, QueuedFrame};
 use crate::queue::EnqueueOutcome;
 use crate::time::SimTime;
-use crate::trace::{self, PacketTracer, TraceEvent, TraceEventKind};
+use crate::trace;
 use crate::wheel::TimingWheel;
 use crate::SharedBuffer;
 use stats::Rng;
-use std::collections::VecDeque;
-use telemetry::{EventClass, EventTallies, LoopProfile, SinkRef};
+use telemetry::{DropCause, EventClass, EventTallies, LoopProfile, PktInfo, SinkRef};
 
 /// Global counters maintained by the simulator.
 #[derive(Debug, Clone, Default)]
@@ -78,6 +77,11 @@ impl SimCounters {
     }
 }
 
+/// `class`'s bit in the simulator's sink subscription mask.
+const fn class_bit(class: EventClass) -> u8 {
+    1 << class as u8
+}
+
 /// An endpoint dispatch deferred while its host is paused (a fault-plan
 /// straggler window); drained in arrival order on resume.
 #[derive(Debug)]
@@ -113,33 +117,14 @@ pub struct Simulator<S: Scheduler = TimingWheel> {
     buffers: Vec<SharedBuffer>,
     endpoints: Vec<Option<Box<dyn Endpoint>>>,
     taps: Vec<Option<Box<dyn IngressTap>>>,
-    tracer: Option<Box<dyn PacketTracer>>,
     sink: Option<SinkRef>,
-    // Sink subscriptions, cached at attach time so the hot path pays one
-    // bool test per would-be event instead of a RefCell borrow.
-    sink_packets: bool,
-    sink_queue: bool,
-    sink_buffer: bool,
-    sink_fault: bool,
-    sink_ctrl: bool,
+    /// The attached sink's subscriptions, one bit per [`EventClass`],
+    /// sampled at attach time so the hot path pays one mask test per
+    /// would-be event instead of a RefCell borrow.
+    sink_classes: u8,
     depth_probe: Vec<bool>,
     buffer_peak_emitted: Vec<u64>,
     timer_gens: FxHashMap<(u32, u64), u64>,
-    /// Per-link FIFOs of pending deliveries. Only the head of each FIFO
-    /// lives in the scheduler (as that link's representative `Delivery`
-    /// event); the tail entries hold reserved sequence numbers and are
-    /// either processed inline when the representative fires (a batch) or
-    /// promoted to representative themselves. See
-    /// [`Simulator::set_delivery_coalescing`].
-    delivery_fifos: Vec<VecDeque<(SimTime, u64, PacketSlot)>>,
-    /// Whether per-link delivery coalescing is enabled (default). Off, every
-    /// delivery is a standalone scheduler event — the shadow model the
-    /// batching property tests compare against.
-    coalesce: bool,
-    /// Deliveries that rode a batch inline instead of a schedule+pop round
-    /// trip. Diagnostic only — deliberately *not* part of [`SimCounters`],
-    /// whose JSON must be identical with coalescing on and off.
-    batched_deliveries: u64,
     next_pkt_id: u64,
     cmd_buf: Vec<Cmd>,
     /// Seed for flow-level ECMP rendezvous hashing at switches with
@@ -185,19 +170,11 @@ impl<S: Scheduler> Simulator<S> {
             buffers,
             endpoints: (0..n).map(|_| None).collect(),
             taps: (0..n).map(|_| None).collect(),
-            tracer: None,
             sink: None,
-            sink_packets: false,
-            sink_queue: false,
-            sink_buffer: false,
-            sink_fault: false,
-            sink_ctrl: false,
+            sink_classes: 0,
             depth_probe: vec![false; num_links],
             buffer_peak_emitted: vec![0; num_buffers],
             timer_gens: FxHashMap::default(),
-            delivery_fifos: (0..num_links).map(|_| VecDeque::new()).collect(),
-            coalesce: true,
-            batched_deliveries: 0,
             next_pkt_id: 0,
             cmd_buf: Vec::with_capacity(64),
             ecmp_seed: seed,
@@ -253,22 +230,22 @@ impl<S: Scheduler> Simulator<S> {
         self.taps[node.index()] = Some(tap);
     }
 
-    /// Installs a packet tracer observing every link event (the simulator's
-    /// `tcpdump`; see [`crate::trace::TextTracer`]).
-    pub fn set_tracer(&mut self, tracer: Box<dyn PacketTracer>) {
-        self.tracer = Some(tracer);
-    }
-
-    /// Attaches a structured telemetry sink. Per-packet, queue-depth, and
-    /// buffer-watermark events flow to it, gated by the sink's
-    /// [`telemetry::EventSink::accepts`] subscriptions (sampled once here, so
-    /// a sink's class set must be fixed before attaching).
+    /// Attaches a structured telemetry sink. Per-packet, queue-depth,
+    /// buffer-watermark, fault, and control-episode events flow to it, gated
+    /// by the sink's [`telemetry::EventSink::accepts`] subscriptions (sampled
+    /// once here, so a sink's class set must be fixed before attaching). For
+    /// a `tcpdump`-style text log attach a [`crate::trace::TextTracer`].
     pub fn set_sink(&mut self, sink: SinkRef) {
-        self.sink_packets = sink.accepts(EventClass::Packet);
-        self.sink_queue = sink.accepts(EventClass::Queue);
-        self.sink_buffer = sink.accepts(EventClass::Buffer);
-        self.sink_fault = sink.accepts(EventClass::Fault);
-        self.sink_ctrl = sink.accepts(EventClass::Ctrl);
+        self.sink_classes = [
+            EventClass::Packet,
+            EventClass::Queue,
+            EventClass::Buffer,
+            EventClass::Fault,
+            EventClass::Ctrl,
+        ]
+        .into_iter()
+        .filter(|&class| sink.accepts(class))
+        .fold(0, |mask, class| mask | class_bit(class));
         self.sink = Some(sink);
     }
 
@@ -361,29 +338,6 @@ impl<S: Scheduler> Simulator<S> {
         self.depth_probe[link.index()] = true;
     }
 
-    /// Enables or disables per-link delivery coalescing (on by default).
-    ///
-    /// With coalescing on, consecutive deliveries on one link ride a single
-    /// scheduler entry: when the link's representative `Delivery` event
-    /// fires, every following FIFO member whose `(time, seq)` key precedes
-    /// the scheduler's next event is processed inline in the same pass,
-    /// eliding one schedule+pop round trip per member. Sequence numbers are
-    /// reserved at schedule time either way, so the processed event stream
-    /// — order, timestamps, counters, telemetry — is byte-identical to the
-    /// unbatched mode; `off` exists as the shadow model for the property
-    /// tests that prove exactly that.
-    pub fn set_delivery_coalescing(&mut self, on: bool) {
-        assert!(!self.started, "toggle coalescing before running");
-        self.coalesce = on;
-    }
-
-    /// Deliveries processed inline as batch members so far (zero when
-    /// coalescing is disabled). Diagnostic; not part of the counters JSON,
-    /// which is identical in both modes.
-    pub fn batched_deliveries(&self) -> u64 {
-        self.batched_deliveries
-    }
-
     /// Wall-clock profile of the event loop so far: per-kind event tallies
     /// and time spent inside [`Simulator::run`] / [`Simulator::run_until`].
     pub fn profile(&self) -> LoopProfile {
@@ -393,64 +347,60 @@ impl<S: Scheduler> Simulator<S> {
         }
     }
 
+    /// True if the attached sink subscribes to `class`.
     #[inline]
-    fn trace(&mut self, kind: TraceEventKind, link: LinkId, pkt: &Packet) {
-        if self.tracer.is_none() && !self.sink_packets {
-            return;
-        }
-        let ev = TraceEvent {
-            now: self.now,
-            kind,
-            link,
-            pkt,
-        };
-        if let Some(t) = self.tracer.as_mut() {
-            t.on_event(&ev);
-        }
-        if self.sink_packets {
+    fn observes(&self, class: EventClass) -> bool {
+        self.sink_classes & class_bit(class) != 0
+    }
+
+    /// Hands the sink an event of `class` stamped with the current time.
+    /// Every emission site goes through here: unobserved, a site costs the
+    /// one mask test and `kind` (and whatever it reads) never runs.
+    #[inline]
+    fn emit(&self, class: EventClass, kind: impl FnOnce() -> telemetry::EventKind) {
+        if self.observes(class) {
             if let Some(s) = &self.sink {
-                s.emit(&trace::to_telemetry(&ev));
+                s.emit(&telemetry::Event {
+                    t_ps: self.now.as_ps(),
+                    kind: kind(),
+                });
             }
         }
     }
 
-    /// Like [`Simulator::trace`], for a pool-resident packet: the fast path
-    /// pays one branch; the packet is copied out of the pool only when a
-    /// tracer or packet sink is actually attached.
+    /// Emits a per-link packet event for the pool-resident packet in `slot`;
+    /// `kind` wraps the link index and packet description into the event.
+    /// The packet is read out of the pool only when a sink is watching.
     #[inline]
-    fn trace_slot(&mut self, kind: TraceEventKind, link: LinkId, slot: PacketSlot) {
-        if self.tracer.is_none() && !self.sink_packets {
-            return;
-        }
-        let pkt = *self.pool.get(slot);
-        self.trace(kind, link, &pkt);
+    fn emit_pkt(
+        &self,
+        link: LinkId,
+        slot: PacketSlot,
+        kind: impl FnOnce(u32, PktInfo) -> telemetry::EventKind,
+    ) {
+        self.emit(EventClass::Packet, || {
+            kind(link.0, trace::packet_info(self.pool.get(slot)))
+        });
     }
 
     /// Emits a queue-depth sample for `link` if it is probed and a sink
     /// subscribes to queue events.
     #[inline]
-    fn emit_queue_depth(&mut self, link_id: LinkId) {
-        if !self.sink_queue || !self.depth_probe[link_id.index()] {
-            return;
-        }
-        let q = &self.links[link_id.index()].queue;
-        let ev = telemetry::Event {
-            t_ps: self.now.as_ps(),
-            kind: telemetry::EventKind::QueueDepth {
+    fn emit_queue_depth(&self, link_id: LinkId) {
+        if self.observes(EventClass::Queue) && self.depth_probe[link_id.index()] {
+            let q = &self.links[link_id.index()].queue;
+            self.emit(EventClass::Queue, || telemetry::EventKind::QueueDepth {
                 link: link_id.0,
                 pkts: q.pkts(),
                 bytes: q.bytes(),
-            },
-        };
-        if let Some(s) = &self.sink {
-            s.emit(&ev);
+            });
         }
     }
 
     /// Emits a buffer-watermark event if the pool just reached a new peak.
     #[inline]
     fn emit_buffer_watermark(&mut self, bid: BufferId) {
-        if !self.sink_buffer {
+        if !self.observes(EventClass::Buffer) {
             return;
         }
         let buf = &self.buffers[bid.index()];
@@ -459,17 +409,14 @@ impl<S: Scheduler> Simulator<S> {
             return;
         }
         self.buffer_peak_emitted[bid.index()] = peak;
-        let ev = telemetry::Event {
-            t_ps: self.now.as_ps(),
-            kind: telemetry::EventKind::BufferWatermark {
+        let total_bytes = buf.total_bytes();
+        self.emit(EventClass::Buffer, || {
+            telemetry::EventKind::BufferWatermark {
                 buffer: bid.0,
                 used_bytes: peak,
-                total_bytes: buf.total_bytes(),
-            },
-        };
-        if let Some(s) = &self.sink {
-            s.emit(&ev);
-        }
+                total_bytes,
+            }
+        });
     }
 
     /// Immutable access to a link (for queue statistics after a run).
@@ -535,7 +482,9 @@ impl<S: Scheduler> Simulator<S> {
     pub fn run(&mut self) {
         self.start_if_needed();
         let t0 = std::time::Instant::now();
-        while self.step_inner(SimTime::MAX) {}
+        while let Some(ev) = self.events.pop() {
+            self.process_event(ev);
+        }
         self.wall += t0.elapsed();
     }
 
@@ -545,7 +494,7 @@ impl<S: Scheduler> Simulator<S> {
         self.start_if_needed();
         let t0 = std::time::Instant::now();
         while let Some(ev) = self.events.pop_due(deadline) {
-            self.process_event(ev, deadline);
+            self.process_event(ev);
         }
         self.wall += t0.elapsed();
         if self.now < deadline {
@@ -553,22 +502,7 @@ impl<S: Scheduler> Simulator<S> {
         }
     }
 
-    /// Processes a single scheduler event (plus, with coalescing on, any
-    /// deliveries batched behind it). Returns false when none remain.
-    pub fn step(&mut self) -> bool {
-        self.start_if_needed();
-        self.step_inner(SimTime::MAX)
-    }
-
-    fn step_inner(&mut self, deadline: SimTime) -> bool {
-        let Some(ev) = self.events.pop() else {
-            return false;
-        };
-        self.process_event(ev, deadline);
-        true
-    }
-
-    fn process_event(&mut self, ev: Event, deadline: SimTime) {
+    fn process_event(&mut self, ev: Event) {
         debug_assert!(ev.time >= self.now, "time went backwards");
         #[cfg(feature = "check")]
         if ev.time < self.now {
@@ -590,11 +524,7 @@ impl<S: Scheduler> Simulator<S> {
             }
             EventKind::Delivery { link, slot } => {
                 self.tallies.delivery += 1;
-                if self.coalesce {
-                    self.run_delivery_batch(link, slot, deadline);
-                } else {
-                    self.on_delivery(link, slot);
-                }
+                self.on_delivery(link, slot);
             }
             EventKind::Timer { node, key, gen } => {
                 // Timers at hosts belong to endpoints; timers at switches are
@@ -679,18 +609,11 @@ impl<S: Scheduler> Simulator<S> {
                 }
             }
         }
-        if self.sink_fault {
-            if let Some(s) = &self.sink {
-                s.emit(&telemetry::Event {
-                    t_ps: self.now.as_ps(),
-                    kind: telemetry::EventKind::Fault {
-                        index,
-                        kind: ev.kind.label(),
-                        target: ev.kind.target(),
-                    },
-                });
-            }
-        }
+        self.emit(EventClass::Fault, || telemetry::EventKind::Fault {
+            index,
+            kind: ev.kind.label(),
+            target: ev.kind.target(),
+        });
     }
 
     // ---- link machinery -------------------------------------------------
@@ -724,11 +647,11 @@ impl<S: Scheduler> Simulator<S> {
                 self.counters.queue_drops += 1;
                 self.counters.shared_buffer_drops += 1;
                 crate::recorder::note("drop_shared", now.as_ps(), link_id.0 as u64, flow, pkt_id);
-                self.trace_slot(
-                    TraceEventKind::Drop(crate::queue::DropReason::SharedBuffer),
-                    link_id,
-                    slot,
-                );
+                self.emit_pkt(link_id, slot, |link, pkt| telemetry::EventKind::PktDrop {
+                    link,
+                    pkt,
+                    reason: DropCause::SharedBuffer,
+                });
                 self.pool.take(slot);
                 return;
             }
@@ -761,7 +684,9 @@ impl<S: Scheduler> Simulator<S> {
                 // Trace before applying the mark: the trace records the
                 // packet as it arrived at the queue, the CE mark is what it
                 // carries onward.
-                self.trace_slot(TraceEventKind::Enqueue { marked }, link_id, slot);
+                self.emit_pkt(link_id, slot, |link, pkt| {
+                    telemetry::EventKind::PktEnqueue { link, pkt, marked }
+                });
                 if marked {
                     self.pool.get_mut(slot).ecn = Ecn::Ce;
                 }
@@ -785,7 +710,11 @@ impl<S: Scheduler> Simulator<S> {
                     flow,
                     pkt_id,
                 );
-                self.trace_slot(TraceEventKind::Drop(reason), link_id, slot);
+                self.emit_pkt(link_id, slot, |link, pkt| telemetry::EventKind::PktDrop {
+                    link,
+                    pkt,
+                    reason: trace::drop_cause(reason),
+                });
                 self.pool.take(slot);
             }
         }
@@ -814,7 +743,9 @@ impl<S: Scheduler> Simulator<S> {
         }
         #[cfg(feature = "check")]
         self.audit_dequeue(link_id, shared, frame.wire as u64);
-        self.trace_slot(TraceEventKind::TxStart, link_id, frame.slot);
+        self.emit_pkt(link_id, frame.slot, |link, pkt| {
+            telemetry::EventKind::PktTxStart { link, pkt }
+        });
         self.emit_queue_depth(link_id);
         self.events
             .schedule(now + ser, EventKind::TxComplete { link: link_id });
@@ -845,119 +776,34 @@ impl<S: Scheduler> Simulator<S> {
             if !(down && crate::check::inject_fault_drop_miscount()) {
                 self.counters.fault_drops += 1;
             }
+            let (label, reason) = if corrupt {
+                ("drop_corrupt", DropCause::Corrupt)
+            } else {
+                ("drop_fault", DropCause::Fault)
+            };
+            self.emit_pkt(link_id, frame.slot, |link, pkt| {
+                telemetry::EventKind::PktDrop { link, pkt, reason }
+            });
             let pkt = self.pool.take(frame.slot);
             crate::recorder::note(
-                if corrupt {
-                    "drop_corrupt"
-                } else {
-                    "drop_fault"
-                },
+                label,
                 self.now.as_ps(),
                 link_id.0 as u64,
                 pkt.flow.0 as u64,
                 pkt.id,
             );
-            if self.sink_packets {
-                if let Some(s) = &self.sink {
-                    s.emit(&telemetry::Event {
-                        t_ps: self.now.as_ps(),
-                        kind: telemetry::EventKind::PktDrop {
-                            link: link_id.0,
-                            pkt: trace::packet_info(&pkt),
-                            reason: if corrupt {
-                                telemetry::DropCause::Corrupt
-                            } else {
-                                telemetry::DropCause::Fault
-                            },
-                        },
-                    });
-                }
-            }
         } else {
-            self.schedule_delivery(link_id, self.now + prop, frame.slot);
+            self.events.schedule(
+                self.now + prop,
+                EventKind::Delivery {
+                    link: link_id,
+                    slot: frame.slot,
+                },
+            );
         }
         // Keep the transmitter running.
         if !self.links[link_id.index()].queue.is_empty() {
             self.start_tx(link_id);
-        }
-    }
-
-    /// Schedules a delivery on `link_id` at `at`.
-    ///
-    /// Coalescing path: the delivery claims its tie-break seq immediately
-    /// (keeping the global seq sequence identical to unbatched scheduling)
-    /// but only enters the scheduler if it is the link's FIFO head — tail
-    /// entries wait in the FIFO and ride the head's pop. Per-link delivery
-    /// times are non-decreasing (completions are ordered, propagation is
-    /// fixed), so the head always carries the FIFO's minimum key.
-    fn schedule_delivery(&mut self, link_id: LinkId, at: SimTime, slot: PacketSlot) {
-        if !self.coalesce {
-            self.events.schedule(
-                at,
-                EventKind::Delivery {
-                    link: link_id,
-                    slot,
-                },
-            );
-            return;
-        }
-        let seq = self.events.reserve_seq();
-        let fifo = &mut self.delivery_fifos[link_id.index()];
-        debug_assert!(fifo.back().is_none_or(|&(t, s, _)| (t, s) < (at, seq)));
-        if fifo.is_empty() {
-            self.events.schedule_reserved(
-                at,
-                seq,
-                EventKind::Delivery {
-                    link: link_id,
-                    slot,
-                },
-            );
-        }
-        fifo.push_back((at, seq, slot));
-    }
-
-    /// Processes the just-popped representative delivery of `link_id`, then
-    /// keeps draining the link's FIFO inline for as long as the next member
-    /// is provably the globally next event — its `(time, seq)` key precedes
-    /// the scheduler's earliest entry (every other link's pending minimum is
-    /// scheduled, so the scheduler peek bounds all foreign work) and it does
-    /// not overshoot the caller's deadline. Each inline member advances
-    /// `now` and bumps the same counters a standalone pop would, so every
-    /// observable is byte-identical to unbatched execution; only the
-    /// schedule+pop round trip is elided. The first non-coalescable member
-    /// is promoted to representative under its reserved seq.
-    fn run_delivery_batch(&mut self, link_id: LinkId, slot: PacketSlot, deadline: SimTime) {
-        let head = self.delivery_fifos[link_id.index()].pop_front();
-        debug_assert!(matches!(head, Some((t, _, s)) if t == self.now && s.0 == slot.0));
-        let mut slot = slot;
-        loop {
-            self.on_delivery(link_id, slot);
-            let Some(&(at, seq, next_slot)) = self.delivery_fifos[link_id.index()].front() else {
-                return;
-            };
-            let runs_inline = at <= deadline
-                && match self.events.peek_key() {
-                    Some(key) => (at, seq) < key,
-                    None => true,
-                };
-            if !runs_inline {
-                self.events.schedule_reserved(
-                    at,
-                    seq,
-                    EventKind::Delivery {
-                        link: link_id,
-                        slot: next_slot,
-                    },
-                );
-                return;
-            }
-            self.delivery_fifos[link_id.index()].pop_front();
-            self.now = at;
-            self.counters.events_processed += 1;
-            self.tallies.delivery += 1;
-            self.batched_deliveries += 1;
-            slot = next_slot;
         }
     }
 
@@ -1003,7 +849,9 @@ impl<S: Scheduler> Simulator<S> {
             flow as u64,
             pkt_id,
         );
-        self.trace_slot(TraceEventKind::Deliver, link_id, slot);
+        self.emit_pkt(link_id, slot, |link, pkt| {
+            telemetry::EventKind::PktDeliver { link, pkt }
+        });
         let dst = self.links[link_id.index()].dst;
         match &self.nodes[dst.index()] {
             Node::Switch { .. } => {
@@ -1094,28 +942,20 @@ impl<S: Scheduler> Simulator<S> {
     /// Emits a control-episode lifecycle event when a subscribing sink is
     /// attached.
     fn emit_ctrl_episode(
-        &mut self,
+        &self,
         node: NodeId,
         link: LinkId,
         epoch: u32,
         phase: &'static str,
         targets: u32,
     ) {
-        if !self.sink_ctrl {
-            return;
-        }
-        if let Some(s) = &self.sink {
-            s.emit(&telemetry::Event {
-                t_ps: self.now.as_ps(),
-                kind: telemetry::EventKind::CtrlEpisode {
-                    node: node.0,
-                    link: link.0,
-                    epoch,
-                    phase,
-                    targets,
-                },
-            });
-        }
+        self.emit(EventClass::Ctrl, || telemetry::EventKind::CtrlEpisode {
+            node: node.0,
+            link: link.0,
+            epoch,
+            phase,
+            targets,
+        });
     }
 
     /// Feeds one enqueue offer to the control plane's detector. On trigger

@@ -1,12 +1,10 @@
 //! Packet tracing — the simulator's `tcpdump`.
 //!
 //! The simulator emits structured [`telemetry::Event`]s; this module
-//! bridges packets to that event model and keeps the original line-per-event
-//! [`TextTracer`] as a thin *formatter* over the same stream. `TextTracer`
-//! works both ways: as a legacy [`PacketTracer`] attached with
-//! [`crate::Simulator::set_tracer`], and as a [`telemetry::EventSink`]
-//! attached with [`crate::Simulator::set_sink`] — either way it renders the
-//! identical text. For machine-readable traces attach a
+//! bridges packets to that event model and provides the line-per-event
+//! [`TextTracer`], a thin *formatter* over the packet class of that stream:
+//! a [`telemetry::EventSink`] attached with [`crate::Simulator::set_sink`]
+//! like any other. For machine-readable traces attach a
 //! [`telemetry::JsonlSink`] instead.
 
 use crate::ids::{FlowId, LinkId, NodeId};
@@ -14,47 +12,6 @@ use crate::packet::{Packet, PacketKind};
 use crate::queue::DropReason;
 use crate::time::SimTime;
 use telemetry::{DropCause, Event, EventClass, EventKind, EventSink, PktDetail, PktInfo};
-
-/// What happened to a packet at a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEventKind {
-    /// Accepted into the link's egress queue (`marked` = CE was set here).
-    Enqueue {
-        /// True if this enqueue CE-marked the packet.
-        marked: bool,
-    },
-    /// Rejected at the egress queue.
-    Drop(DropReason),
-    /// Serialization onto the wire began.
-    TxStart,
-    /// Arrived at the link's far end.
-    Deliver,
-}
-
-/// One traced packet event.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceEvent<'a> {
-    /// When it happened.
-    pub now: SimTime,
-    /// What happened.
-    pub kind: TraceEventKind,
-    /// The link involved.
-    pub link: LinkId,
-    /// The packet involved.
-    pub pkt: &'a Packet,
-}
-
-/// A passive observer of per-link packet events.
-pub trait PacketTracer {
-    /// Observes one event.
-    fn on_event(&mut self, ev: &TraceEvent);
-}
-
-impl<T: PacketTracer> PacketTracer for crate::endpoint::Shared<T> {
-    fn on_event(&mut self, ev: &TraceEvent) {
-        self.borrow_mut().on_event(ev);
-    }
-}
 
 /// Converts a packet to its telemetry description.
 pub fn packet_info(pkt: &Packet) -> PktInfo {
@@ -102,26 +59,6 @@ pub fn drop_cause(reason: DropReason) -> DropCause {
     match reason {
         DropReason::QueueFull => DropCause::QueueFull,
         DropReason::SharedBuffer => DropCause::SharedBuffer,
-    }
-}
-
-/// Converts a legacy [`TraceEvent`] to a structured telemetry event.
-pub fn to_telemetry(ev: &TraceEvent) -> Event {
-    let link = ev.link.0;
-    let pkt = packet_info(ev.pkt);
-    let kind = match ev.kind {
-        TraceEventKind::Enqueue { marked } => EventKind::PktEnqueue { link, pkt, marked },
-        TraceEventKind::Drop(reason) => EventKind::PktDrop {
-            link,
-            pkt,
-            reason: drop_cause(reason),
-        },
-        TraceEventKind::TxStart => EventKind::PktTxStart { link, pkt },
-        TraceEventKind::Deliver => EventKind::PktDeliver { link, pkt },
-    };
-    Event {
-        t_ps: ev.now.as_ps(),
-        kind,
     }
 }
 
@@ -276,12 +213,6 @@ impl TextTracer {
     }
 }
 
-impl PacketTracer for TextTracer {
-    fn on_event(&mut self, ev: &TraceEvent) {
-        self.format_event(&to_telemetry(ev));
-    }
-}
-
 impl EventSink for TextTracer {
     fn accepts(&self, class: EventClass) -> bool {
         class == EventClass::Packet
@@ -301,13 +232,24 @@ mod tests {
     use super::*;
     use crate::ids::NodeId;
 
-    fn ev(kind: TraceEventKind, pkt: &Packet) -> TraceEvent<'_> {
-        TraceEvent {
-            now: SimTime::from_us(3),
-            kind,
-            link: LinkId(1),
-            pkt,
+    /// A packet event on link 1 at t = 3 us, as the simulator would emit it.
+    fn ev(kind: impl FnOnce(u32, PktInfo) -> EventKind, pkt: &Packet) -> Event {
+        Event {
+            t_ps: SimTime::from_us(3).as_ps(),
+            kind: kind(1, packet_info(pkt)),
         }
+    }
+
+    fn enqueue(marked: bool) -> impl FnOnce(u32, PktInfo) -> EventKind {
+        move |link, pkt| EventKind::PktEnqueue { link, pkt, marked }
+    }
+
+    fn tx(link: u32, pkt: PktInfo) -> EventKind {
+        EventKind::PktTxStart { link, pkt }
+    }
+
+    fn deliver(link: u32, pkt: PktInfo) -> EventKind {
+        EventKind::PktDeliver { link, pkt }
     }
 
     fn data(flow: u32) -> Packet {
@@ -326,9 +268,10 @@ mod tests {
     fn records_and_renders_events() {
         let mut t = TextTracer::new(16);
         let p = data(5);
-        PacketTracer::on_event(&mut t, &ev(TraceEventKind::Enqueue { marked: true }, &p));
-        PacketTracer::on_event(&mut t, &ev(TraceEventKind::Deliver, &p));
+        t.on_event(&ev(enqueue(true), &p));
+        t.on_event(&ev(deliver, &p));
         assert_eq!(t.events_seen, 2);
+        assert_eq!(t.event_count(), 2);
         let log = t.render();
         assert!(log.contains("enq+mark"), "{log}");
         assert!(log.contains("rx"), "{log}");
@@ -339,8 +282,8 @@ mod tests {
     #[test]
     fn flow_filter_applies() {
         let mut t = TextTracer::for_flow(FlowId(7), 16);
-        PacketTracer::on_event(&mut t, &ev(TraceEventKind::TxStart, &data(5)));
-        PacketTracer::on_event(&mut t, &ev(TraceEventKind::TxStart, &data(7)));
+        t.on_event(&ev(tx, &data(5)));
+        t.on_event(&ev(tx, &data(7)));
         assert_eq!(t.events_seen, 1);
         assert_eq!(t.lines().count(), 1);
     }
@@ -350,7 +293,7 @@ mod tests {
         let mut t = TextTracer::new(3);
         let p = data(0);
         for _ in 0..10 {
-            PacketTracer::on_event(&mut t, &ev(TraceEventKind::TxStart, &p));
+            t.on_event(&ev(tx, &p));
         }
         assert_eq!(t.lines().count(), 3);
         assert_eq!(t.events_seen, 10);
@@ -360,36 +303,20 @@ mod tests {
     fn drop_reasons_rendered() {
         let mut t = TextTracer::new(4);
         let p = data(0);
-        PacketTracer::on_event(&mut t, &ev(TraceEventKind::Drop(DropReason::QueueFull), &p));
-        PacketTracer::on_event(
-            &mut t,
-            &ev(TraceEventKind::Drop(DropReason::SharedBuffer), &p),
-        );
-        let log = t.render();
-        assert!(log.contains("DROP(full)"));
-        assert!(log.contains("DROP(shared)"));
-    }
-
-    #[test]
-    fn wire_drop_reasons_rendered() {
-        // Fault and corrupt drops arrive only via the telemetry-event path
-        // (the simulator emits them directly, bypassing `TraceEvent`).
-        let mut t = TextTracer::new(4);
-        let p = packet_info(&data(0));
-        for reason in [DropCause::Fault, DropCause::Corrupt] {
-            EventSink::on_event(
-                &mut t,
-                &Event {
-                    t_ps: 0,
-                    kind: EventKind::PktDrop {
-                        link: 1,
-                        pkt: p,
-                        reason,
-                    },
-                },
-            );
+        for reason in [
+            drop_cause(DropReason::QueueFull),
+            drop_cause(DropReason::SharedBuffer),
+            DropCause::Fault,
+            DropCause::Corrupt,
+        ] {
+            t.on_event(&ev(
+                |link, pkt| EventKind::PktDrop { link, pkt, reason },
+                &p,
+            ));
         }
         let log = t.render();
+        assert!(log.contains("DROP(full)"), "{log}");
+        assert!(log.contains("DROP(shared)"), "{log}");
         assert!(log.contains("DROP(fault)"), "{log}");
         assert!(log.contains("DROP(corrupt)"), "{log}");
     }
@@ -399,8 +326,8 @@ mod tests {
         let mut t = TextTracer::new(4);
         let ack = Packet::ack(FlowId(1), NodeId(2), NodeId(0), 777, true, SimTime::ZERO);
         let ctrl = Packet::ctrl(FlowId(1), NodeId(0), NodeId(2), 9000, 3);
-        PacketTracer::on_event(&mut t, &ev(TraceEventKind::Deliver, &ack));
-        PacketTracer::on_event(&mut t, &ev(TraceEventKind::Deliver, &ctrl));
+        t.on_event(&ev(deliver, &ack));
+        t.on_event(&ev(deliver, &ctrl));
         let log = t.render();
         assert!(log.contains("ACK ack=777 ECE"));
         assert!(log.contains("CTRL demand=9000 burst=3"));
@@ -427,52 +354,32 @@ mod tests {
             true,
             SimTime::ZERO,
         );
-        PacketTracer::on_event(&mut t, &ev(TraceEventKind::Deliver, &qd));
-        PacketTracer::on_event(&mut t, &ev(TraceEventKind::Deliver, &qa));
+        t.on_event(&ev(deliver, &qd));
+        t.on_event(&ev(deliver, &qa));
         let log = t.render();
         assert!(log.contains("QDATA pn=17 off=4096 len=1446 retx"), "{log}");
         assert!(log.contains("QACK largest=17 ranges=2 ECE"), "{log}");
     }
 
     #[test]
-    fn tracer_and_sink_paths_format_identically() {
-        let p = data(5);
-        let trace_ev = ev(TraceEventKind::Enqueue { marked: false }, &p);
-
-        let mut via_tracer = TextTracer::new(4);
-        PacketTracer::on_event(&mut via_tracer, &trace_ev);
-
-        let mut via_sink = TextTracer::new(4);
-        EventSink::on_event(&mut via_sink, &to_telemetry(&trace_ev));
-
-        assert_eq!(via_tracer.render(), via_sink.render());
-        assert_eq!(via_sink.event_count(), 1);
-    }
-
-    #[test]
     fn sink_ignores_non_packet_events() {
         let mut t = TextTracer::new(4);
-        EventSink::on_event(
-            &mut t,
-            &Event {
-                t_ps: 0,
-                kind: EventKind::QueueDepth {
-                    link: 0,
-                    pkts: 1,
-                    bytes: 1500,
-                },
+        t.on_event(&Event {
+            t_ps: 0,
+            kind: EventKind::QueueDepth {
+                link: 0,
+                pkts: 1,
+                bytes: 1500,
             },
-        );
+        });
         assert_eq!(t.events_seen, 0);
         assert!(!t.accepts(EventClass::Queue));
         assert!(t.accepts(EventClass::Packet));
     }
 
     #[test]
-    fn conversion_carries_packet_fields() {
-        let p = data(9);
-        let tev = to_telemetry(&ev(TraceEventKind::Deliver, &p));
-        assert_eq!(tev.t_ps, SimTime::from_us(3).as_ps());
+    fn packet_info_carries_packet_fields() {
+        let tev = ev(deliver, &data(9));
         assert_eq!(tev.flow(), Some(9));
         match tev.kind {
             EventKind::PktDeliver { link, pkt } => {

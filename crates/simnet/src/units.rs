@@ -69,10 +69,6 @@ impl fmt::Display for Rate {
     }
 }
 
-/// Bytes in one kibibyte/mebibyte, for queue capacity configs.
-pub const KIB: u64 = 1024;
-pub const MIB: u64 = 1024 * 1024;
-
 #[cfg(test)]
 mod tests {
     use super::*;

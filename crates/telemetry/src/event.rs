@@ -2,11 +2,11 @@
 //!
 //! One [`Event`] is one timestamped observation from anywhere in the stack:
 //! a per-link packet event from the simulator, a queue-depth or shared-buffer
-//! sample, a per-flow congestion-window transition from the transport, a
-//! burst lifecycle marker from the workload, or a flushed metric. Events
-//! carry raw integer identifiers (link/node/flow indices, picosecond
-//! timestamps) so this crate stays at the bottom of the dependency graph;
-//! the emitting crates own the typed ids.
+//! sample, a per-flow congestion-window transition from the transport, or a
+//! burst lifecycle marker from the workload. Events carry raw integer
+//! identifiers (link/node/flow indices, picosecond timestamps) so this crate
+//! stays at the bottom of the dependency graph; the emitting crates own the
+//! typed ids.
 
 use crate::json::Obj;
 
@@ -23,8 +23,6 @@ pub enum EventClass {
     Flow,
     /// Application/workload lifecycle (burst start/end).
     App,
-    /// Flushed metric values.
-    Metric,
     /// Injected infrastructure faults (link flaps, buffer resizes, host
     /// pauses) from a simulation's fault plan.
     Fault,
@@ -298,17 +296,6 @@ pub enum EventKind {
         /// Index of the targeted entity (link, buffer, or node).
         target: u64,
     },
-    /// A flushed metric value (see [`crate::MetricsRegistry`]).
-    Metric {
-        /// Owning component ("link", "flow", "sim", …).
-        component: &'static str,
-        /// Metric name.
-        name: &'static str,
-        /// Instance id.
-        id: u64,
-        /// Value.
-        value: f64,
-    },
 }
 
 /// One timestamped telemetry event.
@@ -334,7 +321,6 @@ impl Event {
             EventKind::BurstStart { .. } | EventKind::BurstEnd { .. } => EventClass::App,
             EventKind::CtrlEpisode { .. } => EventClass::Ctrl,
             EventKind::Fault { .. } => EventClass::Fault,
-            EventKind::Metric { .. } => EventClass::Metric,
         }
     }
 
@@ -508,18 +494,6 @@ impl Event {
                     .u64("index", *index as u64)
                     .str("kind", kind)
                     .u64("target", *target);
-            }
-            EventKind::Metric {
-                component,
-                name,
-                id,
-                value,
-            } => {
-                o.str("ev", "metric")
-                    .str("component", component)
-                    .str("name", name)
-                    .u64("id", *id)
-                    .f64("value", *value);
             }
         }
         o.finish();

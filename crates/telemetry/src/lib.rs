@@ -3,8 +3,6 @@
 //! The paper's measurement half is an observability tool (Millisampler,
 //! Section 3); this crate is the simulator's equivalent. It provides:
 //!
-//! - [`MetricsRegistry`] — counters, gauges, and sim-time series keyed by
-//!   `(component, name, id)`, with deterministic JSON snapshots;
 //! - [`Event`] / [`EventSink`] / [`SinkRef`] — structured, timestamped
 //!   events (per-packet link events, queue depth, buffer watermarks,
 //!   per-flow cwnd transitions, burst lifecycle) flowing from simnet,
@@ -30,7 +28,6 @@ pub mod json;
 pub mod manifest;
 pub mod perfetto;
 pub mod profile;
-pub mod registry;
 pub mod sink;
 
 pub use event::{
@@ -39,5 +36,4 @@ pub use event::{
 pub use manifest::{git_describe, RunManifest};
 pub use perfetto::PerfettoSink;
 pub use profile::{EventTallies, LoopProfile};
-pub use registry::{MetricKey, MetricsRegistry};
 pub use sink::{EventSink, JsonlSink, NullSink, SinkRef};

@@ -87,11 +87,6 @@ impl PerfettoSink {
         self.count
     }
 
-    /// Trace-event objects emitted so far.
-    pub fn trace_events(&self) -> usize {
-        self.events.len()
-    }
-
     /// Renders the complete trace as a Chrome trace-event JSON document.
     pub fn render(&self) -> String {
         let mut out = String::from("{\"traceEvents\":[");
@@ -497,17 +492,6 @@ impl EventSink for PerfettoSink {
                     *link as u64,
                     &args,
                 );
-            }
-            EventKind::Metric {
-                component,
-                name,
-                id,
-                value,
-            } => {
-                self.name_pid(PID_APP, "app");
-                let mut args = String::from("\"value\":");
-                crate::json::write_f64(*value, &mut args);
-                self.counter(&format!("{component}.{name}.{id}"), t, PID_APP, *id, &args);
             }
         }
     }

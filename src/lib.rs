@@ -16,9 +16,9 @@
 //!   runners for every figure and table in the paper, plus ablations and
 //!   mitigation prototypes,
 //! - [`stats`]: deterministic RNG, distributions, CDFs, and time series,
-//! - [`telemetry`]: the unified observability layer — metrics registry,
-//!   event sinks (JSONL export, flow filters), run manifests, and
-//!   event-loop profiles shared by every crate above.
+//! - [`telemetry`]: the unified observability layer — event sinks (JSONL
+//!   and Perfetto export, flow filters), run manifests, and event-loop
+//!   profiles shared by every crate above.
 //!
 //! ## Quickstart
 //!

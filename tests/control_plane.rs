@@ -14,27 +14,12 @@
 //!    a generous degradation envelope around the mitigation-off
 //!    baseline, and wheel and heap agree byte-for-byte at every point.
 
-use incast_bursts::core_api::modes::{run_incast_with, MitigationKind, ModesConfig};
-use incast_bursts::simnet::{EventQueue, Scheduler, TimingWheel};
-use incast_bursts::telemetry::JsonlSink;
-use incast_bursts::transport::TransportKind;
+mod common;
 
-/// One instrumented run: JSONL stream, deterministic manifest JSON with
-/// the scheduler name and the control rollup masked (the rollup *names*
-/// the configured plane, which is exactly what may differ between a dead
-/// plane and no plane), the unmasked control rollup, and completions.
-fn observe<S: Scheduler>(cfg: &ModesConfig) -> (String, String, Option<String>, Vec<f64>) {
-    let (jsonl, sref) = JsonlSink::new().shared();
-    let (result, manifest) = run_incast_with::<S>(cfg, Some(&sref));
-    let stream = jsonl.borrow().render().to_string();
-    if let Some(v) = manifest.invariant_violations {
-        assert_eq!(v, 0, "invariant violations under {:?}", cfg.mitigation);
-    }
-    let mut det = manifest.deterministic();
-    det.scheduler = "masked".to_string();
-    let control = det.control_json.take();
-    (stream, det.to_json(), control, result.bcts_ms)
-}
+use common::observe;
+use incast_bursts::core_api::modes::{MitigationKind, ModesConfig};
+use incast_bursts::simnet::{EventQueue, TimingWheel};
+use incast_bursts::transport::TransportKind;
 
 fn incast(seed: u64) -> ModesConfig {
     ModesConfig {

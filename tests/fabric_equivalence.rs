@@ -13,28 +13,18 @@
 //! 3. **Path stability.** ECMP placement is a pure function of the seed:
 //!    re-running a Clos config reproduces the identical event stream.
 
+mod common;
+
+use common::{attach_tracer, run_with};
 use incast_bursts::core_api::cache::CacheValue;
 use incast_bursts::core_api::modes::{run_incast_with, MitigationKind, ModesConfig, TopologySpec};
 use incast_bursts::simnet::{
-    build_clos_with, build_fabric_with, ClosConfig, EventQueue, FabricConfig, Scheduler, Shared,
-    SimTime, TextTracer, TimingWheel,
+    build_clos_with, build_fabric_with, ClosConfig, EventQueue, FabricConfig, Scheduler, SimTime,
+    TextTracer, TimingWheel,
 };
 use incast_bursts::stats::Rng;
-use incast_bursts::telemetry::JsonlSink;
 use incast_bursts::transport::{TcpConfig, TcpHost};
 use incast_bursts::workload::{CyclicCoordinator, IncastConfig, Worker};
-
-/// One instrumented incast run under scheduler `S`: JSONL stream, the
-/// deterministic manifest with the scheduler name masked (the one field
-/// that should differ between schedulers), and per-burst completions.
-fn run_with<S: Scheduler>(cfg: &ModesConfig) -> (String, String, Vec<f64>) {
-    let (jsonl, sref) = JsonlSink::new().shared();
-    let (result, manifest) = run_incast_with::<S>(cfg, Some(&sref));
-    let stream = jsonl.borrow().render().to_string();
-    let mut det = manifest.deterministic();
-    det.scheduler = "masked".to_string();
-    (stream, det.to_json(), result.bcts_ms)
-}
 
 fn clos_cfg(racks: usize, spines: usize, num_flows: usize, seed: u64) -> ModesConfig {
     ModesConfig {
@@ -125,11 +115,9 @@ fn drive_fabric<S: Scheduler>(
             ))),
         )),
     );
-    let tracer = Shared::new(TextTracer::new(2_000_000));
-    let handle = tracer.handle();
-    sim.set_tracer(Box::new(tracer));
+    let tracer = attach_tracer(sim, TextTracer::new(2_000_000));
     sim.run_until(SimTime::from_ms(10));
-    let trace = handle.borrow().render();
+    let trace = tracer.borrow().render();
     (trace, sim.counters().to_json(), sim.now().as_ps())
 }
 

@@ -6,9 +6,13 @@
 //! the workspace carries no external dev-dependencies. The invariants
 //! checked are unchanged.
 
+mod common;
+
 use incast_bursts::core_api::modes::{run_incast, ModesConfig};
 use incast_bursts::millisampler::unwrap_seq;
+use incast_bursts::simnet::{EventQueue, Scheduler, TimingWheel};
 use incast_bursts::transport::seq;
+use std::collections::BTreeMap;
 
 /// Any small incast completes, delivers all demand, and never reports
 /// more acked than sent.
@@ -66,4 +70,69 @@ fn zero_loss_zero_retx_invariant() {
     assert_eq!(r.drops, 0);
     assert_eq!(r.retx_bytes, 0, "retransmissions without loss");
     assert_eq!(r.timeouts, 0, "timeouts without loss");
+}
+
+/// Extracts, per (link, flow), the sequence of packet descriptors of the
+/// `what` events in trace order. Trace lines look like:
+/// `   123.456us L3 tx          F2 N0->N5 DATA seq=1446 len=1446`.
+fn per_link_flow_sequences(trace: &str, what: &str) -> BTreeMap<(String, String), Vec<String>> {
+    let mut seqs: BTreeMap<(String, String), Vec<String>> = BTreeMap::new();
+    for line in trace.lines() {
+        let mut it = line.split_whitespace();
+        let _time = it.next();
+        let (Some(link), Some(kind), Some(flow)) = (it.next(), it.next(), it.next()) else {
+            continue;
+        };
+        if kind != what {
+            continue;
+        }
+        let rest: Vec<&str> = it.collect();
+        seqs.entry((link.to_string(), flow.to_string()))
+            .or_default()
+            .push(rest.join(" "));
+    }
+    seqs
+}
+
+/// On a lossless topology, a link delivers exactly the frames it
+/// transmits, in transmission order; only frames still in flight when the
+/// run cuts off may be missing. So per (link, flow), the delivered packet
+/// sequence must be a prefix of the transmitted one — a reordered,
+/// duplicated, or dropped delivery breaks the prefix.
+fn links_deliver_in_transmission_order<S: Scheduler>() {
+    for seed in [210u64, 47, 1009] {
+        let (trace, ..) = common::seeded_observables::<S>(seed, false);
+        let tx = per_link_flow_sequences(&trace, "tx");
+        let rx = per_link_flow_sequences(&trace, "rx");
+        assert!(!tx.is_empty(), "no transmissions traced (seed {seed})");
+        let mut delivered = 0usize;
+        for (key, tx_seq) in &tx {
+            let rx_seq = rx.get(key).map_or(&[][..], Vec::as_slice);
+            assert!(
+                rx_seq.len() <= tx_seq.len() && tx_seq[..rx_seq.len()] == *rx_seq,
+                "per-link delivery order diverged from transmission order \
+                 for {key:?} (seed {seed}, {}):\n tx: {tx_seq:?}\n rx: {rx_seq:?}",
+                S::NAME
+            );
+            delivered += rx_seq.len();
+        }
+        // Nothing rx'd that was never tx'd on that link either.
+        for key in rx.keys() {
+            assert!(
+                tx.contains_key(key),
+                "{key:?} delivered frames it never transmitted (seed {seed}, {})",
+                S::NAME
+            );
+        }
+        assert!(
+            delivered > 100,
+            "too little traffic to be meaningful (seed {seed})"
+        );
+    }
+}
+
+#[test]
+fn links_preserve_fifo_order_on_both_schedulers() {
+    links_deliver_in_transmission_order::<TimingWheel>();
+    links_deliver_in_transmission_order::<EventQueue>();
 }

@@ -6,28 +6,13 @@
 //! and, at the raw simnet layer, the full packet trace and counters of
 //! seeded random topologies.
 
-use incast_bursts::core_api::modes::{run_incast_with, MitigationKind, ModesConfig, TopologySpec};
-use incast_bursts::simnet::{
-    build_fabric_with, EventQueue, FabricConfig, Scheduler, Shared, SimTime, TextTracer,
-    TimingWheel,
-};
-use incast_bursts::stats::Rng;
-use incast_bursts::telemetry::{JsonlSink, PerfettoSink};
-use incast_bursts::transport::{TcpConfig, TcpHost, TransportKind};
-use incast_bursts::workload::{CyclicCoordinator, IncastConfig, Worker};
+mod common;
 
-/// One instrumented incast run under scheduler `S`: the JSONL stream, the
-/// deterministic manifest JSON with the scheduler name masked out (it is
-/// the one field that *should* differ), and the per-burst completions.
-fn run_with<S: Scheduler>(cfg: &ModesConfig) -> (String, String, Vec<f64>) {
-    let (jsonl, sref) = JsonlSink::new().shared();
-    let (result, manifest) = run_incast_with::<S>(cfg, Some(&sref));
-    let stream = jsonl.borrow().render().to_string();
-    let mut det = manifest.deterministic();
-    assert_eq!(det.scheduler, S::NAME, "manifest must name its scheduler");
-    det.scheduler = "masked".to_string();
-    (stream, det.to_json(), result.bcts_ms)
-}
+use common::{run_with, seeded_observables};
+use incast_bursts::core_api::modes::{run_incast_with, MitigationKind, ModesConfig, TopologySpec};
+use incast_bursts::simnet::{EventQueue, Scheduler, TimingWheel};
+use incast_bursts::telemetry::PerfettoSink;
+use incast_bursts::transport::TransportKind;
 
 #[test]
 fn wheel_and_heap_emit_byte_identical_jsonl_for_seeded_configs() {
@@ -319,61 +304,21 @@ fn perfetto_traces_are_identical_across_thread_counts() {
     assert!(serial.iter().all(|s| s.contains(r#""ph":"b""#)));
 }
 
-/// Full simnet-layer observables for a seeded random topology under
-/// scheduler `S`: the complete packet trace, the counters JSON, the event
-/// tallies, and the final simulated time.
-fn random_topology_observables<S: Scheduler>(seed: u64) -> (String, String, u64, u64) {
-    // Derive the topology from the seed so every configuration differs:
-    // fan-in, demand, and fault injection all vary.
-    let mut rng = Rng::new(seed);
-    let num_senders = 2 + rng.below(12) as usize;
-    let fabric_cfg = FabricConfig {
-        num_senders,
-        seed: rng.next_u64(),
-        ..FabricConfig::default()
-    };
-    let burst_ms = 0.1 + 0.1 * rng.below(4) as f64;
-    let loss = if rng.chance(0.5) { 0.01 } else { 0.0 };
-
-    let mut f = build_fabric_with::<S>(&fabric_cfg);
-    f.sim.link_mut(f.trunk).cfg.loss_probability = loss;
-    for (i, &s) in f.senders.iter().enumerate() {
-        f.sim.set_endpoint(
-            s,
-            Box::new(TcpHost::new(
-                TcpConfig::default(),
-                Box::new(Worker::new(Rng::new(seed ^ i as u64))),
-            )),
-        );
-    }
-    f.sim.set_endpoint(
-        f.receivers[0],
-        Box::new(TcpHost::new(
-            TcpConfig::default(),
-            Box::new(CyclicCoordinator::new(IncastConfig::paper(
-                f.senders.clone(),
-                burst_ms,
-                2,
-                rng.next_u64(),
-            ))),
-        )),
-    );
-    let tracer = Shared::new(TextTracer::new(2_000_000));
-    let handle = tracer.handle();
-    f.sim.set_tracer(Box::new(tracer));
-    f.sim.run_until(SimTime::from_ms(10));
-    let trace = handle.borrow().render();
-    let counters = f.sim.counters().to_json();
-    let events = f.sim.profile().tallies.total();
-    (trace, counters, events, f.sim.now().as_ps())
-}
-
+/// Raw simnet layer: the full packet trace, counters, tallies and final
+/// time of seeded random fabrics. Half the seeds run a lossy trunk, and the
+/// trace is the telemetry stream, so injected losses are compared bytes too.
 #[test]
 fn wheel_and_heap_trace_identically_on_seeded_random_topologies() {
+    let mut fault_drops_traced = false;
     for seed in 100..110u64 {
-        let wheel = random_topology_observables::<TimingWheel>(seed);
-        let heap = random_topology_observables::<EventQueue>(seed);
+        let wheel = seeded_observables::<TimingWheel>(seed, true);
+        let heap = seeded_observables::<EventQueue>(seed, true);
         assert!(!wheel.0.is_empty(), "empty trace for seed {seed}");
         assert_eq!(wheel, heap, "schedulers diverged on topology seed {seed}");
+        fault_drops_traced |= wheel.0.contains("DROP(fault)");
     }
+    assert!(
+        fault_drops_traced,
+        "no lossy seed traced an injected loss: the comparison is blind to them"
+    );
 }

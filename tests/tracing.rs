@@ -1,9 +1,11 @@
 //! End-to-end packet tracing: the simulator's `tcpdump` attached to a real
 //! incast run, plus the JSONL telemetry export that supersedes it.
 
+mod common;
+
 use incast_bursts::core_api::modes::{run_incast_instrumented, ModesConfig};
 use incast_bursts::simnet::FlowId;
-use incast_bursts::simnet::{build_dumbbell, Shared, SimTime, TextTracer};
+use incast_bursts::simnet::{build_dumbbell, SimTime, TextTracer};
 use incast_bursts::stats::Rng;
 use incast_bursts::telemetry::{JsonlSink, PerfettoSink};
 use incast_bursts::transport::{TcpConfig, TcpHost};
@@ -32,14 +34,15 @@ fn run_traced(filter: Option<FlowId>) -> (u64, String) {
             ))),
         )),
     );
-    let tracer = Shared::new(match filter {
-        Some(f) => TextTracer::for_flow(f, 200_000),
-        None => TextTracer::new(200_000),
-    });
-    let handle = tracer.handle();
-    fabric.sim.set_tracer(Box::new(tracer));
+    let tracer = common::attach_tracer(
+        &mut fabric.sim,
+        match filter {
+            Some(f) => TextTracer::for_flow(f, 200_000),
+            None => TextTracer::new(200_000),
+        },
+    );
     fabric.sim.run_until(SimTime::from_ms(20));
-    let t = handle.borrow();
+    let t = tracer.borrow();
     (t.events_seen, t.render())
 }
 
