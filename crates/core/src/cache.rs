@@ -324,16 +324,10 @@ fn meta_line(key: &str) -> String {
     let mut out = String::new();
     let mut o = Obj::new(&mut out);
     o.u64("v", CACHE_SCHEMA_VERSION as u64)
-        .str("build", build_id())
+        .str("build", telemetry::git_describe())
         .str("key", key);
     o.finish();
     out
-}
-
-/// `git describe` once per process (it shells out).
-fn build_id() -> &'static str {
-    static BUILD: OnceLock<String> = OnceLock::new();
-    BUILD.get_or_init(telemetry::git_describe)
 }
 
 // ---------------------------------------------------------------------------

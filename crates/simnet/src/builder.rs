@@ -118,88 +118,106 @@ impl NetworkBuilder {
     /// topology on the reference heap.
     pub fn build_with_scheduler<S: Scheduler>(self, seed: u64) -> Simulator<S> {
         let n = self.nodes.len();
+        let is_switch: Vec<bool> = self
+            .nodes
+            .iter()
+            .map(|spec| matches!(spec, NodeSpec::Switch { .. }))
+            .collect();
 
-        // Host uplinks and switch port lists.
-        let mut uplinks: Vec<Vec<LinkId>> = vec![Vec::new(); n];
+        // Egress links per node, ascending: host uplinks, switch ports.
+        let mut egress: Vec<Vec<LinkId>> = vec![Vec::new(); n];
         for (i, spec) in self.links.iter().enumerate() {
-            uplinks[spec.src.index()].push(LinkId(i as u32));
+            egress[spec.src.index()].push(LinkId(i as u32));
         }
-
-        // Reverse adjacency for BFS: incoming links per node.
-        let mut incoming: Vec<Vec<LinkId>> = vec![Vec::new(); n];
-        for (i, spec) in self.links.iter().enumerate() {
-            incoming[spec.dst.index()].push(LinkId(i as u32));
-        }
-
-        // Forwarding: for each destination node, BFS backwards from it to
-        // get hop distances, then collect *every* link that starts a
-        // shortest path as an equal-cost candidate. Iterating links in id
-        // order keeps each candidate set ascending, which is what makes the
-        // primary route (set member 0) and ECMP tie-breaks deterministic.
-        // Switch destinations get routes too (control-plane acknowledgments
-        // are addressed to switches); host candidate sets are unchanged by
-        // their presence, so pre-control-plane traces stay byte-identical.
-        // Hosts never become transit: a host's only neighbor is its ToR, so
-        // a path through it is never shortest.
-        let mut fwd: Vec<Vec<Vec<LinkId>>> = vec![Vec::new(); n];
+        // A host's attachment switch: where its (single) uplink lands.
+        // `connect` is bidirectional, so a single-uplink host has exactly
+        // one neighbor and one downlink — it can never be transit, which
+        // is what lets routing below run over switches only. A host cabled
+        // to another host has no attachment switch and no routes.
+        let mut attach: Vec<Option<usize>> = vec![None; n];
         for (i, spec) in self.nodes.iter().enumerate() {
-            if matches!(spec, NodeSpec::Switch { .. }) {
-                fwd[i] = vec![Vec::new(); n];
+            if let NodeSpec::Host { name } = spec {
+                let ups = &egress[i];
+                assert!(
+                    ups.len() <= 1,
+                    "host {name} has {} uplinks (max 1)",
+                    ups.len()
+                );
+                attach[i] = ups
+                    .first()
+                    .map(|l| self.links[l.index()].dst.index())
+                    .filter(|&at| is_switch[at]);
             }
         }
-        let mut dist = vec![u32::MAX; n];
-        for d in 0..n {
-            dist.fill(u32::MAX);
+
+        // Hop distances between switches over switch-to-switch links: one
+        // BFS per *switch*, row `r` of `hops` holding the distance from
+        // every switch to `switches[r]` (links come in reverse pairs, so
+        // the forward BFS from the destination measures it; host entries
+        // stay unreachable). Switch destinations need routes too —
+        // control-plane acknowledgments are addressed to switches.
+        let switches: Vec<usize> = (0..n).filter(|&i| is_switch[i]).collect();
+        let mut hops = vec![u32::MAX; switches.len() * n];
+        let mut frontier = std::collections::VecDeque::new();
+        for (r, &d) in switches.iter().enumerate() {
+            let dist = &mut hops[r * n..(r + 1) * n];
             dist[d] = 0;
-            let mut frontier = std::collections::VecDeque::from([d]);
+            frontier.push_back(d);
             while let Some(cur) = frontier.pop_front() {
-                for &lid in &incoming[cur] {
-                    let s = self.links[lid.index()].src.index();
-                    if dist[s] == u32::MAX {
-                        dist[s] = dist[cur] + 1;
-                        frontier.push_back(s);
+                for &lid in &egress[cur] {
+                    let next = self.links[lid.index()].dst.index();
+                    if is_switch[next] && dist[next] == u32::MAX {
+                        dist[next] = dist[cur] + 1;
+                        frontier.push_back(next);
                     }
                 }
             }
-            for (i, spec) in self.links.iter().enumerate() {
-                let s = spec.src.index();
-                if !fwd[s].is_empty()
-                    && dist[s] != u32::MAX
-                    && dist[spec.dst.index()].wrapping_add(1) == dist[s]
-                {
-                    fwd[s][d].push(LinkId(i as u32));
-                }
-            }
         }
 
-        // Materialize nodes.
+        // Materialize nodes. Each switch's CSR table is emitted directly:
+        // toward a switch, every port that starts a shortest path (ports
+        // are scanned in link-id order, so each candidate set is ascending
+        // — what makes the primary route and ECMP tie-breaks
+        // deterministic); toward a host, its attachment switch's set
+        // (shared, not copied) everywhere except at that switch, where it
+        // is the host's own downlink.
         let mut nodes = Vec::with_capacity(n);
         for (i, spec) in self.nodes.into_iter().enumerate() {
             match spec {
-                NodeSpec::Host { name } => {
-                    let ups = &uplinks[i];
-                    assert!(
-                        ups.len() <= 1,
-                        "host {name} has {} uplinks (max 1)",
-                        ups.len()
-                    );
-                    nodes.push(Node::Host {
-                        name,
-                        uplink: ups.first().copied(),
-                    });
-                }
+                NodeSpec::Host { name } => nodes.push(Node::Host {
+                    name,
+                    uplink: egress[i].first().copied(),
+                }),
                 NodeSpec::Switch { name, spec } => {
-                    // Flatten this switch's candidate sets into CSR form.
-                    let sets = std::mem::take(&mut fwd[i]);
-                    let mut fwd_index = Vec::with_capacity(sets.len());
+                    let ports = std::mem::take(&mut egress[i]);
+                    let mut fwd_index = vec![(0u32, 0u32); n];
                     let mut fwd_links = Vec::new();
-                    for set in sets {
-                        fwd_index.push((fwd_links.len() as u32, set.len() as u32));
-                        fwd_links.extend(set);
+                    for (r, &d) in switches.iter().enumerate() {
+                        let dist = &hops[r * n..(r + 1) * n];
+                        if d == i || dist[i] == u32::MAX {
+                            continue;
+                        }
+                        let off = fwd_links.len();
+                        fwd_links.extend(ports.iter().copied().filter(|l| {
+                            dist[self.links[l.index()].dst.index()].wrapping_add(1) == dist[i]
+                        }));
+                        fwd_index[d] = (off as u32, (fwd_links.len() - off) as u32);
+                    }
+                    for (h, at) in attach.iter().enumerate() {
+                        if let Some(at) = *at {
+                            fwd_index[h] = fwd_index[at];
+                        }
+                    }
+                    for &l in &ports {
+                        let h = self.links[l.index()].dst.index();
+                        if !is_switch[h] {
+                            fwd_index[h] = (fwd_links.len() as u32, 1);
+                            fwd_links.push(l);
+                        }
                     }
                     nodes.push(Node::Switch {
                         name,
-                        ports: uplinks[i].clone(),
+                        ports,
                         fwd_index,
                         fwd_links,
                         buffer: spec.buffer,
@@ -353,6 +371,138 @@ mod tests {
         assert_eq!(sim.link(back).dst, spine);
         // A switch has no route to itself.
         assert!(sim.node(spine).next_hop(spine).is_none());
+    }
+
+    /// The pre-optimization routing, kept as an oracle that shares no
+    /// code with `build_with_scheduler`: one backward BFS *per destination
+    /// node* over every link of the built simulator, then every link that
+    /// starts a shortest path, in link-id order. `[switch][dst]`; rows of
+    /// hosts stay empty.
+    fn all_pairs_bfs(sim: &Simulator) -> Vec<Vec<Vec<LinkId>>> {
+        let (n, m) = (sim.num_nodes(), sim.num_links());
+        let ends = |l: usize| {
+            let link = sim.link(LinkId(l as u32));
+            (link.src.index(), link.dst.index())
+        };
+        let mut fwd = vec![vec![Vec::new(); n]; n];
+        for d in 0..n {
+            let mut dist = vec![u32::MAX; n];
+            dist[d] = 0;
+            let mut frontier = std::collections::VecDeque::from([d]);
+            while let Some(cur) = frontier.pop_front() {
+                for l in 0..m {
+                    let (src, dst) = ends(l);
+                    if dst == cur && dist[src] == u32::MAX {
+                        dist[src] = dist[cur] + 1;
+                        frontier.push_back(src);
+                    }
+                }
+            }
+            for l in 0..m {
+                let (src, dst) = ends(l);
+                if !sim.node(NodeId(src as u32)).is_host()
+                    && dist[src] != u32::MAX
+                    && dist[dst].wrapping_add(1) == dist[src]
+                {
+                    fwd[src][d].push(LinkId(l as u32));
+                }
+            }
+        }
+        fwd
+    }
+
+    /// Asserts every (node, destination) candidate set of `sim` equals the
+    /// all-pairs oracle's; returns how many non-empty sets were compared.
+    fn assert_tables_match_oracle(sim: &Simulator, what: &str) -> usize {
+        let oracle = all_pairs_bfs(sim);
+        let mut routed = 0;
+        for (s, row) in oracle.iter().enumerate() {
+            for (d, want) in row.iter().enumerate() {
+                let got = sim.node(NodeId(s as u32)).next_hops(NodeId(d as u32));
+                assert_eq!(got, &want[..], "{what}: candidates at node {s} toward {d}");
+                routed += usize::from(!want.is_empty());
+            }
+        }
+        routed
+    }
+
+    #[test]
+    fn tables_equal_all_pairs_bfs_on_the_stock_fabrics() {
+        use crate::topology::{build_clos, build_dumbbell, build_fabric, ClosConfig, FabricConfig};
+        assert!(assert_tables_match_oracle(&build_dumbbell(12, 0).sim, "dumbbell") > 0);
+        let two_tor = FabricConfig {
+            num_senders: 9,
+            num_receivers: 3,
+            ..FabricConfig::default()
+        };
+        assert!(assert_tables_match_oracle(&build_fabric(&two_tor).sim, "two-ToR") > 0);
+        // The shapes `tests/ecmp_properties.rs` builds, the degenerate
+        // one-rack forms, and a grid around them.
+        let mut shapes = vec![(2, 16, 4, 1), (2, 4, 2, 1), (1, 5, 1, 1), (1, 5, 3, 2)];
+        for racks in [2, 3, 5] {
+            for spines in [1, 2, 3] {
+                shapes.push((racks, 3, spines, 2));
+            }
+        }
+        for (racks, hosts_per_rack, spines, num_receivers) in shapes {
+            let cfg = ClosConfig {
+                racks,
+                hosts_per_rack,
+                spines,
+                num_receivers,
+                ..ClosConfig::default()
+            };
+            let what = format!("clos {racks}x{hosts_per_rack}x{spines}");
+            let f = build_clos(&cfg).unwrap();
+            assert!(assert_tables_match_oracle(&f.sim, &what) > 0);
+            // Cross-rack traffic sees every spine as an equal-cost choice.
+            if racks > 1 {
+                let leaf = f.sim.node(f.leaves[0]);
+                assert_eq!(leaf.next_hops(f.receivers[0]).len(), spines);
+                assert_eq!(leaf.next_hops(f.tor_r).len(), spines, "switch destination");
+            }
+        }
+    }
+
+    #[test]
+    fn tables_equal_all_pairs_bfs_on_irregular_graphs() {
+        // h0 - s0 = s1 - s2 - h1 with a parallel s0-s1 pair and an s0-s2
+        // shortcut, plus: an uncabled host, a host-host island, a switch
+        // with no host, and a switch island with its own host.
+        let mut b = NetworkBuilder::new();
+        let h0 = b.add_host("h0");
+        let s0 = b.add_switch("s0");
+        let lonely = b.add_host("lonely");
+        let s1 = b.add_switch("s1");
+        let s2 = b.add_switch("s2");
+        let h1 = b.add_host("h1");
+        let (ia, ib) = (b.add_host("island-a"), b.add_host("island-b"));
+        let bare = b.add_switch("bare");
+        let (far, far_host) = (b.add_switch("far"), b.add_host("far-host"));
+        b.connect(h0, s0, cfg(), cfg());
+        b.connect(s0, s1, cfg(), cfg());
+        b.connect(ia, ib, cfg(), cfg());
+        b.connect(s1, s0, cfg(), cfg()); // parallel, cabled the other way
+        b.connect(s1, s2, cfg(), cfg());
+        b.connect(far_host, far, cfg(), cfg());
+        b.connect(s2, h1, cfg(), cfg());
+        b.connect(s0, s2, cfg(), cfg());
+        b.connect(bare, s1, cfg(), cfg());
+        let sim = b.build(0);
+        assert!(assert_tables_match_oracle(&sim, "irregular") > 0);
+
+        // Spot checks, so a bug shared with the oracle cannot hide.
+        for unreachable in [lonely, ia, ib, far, far_host] {
+            for sw in [s0, s1, s2, bare] {
+                assert!(sim.node(sw).next_hops(unreachable).is_empty());
+            }
+        }
+        assert!(sim.node(far).next_hops(h0).is_empty());
+        assert_eq!(sim.node(far).next_hops(far_host).len(), 1);
+        assert_eq!(sim.node(s1).next_hops(h0).len(), 2, "both parallel cables");
+        assert_eq!(sim.node(s1).next_hops(s0).len(), 2, "switch destination");
+        assert_eq!(sim.node(bare).next_hops(h1).len(), 1);
+        assert!(sim.node(h0).next_hops(h1).is_empty(), "hosts never forward");
     }
 
     #[test]

@@ -3,8 +3,11 @@
 //! Switches monitor a configured set of egress ports. Each monitored port
 //! keeps a sliding arrival window (two half-window buckets, rotated lazily
 //! from packet arrivals — no timers or allocations while idle) counting
-//! distinct data flows and offered bytes. When both the flow-count and the
-//! arrival-rate triggers fire, the switch opens an *episode*: it multicasts
+//! distinct data flows and offered bytes at constant work per frame: one
+//! hash probe stamps the flow with the bucket generation it was last seen
+//! in, and a running counter carries the distinct total across rotations.
+//! When both the flow-count and the arrival-rate triggers fire, the switch
+//! opens an *episode*: it multicasts
 //! [`crate::packet::PacketKind::Notif`] frames to every sender host seen in
 //! the window and re-fires unacknowledged targets with capped exponential
 //! backoff until all have acknowledged or the retry budget is exhausted.
@@ -22,6 +25,7 @@
 //! - Epochs increase per port; senders idempotently ignore stale or
 //!   duplicated epochs but always acknowledge, so retries terminate.
 
+use crate::hash::FxHashMap;
 use crate::ids::{FlowId, LinkId, NodeId};
 use crate::time::SimTime;
 use stats::Rng;
@@ -96,9 +100,10 @@ impl Default for ControlConfig {
 #[derive(Debug, Default, Clone)]
 struct Bucket {
     bytes: u64,
-    /// Distinct `(flow, src host)` pairs seen. Incast windows hold tens of
-    /// flows, so a linear scan beats a hash set and never allocates after
-    /// the first episode.
+    /// Distinct `(flow, src host)` pairs seen, in arrival order. Written
+    /// once per pair per bucket (membership is decided by
+    /// [`PortState::last_seen`], never by scanning this list) and read
+    /// only by [`ControlPlane::begin_episode`] to name the targets.
     flows: Vec<(u32, NodeId)>,
 }
 
@@ -128,6 +133,16 @@ struct PortState {
     bucket_start: SimTime,
     cur: Bucket,
     prev: Bucket,
+    /// Generation of `cur`; advances by one per half-window stepped, so
+    /// `prev` is generation `gen - 1` and anything older is out of window.
+    gen: u64,
+    /// `(flow, src host)` -> generation of the bucket it last arrived in.
+    /// Stale entries are simply out-of-window stamps; the map grows to the
+    /// number of distinct pairs the port ever carried and is never scanned.
+    last_seen: FxHashMap<(u32, NodeId), u64>,
+    /// Distinct pairs across `cur` and `prev` (`cur.flows.len()` is the
+    /// `cur`-only count), maintained on arrival and on rotation.
+    distinct: u32,
     epoch: u32,
     episode: Option<Episode>,
     next_allowed: SimTime,
@@ -167,6 +182,8 @@ pub enum RetryPlan {
 #[derive(Debug)]
 pub struct ControlPlane {
     cfg: ControlConfig,
+    /// Half the sliding window: the bucket length (at least 1 ps).
+    half: SimTime,
     ports: Vec<PortState>,
     /// Link id -> monitored-port index.
     by_link: Vec<Option<u32>>,
@@ -200,6 +217,11 @@ impl ControlPlane {
                 bucket_start: SimTime::ZERO,
                 cur: Bucket::default(),
                 prev: Bucket::default(),
+                // Starts above 1 so the map's absent-key stamp of 0 is
+                // always out of window.
+                gen: 2,
+                last_seen: FxHashMap::default(),
+                distinct: 0,
                 epoch: 0,
                 episode: None,
                 next_allowed: SimTime::ZERO,
@@ -207,6 +229,7 @@ impl ControlPlane {
         }
         let rng = Rng::new(cfg.seed);
         ControlPlane {
+            half: SimTime((cfg.window.as_ps() / 2).max(1)),
             cfg,
             ports,
             by_link,
@@ -256,7 +279,7 @@ impl ControlPlane {
     /// passed). Pure detection: no episode state changes here, so a dead
     /// control plane observing traffic leaves zero footprint.
     pub fn record(&mut self, now: SimTime, port: u32, flow: u32, src: NodeId, bytes: u32) -> bool {
-        let half = SimTime((self.cfg.window.as_ps() / 2).max(1));
+        let half = self.half;
         let p = &mut self.ports[port as usize];
         // Lazy rotation: step the half-window buckets forward to cover `now`.
         if now >= p.bucket_start + half {
@@ -264,32 +287,31 @@ impl ControlPlane {
                 // Idle gap longer than the window: both buckets are stale.
                 p.prev.clear();
                 p.cur.clear();
+                p.distinct = 0;
                 let steps = (now - p.bucket_start).as_ps() / half.as_ps();
+                p.gen += steps;
                 p.bucket_start = SimTime(p.bucket_start.as_ps() + steps * half.as_ps());
             } else {
+                // `prev` falls out: what stays in the window is `cur`.
+                p.distinct = p.cur.flows.len() as u32;
                 std::mem::swap(&mut p.prev, &mut p.cur);
                 p.cur.clear();
+                p.gen += 1;
                 p.bucket_start += half;
             }
         }
         p.cur.bytes += bytes as u64;
-        if !p.cur.flows.iter().any(|&(f, s)| f == flow && s == src) {
+        let seen = p.last_seen.entry((flow, src)).or_insert(0);
+        if *seen != p.gen {
+            // New to `cur`; new to the window too unless `prev` holds it.
+            p.distinct += u32::from(*seen + 1 != p.gen);
+            *seen = p.gen;
             p.cur.flows.push((flow, src));
         }
-        if p.episode.is_some() || now < p.next_allowed {
-            return false;
-        }
-        let bytes_seen = p.cur.bytes + p.prev.bytes;
-        if bytes_seen < self.cfg.window_bytes {
-            return false;
-        }
-        let mut distinct = p.cur.flows.len();
-        for &(f, s) in &p.prev.flows {
-            if !p.cur.flows.iter().any(|&(cf, cs)| cf == f && cs == s) {
-                distinct += 1;
-            }
-        }
-        distinct as u32 >= self.cfg.flow_threshold
+        p.episode.is_none()
+            && now >= p.next_allowed
+            && p.cur.bytes + p.prev.bytes >= self.cfg.window_bytes
+            && p.distinct >= self.cfg.flow_threshold
     }
 
     /// Opens an episode on `port`: bumps the epoch and snapshots the
@@ -299,13 +321,15 @@ impl ControlPlane {
         let p = &mut self.ports[port as usize];
         debug_assert!(p.episode.is_none(), "episode already open");
         p.epoch += 1;
-        let mut targets: Vec<NodeId> = Vec::new();
-        for &(_, s) in p.cur.flows.iter().chain(p.prev.flows.iter()) {
-            if !targets.contains(&s) {
-                targets.push(s);
-            }
-        }
-        targets.sort_by_key(|n| n.0);
+        let mut targets: Vec<NodeId> = p
+            .cur
+            .flows
+            .iter()
+            .chain(p.prev.flows.iter())
+            .map(|&(_, s)| s)
+            .collect();
+        targets.sort_unstable_by_key(|n| n.0);
+        targets.dedup();
         p.episode = Some(Episode {
             epoch: p.epoch,
             targets: targets.into_iter().map(|t| (t, false)).collect(),
@@ -530,6 +554,155 @@ mod tests {
         }
         assert!(cp.record(later, 0, 14, NodeId(4), 1500));
         assert_eq!(cp.begin_episode(later, 0), 2);
+    }
+
+    /// The pre-optimization detector for one port, kept as a reference
+    /// that shares no code with [`ControlPlane::record`]: membership by
+    /// linear scan, the distinct count recomputed from both buckets on
+    /// every frame, targets deduplicated by `contains`.
+    struct ScanPort {
+        half: SimTime,
+        bucket_start: SimTime,
+        cur: (u64, Vec<(u32, NodeId)>),
+        prev: (u64, Vec<(u32, NodeId)>),
+        episode_open: bool,
+        next_allowed: SimTime,
+    }
+
+    impl ScanPort {
+        fn record(
+            &mut self,
+            cfg: &ControlConfig,
+            now: SimTime,
+            flow: u32,
+            src: NodeId,
+            bytes: u32,
+        ) -> bool {
+            let half = self.half;
+            if now >= self.bucket_start + half {
+                if now >= self.bucket_start + half + half {
+                    self.prev = (0, Vec::new());
+                    self.cur = (0, Vec::new());
+                    let steps = (now - self.bucket_start).as_ps() / half.as_ps();
+                    self.bucket_start = SimTime(self.bucket_start.as_ps() + steps * half.as_ps());
+                } else {
+                    self.prev = std::mem::take(&mut self.cur);
+                    self.bucket_start += half;
+                }
+            }
+            self.cur.0 += bytes as u64;
+            if !self.cur.1.iter().any(|&(f, s)| f == flow && s == src) {
+                self.cur.1.push((flow, src));
+            }
+            if self.episode_open || now < self.next_allowed {
+                return false;
+            }
+            if self.cur.0 + self.prev.0 < cfg.window_bytes {
+                return false;
+            }
+            let mut distinct = self.cur.1.len();
+            for &(f, s) in &self.prev.1 {
+                if !self.cur.1.iter().any(|&(cf, cs)| cf == f && cs == s) {
+                    distinct += 1;
+                }
+            }
+            distinct as u32 >= cfg.flow_threshold
+        }
+
+        fn targets(&self) -> Vec<NodeId> {
+            let mut targets: Vec<NodeId> = Vec::new();
+            for &(_, s) in self.cur.1.iter().chain(self.prev.1.iter()) {
+                if !targets.contains(&s) {
+                    targets.push(s);
+                }
+            }
+            targets.sort_by_key(|n| n.0);
+            targets
+        }
+    }
+
+    #[test]
+    fn record_matches_the_scan_reference_on_random_arrival_streams() {
+        let mut triggers = 0;
+        let mut saw = [false; 4]; // idle gap, single rotation, cooldown, open episode
+        for seed in 0..40u64 {
+            let mut rng = Rng::new(0xC0DE + seed);
+            let cfg = ControlConfig {
+                ports: vec![LinkId(0)],
+                flow_threshold: 2 + rng.below(12) as u32,
+                window_bytes: 1500 * (1 + rng.below(20)),
+                // Odd picosecond windows exercise the `half` rounding.
+                window: SimTime(2 + rng.below(40_000_000)),
+                cooldown: SimTime::from_us(rng.below(200)),
+                ..ControlConfig::default()
+            };
+            let mut cp = plane(cfg.clone());
+            let mut scan = ScanPort {
+                half: SimTime((cfg.window.as_ps() / 2).max(1)),
+                bucket_start: SimTime::ZERO,
+                cur: (0, Vec::new()),
+                prev: (0, Vec::new()),
+                episode_open: false,
+                next_allowed: SimTime::ZERO,
+            };
+            let half = scan.half.as_ps();
+            let flows = 1 + rng.below(40) as u32;
+            let mut now = SimTime::ZERO;
+            let mut open: Option<(u32, Vec<NodeId>)> = None;
+            for step in 0..4000 {
+                // Mostly dense arrivals; sometimes exactly one bucket
+                // ahead, sometimes an idle gap well past the window.
+                let before = (now.as_ps() - scan.bucket_start.as_ps()) / half;
+                now += match rng.below(20) {
+                    0 => SimTime(half * (2 + rng.below(5)) + rng.below(half)),
+                    1 | 2 => SimTime(half),
+                    _ => SimTime(rng.below(half / 4 + 1)),
+                };
+                match (now.as_ps() - scan.bucket_start.as_ps()) / half - before {
+                    0 => {}
+                    1 => saw[1] = true,
+                    _ => saw[0] = true,
+                }
+                // The same flow id arrives from two source hosts: the
+                // pair, not the id, is what counts as a flow.
+                let flow = rng.below(flows as u64) as u32;
+                let src = NodeId(200 + flow % 7 + 7 * rng.below(2) as u32);
+                let bytes = 64 + rng.below(1437) as u32;
+                saw[2] |= open.is_none() && now < scan.next_allowed;
+                saw[3] |= open.is_some();
+                let want = scan.record(&cfg, now, flow, src, bytes);
+                let got = cp.record(now, 0, flow, src, bytes);
+                assert_eq!(got, want, "seed {seed} step {step} at {now:?}");
+                if got {
+                    triggers += 1;
+                    let want_targets = scan.targets();
+                    scan.episode_open = true;
+                    scan.next_allowed = now + cfg.cooldown;
+                    let epoch = cp.begin_episode(now, 0);
+                    match cp.on_retry_timer(now, 0).unwrap() {
+                        RetryPlan::Emit { targets, .. } => {
+                            assert_eq!(targets, want_targets, "seed {seed} step {step}")
+                        }
+                        other => panic!("expected Emit, got {other:?}"),
+                    }
+                    open = Some((epoch, want_targets));
+                } else if open.is_some() && rng.chance(0.02) {
+                    // Every target acknowledges: the episode closes and
+                    // the cooldown restarts from now.
+                    let (epoch, targets) = open.take().unwrap();
+                    for t in targets {
+                        cp.on_ack(now, 0, epoch, t);
+                    }
+                    scan.episode_open = false;
+                    scan.next_allowed = now + cfg.cooldown;
+                }
+            }
+        }
+        assert!(triggers > 100, "streams too tame: {triggers} triggers");
+        assert_eq!(
+            saw, [true; 4],
+            "idle gap / one rotation / cooldown / open episode"
+        );
     }
 
     #[test]

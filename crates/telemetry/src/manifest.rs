@@ -10,6 +10,7 @@
 //! `None`).
 
 use crate::json::Obj;
+use std::sync::OnceLock;
 
 /// A replayable description of one simulation run.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -107,7 +108,7 @@ impl RunManifest {
 
     /// Fills `git_describe` from the working tree (best effort).
     pub fn with_git_describe(mut self) -> Self {
-        self.git_describe = git_describe();
+        self.git_describe = git_describe().to_string();
         self
     }
 
@@ -193,7 +194,17 @@ impl RunManifest {
 
 /// `git describe --always --dirty` of the current working tree, or
 /// `"unknown"` when git is unavailable (e.g. outside a checkout).
-pub fn git_describe() -> String {
+///
+/// Asked once per process: every run, sweep and contention manifest
+/// stamps it, and the answer costs a child process (dearer the larger the
+/// parent's heap) while the build it names cannot change under a running
+/// binary.
+pub fn git_describe() -> &'static str {
+    static DESCRIBED: OnceLock<String> = OnceLock::new();
+    DESCRIBED.get_or_init(run_git_describe)
+}
+
+fn run_git_describe() -> String {
     std::process::Command::new("git")
         .args(["describe", "--always", "--dirty"])
         .output()
@@ -342,6 +353,16 @@ mod tests {
     fn git_describe_never_panics() {
         let d = git_describe();
         assert!(!d.is_empty());
+    }
+
+    #[test]
+    fn git_describe_is_asked_once_per_process() {
+        let (a, b) = (git_describe(), git_describe());
+        assert_eq!(a, b);
+        assert!(
+            std::ptr::eq(a, b),
+            "second call must reuse the first answer"
+        );
     }
 
     #[test]

@@ -14,72 +14,103 @@ use crate::sender::{AckOutcome, FlowProbe, Sender};
 use simnet::{Ctx, Endpoint, FlowId, NodeId, Packet, PacketKind, SimTime};
 use telemetry::SinkRef;
 
-/// Dense connection table indexed directly by flow id.
+/// Connection table windowed over the flow ids this host opened.
 ///
-/// Workloads assign flows small consecutive ids, so the per-packet demux
-/// is an array index instead of a hash-map probe. Iteration runs in
-/// ascending flow-id order — deterministic, unlike the `HashMap` this
-/// replaced (no caller depended on that order, but determinism by
-/// construction beats determinism by accident).
+/// Connections live in a dense `entries` vector in opening order; `index`
+/// covers only `[base, base + index.len())` — the span between the lowest
+/// and highest id opened *here* — and maps an id to its entry, so an empty
+/// slot costs four bytes and a worker with one flow holds one slot no
+/// matter how large the id. The per-packet demux stays a subtraction and
+/// two array indexes instead of a hash-map probe, and iteration walks the
+/// window in ascending flow-id order — deterministic by construction.
 #[derive(Debug)]
 pub struct FlowTable<T> {
-    slots: Vec<Option<T>>,
-    len: usize,
+    /// Flow id of `index[0]`.
+    base: u32,
+    /// Position in `entries` per id in the window; [`VACANT`] if unopened.
+    index: Vec<u32>,
+    entries: Vec<T>,
 }
+
+/// `FlowTable::index` marker for an id inside the window that was never
+/// opened.
+const VACANT: u32 = u32::MAX;
 
 impl<T> FlowTable<T> {
     fn new() -> Self {
         FlowTable {
-            slots: Vec::new(),
-            len: 0,
+            base: 0,
+            index: Vec::new(),
+            entries: Vec::new(),
         }
     }
 
     /// Number of open connections.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// True if no connection is open.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
+    }
+
+    /// Position of `flow` in `entries`, if open. Ids below the window
+    /// wrap to a huge offset and miss like ids above it.
+    #[inline]
+    fn slot(&self, flow: FlowId) -> Option<usize> {
+        let at = *self.index.get(flow.0.wrapping_sub(self.base) as usize)?;
+        (at != VACANT).then_some(at as usize)
     }
 
     /// The connection for `flow`, if open.
     pub fn get(&self, flow: FlowId) -> Option<&T> {
-        self.slots.get(flow.0 as usize).and_then(Option::as_ref)
+        self.slot(flow).map(|at| &self.entries[at])
     }
 
     fn get_mut(&mut self, flow: FlowId) -> Option<&mut T> {
-        self.slots.get_mut(flow.0 as usize).and_then(Option::as_mut)
+        self.slot(flow).map(|at| &mut self.entries[at])
     }
 
     fn get_or_insert_with(&mut self, flow: FlowId, make: impl FnOnce() -> T) -> &mut T {
-        let i = flow.0 as usize;
-        if i >= self.slots.len() {
-            self.slots.resize_with(i + 1, || None);
+        if let Some(at) = self.slot(flow) {
+            return &mut self.entries[at];
         }
-        let slot = &mut self.slots[i];
-        if slot.is_none() {
-            *slot = Some(make());
-            self.len += 1;
+        if self.index.is_empty() {
+            self.base = flow.0;
+        } else if flow.0 < self.base {
+            // Grow the window downward: vacant slots in front.
+            let grow = (self.base - flow.0) as usize;
+            self.index.splice(0..0, std::iter::repeat_n(VACANT, grow));
+            self.base = flow.0;
         }
-        slot.as_mut().expect("slot just filled")
+        let off = (flow.0 - self.base) as usize;
+        if off >= self.index.len() {
+            self.index.resize(off + 1, VACANT);
+        }
+        self.index[off] = self.entries.len() as u32;
+        self.entries.push(make());
+        self.entries.last_mut().expect("entry just pushed")
     }
 
     /// Iterates open connections in ascending flow-id order.
     pub fn iter(&self) -> impl Iterator<Item = (FlowId, &T)> {
-        self.slots
+        let base = self.base;
+        let entries = &self.entries;
+        self.index
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|t| (FlowId(i as u32), t)))
+            .filter(|&(_, &at)| at != VACANT)
+            .map(move |(i, &at)| (FlowId(base + i as u32), &entries[at as usize]))
     }
 
-    fn iter_mut(&mut self) -> impl Iterator<Item = (FlowId, &mut T)> {
-        self.slots
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_mut().map(|t| (FlowId(i as u32), t)))
+    /// Visits every open connection mutably, ascending by flow id.
+    fn for_each_mut(&mut self, mut f: impl FnMut(&mut T)) {
+        for &at in &self.index {
+            if at != VACANT {
+                f(&mut self.entries[at as usize]);
+            }
+        }
     }
 }
 
@@ -394,13 +425,13 @@ impl Endpoint for TcpHost {
                     return;
                 }
                 self.core.notifs_applied += 1;
-                for (_, tx) in self.core.senders.iter_mut() {
+                self.core.senders.for_each_mut(|tx| {
                     if cut {
                         tx.apply_cut(ctx);
                     } else {
                         tx.apply_pause(ctx, pause);
                     }
-                }
+                });
             }
             // A notification ack terminates at its switch; one reaching a
             // host is a routing bug.
@@ -488,6 +519,92 @@ mod tests {
             if all == self.workers.len() {
                 *self.done_at.borrow_mut() = Some(api.now());
             }
+        }
+    }
+
+    fn table(ids: &[u32]) -> FlowTable<u32> {
+        let mut t = FlowTable::new();
+        for &id in ids {
+            // The stored value echoes the id so lookups are checkable.
+            t.get_or_insert_with(FlowId(id), || id);
+        }
+        t
+    }
+
+    fn ids(t: &FlowTable<u32>) -> Vec<(u32, u32)> {
+        t.iter().map(|(f, &v)| (f.0, v)).collect()
+    }
+
+    #[test]
+    fn flow_table_window_follows_opened_ids() {
+        // Descending opens grow the window downward; iteration ascends.
+        let mut t = table(&[9, 7, 8, 3]);
+        assert_eq!(t.len(), 4);
+        assert_eq!(ids(&t), vec![(3, 3), (7, 7), (8, 8), (9, 9)]);
+        assert_eq!((t.base, t.index.len()), (3, 7));
+        // Re-opening returns the existing entry, never a second one.
+        *t.get_or_insert_with(FlowId(7), || unreachable!()) = 70;
+        assert_eq!(t.get(FlowId(7)), Some(&70));
+        assert_eq!(t.len(), 4);
+        // Mutable visit runs in the same ascending order.
+        let mut seen = Vec::new();
+        t.for_each_mut(|v| seen.push(*v));
+        assert_eq!(seen, vec![3, 70, 8, 9]);
+
+        // Sparse ids: both found, every id between them vacant.
+        let t = table(&[7, 700]);
+        assert_eq!(ids(&t), vec![(7, 7), (700, 700)]);
+        assert_eq!(t.len(), 2);
+        for probe in [8, 350, 699] {
+            assert_eq!(t.get(FlowId(probe)), None);
+        }
+    }
+
+    #[test]
+    fn flow_table_misses_outside_the_window_without_wrapping() {
+        let mut empty: FlowTable<u32> = FlowTable::new();
+        assert!(empty.is_empty());
+        for probe in [0, 1, u32::MAX] {
+            assert_eq!(empty.get(FlowId(probe)), None);
+            assert!(empty.get_mut(FlowId(probe)).is_none());
+        }
+        assert_eq!(empty.iter().count(), 0);
+
+        let t = table(&[500, 502]);
+        // Below the window (the offset wraps) and above it.
+        for probe in [0, 499, 503, 1000, u32::MAX, u32::MAX - 1] {
+            assert_eq!(t.get(FlowId(probe)), None, "flow {probe}");
+        }
+        assert_eq!(t.get(FlowId(501)), None, "vacant slot inside the window");
+        assert_eq!(t.get(FlowId(502)), Some(&502));
+
+        // A window ending at the top id still works.
+        let t = table(&[u32::MAX, u32::MAX - 2]);
+        assert_eq!(
+            ids(&t),
+            vec![(u32::MAX - 2, u32::MAX - 2), (u32::MAX, u32::MAX)]
+        );
+        assert_eq!(t.get(FlowId(0)), None);
+    }
+
+    #[test]
+    fn flow_table_footprint_is_linear_in_flows_opened() {
+        // Worker 999 of a 1000-flow incast: one entry, one slot — not
+        // 1000 slots of `Option<Sender>`.
+        let t = table(&[999]);
+        assert_eq!((t.index.len(), t.entries.len()), (1, 1));
+
+        // A worker serving two coordinators (`flow_base = worker_pool`):
+        // the gap costs index slots only, at most 8 bytes each.
+        for i in [0, 1, 999] {
+            let t = table(&[i, 1000 + i]);
+            assert_eq!((t.index.len(), t.entries.len()), (1001, 2));
+            let vacant = t.index.len() - t.entries.len();
+            let index_bytes = t.index.capacity() * std::mem::size_of::<u32>();
+            assert!(
+                index_bytes <= 8 * vacant,
+                "{index_bytes} B of index for {vacant} vacant slots"
+            );
         }
     }
 

@@ -1,0 +1,131 @@
+//! Cost versus flow count, gated on deterministic work counters.
+//!
+//! A run's memory and set-up must be linear in the number of flows: the
+//! paper's Mode 3 only exists at ≥ 1000 flows, and a per-host table, a
+//! per-destination routing pass or a per-frame window scan that is
+//! quadratic in flows is invisible at 80 flows and dominant at 1000.
+//! Wall-clock cannot gate that in CI; allocator traffic can, because it
+//! repeats exactly. A counting global allocator records the number of
+//! allocations and the peak of live heap bytes around each measured call,
+//! and the test compares a problem with its double: linear growth gives
+//! about 2x, quadratic about 4x.
+//!
+//! The whole file is one `#[test]`: the counters are process-wide, so
+//! the measured calls run sequentially inside it instead of as tests
+//! racing in harness threads.
+
+use incast_bursts::core_api::modes::{run_incast, ModesConfig};
+use incast_bursts::simnet::{build_clos_with, ClosConfig, TimingWheel};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+fn grew(bytes: usize) {
+    ALLOCS.fetch_add(1, Relaxed);
+    let live = LIVE.fetch_add(bytes as u64, Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Relaxed);
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_sub(layout.size() as u64, Relaxed);
+        grew(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Relaxed);
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTING: CountingAlloc = CountingAlloc;
+
+/// Heap work of one call: allocations made, and how far live bytes rose
+/// above where they stood when the call began.
+#[derive(Debug, Clone, Copy)]
+struct HeapWork {
+    allocs: u64,
+    peak_bytes: u64,
+}
+
+fn measure<T>(f: impl FnOnce() -> T) -> HeapWork {
+    let base = LIVE.load(Relaxed);
+    PEAK.store(base, Relaxed);
+    let allocs = ALLOCS.load(Relaxed);
+    drop(f());
+    HeapWork {
+        allocs: ALLOCS.load(Relaxed) - allocs,
+        peak_bytes: PEAK.load(Relaxed) - base,
+    }
+}
+
+fn incast(flows: usize) -> HeapWork {
+    let cfg = ModesConfig {
+        num_flows: flows,
+        burst_duration_ms: 1.0,
+        num_bursts: 1,
+        seed: 11,
+        ..ModesConfig::default()
+    };
+    measure(|| {
+        let r = run_incast(&cfg);
+        assert_eq!(r.bcts_ms.len(), 1, "{flows}-flow burst did not complete");
+        r
+    })
+}
+
+fn clos(racks: usize) -> HeapWork {
+    let cfg = ClosConfig {
+        racks,
+        hosts_per_rack: 50,
+        spines: 4,
+        ..ClosConfig::default()
+    };
+    measure(|| {
+        let f = build_clos_with::<TimingWheel>(&cfg).unwrap();
+        assert_eq!(f.num_hosts(), racks * 50);
+        f.sim.num_links()
+    })
+}
+
+#[test]
+fn doubling_the_flows_at_most_doubles_and_a_half_the_heap_work() {
+    // The first run pays the process's one-time set-up (lazy statics,
+    // the thread's buffers); measure after it.
+    incast(8);
+
+    let (small, large) = (incast(200), incast(400));
+    eprintln!("run_incast 200 flows: {small:?}\nrun_incast 400 flows: {large:?}");
+    assert!(
+        large.peak_bytes as f64 <= 2.5 * small.peak_bytes as f64,
+        "peak live heap is super-linear in flows: {small:?} -> {large:?}"
+    );
+    assert!(
+        large.allocs as f64 <= 2.5 * small.allocs as f64,
+        "allocation count is super-linear in flows: {small:?} -> {large:?}"
+    );
+
+    // Twice the racks: twice the hosts *and* nearly twice the switches, so
+    // a candidate list per (switch, destination) pair grows more than 3x
+    // here; tables emitted once per switch grow ~2x.
+    let (small, large) = (clos(20), clos(40));
+    eprintln!("build_clos 1000 hosts: {small:?}\nbuild_clos 2000 hosts: {large:?}");
+    assert!(
+        (large.allocs as f64) < 3.0 * small.allocs as f64,
+        "fabric set-up allocations are super-linear in hosts: {small:?} -> {large:?}"
+    );
+}
