@@ -77,11 +77,6 @@ impl SimCounters {
     }
 }
 
-/// `class`'s bit in the simulator's sink subscription mask.
-const fn class_bit(class: EventClass) -> u8 {
-    1 << class as u8
-}
-
 /// An endpoint dispatch deferred while its host is paused (a fault-plan
 /// straggler window); drained in arrival order on resume.
 #[derive(Debug)]
@@ -245,7 +240,7 @@ impl<S: Scheduler> Simulator<S> {
         ]
         .into_iter()
         .filter(|&class| sink.accepts(class))
-        .fold(0, |mask, class| mask | class_bit(class));
+        .fold(0, |mask, class| mask | class.bit());
         self.sink = Some(sink);
     }
 
@@ -350,7 +345,7 @@ impl<S: Scheduler> Simulator<S> {
     /// True if the attached sink subscribes to `class`.
     #[inline]
     fn observes(&self, class: EventClass) -> bool {
-        self.sink_classes & class_bit(class) != 0
+        self.sink_classes & class.bit() != 0
     }
 
     /// Hands the sink an event of `class` stamped with the current time.

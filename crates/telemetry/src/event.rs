@@ -8,7 +8,7 @@
 //! stays at the bottom of the dependency graph; the emitting crates own the
 //! typed ids.
 
-use crate::json::Obj;
+use crate::json::Line;
 
 /// Coarse event category, used by sinks for cheap subscription gating.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,6 +29,14 @@ pub enum EventClass {
     /// Control-plane lifecycle (incast detection episodes: detect, retry,
     /// completion).
     Ctrl,
+}
+
+impl EventClass {
+    /// This class's bit in a subscription mask (one bit per class, so a
+    /// set of classes is a `u8` and membership is one AND).
+    pub const fn bit(self) -> u8 {
+        1 << self as u8
+    }
 }
 
 /// Payload details of a traced packet.
@@ -336,7 +344,246 @@ impl Event {
         }
     }
 
-    fn write_pkt(o: &mut Obj, link: u32, pkt: &PktInfo) {
+    /// Stages this event as one JSON object. Each arm hands the writer its
+    /// punctuation and keys as whole literal runs with the values between;
+    /// the labels and the bare `raw` strings are program constants that
+    /// need no escaping, `phase` and `kind` are caller-supplied and go
+    /// through [`Line::str`].
+    fn encode(&self, w: &mut Line) {
+        w.raw(r#"{"t":"#).u64(self.t_ps);
+        match &self.kind {
+            EventKind::PktEnqueue { link, pkt, marked } => {
+                encode_pkt(w, r#","ev":"pkt_enq","link":"#, *link, pkt);
+                w.raw(r#","marked":"#).bool(*marked).raw("}");
+            }
+            EventKind::PktDrop { link, pkt, reason } => {
+                encode_pkt(w, r#","ev":"pkt_drop","link":"#, *link, pkt);
+                w.raw(r#","reason":""#).raw(reason.label()).raw(r#""}"#);
+            }
+            EventKind::PktTxStart { link, pkt } => {
+                encode_pkt(w, r#","ev":"pkt_tx","link":"#, *link, pkt);
+                w.raw("}");
+            }
+            EventKind::PktDeliver { link, pkt } => {
+                encode_pkt(w, r#","ev":"pkt_rx","link":"#, *link, pkt);
+                w.raw("}");
+            }
+            EventKind::QueueDepth { link, pkts, bytes } => {
+                w.raw(r#","ev":"queue_depth","link":"#)
+                    .u64(*link as u64)
+                    .raw(r#","pkts":"#)
+                    .u64(*pkts as u64)
+                    .raw(r#","bytes":"#)
+                    .u64(*bytes)
+                    .raw("}");
+            }
+            EventKind::BufferWatermark {
+                buffer,
+                used_bytes,
+                total_bytes,
+            } => {
+                w.raw(r#","ev":"buffer_watermark","buffer":"#)
+                    .u64(*buffer as u64)
+                    .raw(r#","used_bytes":"#)
+                    .u64(*used_bytes)
+                    .raw(r#","total_bytes":"#)
+                    .u64(*total_bytes)
+                    .raw("}");
+            }
+            EventKind::FlowWindow {
+                node,
+                flow,
+                cwnd,
+                ssthresh,
+                inflight,
+                state,
+                trigger,
+            } => {
+                w.raw(r#","ev":"flow_window","node":"#)
+                    .u64(*node as u64)
+                    .raw(r#","flow":"#)
+                    .u64(*flow as u64)
+                    .raw(r#","cwnd":"#)
+                    .u64(*cwnd)
+                    .raw(r#","ssthresh":"#)
+                    .u64(*ssthresh)
+                    .raw(r#","inflight":"#)
+                    .u64(*inflight)
+                    .raw(r#","state":""#)
+                    .raw(state.label())
+                    .raw(r#"","trigger":""#)
+                    .raw(trigger.label())
+                    .raw(r#""}"#);
+            }
+            EventKind::BurstStart {
+                burst,
+                flows,
+                per_flow_bytes,
+            } => {
+                w.raw(r#","ev":"burst_start","burst":"#)
+                    .u64(*burst as u64)
+                    .raw(r#","flows":"#)
+                    .u64(*flows as u64)
+                    .raw(r#","per_flow_bytes":"#)
+                    .u64(*per_flow_bytes)
+                    .raw("}");
+            }
+            EventKind::BurstEnd { burst, bct_ms } => {
+                w.raw(r#","ev":"burst_end","burst":"#)
+                    .u64(*burst as u64)
+                    .raw(r#","bct_ms":"#)
+                    .f64(*bct_ms)
+                    .raw("}");
+            }
+            EventKind::CtrlEpisode {
+                node,
+                link,
+                epoch,
+                phase,
+                targets,
+            } => {
+                w.raw(r#","ev":"ctrl","node":"#)
+                    .u64(*node as u64)
+                    .raw(r#","link":"#)
+                    .u64(*link as u64)
+                    .raw(r#","epoch":"#)
+                    .u64(*epoch as u64)
+                    .raw(r#","phase":""#)
+                    .str(phase)
+                    .raw(r#"","targets":"#)
+                    .u64(*targets as u64)
+                    .raw("}");
+            }
+            EventKind::Fault {
+                index,
+                kind,
+                target,
+            } => {
+                w.raw(r#","ev":"fault","index":"#)
+                    .u64(*index as u64)
+                    .raw(r#","kind":""#)
+                    .str(kind)
+                    .raw(r#"","target":"#)
+                    .u64(*target)
+                    .raw("}");
+            }
+        }
+    }
+
+    /// Appends this event as one JSON object (no trailing newline) to `out`.
+    ///
+    /// Field order is fixed, so equal events serialize to equal bytes —
+    /// the property the determinism tests and trace diffing rely on.
+    pub fn write_json(&self, out: &mut String) {
+        let mut w = Line::new(out);
+        self.encode(&mut w);
+        w.finish();
+    }
+
+    /// [`write_json`](Self::write_json) plus the newline that ends a JSONL
+    /// record.
+    pub(crate) fn write_jsonl(&self, out: &mut String) {
+        let mut w = Line::new(out);
+        self.encode(&mut w);
+        w.raw("\n");
+        w.finish();
+    }
+
+    /// This event as a standalone JSON string.
+    pub fn to_json(&self) -> String {
+        let mut s = String::new();
+        self.write_json(&mut s);
+        s
+    }
+}
+
+/// The fields every per-packet event shares, from the event name (`ev`,
+/// ending in the `"link":` key) through the kind-specific detail.
+fn encode_pkt(w: &mut Line, ev: &'static str, link: u32, pkt: &PktInfo) {
+    w.raw(ev)
+        .u64(link as u64)
+        .raw(r#","flow":"#)
+        .u64(pkt.flow as u64)
+        .raw(r#","src":"#)
+        .u64(pkt.src as u64)
+        .raw(r#","dst":"#)
+        .u64(pkt.dst as u64)
+        .raw(r#","bytes":"#)
+        .u64(pkt.bytes as u64)
+        .raw(r#","ce":"#)
+        .bool(pkt.ce);
+    match pkt.detail {
+        PktDetail::Data { seq, payload, retx } => {
+            w.raw(r#","pkt":"data","seq":"#)
+                .u64(seq as u64)
+                .raw(r#","len":"#)
+                .u64(payload as u64)
+                .raw(r#","retx":"#)
+                .bool(retx);
+        }
+        PktDetail::Ack { ack, ece } => {
+            w.raw(r#","pkt":"ack","ack":"#)
+                .u64(ack as u64)
+                .raw(r#","ece":"#)
+                .bool(ece);
+        }
+        PktDetail::QuicData {
+            pn,
+            offset,
+            payload,
+            retx,
+        } => {
+            w.raw(r#","pkt":"qdata","pn":"#)
+                .u64(pn as u64)
+                .raw(r#","off":"#)
+                .u64(offset as u64)
+                .raw(r#","len":"#)
+                .u64(payload as u64)
+                .raw(r#","retx":"#)
+                .bool(retx);
+        }
+        PktDetail::QuicAck {
+            largest,
+            ranges,
+            ece,
+        } => {
+            w.raw(r#","pkt":"qack","largest":"#)
+                .u64(largest as u64)
+                .raw(r#","ranges":"#)
+                .u64(ranges as u64)
+                .raw(r#","ece":"#)
+                .bool(ece);
+        }
+        PktDetail::Ctrl { demand, burst } => {
+            w.raw(r#","pkt":"ctrl","demand":"#)
+                .u64(demand)
+                .raw(r#","burst":"#)
+                .u64(burst);
+        }
+        PktDetail::Notif {
+            epoch,
+            pause_ps,
+            cut,
+        } => {
+            w.raw(r#","pkt":"notif","epoch":"#)
+                .u64(epoch as u64)
+                .raw(r#","pause_ps":"#)
+                .u64(pause_ps)
+                .raw(r#","cut":"#)
+                .bool(cut);
+        }
+        PktDetail::NotifAck { epoch } => {
+            w.raw(r#","pkt":"notif_ack","epoch":"#).u64(epoch as u64);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::json::Obj;
+
+    fn reference_pkt(o: &mut Obj, link: u32, pkt: &PktInfo) {
         o.u64("link", link as u64)
             .u64("flow", pkt.flow as u64)
             .u64("src", pkt.src as u64)
@@ -396,31 +643,30 @@ impl Event {
         }
     }
 
-    /// Appends this event as one JSON object (no trailing newline) to `out`.
-    ///
-    /// Field order is fixed, so equal events serialize to equal bytes —
-    /// the property the determinism tests and trace diffing rely on.
-    pub fn write_json(&self, out: &mut String) {
-        let mut o = Obj::new(out);
-        o.u64("t", self.t_ps);
-        match &self.kind {
+    /// The field-by-field `Obj` encoder the fused one replaced, kept as the
+    /// reference it must match byte for byte.
+    fn reference_json(ev: &Event) -> String {
+        let mut out = String::new();
+        let mut o = Obj::new(&mut out);
+        o.u64("t", ev.t_ps);
+        match &ev.kind {
             EventKind::PktEnqueue { link, pkt, marked } => {
                 o.str("ev", "pkt_enq");
-                Self::write_pkt(&mut o, *link, pkt);
+                reference_pkt(&mut o, *link, pkt);
                 o.bool("marked", *marked);
             }
             EventKind::PktDrop { link, pkt, reason } => {
                 o.str("ev", "pkt_drop");
-                Self::write_pkt(&mut o, *link, pkt);
+                reference_pkt(&mut o, *link, pkt);
                 o.str("reason", reason.label());
             }
             EventKind::PktTxStart { link, pkt } => {
                 o.str("ev", "pkt_tx");
-                Self::write_pkt(&mut o, *link, pkt);
+                reference_pkt(&mut o, *link, pkt);
             }
             EventKind::PktDeliver { link, pkt } => {
                 o.str("ev", "pkt_rx");
-                Self::write_pkt(&mut o, *link, pkt);
+                reference_pkt(&mut o, *link, pkt);
             }
             EventKind::QueueDepth { link, pkts, bytes } => {
                 o.str("ev", "queue_depth")
@@ -497,19 +743,237 @@ impl Event {
             }
         }
         o.finish();
+        out
     }
 
-    /// This event as a standalone JSON string.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        self.write_json(&mut s);
-        s
+    /// One event of every `EventKind` × `PktDetail` variant, its fields
+    /// drawn by `n` (every label, both values of every flag).
+    fn every_variant(mut n: impl FnMut() -> u64, bct_ms: f64) -> Vec<EventKind> {
+        let mut bit = {
+            let mut flips = 0u32;
+            move || {
+                flips += 1;
+                flips.is_multiple_of(3)
+            }
+        };
+        let details = [
+            PktDetail::Data {
+                seq: n() as u32,
+                payload: n() as u32,
+                retx: bit(),
+            },
+            PktDetail::Ack {
+                ack: n() as u32,
+                ece: bit(),
+            },
+            PktDetail::QuicData {
+                pn: n() as u32,
+                offset: n() as u32,
+                payload: n() as u32,
+                retx: bit(),
+            },
+            PktDetail::QuicAck {
+                largest: n() as u32,
+                ranges: n() as u32,
+                ece: bit(),
+            },
+            PktDetail::Ctrl {
+                demand: n(),
+                burst: n(),
+            },
+            PktDetail::Notif {
+                epoch: n() as u32,
+                pause_ps: n(),
+                cut: bit(),
+            },
+            PktDetail::NotifAck { epoch: n() as u32 },
+        ];
+        let reasons = [
+            DropCause::QueueFull,
+            DropCause::SharedBuffer,
+            DropCause::Fault,
+            DropCause::Corrupt,
+        ];
+        let states = [FlowState::Open, FlowState::Recovery, FlowState::Backoff];
+        let triggers = [
+            WindowTrigger::Ack,
+            WindowTrigger::Ece,
+            WindowTrigger::FastRetransmit,
+            WindowTrigger::Rto,
+            WindowTrigger::BurstStart,
+        ];
+        let mut kinds = Vec::new();
+        for detail in details {
+            let pkt = PktInfo {
+                flow: n() as u32,
+                src: n() as u32,
+                dst: n() as u32,
+                bytes: n() as u32,
+                ce: bit(),
+                detail,
+            };
+            let link = n() as u32;
+            kinds.push(EventKind::PktEnqueue {
+                link,
+                pkt,
+                marked: bit(),
+            });
+            kinds.push(EventKind::PktTxStart { link, pkt });
+            kinds.push(EventKind::PktDeliver { link, pkt });
+            for reason in reasons {
+                kinds.push(EventKind::PktDrop { link, pkt, reason });
+            }
+        }
+        kinds.push(EventKind::QueueDepth {
+            link: n() as u32,
+            pkts: n() as u32,
+            bytes: n(),
+        });
+        kinds.push(EventKind::BufferWatermark {
+            buffer: n() as u32,
+            used_bytes: n(),
+            total_bytes: n(),
+        });
+        for state in states {
+            for trigger in triggers {
+                kinds.push(EventKind::FlowWindow {
+                    node: n() as u32,
+                    flow: n() as u32,
+                    cwnd: n(),
+                    ssthresh: n(),
+                    inflight: n(),
+                    state,
+                    trigger,
+                });
+            }
+        }
+        kinds.push(EventKind::BurstStart {
+            burst: n() as u32,
+            flows: n() as u32,
+            per_flow_bytes: n(),
+        });
+        kinds.push(EventKind::BurstEnd {
+            burst: n() as u32,
+            bct_ms,
+        });
+        for phase in ["detect", "emit", "retry", "done", "expire"] {
+            kinds.push(EventKind::CtrlEpisode {
+                node: n() as u32,
+                link: n() as u32,
+                epoch: n() as u32,
+                phase,
+                targets: n() as u32,
+            });
+        }
+        kinds.push(EventKind::Fault {
+            index: n() as u32,
+            kind: "buffer_resize",
+            target: n(),
+        });
+        kinds
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    fn assert_matches_reference(t_ps: u64, kinds: Vec<EventKind>) {
+        for kind in kinds {
+            let ev = Event { t_ps, kind };
+            assert_eq!(ev.to_json(), reference_json(&ev), "{ev:?}");
+        }
+    }
+
+    #[test]
+    fn fused_encoder_matches_the_field_by_field_reference() {
+        // Every field of every variant at every digit-count boundary (`u32`
+        // fields take the values truncated, which still covers theirs).
+        for v in crate::json::tests::digit_boundaries() {
+            assert_matches_reference(v, every_variant(|| v, v as f64 / 8.0));
+        }
+        for bct_ms in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1e300,
+            5e-324,
+        ] {
+            assert_matches_reference(1, every_variant(|| u64::MAX, bct_ms));
+        }
+        // Seeded random fields of random widths (uniform u64s are nearly
+        // all 19-20 digits long).
+        let mut rng = stats::Rng::new(15);
+        for _ in 0..300 {
+            let t_ps = rng.next_u64() >> rng.below(64);
+            let bct_ms = rng.range_f64(0.0, 400.0);
+            let mut draw = rng.fork(t_ps);
+            let kinds = every_variant(|| draw.next_u64() >> draw.below(64), bct_ms);
+            assert_matches_reference(t_ps, kinds);
+        }
+    }
+
+    #[test]
+    fn the_longest_line_fits_the_staging_buffer() {
+        // Every field at its widest; the variants include the longest
+        // label of every enum.
+        let longest = every_variant(|| u64::MAX, 1.5)
+            .into_iter()
+            .map(|kind| {
+                let ev = Event {
+                    t_ps: u64::MAX,
+                    kind,
+                };
+                ev.to_json().len() + "\n".len()
+            })
+            .max()
+            .expect("variants");
+        assert!(
+            longest <= crate::json::LINE_CAPACITY,
+            "a {longest}-byte line no longer reaches the sink in one copy"
+        );
+        // Not so roomy that the bound means nothing.
+        assert!(longest > crate::json::LINE_CAPACITY * 3 / 4, "{longest}");
+    }
+
+    #[test]
+    fn caller_supplied_labels_spill_and_escape_instead_of_truncating() {
+        let long: &'static str = Box::leak("phase-".repeat(100).into_boxed_str());
+        for label in [
+            long,
+            "tab\there",
+            "quo\"te",
+            "back\\slash",
+            "nul\0",
+            "é→🦀",
+            "",
+        ] {
+            let kinds = vec![
+                EventKind::CtrlEpisode {
+                    node: u32::MAX,
+                    link: 7,
+                    epoch: 1,
+                    phase: label,
+                    targets: 3,
+                },
+                EventKind::Fault {
+                    index: 9,
+                    kind: label,
+                    target: u64::MAX,
+                },
+            ];
+            assert_matches_reference(u64::MAX, kinds);
+        }
+        // Through the sink, too: the newline still ends the record.
+        let mut sink = crate::JsonlSink::new();
+        let ev = Event {
+            t_ps: 4,
+            kind: EventKind::Fault {
+                index: 0,
+                kind: long,
+                target: 1,
+            },
+        };
+        crate::EventSink::on_event(&mut sink, &ev);
+        assert_eq!(sink.render(), format!("{}\n", reference_json(&ev)));
+    }
 
     fn data_pkt() -> PktInfo {
         PktInfo {

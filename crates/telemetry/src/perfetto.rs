@@ -27,20 +27,229 @@
 //! [ui.perfetto.dev]: https://ui.perfetto.dev
 //! [`JsonlSink`]: crate::JsonlSink
 
-use crate::event::{Event, EventClass, EventKind, PktDetail, PktInfo, WindowTrigger};
-use crate::json::Obj;
+use crate::event::{DropCause, Event, EventClass, EventKind, PktDetail, PktInfo, WindowTrigger};
+use crate::json::Line;
 use crate::sink::{EventSink, SinkRef};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Synthetic "process" grouping link-level activity (hop spans, queue and
-/// buffer counters, faults).
-const PID_NET: u64 = 1;
-/// Synthetic "process" grouping per-flow transport state (window counters,
-/// RTO/fast-retransmit instants).
-const PID_FLOW: u64 = 2;
-/// Synthetic "process" for application/workload lifecycle (burst spans).
-const PID_APP: u64 = 3;
+/// Opening of the trace document; the rendered objects follow it in
+/// [`PerfettoSink::buf`].
+const DOC_OPEN: &str = r#"{"traceEvents":["#;
+const DOC_CLOSE: &str = r#"],"displayTimeUnit":"ms"}"#;
+
+/// The synthetic "processes" trace objects are grouped under.
+#[derive(Debug, Clone, Copy)]
+enum Pid {
+    /// Link-level activity (hop spans, queue and buffer counters, faults).
+    Net = 1,
+    /// Per-flow transport state (window counters, RTO/fast-retransmit
+    /// instants).
+    Flow = 2,
+    /// Application/workload lifecycle (burst spans).
+    App = 3,
+}
+
+impl Pid {
+    /// The `pid` field and the `tid` key after it.
+    const fn tid_key(self) -> &'static str {
+        match self {
+            Pid::Net => r#","pid":1,"tid":"#,
+            Pid::Flow => r#","pid":2,"tid":"#,
+            Pid::App => r#","pid":3,"tid":"#,
+        }
+    }
+
+    /// The `process_name` metadata record naming this pid.
+    const fn process_name(self) -> &'static str {
+        match self {
+            Pid::Net => {
+                r#"{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"network"}}"#
+            }
+            Pid::Flow => {
+                r#"{"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"flows"}}"#
+            }
+            Pid::App => r#"{"name":"process_name","ph":"M","pid":3,"tid":0,"args":{"name":"app"}}"#,
+        }
+    }
+}
+
+/// The literal run between a trace object's name and its timestamp:
+/// closing quote of the name, `cat`, `ph`, and the `ts` key.
+macro_rules! cat_ph {
+    ($cat:literal, $ph:literal) => {
+        concat!(r#"","cat":""#, $cat, r#"","ph":""#, $ph, r#"","ts":"#)
+    };
+}
+
+/// Phase of an async packet-hop event.
+#[derive(Debug, Clone, Copy)]
+enum Hop {
+    /// Span opens (enqueue).
+    Begin,
+    /// Async instant inside the span (serialization start).
+    Step,
+    /// Span closes (delivery, or loss on the wire).
+    End,
+}
+
+/// What a causal arrow links: the key is what stays stable between the
+/// cause and its effect.
+#[derive(Debug, Clone, Copy)]
+enum Cause {
+    /// A TCP drop and the retransmission of the same wire sequence.
+    Retx { flow: u32, seq: u32 },
+    /// A QUIC loss and its retransmission: a retransmission carries a fresh
+    /// packet number, so the key is the stream offset instead.
+    QuicRetx { flow: u32, offset: u32 },
+    /// A CE-marked delivery and the ECN-Echo ack it triggers.
+    Ece { flow: u32 },
+}
+
+/// Writes `t_ps` in microseconds exactly as `{}` prints `t_ps as f64 / 1e6`.
+///
+/// Below 10^15 ps the quotient has at most 15 significant decimal digits,
+/// and distinct decimals that short map to distinct doubles, so the
+/// shortest decimal that round-trips — what `{}` prints — is the exact
+/// quotient with its trailing zeros dropped. That is integer work; the
+/// float formatter is kept for the (simulated) quarter hour and beyond.
+fn write_ts(w: &mut Line, t_ps: u64) {
+    if t_ps >= 1_000_000_000_000_000 {
+        w.f64(t_ps as f64 / 1e6);
+        return;
+    }
+    w.u64(t_ps / 1_000_000);
+    let mut frac = t_ps % 1_000_000;
+    if frac != 0 {
+        let mut digits = 6;
+        while frac.is_multiple_of(10) {
+            frac /= 10;
+            digits -= 1;
+        }
+        let mut leading = 10u64.pow(digits - 1);
+        w.raw(".");
+        while frac < leading {
+            w.raw("0");
+            leading /= 10;
+        }
+        w.u64(frac);
+    }
+}
+
+/// Timestamp, pid and tid of a trace object whose name is still open;
+/// `cat_ph` closes it (see [`cat_ph!`]).
+fn stamp(w: &mut Line, cat_ph: &'static str, t_ps: u64, pid: Pid, tid: u64) {
+    w.raw(cat_ph);
+    write_ts(w, t_ps);
+    w.raw(pid.tid_key()).u64(tid);
+}
+
+/// An async packet-hop event up to its `id`, left open for `args`.
+///
+/// The stream carries no global packet id, so a hop's span id is derived
+/// from what *is* stable and unique while the hop is in flight: the flow,
+/// the wire sequence (or ack / burst number), and the link.
+fn hop(w: &mut Line, phase: Hop, t_ps: u64, link: u32, pkt: &PktInfo) {
+    let flow = pkt.flow as u64;
+    w.raw(r#",{"name":"f"#).u64(flow);
+    match pkt.detail {
+        PktDetail::Data { seq, retx, .. } => {
+            w.raw(if retx { " retx " } else { " data " })
+                .u64(seq as u64);
+        }
+        PktDetail::Ack { ack, ece } => {
+            w.raw(" ack ").u64(ack as u64);
+            if ece {
+                w.raw(" ece");
+            }
+        }
+        PktDetail::QuicData {
+            pn, offset, retx, ..
+        } => {
+            w.raw(if retx { " qretx " } else { " qdata " })
+                .u64(pn as u64)
+                .raw("@")
+                .u64(offset as u64);
+        }
+        PktDetail::QuicAck { largest, ece, .. } => {
+            w.raw(" qack ").u64(largest as u64);
+            if ece {
+                w.raw(" ece");
+            }
+        }
+        PktDetail::Ctrl { burst, .. } => {
+            w.raw(" ctrl b").u64(burst);
+        }
+        PktDetail::Notif { epoch, cut, .. } => {
+            w.raw(" notif e")
+                .u64(epoch as u64)
+                .raw(if cut { " cut" } else { " pause" });
+        }
+        PktDetail::NotifAck { epoch } => {
+            w.raw(" nack e").u64(epoch as u64);
+        }
+    }
+    let cat_ph = match phase {
+        Hop::Begin => cat_ph!("pkt", "b"),
+        Hop::Step => cat_ph!("pkt", "n"),
+        Hop::End => cat_ph!("pkt", "e"),
+    };
+    stamp(w, cat_ph, t_ps, Pid::Net, link as u64);
+    let (tag, key) = match pkt.detail {
+        PktDetail::Data { seq, .. } => ("d", seq as u64),
+        PktDetail::Ack { ack, .. } => ("a", ack as u64),
+        // QUIC packet numbers are unique per transmission, so the packet
+        // number alone disambiguates hops of the same bytes.
+        PktDetail::QuicData { pn, .. } => ("qd", pn as u64),
+        PktDetail::QuicAck { largest, .. } => ("qa", largest as u64),
+        PktDetail::Ctrl { burst, .. } => ("c", burst),
+        // A notification is unique per (ctrl flow, epoch, target) while in
+        // flight; the ack mirrors it in the reverse direction.
+        PktDetail::Notif { epoch, .. } => ("n", epoch as u64),
+        PktDetail::NotifAck { epoch } => ("na", epoch as u64),
+    };
+    w.raw(r#","id":""#).raw(tag).u64(flow).raw(".").u64(key);
+    match pkt.detail {
+        PktDetail::Notif { .. } => {
+            w.raw(".").u64(pkt.dst as u64);
+        }
+        PktDetail::NotifAck { .. } => {
+            w.raw(".").u64(pkt.src as u64);
+        }
+        _ => {}
+    }
+    w.raw(".").u64(link as u64).raw(r#"""#);
+}
+
+/// One end of a causal flow arrow on `link`: `start` at the cause,
+/// otherwise the finish (bound to the enclosing slice) at its effect.
+fn arrow(w: &mut Line, start: bool, cause: Cause, t_ps: u64, link: u32) {
+    let head = match (cause, start) {
+        (Cause::Ece { .. }, true) => concat!(r#",{"name":"ece"#, cat_ph!("cause", "s")),
+        (Cause::Ece { .. }, false) => concat!(r#",{"name":"ece"#, cat_ph!("cause", "f")),
+        (_, true) => concat!(r#",{"name":"retx"#, cat_ph!("cause", "s")),
+        (_, false) => concat!(r#",{"name":"retx"#, cat_ph!("cause", "f")),
+    };
+    stamp(w, head, t_ps, Pid::Net, link as u64);
+    match cause {
+        Cause::Retx { flow, seq } => {
+            w.raw(r#","id":"retx"#)
+                .u64(flow as u64)
+                .raw(".")
+                .u64(seq as u64);
+        }
+        Cause::QuicRetx { flow, offset } => {
+            w.raw(r#","id":"qretx"#)
+                .u64(flow as u64)
+                .raw(".")
+                .u64(offset as u64);
+        }
+        Cause::Ece { flow } => {
+            w.raw(r#","id":"ece"#).u64(flow as u64);
+        }
+    }
+    w.raw(if start { r#""}"# } else { r#"","bp":"e"}"# });
+}
 
 /// A telemetry sink rendering Chrome trace-event JSON.
 ///
@@ -49,13 +258,15 @@ const PID_APP: u64 = 3;
 /// the file opens directly in a trace viewer.
 #[derive(Debug)]
 pub struct PerfettoSink {
-    /// Pre-rendered trace-event objects, in emission order.
-    events: Vec<String>,
+    /// The trace document so far: [`DOC_OPEN`], then the trace-event
+    /// objects in emission order, comma-separated.
+    buf: String,
     /// Telemetry events consumed (not trace objects emitted; one telemetry
     /// event may expand to several trace objects).
     count: u64,
-    /// Pids that already carry a `process_name` metadata record.
-    named_pids: Vec<u64>,
+    /// Pids that already carry a `process_name` metadata record, as
+    /// `1 << pid` bits.
+    named_pids: u8,
 }
 
 impl Default for PerfettoSink {
@@ -68,9 +279,9 @@ impl PerfettoSink {
     /// A fresh sink subscribing to every event class.
     pub fn new() -> Self {
         PerfettoSink {
-            events: Vec::new(),
+            buf: String::from(DOC_OPEN),
             count: 0,
-            named_pids: Vec::new(),
+            named_pids: 0,
         }
     }
 
@@ -89,177 +300,27 @@ impl PerfettoSink {
 
     /// Renders the complete trace as a Chrome trace-event JSON document.
     pub fn render(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        for (i, ev) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(ev);
-        }
-        out.push_str("],\"displayTimeUnit\":\"ms\"}");
+        let mut out = String::with_capacity(self.buf.len() + DOC_CLOSE.len());
+        out.push_str(&self.buf);
+        out.push_str(DOC_CLOSE);
         out
     }
 
     /// Ensures `pid` has a `process_name` metadata record (emitted once, on
     /// first use, so naming order tracks the event stream and stays
-    /// deterministic).
-    fn name_pid(&mut self, pid: u64, name: &str) {
-        if self.named_pids.contains(&pid) {
-            return;
+    /// deterministic) and starts the objects of one telemetry event. Every
+    /// event names its pid first, so each object written through the
+    /// returned writer follows another and opens with a comma.
+    fn objects_for(&mut self, pid: Pid) -> Line<'_> {
+        let bit = 1 << pid as u8;
+        if self.named_pids & bit == 0 {
+            if self.named_pids != 0 {
+                self.buf.push(',');
+            }
+            self.named_pids |= bit;
+            self.buf.push_str(pid.process_name());
         }
-        self.named_pids.push(pid);
-        let mut s = String::new();
-        let mut o = Obj::new(&mut s);
-        o.str("name", "process_name")
-            .str("ph", "M")
-            .u64("pid", pid)
-            .u64("tid", 0)
-            .raw("args", &{
-                let mut a = String::new();
-                let mut ao = Obj::new(&mut a);
-                ao.str("name", name);
-                ao.finish();
-                a
-            });
-        o.finish();
-        self.events.push(s);
-    }
-
-    /// Starts one trace-event object with the common header fields
-    /// (`name`, `cat`, `ph`, `ts`, `pid`, `tid`) and returns the buffer
-    /// with the object still open for id/args/flow fields.
-    fn header(name: &str, cat: &str, ph: &str, t_ps: u64, pid: u64, tid: u64) -> String {
-        let mut s = String::new();
-        let mut o = Obj::new(&mut s);
-        o.str("name", name)
-            .str("cat", cat)
-            .str("ph", ph)
-            .f64("ts", t_ps as f64 / 1e6)
-            .u64("pid", pid)
-            .u64("tid", tid);
-        // Leave the object unfinished (no `finish()`): callers append more
-        // fields and close it via `push_open`.
-        let _ = o;
-        s
-    }
-
-    /// Closes an object started by [`header`](Self::header) after the
-    /// caller appended extra raw fields.
-    fn push_open(&mut self, mut s: String, extra: &str) {
-        s.push_str(extra);
-        s.push('}');
-        self.events.push(s);
-    }
-
-    /// The async-span id of one packet hop. The stream carries no global
-    /// packet id, so identity is derived from what *is* stable and unique
-    /// while the hop is in flight: the flow, the wire sequence (or ack /
-    /// burst number), and the link.
-    fn hop_id(link: u32, pkt: &PktInfo) -> String {
-        match pkt.detail {
-            PktDetail::Data { seq, .. } => format!("d{}.{}.{}", pkt.flow, seq, link),
-            PktDetail::Ack { ack, .. } => format!("a{}.{}.{}", pkt.flow, ack, link),
-            // QUIC packet numbers are unique per transmission, so the
-            // packet number alone disambiguates hops of the same bytes.
-            PktDetail::QuicData { pn, .. } => format!("qd{}.{}.{}", pkt.flow, pn, link),
-            PktDetail::QuicAck { largest, .. } => format!("qa{}.{}.{}", pkt.flow, largest, link),
-            PktDetail::Ctrl { burst, .. } => format!("c{}.{}.{}", pkt.flow, burst, link),
-            // A notification is unique per (ctrl flow, epoch, target) while
-            // in flight; the ack mirrors it in the reverse direction.
-            PktDetail::Notif { epoch, .. } => {
-                format!("n{}.{}.{}.{}", pkt.flow, epoch, pkt.dst, link)
-            }
-            PktDetail::NotifAck { epoch } => {
-                format!("na{}.{}.{}.{}", pkt.flow, epoch, pkt.src, link)
-            }
-        }
-    }
-
-    /// Human-facing span name for a packet hop.
-    fn hop_name(pkt: &PktInfo) -> String {
-        match pkt.detail {
-            PktDetail::Data { seq, retx, .. } => {
-                if retx {
-                    format!("f{} retx {}", pkt.flow, seq)
-                } else {
-                    format!("f{} data {}", pkt.flow, seq)
-                }
-            }
-            PktDetail::Ack { ack, ece } => {
-                if ece {
-                    format!("f{} ack {} ece", pkt.flow, ack)
-                } else {
-                    format!("f{} ack {}", pkt.flow, ack)
-                }
-            }
-            PktDetail::QuicData {
-                pn, offset, retx, ..
-            } => {
-                if retx {
-                    format!("f{} qretx {pn}@{offset}", pkt.flow)
-                } else {
-                    format!("f{} qdata {pn}@{offset}", pkt.flow)
-                }
-            }
-            PktDetail::QuicAck { largest, ece, .. } => {
-                if ece {
-                    format!("f{} qack {largest} ece", pkt.flow)
-                } else {
-                    format!("f{} qack {largest}", pkt.flow)
-                }
-            }
-            PktDetail::Ctrl { burst, .. } => format!("f{} ctrl b{}", pkt.flow, burst),
-            PktDetail::Notif { epoch, cut, .. } => {
-                if cut {
-                    format!("f{} notif e{} cut", pkt.flow, epoch)
-                } else {
-                    format!("f{} notif e{} pause", pkt.flow, epoch)
-                }
-            }
-            PktDetail::NotifAck { epoch } => format!("f{} nack e{}", pkt.flow, epoch),
-        }
-    }
-
-    /// Emits an async packet-hop event (`ph` ∈ {"b","n","e"}).
-    fn hop_event(&mut self, ph: &str, t_ps: u64, link: u32, pkt: &PktInfo, args: &str) {
-        let s = Self::header(&Self::hop_name(pkt), "pkt", ph, t_ps, PID_NET, link as u64);
-        let mut extra = format!(",\"id\":\"{}\"", Self::hop_id(link, pkt));
-        if !args.is_empty() {
-            extra.push_str(",\"args\":{");
-            extra.push_str(args);
-            extra.push('}');
-        }
-        self.push_open(s, &extra);
-    }
-
-    /// Emits a flow arrow endpoint (`ph` = "s" to start at a cause, "f"
-    /// with `bp:"e"` to finish at the effect).
-    fn arrow(&mut self, ph: &str, name: &str, t_ps: u64, pid: u64, tid: u64, id: &str) {
-        let s = Self::header(name, "cause", ph, t_ps, pid, tid);
-        let mut extra = format!(",\"id\":\"{id}\"");
-        if ph == "f" {
-            extra.push_str(",\"bp\":\"e\"");
-        }
-        self.push_open(s, &extra);
-    }
-
-    /// Emits a thread-scoped instant.
-    fn instant(&mut self, name: &str, cat: &str, t_ps: u64, pid: u64, tid: u64, args: &str) {
-        let s = Self::header(name, cat, "i", t_ps, pid, tid);
-        let mut extra = String::from(",\"s\":\"t\"");
-        if !args.is_empty() {
-            extra.push_str(",\"args\":{");
-            extra.push_str(args);
-            extra.push('}');
-        }
-        self.push_open(s, &extra);
-    }
-
-    /// Emits a counter sample.
-    fn counter(&mut self, name: &str, t_ps: u64, pid: u64, tid: u64, args: &str) {
-        let s = Self::header(name, "counter", "C", t_ps, pid, tid);
-        let extra = format!(",\"args\":{{{args}}}");
-        self.push_open(s, &extra);
+        Line::new(&mut self.buf)
     }
 }
 
@@ -271,142 +332,127 @@ impl EventSink for PerfettoSink {
     fn on_event(&mut self, ev: &Event) {
         self.count += 1;
         let t = ev.t_ps;
+        let pid = match ev.kind {
+            EventKind::FlowWindow { .. } => Pid::Flow,
+            EventKind::BurstStart { .. } | EventKind::BurstEnd { .. } => Pid::App,
+            _ => Pid::Net,
+        };
+        let mut w = self.objects_for(pid);
         match &ev.kind {
             EventKind::PktEnqueue { link, pkt, marked } => {
-                self.name_pid(PID_NET, "network");
-                let args = format!(
-                    "\"bytes\":{},\"ce\":{},\"marked\":{}",
-                    pkt.bytes, pkt.ce, marked
-                );
-                self.hop_event("b", t, *link, pkt, &args);
+                hop(&mut w, Hop::Begin, t, *link, pkt);
+                w.raw(r#","args":{"bytes":"#)
+                    .u64(pkt.bytes as u64)
+                    .raw(r#","ce":"#)
+                    .bool(pkt.ce)
+                    .raw(r#","marked":"#)
+                    .bool(*marked)
+                    .raw("}}");
                 if *marked {
-                    self.instant("ecn_mark", "ecn", t, PID_NET, *link as u64, "");
+                    stamp(
+                        &mut w,
+                        concat!(r#",{"name":"ecn_mark"#, cat_ph!("ecn", "i")),
+                        t,
+                        Pid::Net,
+                        *link as u64,
+                    );
+                    w.raw(r#","s":"t"}"#);
                 }
-                match pkt.detail {
-                    // A retransmitted segment is the effect of an earlier
-                    // drop (or timeout) of the same wire sequence: land the
-                    // causal arrow here.
+                // A retransmission is the effect of an earlier drop (or
+                // timeout) of the same bytes, an ECN-Echo ack that of a
+                // CE-marked delivery on the same flow: land the arrow here.
+                let flow = pkt.flow;
+                let effect_of = match pkt.detail {
                     PktDetail::Data {
                         seq, retx: true, ..
-                    } => {
-                        self.arrow(
-                            "f",
-                            "retx",
-                            t,
-                            PID_NET,
-                            *link as u64,
-                            &format!("retx{}.{}", pkt.flow, seq),
-                        );
-                    }
-                    // A QUIC retransmission carries a fresh packet number,
-                    // so the causal key is the stream offset instead.
+                    } => Some(Cause::Retx { flow, seq }),
                     PktDetail::QuicData {
                         offset, retx: true, ..
-                    } => {
-                        self.arrow(
-                            "f",
-                            "retx",
-                            t,
-                            PID_NET,
-                            *link as u64,
-                            &format!("qretx{}.{}", pkt.flow, offset),
-                        );
-                    }
-                    // An ECN-Echo ack is the effect of a CE-marked delivery
-                    // on the same flow.
+                    } => Some(Cause::QuicRetx { flow, offset }),
                     PktDetail::Ack { ece: true, .. } | PktDetail::QuicAck { ece: true, .. } => {
-                        self.arrow(
-                            "f",
-                            "ece",
-                            t,
-                            PID_NET,
-                            *link as u64,
-                            &format!("ece{}", pkt.flow),
-                        );
+                        Some(Cause::Ece { flow })
                     }
-                    _ => {}
+                    _ => None,
+                };
+                if let Some(cause) = effect_of {
+                    arrow(&mut w, false, cause, t, *link);
                 }
             }
             EventKind::PktDrop { link, pkt, reason } => {
-                self.name_pid(PID_NET, "network");
-                let args = format!("\"reason\":\"{}\",\"bytes\":{}", reason.label(), pkt.bytes);
-                self.instant("drop", "drop", t, PID_NET, *link as u64, &args);
+                let args = |w: &mut Line| {
+                    w.raw(r#","args":{"reason":""#)
+                        .raw(reason.label())
+                        .raw(r#"","bytes":"#)
+                        .u64(pkt.bytes as u64)
+                        .raw("}}");
+                };
+                stamp(
+                    &mut w,
+                    concat!(r#",{"name":"drop"#, cat_ph!("drop", "i")),
+                    t,
+                    Pid::Net,
+                    *link as u64,
+                );
+                w.raw(r#","s":"t""#);
+                args(&mut w);
                 // On-wire losses terminate a hop span that enqueue opened;
                 // admission rejections (queue_full / shared_buffer) never
                 // opened one.
-                if matches!(
-                    reason,
-                    crate::event::DropCause::Fault | crate::event::DropCause::Corrupt
-                ) {
-                    self.hop_event("e", t, *link, pkt, &args);
+                if matches!(reason, DropCause::Fault | DropCause::Corrupt) {
+                    hop(&mut w, Hop::End, t, *link, pkt);
+                    args(&mut w);
                 }
                 // The drop is the cause of any retransmission of this
                 // sequence (TCP) or stream offset (QUIC): start the arrow.
-                match pkt.detail {
-                    PktDetail::Data { seq, .. } => {
-                        self.arrow(
-                            "s",
-                            "retx",
-                            t,
-                            PID_NET,
-                            *link as u64,
-                            &format!("retx{}.{}", pkt.flow, seq),
-                        );
-                    }
-                    PktDetail::QuicData { offset, .. } => {
-                        self.arrow(
-                            "s",
-                            "retx",
-                            t,
-                            PID_NET,
-                            *link as u64,
-                            &format!("qretx{}.{}", pkt.flow, offset),
-                        );
-                    }
-                    _ => {}
+                let flow = pkt.flow;
+                let cause = match pkt.detail {
+                    PktDetail::Data { seq, .. } => Some(Cause::Retx { flow, seq }),
+                    PktDetail::QuicData { offset, .. } => Some(Cause::QuicRetx { flow, offset }),
+                    _ => None,
+                };
+                if let Some(cause) = cause {
+                    arrow(&mut w, true, cause, t, *link);
                 }
             }
             EventKind::PktTxStart { link, pkt } => {
-                self.name_pid(PID_NET, "network");
-                self.hop_event("n", t, *link, pkt, "");
+                hop(&mut w, Hop::Step, t, *link, pkt);
+                w.raw("}");
             }
             EventKind::PktDeliver { link, pkt } => {
-                self.name_pid(PID_NET, "network");
-                self.hop_event("e", t, *link, pkt, "");
+                hop(&mut w, Hop::End, t, *link, pkt);
+                w.raw("}");
                 // A CE-marked data delivery causes the receiver's next
                 // ECN-Echo ack: start the arrow.
-                if pkt.ce {
-                    if let PktDetail::Data { .. } | PktDetail::QuicData { .. } = pkt.detail {
-                        self.arrow(
-                            "s",
-                            "ece",
-                            t,
-                            PID_NET,
-                            *link as u64,
-                            &format!("ece{}", pkt.flow),
-                        );
-                    }
+                if pkt.ce
+                    && matches!(
+                        pkt.detail,
+                        PktDetail::Data { .. } | PktDetail::QuicData { .. }
+                    )
+                {
+                    arrow(&mut w, true, Cause::Ece { flow: pkt.flow }, t, *link);
                 }
             }
             EventKind::QueueDepth { link, pkts, bytes } => {
-                self.name_pid(PID_NET, "network");
-                let args = format!("\"pkts\":{pkts},\"bytes\":{bytes}");
-                self.counter(&format!("queue{link}"), t, PID_NET, *link as u64, &args);
+                w.raw(r#",{"name":"queue"#).u64(*link as u64);
+                stamp(&mut w, cat_ph!("counter", "C"), t, Pid::Net, *link as u64);
+                w.raw(r#","args":{"pkts":"#)
+                    .u64(*pkts as u64)
+                    .raw(r#","bytes":"#)
+                    .u64(*bytes)
+                    .raw("}}");
             }
             EventKind::BufferWatermark {
                 buffer,
                 used_bytes,
                 total_bytes,
             } => {
-                self.name_pid(PID_NET, "network");
-                let args = format!("\"used_bytes\":{used_bytes},\"total_bytes\":{total_bytes}");
-                self.counter(
-                    &format!("buffer{buffer}"),
-                    t,
-                    PID_NET,
-                    *buffer as u64,
-                    &args,
-                );
+                w.raw(r#",{"name":"buffer"#).u64(*buffer as u64);
+                stamp(&mut w, cat_ph!("counter", "C"), t, Pid::Net, *buffer as u64);
+                w.raw(r#","args":{"used_bytes":"#)
+                    .u64(*used_bytes)
+                    .raw(r#","total_bytes":"#)
+                    .u64(*total_bytes)
+                    .raw("}}");
             }
             EventKind::FlowWindow {
                 flow,
@@ -417,26 +463,26 @@ impl EventSink for PerfettoSink {
                 trigger,
                 ..
             } => {
-                self.name_pid(PID_FLOW, "flows");
-                let mut args = format!("\"cwnd\":{cwnd},\"inflight\":{inflight}");
+                w.raw(r#",{"name":"flow"#).u64(*flow as u64).raw(" window");
+                stamp(&mut w, cat_ph!("counter", "C"), t, Pid::Flow, *flow as u64);
+                w.raw(r#","args":{"cwnd":"#)
+                    .u64(*cwnd)
+                    .raw(r#","inflight":"#)
+                    .u64(*inflight);
                 // An unset ssthresh is u64::MAX; plotting it would flatten
                 // the counter track, so it is omitted until it is real.
                 if *ssthresh != u64::MAX {
-                    args.push_str(&format!(",\"ssthresh\":{ssthresh}"));
+                    w.raw(r#","ssthresh":"#).u64(*ssthresh);
                 }
-                self.counter(
-                    &format!("flow{flow} window"),
-                    t,
-                    PID_FLOW,
-                    *flow as u64,
-                    &args,
-                );
-                match trigger {
-                    WindowTrigger::Rto | WindowTrigger::FastRetransmit => {
-                        let args = format!("\"state\":\"{}\",\"cwnd\":{}", state.label(), cwnd);
-                        self.instant(trigger.label(), "loss", t, PID_FLOW, *flow as u64, &args);
-                    }
-                    _ => {}
+                w.raw("}}");
+                if let WindowTrigger::Rto | WindowTrigger::FastRetransmit = trigger {
+                    w.raw(r#",{"name":""#).raw(trigger.label());
+                    stamp(&mut w, cat_ph!("loss", "i"), t, Pid::Flow, *flow as u64);
+                    w.raw(r#","s":"t","args":{"state":""#)
+                        .raw(state.label())
+                        .raw(r#"","cwnd":"#)
+                        .u64(*cwnd)
+                        .raw("}}");
                 }
             }
             EventKind::BurstStart {
@@ -444,36 +490,42 @@ impl EventSink for PerfettoSink {
                 flows,
                 per_flow_bytes,
             } => {
-                self.name_pid(PID_APP, "app");
-                let s = Self::header(&format!("burst {burst}"), "burst", "b", t, PID_APP, 0);
-                let extra = format!(
-                    ",\"id\":\"b{burst}\",\"args\":{{\"flows\":{flows},\"per_flow_bytes\":{per_flow_bytes}}}"
-                );
-                self.push_open(s, &extra);
+                w.raw(r#",{"name":"burst "#).u64(*burst as u64);
+                stamp(&mut w, cat_ph!("burst", "b"), t, Pid::App, 0);
+                w.raw(r#","id":"b"#)
+                    .u64(*burst as u64)
+                    .raw(r#"","args":{"flows":"#)
+                    .u64(*flows as u64)
+                    .raw(r#","per_flow_bytes":"#)
+                    .u64(*per_flow_bytes)
+                    .raw("}}");
             }
             EventKind::BurstEnd { burst, bct_ms } => {
-                self.name_pid(PID_APP, "app");
-                let s = Self::header(&format!("burst {burst}"), "burst", "e", t, PID_APP, 0);
-                let mut extra = format!(",\"id\":\"b{burst}\",\"args\":{{\"bct_ms\":");
-                crate::json::write_f64(*bct_ms, &mut extra);
-                extra.push_str("}}");
-                self.push_open(s, &extra);
+                w.raw(r#",{"name":"burst "#).u64(*burst as u64);
+                stamp(&mut w, cat_ph!("burst", "e"), t, Pid::App, 0);
+                w.raw(r#","id":"b"#)
+                    .u64(*burst as u64)
+                    .raw(r#"","args":{"bct_ms":"#)
+                    .f64(*bct_ms)
+                    // One brace too many, and so not JSON: the exporter has
+                    // always closed this object twice. Kept because this
+                    // encoder is held to its predecessor's exact bytes;
+                    // dropping it moves the pinned hashes in
+                    // `tests/tracing.rs` and nothing else.
+                    .raw("}}}");
             }
             EventKind::Fault {
                 index,
                 kind,
                 target,
             } => {
-                self.name_pid(PID_NET, "network");
-                let args = format!("\"index\":{index},\"target\":{target}");
-                self.instant(
-                    &format!("fault:{kind}"),
-                    "fault",
-                    t,
-                    PID_NET,
-                    *target,
-                    &args,
-                );
+                w.raw(r#",{"name":"fault:"#).str(kind);
+                stamp(&mut w, cat_ph!("fault", "i"), t, Pid::Net, *target);
+                w.raw(r#","s":"t","args":{"index":"#)
+                    .u64(*index as u64)
+                    .raw(r#","target":"#)
+                    .u64(*target)
+                    .raw("}}");
             }
             EventKind::CtrlEpisode {
                 node,
@@ -482,18 +534,18 @@ impl EventSink for PerfettoSink {
                 phase,
                 targets,
             } => {
-                self.name_pid(PID_NET, "network");
-                let args = format!("\"node\":{node},\"epoch\":{epoch},\"targets\":{targets}");
-                self.instant(
-                    &format!("ctrl:{phase}"),
-                    "ctrl",
-                    t,
-                    PID_NET,
-                    *link as u64,
-                    &args,
-                );
+                w.raw(r#",{"name":"ctrl:"#).str(phase);
+                stamp(&mut w, cat_ph!("ctrl", "i"), t, Pid::Net, *link as u64);
+                w.raw(r#","s":"t","args":{"node":"#)
+                    .u64(*node as u64)
+                    .raw(r#","epoch":"#)
+                    .u64(*epoch as u64)
+                    .raw(r#","targets":"#)
+                    .u64(*targets as u64)
+                    .raw("}}");
             }
         }
+        w.finish();
     }
 
     fn event_count(&self) -> u64 {
@@ -504,7 +556,7 @@ impl EventSink for PerfettoSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{DropCause, FlowState};
+    use crate::event::FlowState;
 
     fn data(flow: u32, seq: u32, retx: bool, ce: bool) -> PktInfo {
         PktInfo {
@@ -523,6 +575,35 @@ mod tests {
 
     fn feed(sink: &mut PerfettoSink, kind: EventKind, t_ps: u64) {
         sink.on_event(&Event { t_ps, kind });
+    }
+
+    #[test]
+    fn timestamps_print_as_the_float_formatter_does() {
+        let ts = |t_ps: u64| {
+            let mut out = String::new();
+            let mut w = Line::new(&mut out);
+            write_ts(&mut w, t_ps);
+            w.finish();
+            out
+        };
+        let limit = 1_000_000_000_000_000u64;
+        let mut cases = vec![0, 1, 10, 999_999, 1_000_000, 1_000_001, 1_500_000, u64::MAX];
+        // Both sides of the hand-over to the float formatter, and of every
+        // power of ten below it (where fractions gain leading zeros and
+        // trailing ones are dropped).
+        let mut power = 1;
+        while power <= limit * 1000 {
+            cases.extend([power - 1, power, power + 1, power * 7, power / 3 * 7 + 1]);
+            power *= 10;
+        }
+        let mut rng = stats::Rng::new(3);
+        for _ in 0..20_000 {
+            cases.push(rng.next_u64() >> rng.below(64));
+            cases.push(limit - 1 - rng.below(1 << 20));
+        }
+        for t_ps in cases {
+            assert_eq!(ts(t_ps), format!("{}", t_ps as f64 / 1e6), "{t_ps} ps");
+        }
     }
 
     #[test]

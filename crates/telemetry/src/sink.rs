@@ -105,8 +105,8 @@ pub struct JsonlSink {
     /// When set, only packet/flow events for this flow id are recorded
     /// (class-level events like queue depth always pass).
     flow_filter: Option<u32>,
-    /// Classes this sink subscribes to; `None` means all.
-    classes: Option<Vec<EventClass>>,
+    /// Subscribed classes, as the OR of their [`EventClass::bit`]s.
+    classes: u8,
 }
 
 impl Default for JsonlSink {
@@ -122,7 +122,7 @@ impl JsonlSink {
             buf: String::new(),
             count: 0,
             flow_filter: None,
-            classes: None,
+            classes: u8::MAX,
         }
     }
 
@@ -134,7 +134,7 @@ impl JsonlSink {
 
     /// Restricts the sink to the given event classes.
     pub fn with_classes(mut self, classes: &[EventClass]) -> Self {
-        self.classes = Some(classes.to_vec());
+        self.classes = classes.iter().fold(0, |mask, class| mask | class.bit());
         self
     }
 
@@ -164,10 +164,7 @@ impl JsonlSink {
 
 impl EventSink for JsonlSink {
     fn accepts(&self, class: EventClass) -> bool {
-        match &self.classes {
-            None => true,
-            Some(cs) => cs.contains(&class),
-        }
+        self.classes & class.bit() != 0
     }
 
     fn on_event(&mut self, ev: &Event) {
@@ -179,8 +176,7 @@ impl EventSink for JsonlSink {
                 return;
             }
         }
-        ev.write_json(&mut self.buf);
-        self.buf.push('\n');
+        ev.write_jsonl(&mut self.buf);
         self.count += 1;
     }
 

@@ -8,14 +8,16 @@
 //! repeats exactly. A counting global allocator records the number of
 //! allocations and the peak of live heap bytes around each measured call,
 //! and the test compares a problem with its double: linear growth gives
-//! about 2x, quadratic about 4x.
+//! about 2x, quadratic about 4x. The same counters hold tracing to a
+//! constant number of allocations beyond its output buffer.
 //!
 //! The whole file is one `#[test]`: the counters are process-wide, so
 //! the measured calls run sequentially inside it instead of as tests
 //! racing in harness threads.
 
-use incast_bursts::core_api::modes::{run_incast, ModesConfig};
+use incast_bursts::core_api::modes::{run_incast, run_incast_instrumented, ModesConfig};
 use incast_bursts::simnet::{build_clos_with, ClosConfig, TimingWheel};
+use incast_bursts::telemetry::JsonlSink;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -73,19 +75,39 @@ fn measure<T>(f: impl FnOnce() -> T) -> HeapWork {
     }
 }
 
-fn incast(flows: usize) -> HeapWork {
-    let cfg = ModesConfig {
+/// One 1 ms burst from `flows` senders.
+fn one_burst(flows: usize) -> ModesConfig {
+    ModesConfig {
         num_flows: flows,
         burst_duration_ms: 1.0,
         num_bursts: 1,
         seed: 11,
         ..ModesConfig::default()
-    };
+    }
+}
+
+fn incast(flows: usize) -> HeapWork {
+    let cfg = one_burst(flows);
     measure(|| {
         let r = run_incast(&cfg);
         assert_eq!(r.bcts_ms.len(), 1, "{flows}-flow burst did not complete");
         r
     })
+}
+
+/// Allocations of one instrumented run with every event class traced into
+/// a `JsonlSink`, the same run with no sink, and the bytes the sink wrote.
+fn traced_and_untraced(flows: usize) -> (u64, u64, usize) {
+    let cfg = one_burst(flows);
+    let mut bytes = 0;
+    let traced = measure(|| {
+        let (jsonl, sink) = JsonlSink::new().shared();
+        let run = run_incast_instrumented(&cfg, Some(&sink));
+        bytes = jsonl.borrow().render().len();
+        run
+    });
+    let untraced = measure(|| run_incast_instrumented(&cfg, None));
+    (traced.allocs, untraced.allocs, bytes)
 }
 
 fn clos(racks: usize) -> HeapWork {
@@ -118,6 +140,20 @@ fn doubling_the_flows_at_most_doubles_and_a_half_the_heap_work() {
         large.allocs as f64 <= 2.5 * small.allocs as f64,
         "allocation count is super-linear in flows: {small:?} -> {large:?}"
     );
+
+    // Tracing allocates for the output it keeps — the sink's buffer doubling
+    // up to its final size — and a constant for the handles around it, not
+    // per event: the encoder stages each line on the stack.
+    for flows in [20, 40] {
+        let (traced, untraced, bytes) = traced_and_untraced(flows);
+        eprintln!("{flows} flows traced: {traced} allocs, untraced {untraced}, {bytes} B");
+        assert!(bytes > 100_000, "{flows}-flow trace is only {bytes} bytes");
+        assert!(
+            traced <= untraced + 64 + bytes.ilog2() as u64,
+            "tracing {flows} flows allocates per event: {traced} vs {untraced} \
+             untraced for {bytes} bytes of JSONL"
+        );
+    }
 
     // Twice the racks: twice the hosts *and* nearly twice the switches, so
     // a candidate list per (switch, destination) pair grows more than 3x

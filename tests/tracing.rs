@@ -181,3 +181,86 @@ fn perfetto_links_drops_to_retransmissions_under_loss() {
     assert!(out.contains(r#""bp":"e""#), "no arrow ends");
     assert!(out.contains(r#" retx "#), "no retransmission spans");
 }
+
+/// The two exporters' bytes, pinned: FNV-1a hashes of the JSONL stream and
+/// the Perfetto document, recorded from the field-by-field encoders before
+/// the fused line writer replaced them. Between them the runs reach every
+/// event kind and packet detail the stack emits — TCP under a loss window,
+/// QUIC under one, a lossy Pulser plane (pause notifications, their acks,
+/// episode transitions) and a Distributed one (cwnd cuts) on a Clos fabric
+/// with a shared receiver buffer — so an encoder change that moves a byte
+/// of either format fails here, not in a downstream trace diff.
+#[test]
+fn exported_bytes_match_the_pinned_encoders() {
+    use incast_bursts::core_api::cache::fnv1a64;
+    use incast_bursts::core_api::modes::{MitigationKind, TopologySpec};
+    use incast_bursts::simnet::BufferPolicy;
+    use incast_bursts::transport::TransportKind;
+
+    let mut lossy = small_cfg(42);
+    lossy.num_flows = 15;
+    lossy.burst_duration_ms = 1.0;
+    lossy.num_bursts = 3;
+    lossy.faults.loss = Some((SimTime::from_ms(1), SimTime::from_ms(4), 0.3));
+    let mut quic = lossy.clone();
+    quic.tcp.transport = TransportKind::Quic;
+    let mut pulser = small_cfg(5);
+    pulser.num_flows = 12;
+    pulser.topology = TopologySpec::Clos {
+        racks: 3,
+        spines: 2,
+    };
+    pulser.receiver_tor_buffer = Some((200_000, BufferPolicy::DynamicThreshold { alpha: 1.0 }));
+    pulser.mitigation.kind = MitigationKind::Pulser;
+    pulser.mitigation.notif_loss = 0.3;
+    let mut distributed = pulser.clone();
+    distributed.mitigation.kind = MitigationKind::Distributed;
+
+    let pinned: [(&str, ModesConfig, u64, u64); 5] = [
+        ("tcp", small_cfg(42), 0x3500cfcda0a20674, 0x7b19f4f310dfb32f),
+        ("tcp lossy", lossy, 0x291dc5dcfcd694be, 0xa621473130d2095a),
+        ("quic lossy", quic, 0x5a731323d5b11c28, 0x8726bee48c41cc0d),
+        ("pulser", pulser, 0x43dfe6927425da02, 0x2e849fe743f1ddb0),
+        (
+            "distributed",
+            distributed,
+            0xf25d4e81dc27adb0,
+            0xdf1a6b04a97e22a5,
+        ),
+    ];
+    let mut seen = String::new();
+    let mut moved = Vec::new();
+    for (label, cfg, jsonl_hash, perfetto_hash) in &pinned {
+        let (jsonl, sref) = JsonlSink::new().shared();
+        let _ = run_incast_instrumented(cfg, Some(&sref));
+        let jsonl = jsonl.borrow();
+        seen.push_str(jsonl.render());
+        let hashes = (
+            fnv1a64(jsonl.render()),
+            fnv1a64(&perfetto_instrumented(cfg)),
+        );
+        if hashes != (*jsonl_hash, *perfetto_hash) {
+            moved.push(format!("{label}: {:#018x}, {:#018x}", hashes.0, hashes.1));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "exported bytes moved (jsonl, perfetto): {moved:#?}"
+    );
+    // The pin is only as good as its coverage.
+    for needle in [
+        r#""ev":"pkt_drop""#,
+        r#""ev":"fault""#,
+        r#""ev":"ctrl""#,
+        r#""ev":"buffer_watermark""#,
+        r#""pkt":"qdata""#,
+        r#""pkt":"qack""#,
+        r#""pkt":"notif","#,
+        r#""pkt":"notif_ack""#,
+        r#""cut":true"#,
+        r#""retx":true"#,
+        r#""trigger":"rto""#,
+    ] {
+        assert!(seen.contains(needle), "no pinned run emits {needle}");
+    }
+}
