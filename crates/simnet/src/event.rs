@@ -82,16 +82,15 @@ pub trait Scheduler: Default {
 
     /// Consumes and returns the next sequence number without scheduling
     /// anything, so an event held outside the scheduler can still claim its
-    /// tie-break seq at "schedule" time.
-    ///
-    /// The simulator no longer calls this, [`Scheduler::schedule_reserved`]
-    /// or [`Scheduler::peek_key`]: all three are kept for the out-of-tree
-    /// scheduler recorder (`benchmark/src/probes.rs` implements them on its
-    /// wrapper); remove together with the next `benchmark` PR.
+    /// tie-break seq at "schedule" time. The simulator's timer table arms
+    /// every timer this way: a deadline stored behind the timer's one live
+    /// event keeps the seq a freshly scheduled event would have taken.
     fn reserve_seq(&mut self) -> u64;
 
     /// Schedules `kind` at `time` under a seq from [`Scheduler::reserve_seq`]
-    /// instead of assigning a fresh one.
+    /// instead of assigning a fresh one. `(time, seq)` may sort before
+    /// events scheduled since the seq was reserved, never before one
+    /// already popped.
     fn schedule_reserved(&mut self, time: SimTime, seq: u64, kind: EventKind);
 
     /// Removes and returns the earliest event.
@@ -113,8 +112,9 @@ pub trait Scheduler: Default {
     /// implementations (the timing wheel) advance internal state to find it.
     fn peek_time(&mut self) -> Option<SimTime>;
 
-    /// `(time, seq)` key of the earliest pending event. Kept for the
-    /// out-of-tree scheduler recorder; see [`Scheduler::reserve_seq`].
+    /// `(time, seq)` key of the earliest pending event. No in-tree caller:
+    /// kept for the out-of-tree scheduler recorder (`benchmark/src/probes.rs`
+    /// implements it on its wrapper); remove with the next `benchmark` PR.
     fn peek_key(&mut self) -> Option<(SimTime, u64)>;
 
     /// Number of pending events.

@@ -1,10 +1,10 @@
 //! A fast, deterministic hasher for hot-path lookup tables.
 //!
 //! `std`'s default SipHash is DoS-resistant but costs tens of cycles per
-//! small key — measurable when the event loop consults the timer
-//! generation table several times per ACK. Simulation tables hash
-//! simulator-assigned integer keys (node ids, timer keys, flow ids), so
-//! there is no adversarial input to defend against; what matters is that
+//! small key — measurable when the event loop consults the timer table
+//! several times per ACK. Simulation tables hash simulator-assigned
+//! integer keys (node ids, timer keys, flow ids), so there is no
+//! adversarial input to defend against; what matters is that
 //! the hash is cheap and *stable across runs and platforms*, keeping runs
 //! bit-reproducible.
 //!

@@ -52,6 +52,16 @@ pub struct SimCounters {
     pub notif_retries: u64,
     /// Notification frames lost at emission (control-plane loss gate).
     pub notif_lost: u64,
+    /// Timer arms and re-arms requested (`Cmd::SetTimer` plus switch
+    /// control timers). These three stay out of [`SimCounters::to_json`]:
+    /// manifests pin its bytes.
+    pub timers_armed: u64,
+    /// Scheduler events those arms cost up front (an arm behind a live
+    /// event of the same timer costs none).
+    pub timer_events_scheduled: u64,
+    /// Live timer events that popped before their timer's current deadline
+    /// and were rescheduled to it.
+    pub timer_chases: u64,
 }
 
 impl SimCounters {
@@ -83,9 +93,33 @@ impl SimCounters {
 enum Deferred {
     /// A delivered packet waiting for the endpoint to wake.
     Packet(Packet),
-    /// A timer that fired while paused; `gen` is re-checked at resume so a
-    /// timer the endpoint re-arms while draining stays lazily cancelled.
-    Timer { key: u64, gen: u64 },
+    /// A timer that came due while paused and stays armed meanwhile; `seq`
+    /// is re-checked at resume, so a timer the endpoint re-arms or cancels
+    /// while draining is dropped.
+    Timer { key: u64, seq: u64 },
+}
+
+/// One timer of one node. However often it is re-armed, at most one live
+/// scheduler event travels towards it (plus the dead ones an *earlier*
+/// re-arm left behind): arming behind the live event only stores the new
+/// deadline, and the event, popping early, chases it — Linux `mod_timer`.
+///
+/// Every arm still reserves the tie-break seq a freshly scheduled event
+/// would have taken and the fire is scheduled under it, so a timer fires at
+/// the same `(time, seq)` as with one event per arm and no other event's
+/// seq moves: only the number of popped timer events differs.
+#[derive(Debug, Clone, Copy, Default)]
+struct TimerSlot {
+    /// The armed deadline and the seq reserved when it was armed; `None`
+    /// once fired or cancelled.
+    armed: Option<(SimTime, u64)>,
+    /// Fire time of the live scheduler event, if any; never after the
+    /// armed deadline.
+    in_flight: Option<SimTime>,
+    /// Generation the live event carries. A re-arm to an earlier deadline
+    /// schedules a replacement under the next generation, which is what
+    /// kills the superseded event.
+    gen: u64,
 }
 
 /// The simulation engine. Build one with
@@ -119,7 +153,10 @@ pub struct Simulator<S: Scheduler = TimingWheel> {
     sink_classes: u8,
     depth_probe: Vec<bool>,
     buffer_peak_emitted: Vec<u64>,
-    timer_gens: FxHashMap<(u32, u64), u64>,
+    /// Per node, its timers by key: host keys are the endpoint's (sparse —
+    /// `(burst << 16) | slot` for coordinators), switch keys are
+    /// control-plane ports.
+    timers: Vec<FxHashMap<u64, TimerSlot>>,
     next_pkt_id: u64,
     cmd_buf: Vec<Cmd>,
     /// Seed for flow-level ECMP rendezvous hashing at switches with
@@ -169,7 +206,7 @@ impl<S: Scheduler> Simulator<S> {
             sink_classes: 0,
             depth_probe: vec![false; num_links],
             buffer_peak_emitted: vec![0; num_buffers],
-            timer_gens: FxHashMap::default(),
+            timers: vec![FxHashMap::default(); n],
             next_pkt_id: 0,
             cmd_buf: Vec::with_capacity(64),
             ecmp_seed: seed,
@@ -195,6 +232,11 @@ impl<S: Scheduler> Simulator<S> {
     /// Counter snapshot.
     pub fn counters(&self) -> &SimCounters {
         &self.counters
+    }
+
+    /// Events pending in the scheduler.
+    pub fn pending_events(&self) -> usize {
+        self.events.len()
     }
 
     /// Name of the scheduler implementation driving this simulator
@@ -524,12 +566,20 @@ impl<S: Scheduler> Simulator<S> {
             EventKind::Timer { node, key, gen } => {
                 // Timers at hosts belong to endpoints; timers at switches are
                 // control-plane retry timers (switches run no other software).
-                if self.nodes[node.index()].is_host() {
+                let host = self.nodes[node.index()].is_host();
+                if host {
                     self.tallies.timer += 1;
-                    self.on_timer(node, key, gen);
                 } else {
                     self.tallies.ctrl += 1;
-                    self.on_ctrl_timer(node, key, gen);
+                }
+                if !self.timer_due(node, key, gen, ev.seq) {
+                    return;
+                }
+                if host {
+                    self.on_timer(node, key, ev.seq);
+                } else {
+                    self.cancel_timer(node, key);
+                    self.on_ctrl_timer(key);
                 }
             }
             EventKind::Fault { index } => {
@@ -592,12 +642,12 @@ impl<S: Scheduler> Simulator<S> {
                         Deferred::Packet(pkt) => {
                             self.dispatch_endpoint(node, |ep, ctx| ep.on_packet(ctx, pkt));
                         }
-                        Deferred::Timer { key, gen } => {
-                            // Re-check lazily: a packet drained just above
-                            // may have re-armed or cancelled this timer.
-                            let current = self.timer_gens.get(&(node.0, key)).copied();
-                            if current == Some(gen) {
-                                self.dispatch_endpoint(node, |ep, ctx| ep.on_timer(ctx, key));
+                        Deferred::Timer { key, seq } => {
+                            // A packet drained just above may have re-armed
+                            // or cancelled this timer.
+                            let slot = self.timers[node.index()].get(&key);
+                            if slot.is_some_and(|s| s.armed.is_some_and(|a| a.1 == seq)) {
+                                self.fire_timer(node, key);
                             }
                         }
                     }
@@ -896,43 +946,74 @@ impl<S: Scheduler> Simulator<S> {
 
     // ---- timers ----------------------------------------------------------
 
-    fn on_timer(&mut self, node: NodeId, key: u64, gen: u64) {
-        let current = self.timer_gens.get(&(node.0, key)).copied();
-        if current != Some(gen) {
-            return; // superseded or cancelled
+    /// Arms (or re-arms) timer `key` of `node` — an endpoint's at a host,
+    /// the control plane's at a switch — to fire at `at`. See [`TimerSlot`].
+    fn arm_timer(&mut self, node: NodeId, key: u64, at: SimTime) {
+        let at = at.max(self.now);
+        let seq = self.events.reserve_seq();
+        self.counters.timers_armed += 1;
+        let slot = self.timers[node.index()].entry(key).or_default();
+        slot.armed = Some((at, seq));
+        if slot.in_flight.is_some_and(|t| t <= at) {
+            return; // the live event pops first and chases this deadline
         }
-        if self.endpoints[node.index()].is_some() {
-            if self.paused[node.index()] {
-                self.pending_dispatch[node.index()].push(Deferred::Timer { key, gen });
-            } else {
-                self.dispatch_endpoint(node, |ep, ctx| ep.on_timer(ctx, key));
+        slot.gen += 1;
+        slot.in_flight = Some(at);
+        let gen = slot.gen;
+        self.counters.timer_events_scheduled += 1;
+        self.events
+            .schedule_reserved(at, seq, EventKind::Timer { node, key, gen });
+    }
+
+    /// Disarms timer `key` of `node`; its live event finds nothing armed.
+    fn cancel_timer(&mut self, node: NodeId, key: u64) {
+        if let Some(slot) = self.timers[node.index()].get_mut(&key) {
+            slot.armed = None;
+        }
+    }
+
+    /// Resolves the popped timer event `(now, seq)` against its slot: true
+    /// if it is the armed deadline itself (the timer is due and still
+    /// armed). A live event that ran ahead of the deadline chases it.
+    fn timer_due(&mut self, node: NodeId, key: u64, gen: u64, seq: u64) -> bool {
+        let Some(slot) = self.timers[node.index()].get_mut(&key) else {
+            return false;
+        };
+        if slot.gen != gen {
+            return false; // superseded by a re-arm to an earlier deadline
+        }
+        slot.in_flight = None;
+        match slot.armed {
+            None => false,
+            Some(armed) if armed == (self.now, seq) => true,
+            Some((at, reserved)) => {
+                slot.in_flight = Some(at);
+                self.counters.timer_chases += 1;
+                self.events
+                    .schedule_reserved(at, reserved, EventKind::Timer { node, key, gen });
+                false
             }
         }
     }
 
+    /// A host timer came due under `seq`.
+    fn on_timer(&mut self, node: NodeId, key: u64, seq: u64) {
+        if self.endpoints[node.index()].is_some() {
+            if self.paused[node.index()] {
+                self.pending_dispatch[node.index()].push(Deferred::Timer { key, seq });
+            } else {
+                self.fire_timer(node, key);
+            }
+        }
+    }
+
+    /// Disarms a due host timer and hands it to the endpoint.
+    fn fire_timer(&mut self, node: NodeId, key: u64) {
+        self.cancel_timer(node, key);
+        self.dispatch_endpoint(node, |ep, ctx| ep.on_timer(ctx, key));
+    }
+
     // ---- incast control plane --------------------------------------------
-
-    /// Arms (or re-arms) a switch control timer under the ordinary lazy
-    /// generation discipline. Switches have no endpoints, so the per-node
-    /// key space is the control plane's alone.
-    fn arm_ctrl_timer(&mut self, node: NodeId, key: u64, at: SimTime) {
-        let gen = self
-            .timer_gens
-            .entry((node.0, key))
-            .and_modify(|g| *g += 1)
-            .or_insert(0);
-        let gen = *gen;
-        self.events
-            .schedule(at.max(self.now), EventKind::Timer { node, key, gen });
-    }
-
-    /// Lazily cancels a switch control timer (generation bump only).
-    fn cancel_ctrl_timer(&mut self, node: NodeId, key: u64) {
-        self.timer_gens
-            .entry((node.0, key))
-            .and_modify(|g| *g += 1)
-            .or_insert(0);
-    }
 
     /// Emits a control-episode lifecycle event when a subscribing sink is
     /// attached.
@@ -974,7 +1055,7 @@ impl<S: Scheduler> Simulator<S> {
                 if trigger && !ctrl.dead() {
                     let epoch = ctrl.begin_episode(self.now, port);
                     let sw = ctrl.port_switch(port);
-                    self.arm_ctrl_timer(sw, port as u64, self.now);
+                    self.arm_timer(sw, port as u64, self.now);
                     self.emit_ctrl_episode(sw, link_id, epoch, "detect", 0);
                 }
             }
@@ -987,11 +1068,7 @@ impl<S: Scheduler> Simulator<S> {
     /// draw) and re-arms with capped exponential backoff, or closes the
     /// episode. Notifications enter the fabric through the ordinary egress
     /// path — same queues, same faults, same audits as data.
-    fn on_ctrl_timer(&mut self, node: NodeId, key: u64, gen: u64) {
-        let current = self.timer_gens.get(&(node.0, key)).copied();
-        if current != Some(gen) {
-            return; // superseded or cancelled
-        }
+    fn on_ctrl_timer(&mut self, key: u64) {
         let Some(mut ctrl) = self.ctrl.take() else {
             return;
         };
@@ -1042,7 +1119,7 @@ impl<S: Scheduler> Simulator<S> {
                     self.enqueue_to_link(next_link, slot);
                     self.counters.notif_sent += 1;
                 }
-                self.arm_ctrl_timer(sw, key, next);
+                self.arm_timer(sw, key, next);
             }
             Some(RetryPlan::Done { epoch }) => {
                 // Every target acked between re-fires (the ack path usually
@@ -1076,7 +1153,7 @@ impl<S: Scheduler> Simulator<S> {
                     self.counters.notif_acked += 1;
                 }
                 if complete {
-                    self.cancel_ctrl_timer(sw, port as u64);
+                    self.cancel_timer(sw, port as u64);
                     let link = ctrl.port_link(port);
                     self.emit_ctrl_episode(sw, link, epoch, "done", 0);
                 }
@@ -1142,23 +1219,8 @@ impl<S: Scheduler> Simulator<S> {
                     let slot = self.pool.insert(pkt);
                     self.enqueue_to_link(uplink, slot);
                 }
-                Cmd::SetTimer { key, at } => {
-                    let gen = self
-                        .timer_gens
-                        .entry((node.0, key))
-                        .and_modify(|g| *g += 1)
-                        .or_insert(0);
-                    let gen = *gen;
-                    let at = at.max(self.now);
-                    self.events
-                        .schedule(at, EventKind::Timer { node, key, gen });
-                }
-                Cmd::CancelTimer { key } => {
-                    self.timer_gens
-                        .entry((node.0, key))
-                        .and_modify(|g| *g += 1)
-                        .or_insert(0);
-                }
+                Cmd::SetTimer { key, at } => self.arm_timer(node, key, at),
+                Cmd::CancelTimer { key } => self.cancel_timer(node, key),
             }
         }
     }

@@ -36,11 +36,16 @@
 //! is enforced by the property tests below and by the differential harness
 //! in `tests/scheduler_equivalence.rs`.
 //!
-//! Timer cancellation stays lazy: the simulator's generation check drops
-//! stale timers when they fire, so the wheel never needs to find and remove
-//! an event ([`crate::sim::Simulator`] bumps the generation instead). This
-//! keeps cancel O(1) and — more importantly — keeps the popped event stream
-//! byte-identical between schedulers.
+//! The wheel never finds and removes an event. [`crate::sim::Simulator`]
+//! keeps one live event per timer: re-arming to a later deadline or
+//! cancelling is a store in its timer table, and the live event, once it
+//! pops, either finds nothing armed or is rescheduled to the stored
+//! deadline under the seq reserved when that deadline was armed
+//! ([`Scheduler::reserve_seq`] / [`Scheduler::schedule_reserved`]). Only a
+//! re-arm to an *earlier* deadline leaves a dead event behind, dropped by a
+//! generation check when it pops. Cancel stays O(1), the pending set holds
+//! about one timer event per armed timer rather than one per ACK, and the
+//! popped event stream stays byte-identical between schedulers.
 //!
 //! [`EventQueue`]: crate::event::EventQueue
 
@@ -57,11 +62,11 @@ use std::collections::BinaryHeap;
 /// The kind tag is stolen from the two low bits of the sequence number
 /// (`st = seq << 2 | tag`; seq stays unique, so `(time, st)` orders
 /// exactly like `(time, seq)`), and the variant payloads all fit one u64:
-/// link and pool slot are u32 ids, and the rare `Timer` (hundreds per run
-/// against hundreds of thousands of packet events) parks its
-/// `(node, key, gen)` triple in a side table and carries the index.
-/// Packing and unpacking happen only at the schedule/pop boundary, so the
-/// public [`Event`] API and the reference heap are untouched.
+/// link and pool slot are u32 ids, and a `Timer` (about one pending per
+/// armed timer; 2–35 k scheduled per run against a million packet events)
+/// parks its `(node, key, gen)` triple in a side table and carries the
+/// index. Packing and unpacking happen only at the schedule/pop boundary,
+/// so the public [`Event`] API and the reference heap are untouched.
 #[derive(Debug, Clone, Copy)]
 struct Packed {
     time: SimTime,
@@ -240,14 +245,11 @@ impl Default for TimingWheel {
             cursor: 0,
             front: None,
             ready: ReadyVec::default(),
-            // Pre-size every slot past the typical steady-state population
-            // (lazily cancelled timer re-arms pile ~15 deep per slot on
-            // ACK-clocked workloads, right at a Vec growth boundary).
-            // ~200 KiB up front buys an allocation-free steady state: a
-            // slot that never outgrows this never touches the allocator.
-            slots: (0..LEVELS * SLOTS)
-                .map(|_| Vec::with_capacity(32))
-                .collect(),
+            // Each slot starts at the capacity its first push would allocate
+            // anyway (24 KiB in all): timer events are sparse, so well into
+            // a run one still lands in a coarse slot nothing has touched,
+            // and the steady state must not allocate for that.
+            slots: (0..LEVELS * SLOTS).map(|_| Vec::with_capacity(4)).collect(),
             occ: [0; LEVELS],
             entered: [u64::MAX; LEVELS],
             overflow: BinaryHeap::new(),

@@ -32,6 +32,8 @@ pub struct Receiver {
     /// Received packet numbers (QUIC mode only; stays empty under TCP).
     pns: AckRanges,
     delack: Option<DelayedAckConfig>,
+    /// The delayed-ACK timer is armed (an ACK cancels it only then).
+    delack_armed: bool,
     /// DCTCP delayed-ACK state: the CE value of the accumulation run.
     ce_state: bool,
     /// Full segments received since the last ACK was sent.
@@ -51,6 +53,7 @@ impl Receiver {
             ooo: BTreeMap::new(),
             pns: AckRanges::with_cap(PN_RANGE_CAP),
             delack: cfg.delayed_ack,
+            delack_armed: false,
             ce_state: false,
             pending_segs: 0,
             last_ts: SimTime::ZERO,
@@ -116,7 +119,10 @@ impl Receiver {
         ctx.send(ack);
         self.stats.acks_sent += 1;
         self.pending_segs = 0;
-        ctx.cancel_timer(keys::delack_key(self.flow));
+        if self.delack_armed {
+            ctx.cancel_timer(keys::delack_key(self.flow));
+            self.delack_armed = false;
+        }
     }
 
     /// Handles an arriving data segment. Returns the number of bytes newly
@@ -315,6 +321,7 @@ impl Receiver {
             self.send_ack(ctx, ece);
         } else {
             ctx.set_timer_after(keys::delack_key(self.flow), dcfg.timeout);
+            self.delack_armed = true;
         }
     }
 
@@ -332,6 +339,7 @@ impl Receiver {
 
     /// The delayed-ACK timer fired.
     pub fn on_delack_timer(&mut self, ctx: &mut Ctx) {
+        self.delack_armed = false;
         if self.pending_segs > 0 {
             let ece = self.ce_state;
             self.send_ack(ctx, ece);
@@ -522,6 +530,41 @@ mod tests {
         let mut ctx = Ctx::new(SimTime::from_ms(3), NodeId(5), &mut h.cmds);
         h.rx.on_delack_timer(&mut ctx);
         assert_eq!(h.acks(), vec![]);
+    }
+
+    #[test]
+    fn only_an_armed_delack_timer_is_cancelled() {
+        let cancels = |h: &mut Harness| {
+            let n = h
+                .cmds
+                .iter()
+                .filter(|c| matches!(c, Cmd::CancelTimer { .. }))
+                .count();
+            h.cmds.clear();
+            n
+        };
+        // Per-packet ACKs never arm the timer, so they never cancel it.
+        let mut h = Harness::new(None);
+        h.data(0, MSS, false);
+        h.data(2 * MSS as u64, MSS, false); // out of order: immediate dup ACK
+        assert_eq!(h.rx.stats().acks_sent, 2);
+        assert_eq!(cancels(&mut h), 0);
+        // Delayed ACKs: the held segment arms it, the ACK that covers it
+        // cancels it once, and the next ACK finds nothing armed.
+        let mut h = Harness::new(Some(DelayedAckConfig::default()));
+        h.data(0, MSS, false);
+        assert_eq!(cancels(&mut h), 0);
+        h.data(MSS as u64, MSS, false);
+        assert_eq!(cancels(&mut h), 1);
+        h.data(5 * MSS as u64, MSS, false); // out of order: immediate dup ACK
+        assert_eq!(h.rx.stats().acks_sent, 2);
+        assert_eq!(cancels(&mut h), 0);
+        // A timer that fired is no longer armed either.
+        h.data(2 * MSS as u64, MSS, false);
+        let mut ctx = Ctx::new(SimTime::from_ms(2), NodeId(5), &mut h.cmds);
+        h.rx.on_delack_timer(&mut ctx);
+        assert_eq!(h.rx.stats().acks_sent, 3);
+        assert_eq!(cancels(&mut h), 0);
     }
 
     #[test]

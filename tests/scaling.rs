@@ -9,15 +9,23 @@
 //! allocations and the peak of live heap bytes around each measured call,
 //! and the test compares a problem with its double: linear growth gives
 //! about 2x, quadratic about 4x. The same counters hold tracing to a
-//! constant number of allocations beyond its output buffer.
+//! constant number of allocations beyond its output buffer, and a run's
+//! memory to its flows rather than its length: every ACK re-arms a 200 ms
+//! RTO, and a scheduler event per re-arm is a run-long leak.
 //!
 //! The whole file is one `#[test]`: the counters are process-wide, so
 //! the measured calls run sequentially inside it instead of as tests
 //! racing in harness threads.
 
 use incast_bursts::core_api::modes::{run_incast, run_incast_instrumented, ModesConfig};
-use incast_bursts::simnet::{build_clos_with, ClosConfig, TimingWheel};
+use incast_bursts::simnet::{
+    build_clos_with, build_fabric_with, ClosConfig, FabricConfig, Shared, SimCounters, SimTime,
+    TimingWheel,
+};
+use incast_bursts::stats::Rng;
 use incast_bursts::telemetry::JsonlSink;
+use incast_bursts::transport::{TcpConfig, TcpHost};
+use incast_bursts::workload::{CyclicCoordinator, IncastConfig, Worker};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -110,6 +118,40 @@ fn traced_and_untraced(flows: usize) -> (u64, u64, usize) {
     (traced.allocs, untraced.allocs, bytes)
 }
 
+/// `num_bursts` loss-free 5 ms bursts from 80 senders (the paper's Mode 1),
+/// run to the last burst's completion: the heap work, the simulator's
+/// counters and the events still pending in the scheduler.
+fn mode1(num_bursts: u32) -> (HeapWork, SimCounters, usize) {
+    const FLOWS: usize = 80;
+    let mut end = None;
+    let work = measure(|| {
+        let mut f = build_fabric_with::<TimingWheel>(&FabricConfig {
+            num_senders: FLOWS,
+            seed: 11,
+            ..FabricConfig::default()
+        });
+        for (i, &s) in f.senders.iter().enumerate() {
+            let worker = Worker::new(Rng::new(i as u64));
+            let host = TcpHost::new(TcpConfig::default(), Box::new(worker));
+            f.sim.set_endpoint(s, Box::new(host));
+        }
+        let cfg = IncastConfig::paper(f.senders.clone(), 5.0, num_bursts, 11);
+        let coordinator = Shared::new(CyclicCoordinator::new(cfg));
+        let bursts = coordinator.handle();
+        let host = TcpHost::new(TcpConfig::default(), Box::new(coordinator));
+        f.sim.set_endpoint(f.receivers[0], Box::new(host));
+        while !bursts.borrow().finished() {
+            assert!(f.sim.now() < SimTime::from_ms(150), "bursts never finished");
+            f.sim.run_until(f.sim.now() + SimTime::from_ms(1));
+        }
+        end = Some((f.sim.counters().clone(), f.sim.pending_events()));
+        f
+    });
+    let (counters, pending) = end.unwrap();
+    assert_eq!(counters.queue_drops, 0, "a Mode 1 run drops nothing");
+    (work, counters, pending)
+}
+
 fn clos(racks: usize) -> HeapWork {
     let cfg = ClosConfig {
         racks,
@@ -154,6 +196,33 @@ fn doubling_the_flows_at_most_doubles_and_a_half_the_heap_work() {
              untraced for {bytes} bytes of JSONL"
         );
     }
+
+    // Twice the bursts: twice the ACKs, each re-arming its flow's RTO 200 ms
+    // out — past the end of either run, so a scheduler event per re-arm
+    // piles up for the whole of it. One live event per timer makes the
+    // peak a property of the flow count.
+    let ((short, ..), (long, c, pending)) = (mode1(4), mode1(8));
+    eprintln!("mode 1, 4 bursts: {short:?}\nmode 1, 8 bursts: {long:?}, {pending} pending, {c:?}");
+    assert!(
+        long.peak_bytes as f64 <= 1.25 * short.peak_bytes as f64,
+        "peak live heap grows with run length: {short:?} -> {long:?}"
+    );
+    assert!(
+        c.timers_armed > 30_000,
+        "only {} timer arms",
+        c.timers_armed
+    );
+    assert!(
+        c.timer_events_scheduled <= c.timers_armed / 10,
+        "{} scheduler events for {} timer arms ({} chases)",
+        c.timer_events_scheduled,
+        c.timers_armed,
+        c.timer_chases
+    );
+    assert!(
+        pending <= 4 * 80,
+        "{pending} events pending after an 80-flow run"
+    );
 
     // Twice the racks: twice the hosts *and* nearly twice the switches, so
     // a candidate list per (switch, destination) pair grows more than 3x
