@@ -50,7 +50,13 @@ use workload::SnapshotModel;
 /// v3: `ModesConfig` gained the `mitigation` spec (part of the `Debug`
 /// key), the profile tallies gained the `ctrl` event class, and
 /// `TraceSummary` gained the fault/notification tallies.
-pub const CACHE_SCHEMA_VERSION: u32 = 3;
+///
+/// v4: a cached `IncastRunResult` carries its event tallies (`p_tx` among
+/// them), and a link now pops a `TxComplete` only where a frame waits or
+/// can be lost, so a v3 entry disagrees with a fresh run of the same
+/// config. The build-id guard does not cover this: `git_describe()` reads
+/// `"unknown"` on both sides outside a checkout.
+pub const CACHE_SCHEMA_VERSION: u32 = 4;
 
 /// 64-bit FNV-1a over the canonical key; names the on-disk entry file.
 pub fn fnv1a64(s: &str) -> u64 {
@@ -698,7 +704,7 @@ mod tests {
     fn keys_carry_kind_version_and_fields() {
         let cfg = ModesConfig::default();
         let k = incast_key(&cfg);
-        assert!(k.starts_with("incast/v3|ModesConfig"));
+        assert!(k.starts_with("incast/v4|ModesConfig"));
         assert!(k.contains("faults: FaultSpec"));
         assert!(k.contains("mitigation: MitigationSpec"));
         assert!(k.contains("num_flows: 100"));

@@ -6,6 +6,8 @@
 //! 2. A cache hit is byte-identical to the cold run: the disk encoding of
 //!    a decoded entry equals the encoding of the freshly computed result,
 //!    so warm aggregates cannot drift.
+//! 3. Damaged entries and entries written under an older schema version
+//!    are misses, never panics or wrong decodes.
 
 use incast_core::cache::{fnv1a64, incast_key, trace_key, CacheValue, RunCache};
 use incast_core::modes::{run_incast, MitigationKind, ModesConfig};
@@ -362,5 +364,59 @@ fn corrupted_disk_entries_miss_instead_of_panicking() {
     assert_eq!(cache.stats().disk_hits, 0);
     assert_eq!(recomputed.bcts_ms, reference.bcts_ms);
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// 4. An entry a schema-v3 build left on disk is a miss: v3 results carry
+///    the event counts of a `TxComplete` per frame per hop, and outside a
+///    checkout both builds call themselves `"unknown"`, so only the schema
+///    version tells them apart. The v3 file sits under the hash of its v3
+///    key and is never looked at; copied over the v4 entry's name (a cache
+///    directory migrated by hand) its meta line still gives it away.
+#[test]
+fn entries_from_schema_v3_miss_instead_of_decoding() {
+    let dir = std::env::temp_dir().join(format!(
+        "incast-cache-v3-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ModesConfig {
+        num_flows: 4,
+        burst_duration_ms: 0.5,
+        num_bursts: 1,
+        warmup_bursts: 0,
+        seed: 3,
+        ..ModesConfig::default()
+    };
+    let key = incast_key(&cfg);
+    assert!(key.starts_with("incast/v4|"), "{key}");
+    let entry_of = |key: &str| dir.join(format!("{:016x}.jsonl", fnv1a64(key)));
+
+    // What this build writes, re-labelled as schema v3 would have.
+    let seed_cache = RunCache::with_disk(&dir);
+    let reference = incast_core::run_incast_cached(&cfg, &seed_cache);
+    let v4 = std::fs::read_to_string(entry_of(&key)).expect("entry written");
+    assert!(v4.starts_with(r#"{"v":4,"#), "{v4}");
+    let v3_key = key.replacen("incast/v4|", "incast/v3|", 1);
+    let v3 = v4
+        .replacen(r#"{"v":4,"#, r#"{"v":3,"#, 1)
+        .replacen("incast/v4|", "incast/v3|", 1);
+    std::fs::remove_file(entry_of(&key)).expect("drop the v4 entry");
+
+    for (name, path) in [
+        ("under its own v3 name", entry_of(&v3_key)),
+        ("renamed over the v4 entry", entry_of(&key)),
+    ] {
+        std::fs::write(&path, &v3).expect("plant v3 entry");
+        let cache = RunCache::with_disk(&dir);
+        let recomputed = incast_core::run_incast_cached(&cfg, &cache);
+        let stats = cache.stats();
+        assert_eq!(stats.disk_hits, 0, "v3 entry {name} decoded as a hit");
+        assert_eq!(stats.misses, 1, "v3 entry {name} was not a miss");
+        assert_eq!(recomputed.bcts_ms, reference.bcts_ms);
+        assert_eq!(recomputed.profile.tallies, reference.profile.tallies);
+        std::fs::remove_file(entry_of(&key)).expect("recompute republished");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -20,9 +20,18 @@ use std::collections::BinaryHeap;
 /// What happens when an event fires.
 #[derive(Debug, Clone, Copy)]
 pub enum EventKind {
-    /// A link finished serializing a frame; it may start the next one.
+    /// A link finished serializing a frame and someone needs to know: the
+    /// next frame, already waiting in the egress queue, or the frame itself,
+    /// on a link that can lose it (the loss draw and the frame's `Delivery`
+    /// happen here). A frame that starts on an idle, loss-free link with
+    /// nothing behind it schedules no `TxComplete` at all — the link records
+    /// `(busy_until, seq)` instead and the event is scheduled late, under
+    /// that reserved seq, only if a frame arrives before then. See
+    /// `Simulator::start_tx` and DESIGN.md §11.
     TxComplete { link: LinkId },
-    /// A frame finished propagating and arrives at the link's far end. The
+    /// A frame finished propagating and arrives at the link's far end;
+    /// scheduled when its transmission starts (when it ends, on a link that
+    /// can lose it), always under the seq after its `TxComplete`'s. The
     /// packet itself lives in the simulator's [`crate::packet::PacketPool`];
     /// the event carries only its slot, keeping events small and the hot
     /// path free of packet copies through the scheduler.
@@ -84,7 +93,9 @@ pub trait Scheduler: Default {
     /// anything, so an event held outside the scheduler can still claim its
     /// tie-break seq at "schedule" time. The simulator's timer table arms
     /// every timer this way: a deadline stored behind the timer's one live
-    /// event keeps the seq a freshly scheduled event would have taken.
+    /// event keeps the seq a freshly scheduled event would have taken. So
+    /// does every transmission start, for a `TxComplete` that is scheduled
+    /// only if a frame turns up to wait for it.
     fn reserve_seq(&mut self) -> u64;
 
     /// Schedules `kind` at `time` under a seq from [`Scheduler::reserve_seq`]

@@ -70,6 +70,18 @@ impl FaultKind {
         }
     }
 
+    /// The link whose frames this fault can cause to be lost on the wire
+    /// (down, lossy or corrupting), if it is that kind of fault.
+    pub(crate) fn lossy_link(&self) -> Option<LinkId> {
+        match *self {
+            FaultKind::LinkDown { link }
+            | FaultKind::LinkUp { link }
+            | FaultKind::SetLinkLoss { link, .. }
+            | FaultKind::SetLinkCorrupt { link, .. } => Some(link),
+            _ => None,
+        }
+    }
+
     /// The entity the fault targets, as a plain index for telemetry.
     pub fn target(&self) -> u64 {
         match self {

@@ -62,6 +62,14 @@ pub struct SimCounters {
     /// Live timer events that popped before their timer's current deadline
     /// and were rescheduled to it.
     pub timer_chases: u64,
+    /// Frames put on a transmitter, one per frame per hop. With the next
+    /// field, kept out of [`SimCounters::to_json`] like the three above.
+    pub frames_tx_started: u64,
+    /// Of those, frames whose serialization end cost no `TxComplete` event:
+    /// nothing could lose them on the wire and nothing was waiting behind
+    /// them when it came. Counted when the frame starts, taken back if a
+    /// frame queues up behind it before it is done.
+    pub tx_complete_elided: u64,
 }
 
 impl SimCounters {
@@ -135,6 +143,11 @@ struct TimerSlot {
 /// [`NetworkBuilder::build_with_scheduler`]: crate::builder::NetworkBuilder::build_with_scheduler
 pub struct Simulator<S: Scheduler = TimingWheel> {
     now: SimTime,
+    /// Tie-break seq of the event being processed: with `now`, the point the
+    /// loop has reached in `(time, seq)` order, which is what
+    /// [`Link::transmitting`] is asked against. 0 while endpoints start up,
+    /// `u64::MAX` once `run` / `run_until` have returned.
+    cur_seq: u64,
     events: S,
     /// Every packet currently inside the network parks here from injection
     /// (`Cmd::Send`) until it is dropped or delivered to a host endpoint.
@@ -195,6 +208,7 @@ impl<S: Scheduler> Simulator<S> {
         let num_buffers = buffers.len();
         Simulator {
             now: SimTime::ZERO,
+            cur_seq: 0,
             events: S::default(),
             pool: PacketPool::new(),
             nodes,
@@ -316,6 +330,7 @@ impl<S: Scheduler> Simulator<S> {
     /// scheduled as a first-class sim event when the run begins.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         assert!(!self.started, "install the fault plan before running");
+        self.links.iter_mut().for_each(|l| l.fault_target = false);
         for ev in &plan.events {
             match ev.kind {
                 FaultKind::LinkDown { link }
@@ -353,6 +368,11 @@ impl<S: Scheduler> Simulator<S> {
                         "pause/resume faults target hosts"
                     );
                 }
+            }
+            // A link the plan can take down or make lossy mid-frame keeps a
+            // `TxComplete` per frame for the whole run (`Link::can_lose`).
+            if let Some(link) = ev.kind.lossy_link() {
+                self.links[link.index()].fault_target = true;
             }
         }
         self.fault_plan = plan;
@@ -462,7 +482,11 @@ impl<S: Scheduler> Simulator<S> {
     }
 
     /// Mutable access to a link (e.g. to enable queue depth monitoring
-    /// before a run).
+    /// before a run). A loss probability changed between `run_until` calls
+    /// applies to frames that start serializing afterwards: the frame on the
+    /// transmitter keeps the fate it started with — already on its way if
+    /// the link could not lose it then, decided at its serialization end
+    /// under the link's state at that instant if it could.
     pub fn link_mut(&mut self, id: LinkId) -> &mut Link {
         &mut self.links[id.index()]
     }
@@ -471,9 +495,9 @@ impl<S: Scheduler> Simulator<S> {
     /// the packet pool — queued and on-wire packets are pool-resident and
     /// the link itself holds only a residence card.
     pub fn serializing_packet(&self, id: LinkId) -> Option<&Packet> {
-        self.links[id.index()]
-            .serializing
-            .map(|frame| self.pool.get(frame.slot))
+        let link = &self.links[id.index()];
+        link.transmitting(self.now, self.cur_seq)
+            .then(|| self.pool.get(link.on_tx))
     }
 
     /// Immutable access to a node.
@@ -522,6 +546,7 @@ impl<S: Scheduler> Simulator<S> {
         while let Some(ev) = self.events.pop() {
             self.process_event(ev);
         }
+        self.cur_seq = u64::MAX;
         self.wall += t0.elapsed();
     }
 
@@ -533,6 +558,7 @@ impl<S: Scheduler> Simulator<S> {
         while let Some(ev) = self.events.pop_due(deadline) {
             self.process_event(ev);
         }
+        self.cur_seq = u64::MAX;
         self.wall += t0.elapsed();
         if self.now < deadline {
             self.now = deadline;
@@ -553,6 +579,7 @@ impl<S: Scheduler> Simulator<S> {
             );
         }
         self.now = ev.time;
+        self.cur_seq = ev.seq;
         self.counters.events_processed += 1;
         match ev.kind {
             EventKind::TxComplete { link } => {
@@ -713,7 +740,12 @@ impl<S: Scheduler> Simulator<S> {
                     self.counters.ecn_marked_pkts += 1;
                 }
                 let shared = link.shared;
-                let busy = link.busy();
+                let busy = link.transmitting(now, self.cur_seq);
+                // The first frame to wait behind one whose `TxComplete` was
+                // left out: the event is needed after all, where and under
+                // the seq it would have had from the start.
+                let late_tx_complete = (busy && !link.tx_eager && link.queue.pkts() == 1)
+                    .then_some((link.busy_until, link.tx_seq));
                 if let Some(bid) = shared {
                     self.buffers[bid.index()].on_enqueue(wire as u64);
                 }
@@ -741,6 +773,10 @@ impl<S: Scheduler> Simulator<S> {
                 }
                 if !busy {
                     self.start_tx(link_id);
+                } else if let Some((at, seq)) = late_tx_complete {
+                    self.counters.tx_complete_elided -= 1;
+                    self.events
+                        .schedule_reserved(at, seq, EventKind::TxComplete { link: link_id });
                 }
             }
             EnqueueOutcome::Dropped(reason) => {
@@ -766,16 +802,32 @@ impl<S: Scheduler> Simulator<S> {
     }
 
     /// Pulls the next frame off the egress queue and begins serializing it.
+    ///
+    /// Both of the frame's events take their tie-break seqs here, the
+    /// `TxComplete` `seq` and the `Delivery` `seq + 1`, so same-instant
+    /// deliveries order by transmission start on every link. A frame nothing
+    /// can lose ([`Link::can_lose`]) is delivered from here, and its
+    /// `TxComplete` is scheduled only once a frame waits behind it — now, or
+    /// later from `enqueue_to_link`. A frame that can be lost gets the
+    /// `TxComplete` at once and its `Delivery` from there, if it survives.
     fn start_tx(&mut self, link_id: LinkId) {
         let now = self.now;
         let link = &mut self.links[link_id.index()];
-        debug_assert!(!link.busy());
+        debug_assert!(!link.transmitting(now, self.cur_seq));
         let Some(frame) = link.queue.dequeue(now) else {
             return;
         };
         let shared = link.shared;
-        let ser = link.serialize_time(frame.wire as u64);
-        link.serializing = Some(frame);
+        let done = now + link.serialize_time(frame.wire);
+        let seq = self.events.reserve_seq();
+        self.events.reserve_seq(); // the Delivery's: `seq + 1`
+        let eager = link.can_lose();
+        let needs_tx_complete = eager || !link.queue.is_empty();
+        let arrives = done + link.cfg.propagation;
+        link.on_tx = frame.slot;
+        link.busy_until = done;
+        link.tx_seq = seq;
+        link.tx_eager = eager;
         if let Some(bid) = shared {
             let release = frame.wire as u64;
             #[cfg(feature = "check")]
@@ -792,16 +844,43 @@ impl<S: Scheduler> Simulator<S> {
             telemetry::EventKind::PktTxStart { link, pkt }
         });
         self.emit_queue_depth(link_id);
-        self.events
-            .schedule(now + ser, EventKind::TxComplete { link: link_id });
+        self.counters.frames_tx_started += 1;
+        if !eager {
+            let delivery = EventKind::Delivery {
+                link: link_id,
+                slot: frame.slot,
+            };
+            self.events.schedule_reserved(arrives, seq + 1, delivery);
+        }
+        if needs_tx_complete {
+            self.events
+                .schedule_reserved(done, seq, EventKind::TxComplete { link: link_id });
+        } else {
+            self.counters.tx_complete_elided += 1;
+        }
     }
 
+    /// Serialization of the frame on `link_id` ended and someone needs to
+    /// know: the frame itself if the link can lose it, the queue behind it
+    /// otherwise.
     fn on_tx_complete(&mut self, link_id: LinkId) {
-        let link = &mut self.links[link_id.index()];
-        let frame = link
-            .serializing
-            .take()
-            .expect("TxComplete with no frame on the wire");
+        let link = &self.links[link_id.index()];
+        debug_assert_eq!((link.busy_until, link.tx_seq), (self.now, self.cur_seq));
+        if link.tx_eager {
+            self.finish_lossy_tx(link_id);
+        }
+        // Keep the transmitter running.
+        if !self.links[link_id.index()].queue.is_empty() {
+            self.start_tx(link_id);
+        }
+    }
+
+    /// Decides the fate of a frame that finished serializing on a link that
+    /// could lose it when it started: blackholed, lost or corrupted by the
+    /// link's state *now*, or delivered one propagation time on.
+    fn finish_lossy_tx(&mut self, link_id: LinkId) {
+        let link = &self.links[link_id.index()];
+        let (slot, delivery_seq) = (link.on_tx, link.tx_seq + 1);
         let prop = link.cfg.propagation;
         // Healthy links with no configured loss take none of the RNG draws
         // below, so installing (or omitting) an empty fault plan cannot
@@ -812,7 +891,6 @@ impl<S: Scheduler> Simulator<S> {
             || (link.fault_loss > 0.0 && self.rng.chance(link.fault_loss));
         let corrupt = !lose && link.fault_corrupt > 0.0 && self.rng.chance(link.fault_corrupt);
         if lose || corrupt {
-            link.fault_drops += 1;
             if corrupt {
                 self.counters.corrupt_drops += 1;
             }
@@ -826,10 +904,12 @@ impl<S: Scheduler> Simulator<S> {
             } else {
                 ("drop_fault", DropCause::Fault)
             };
-            self.emit_pkt(link_id, frame.slot, |link, pkt| {
-                telemetry::EventKind::PktDrop { link, pkt, reason }
+            self.emit_pkt(link_id, slot, |link, pkt| telemetry::EventKind::PktDrop {
+                link,
+                pkt,
+                reason,
             });
-            let pkt = self.pool.take(frame.slot);
+            let pkt = self.pool.take(slot);
             crate::recorder::note(
                 label,
                 self.now.as_ps(),
@@ -838,17 +918,14 @@ impl<S: Scheduler> Simulator<S> {
                 pkt.id,
             );
         } else {
-            self.events.schedule(
+            self.events.schedule_reserved(
                 self.now + prop,
+                delivery_seq,
                 EventKind::Delivery {
                     link: link_id,
-                    slot: frame.slot,
+                    slot,
                 },
             );
-        }
-        // Keep the transmitter running.
-        if !self.links[link_id.index()].queue.is_empty() {
-            self.start_tx(link_id);
         }
     }
 
@@ -1349,7 +1426,8 @@ impl<S: Scheduler> Simulator<S> {
         // per-link figures below are reported for diagnosis and
         // cross-checked against the pool.
         let queued: u64 = self.links.iter().map(|l| l.queue.pkts() as u64).sum();
-        let on_wire = self.links.iter().filter(|l| l.busy()).count() as u64;
+        let on_tx = |l: &&Link| l.transmitting(self.now, self.cur_seq);
+        let on_wire = self.links.iter().filter(on_tx).count() as u64;
         let accounted = self.counters.delivered_pkts
             + self.counters.queue_drops
             + self.counters.fault_drops
@@ -1390,14 +1468,15 @@ impl<S: Scheduler> Simulator<S> {
             );
         }
         for (i, link) in self.links.iter().enumerate() {
-            if !link.queue.is_empty() || link.busy() {
+            let busy = link.transmitting(self.now, self.cur_seq);
+            if !link.queue.is_empty() || busy {
                 crate::check::record(
                     "link_drain",
                     format!(
                         "link {} still holds {} queued pkt(s), busy={} after drain",
                         i,
                         link.queue.pkts(),
-                        link.busy()
+                        busy
                     ),
                 );
             }
@@ -1450,6 +1529,14 @@ mod tests {
         }
         fn on_packet(&mut self, ctx: &mut Ctx, pkt: Packet) {
             self.log.borrow_mut().push((ctx.now(), pkt.id));
+        }
+    }
+
+    fn blaster(peer: NodeId, count: u32) -> Blaster {
+        Blaster {
+            peer,
+            count,
+            log: Rc::new(RefCell::new(Vec::new())),
         }
     }
 
@@ -1966,11 +2053,93 @@ mod tests {
         );
         sim.run();
         let p = sim.profile();
-        assert_eq!(p.events(), sim.counters().events_processed);
-        // 5 frames, 2 hops each: 10 tx completions, 10 deliveries.
-        assert_eq!(p.tallies.tx_complete, 10);
+        let c = sim.counters();
+        assert_eq!(p.events(), c.events_processed);
+        // 5 frames, 2 hops each: 10 transmissions, 10 deliveries. The tally
+        // counts `TxComplete` events that popped; the rest were never needed.
+        assert_eq!(c.frames_tx_started, 10);
         assert_eq!(p.tallies.delivery, 10);
+        assert_eq!(p.tallies.tx_complete + c.tx_complete_elided, 10);
+        // The blaster queues all five on its uplink at once, so four have a
+        // successor waiting and the fifth does not. On the second hop each
+        // frame arrives at the picosecond its predecessor's serialization
+        // ends (same rate), and propagation (1 us) is shorter than
+        // serialization (1.2 us), so by transmission-start order it still
+        // finds the predecessor on the transmitter: four more.
+        assert_eq!(p.tallies.tx_complete, 8);
         assert_eq!(p.tallies.timer, 0);
+    }
+
+    /// Alone on an idle path a frame costs one event per hop.
+    #[test]
+    fn a_lone_frame_schedules_no_tx_complete() {
+        let (mut sim, a, c) = two_hosts(Rate::gbps(10), SimTime::from_us(1));
+        let log = Rc::new(RefCell::new(Vec::new()));
+        sim.set_endpoint(a, Box::new(blaster(c, 1)));
+        sim.set_endpoint(c, Box::new(Sink { log: log.clone() }));
+        sim.run();
+        assert_eq!(log.borrow()[0].0, SimTime::from_ns(4400));
+        assert_eq!(sim.counters().events_processed, 2);
+        assert_eq!(sim.profile().tallies.tx_complete, 0);
+        assert_eq!(sim.counters().tx_complete_elided, 2);
+    }
+
+    /// "Is a frame on the transmitter" is asked against the point the loop
+    /// has reached, so it reads the same whether or not the link schedules
+    /// `TxComplete` events — and idle once `run_until` returns at or past
+    /// the serialization end.
+    #[test]
+    fn transmitter_state_is_readable_between_run_until_calls() {
+        let never = FaultKind::LinkUp { link: LinkId(0) };
+        for plan in [
+            None,
+            Some(FaultPlan::new().push(SimTime::from_secs(1), never)),
+        ] {
+            let (mut sim, a, c) = two_hosts(Rate::gbps(10), SimTime::from_us(1));
+            sim.set_endpoint(a, Box::new(blaster(c, 1)));
+            let eager = plan.is_some();
+            if let Some(plan) = plan {
+                sim.set_fault_plan(plan);
+            }
+            assert_eq!(sim.link(LinkId(0)).can_lose(), eager);
+            assert!(sim.serializing_packet(LinkId(0)).is_none());
+            sim.run_until(SimTime::from_ns(600));
+            assert_eq!(sim.serializing_packet(LinkId(0)).map(|p| p.id), Some(0));
+            assert!(sim.link(LinkId(0)).transmitting(sim.now(), u64::MAX));
+            sim.run_until(SimTime::from_ns(1200)); // serialization ends here
+            assert!(sim.serializing_packet(LinkId(0)).is_none());
+            assert!(!sim.link(LinkId(0)).transmitting(sim.now(), u64::MAX));
+            assert_eq!(sim.counters().tx_complete_elided, u64::from(!eager));
+        }
+    }
+
+    /// The `link_mut` contract: a loss probability set between `run_until`
+    /// calls applies to frames that start serializing afterwards. The frame
+    /// on the transmitter of a link that could not lose it is already on
+    /// its way; on a link that could, it is judged at its serialization end.
+    #[test]
+    fn loss_set_through_link_mut_applies_from_the_next_frame() {
+        let uplink = LinkId(0);
+        let run = |initial: f64| {
+            let (mut sim, a, c) = two_hosts(Rate::gbps(10), SimTime::from_us(1));
+            sim.link_mut(uplink).cfg.loss_probability = initial;
+            let log = Rc::new(RefCell::new(Vec::new()));
+            sim.set_endpoint(a, Box::new(blaster(c, 3)));
+            sim.set_endpoint(c, Box::new(Sink { log: log.clone() }));
+            sim.run_until(SimTime::from_ns(600)); // frame 0 half serialized
+            sim.link_mut(uplink).cfg.loss_probability = 1.0;
+            sim.run_until(SimTime::from_ns(1800)); // frame 1 half serialized
+            sim.link_mut(uplink).cfg.loss_probability = 0.0;
+            sim.run();
+            let ids: Vec<u64> = log.borrow().iter().map(|&(_, id)| id).collect();
+            (ids, sim.counters().fault_drops)
+        };
+        // Plain when frame 0 started: it survives, frame 1 starts lossy and
+        // is judged (p = 0 by then) at its end, frame 2 starts plain.
+        assert_eq!(run(0.0), (vec![0, 1, 2], 0));
+        // Lossy from the start (p too small to ever hit): frame 0 is judged
+        // at its end under p = 1 and dropped; 1 and 2 end under p = 0.
+        assert_eq!(run(1e-300), (vec![1, 2], 1));
     }
 
     /// Fan-in fixture for control-plane tests: `n` senders and one receiver

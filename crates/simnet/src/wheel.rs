@@ -1,8 +1,11 @@
 //! Hierarchical timing wheel: the production [`Scheduler`].
 //!
 //! The event mix of an incast run is dominated by near-future events —
-//! `TxComplete` one serialization time out, `Delivery` one propagation time
-//! out, TCP timers a few hundred microseconds to milliseconds out. A binary
+//! a `Delivery` one serialization plus one propagation time out for every
+//! frame on every hop, a `TxComplete` one serialization time out where a
+//! frame is waiting behind the one on the transmitter (one hop in three or
+//! four: the links of an incast are idle except the receiver's downlink),
+//! TCP timers a few hundred microseconds to milliseconds out. A binary
 //! heap pays `O(log n)` and a cache-hostile sift for every one of them. The
 //! wheel instead hashes each event into a slot by its due time:
 //!

@@ -11,7 +11,10 @@
 //! about 2x, quadratic about 4x. The same counters hold tracing to a
 //! constant number of allocations beyond its output buffer, and a run's
 //! memory to its flows rather than its length: every ACK re-arms a 200 ms
-//! RTO, and a scheduler event per re-arm is a run-long leak.
+//! RTO, and a scheduler event per re-arm is a run-long leak. And they hold
+//! the event loop to its work per frame: a hop costs one `Delivery`, plus a
+//! `TxComplete` only where a frame waits behind the one on the transmitter
+//! or the link can lose it.
 //!
 //! The whole file is one `#[test]`: the counters are process-wide, so
 //! the measured calls run sequentially inside it instead of as tests
@@ -19,8 +22,8 @@
 
 use incast_bursts::core_api::modes::{run_incast, run_incast_instrumented, ModesConfig};
 use incast_bursts::simnet::{
-    build_clos_with, build_fabric_with, ClosConfig, FabricConfig, Shared, SimCounters, SimTime,
-    TimingWheel,
+    build_clos_with, build_fabric_with, ClosConfig, FabricConfig, FaultKind, FaultPlan, LinkId,
+    Shared, SimCounters, SimTime, TimingWheel,
 };
 use incast_bursts::stats::Rng;
 use incast_bursts::telemetry::JsonlSink;
@@ -120,8 +123,10 @@ fn traced_and_untraced(flows: usize) -> (u64, u64, usize) {
 
 /// `num_bursts` loss-free 5 ms bursts from 80 senders (the paper's Mode 1),
 /// run to the last burst's completion: the heap work, the simulator's
-/// counters and the events still pending in the scheduler.
-fn mode1(num_bursts: u32) -> (HeapWork, SimCounters, usize) {
+/// counters and the events still pending in the scheduler. Links for which
+/// `faultable(link, trunk)` holds are named by a fault that never fires,
+/// which is all it takes to make them keep a `TxComplete` per frame.
+fn mode1(num_bursts: u32, faultable: fn(LinkId, LinkId) -> bool) -> (HeapWork, SimCounters, usize) {
     const FLOWS: usize = 80;
     let mut end = None;
     let work = measure(|| {
@@ -130,6 +135,14 @@ fn mode1(num_bursts: u32) -> (HeapWork, SimCounters, usize) {
             seed: 11,
             ..FabricConfig::default()
         });
+        let plan = (0..f.sim.num_links() as u32)
+            .map(LinkId)
+            .filter(|&link| faultable(link, f.trunk))
+            .fold(FaultPlan::new(), |plan, link| {
+                plan.push(SimTime::from_secs(1), FaultKind::LinkUp { link })
+            });
+        let never_fires = plan.len();
+        f.sim.set_fault_plan(plan);
         for (i, &s) in f.senders.iter().enumerate() {
             let worker = Worker::new(Rng::new(i as u64));
             let host = TcpHost::new(TcpConfig::default(), Box::new(worker));
@@ -144,7 +157,10 @@ fn mode1(num_bursts: u32) -> (HeapWork, SimCounters, usize) {
             assert!(f.sim.now() < SimTime::from_ms(150), "bursts never finished");
             f.sim.run_until(f.sim.now() + SimTime::from_ms(1));
         }
-        end = Some((f.sim.counters().clone(), f.sim.pending_events()));
+        end = Some((
+            f.sim.counters().clone(),
+            f.sim.pending_events() - never_fires,
+        ));
         f
     });
     let (counters, pending) = end.unwrap();
@@ -201,7 +217,8 @@ fn doubling_the_flows_at_most_doubles_and_a_half_the_heap_work() {
     // out — past the end of either run, so a scheduler event per re-arm
     // piles up for the whole of it. One live event per timer makes the
     // peak a property of the flow count.
-    let ((short, ..), (long, c, pending)) = (mode1(4), mode1(8));
+    let lazy = |_, _| false;
+    let ((short, ..), (long, c, pending)) = (mode1(4, lazy), mode1(8, lazy));
     eprintln!("mode 1, 4 bursts: {short:?}\nmode 1, 8 bursts: {long:?}, {pending} pending, {c:?}");
     assert!(
         long.peak_bytes as f64 <= 1.25 * short.peak_bytes as f64,
@@ -222,6 +239,54 @@ fn doubling_the_flows_at_most_doubles_and_a_half_the_heap_work() {
     assert!(
         pending <= 4 * 80,
         "{pending} events pending after an 80-flow run"
+    );
+
+    // The receiver's downlink is the one standing queue of an incast; every
+    // other hop (sender uplinks, trunk, the whole ACK path) finds its link
+    // idle and costs the frame's `Delivery` alone. One event per hop plus a
+    // `TxComplete` per queued frame: under 4 events per delivered packet
+    // (three hops) where a `TxComplete` for every frame on every hop made
+    // it 6, under 1.5 per transmission where it made it 2.
+    let (frames, events) = (c.frames_tx_started, c.events_processed);
+    assert!(
+        events as f64 <= 4.0 * c.delivered_pkts as f64 && events as f64 <= 1.5 * frames as f64,
+        "{events} events for {} packets, {frames} frame transmissions",
+        c.delivered_pkts
+    );
+    assert!(
+        c.tx_complete_elided as f64 >= 0.7 * frames as f64,
+        "only {} of {frames} serialization ends cost no event",
+        c.tx_complete_elided
+    );
+    // What makes a link pay for every `TxComplete` is that it can lose a
+    // frame, link by link: with the trunk alone named in the fault plan the
+    // trunk elides nothing and every other link what it did before, and the
+    // complement plan leaves exactly the trunk's share.
+    let (_, all, _) = mode1(2, lazy);
+    let (_, but_trunk, _) = mode1(2, |link, trunk| link == trunk);
+    let (_, trunk_only, _) = mode1(2, |link, trunk| link != trunk);
+    let (_, none, _) = mode1(2, |_, _| true);
+    for run in [&but_trunk, &trunk_only, &none] {
+        assert_eq!(run.frames_tx_started, all.frames_tx_started);
+        assert_eq!(run.delivered_bytes, all.delivered_bytes);
+    }
+    let elided = |c: &SimCounters| c.tx_complete_elided;
+    eprintln!(
+        "elided: all links lazy {}, trunk eager {}, only trunk lazy {}",
+        elided(&all),
+        elided(&but_trunk),
+        elided(&trunk_only)
+    );
+    assert!(
+        elided(&trunk_only) > 0,
+        "the trunk elides nothing when lazy"
+    );
+    assert_eq!(elided(&but_trunk) + elided(&trunk_only), elided(&all));
+    assert_eq!(elided(&none), 0);
+    assert_eq!(
+        none.events_processed - all.events_processed,
+        elided(&all),
+        "eliding a TxComplete saves exactly its event"
     );
 
     // Twice the racks: twice the hosts *and* nearly twice the switches, so
