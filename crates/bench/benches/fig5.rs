@@ -2,7 +2,7 @@
 //! (15 ms bursts) — ToR queue length over time, burst completion times,
 //! and mode classification.
 //!
-//! Runs as one sweep on the persistent pool through the content-addressed
+//! Runs as one sweep (`run_incast_sweep`) through the content-addressed
 //! run cache (`INCAST_RUN_CACHE=1` enables the disk layer, making repeat
 //! invocations nearly free).
 

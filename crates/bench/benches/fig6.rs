@@ -2,7 +2,7 @@
 //! bursts are dominated by the initial window spike; there is no time for
 //! the oscillatory steady state of Figure 5.
 //!
-//! Runs as one sweep on the persistent pool through the run cache.
+//! Runs as one sweep (`run_incast_sweep`) through the run cache.
 
 use bench::f;
 use incast_core::full_scale;

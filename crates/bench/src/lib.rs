@@ -5,6 +5,8 @@
 //! ones. Default runs use reduced scale; set `INCAST_FULL=1` for the
 //! paper's full parameters.
 
+#![forbid(unsafe_code)]
+
 /// Prints the standard bench banner.
 pub fn banner(id: &str, what: &str, paper_claim: &str) {
     println!("================================================================");

@@ -5,6 +5,8 @@
 //! cargo run --release -p incast-core --bin debug_fleet
 //! ```
 
+#![forbid(unsafe_code)]
+
 use incast_core::default_threads;
 use incast_core::production::{run_fleet, FleetConfig};
 

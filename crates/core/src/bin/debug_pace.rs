@@ -5,6 +5,8 @@
 //! cargo run --release -p incast-core --bin debug_pace
 //! ```
 
+#![forbid(unsafe_code)]
+
 use incast_core::modes::{run_incast, ModesConfig};
 use transport::config::PacingConfig;
 

@@ -16,6 +16,8 @@
 //! bottleneck occupancy, `"ev":"burst_start"`/`"burst_end"` the workload
 //! boundaries. Two runs with the same seed produce byte-identical streams.
 
+#![forbid(unsafe_code)]
+
 use incast_core::modes::{run_incast_instrumented, ModesConfig};
 use simnet::{SimTime, TextTracer};
 use std::io::Write;

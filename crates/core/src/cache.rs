@@ -164,7 +164,7 @@ impl CacheStats {
 }
 
 /// The memoization store: a typed in-memory map plus the optional disk
-/// layer. Thread-safe; sweep workers call [`Self::get_or_compute`]
+/// layer. Thread-safe; sweep threads call [`Self::get_or_compute`]
 /// concurrently.
 pub struct RunCache {
     mem: Mutex<HashMap<String, Arc<dyn Any + Send + Sync>>>,
@@ -236,18 +236,25 @@ impl RunCache {
         self.lookup(key)
     }
 
+    /// The memory layer alone: a key render's worth of work, never a file
+    /// read. What a sweep's calling thread probes before it hands the rest
+    /// to other threads (a disk entry costs milliseconds to decode, so those
+    /// stay parallel).
+    pub(crate) fn get_resident<V: CacheValue>(&self, key: &str) -> Option<Arc<V>> {
+        let mem = self.mem.lock().expect("cache map");
+        let v = mem
+            .get(key)?
+            .clone()
+            .downcast::<V>()
+            .expect("cache key reused with a different value type");
+        self.mem_hits.fetch_add(1, Ordering::Relaxed);
+        Some(v)
+    }
+
     /// Both layers, promoting disk hits into memory.
     fn lookup<V: CacheValue>(&self, key: &str) -> Option<Arc<V>> {
-        {
-            let mem = self.mem.lock().expect("cache map");
-            if let Some(e) = mem.get(key) {
-                let v = e
-                    .clone()
-                    .downcast::<V>()
-                    .expect("cache key reused with a different value type");
-                self.mem_hits.fetch_add(1, Ordering::Relaxed);
-                return Some(v);
-            }
+        if let Some(v) = self.get_resident(key) {
+            return Some(v);
         }
         let v = self.disk_get::<V>(key)?;
         self.disk_hits.fetch_add(1, Ordering::Relaxed);

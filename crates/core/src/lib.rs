@@ -10,19 +10,21 @@
 //! - [`stability`]: flow-count stability over time and hosts (Figure 3),
 //! - [`straggler`]: per-flow in-flight skew (Figure 7),
 //! - [`mitigation`]: the Section-5 mitigation comparison,
-//! - [`runner`]: parallel execution of independent simulations,
-//! - [`pool`]: the persistent work-stealing thread pool behind the runner,
+//! - [`runner`]: parallel execution of independent simulations (`par_map`
+//!   over scoped threads),
 //! - [`cache`]: the content-addressed run cache shared by sweeps,
-//! - [`sweep`]: the sweep engine tying pool + cache + streaming reducers,
+//! - [`sweep`]: the sweep engine tying cache + `par_map` + streaming
+//!   reducers,
 //! - [`supervisor`]: failure-tolerant sweep execution (panic isolation,
 //!   run budgets, quarantine reproducers, coverage accounting),
 //! - [`report`]: ASCII tables/plots for bench output.
+
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod contention;
 pub mod mitigation;
 pub mod modes;
-pub mod pool;
 pub mod production;
 pub mod report;
 pub mod runner;
@@ -37,8 +39,7 @@ pub use modes::{
     run_incast, FaultSpec, IncastRunResult, ModesConfig, OperatingMode, RunBudget, TopologySpec,
     TruncationCause,
 };
-pub use pool::PoolStats;
-pub use runner::{default_threads, par_map, par_reduce};
+pub use runner::{default_threads, par_map, PoolStats};
 pub use supervisor::{supervised_incast_sweep, RunOutcome, SupervisedSweep, SupervisorConfig};
 pub use sweep::{run_incast_cached, run_incast_sweep, IncastSweepAggregate};
 

@@ -318,10 +318,10 @@ pub fn run_fleet(cfg: &FleetConfig) -> Vec<(ServiceId, millisampler::FleetAccumu
     run_fleet_with(cfg, RunCache::global())
 }
 
-/// [`run_fleet`] against an explicit cache. Cells run on the persistent
-/// pool and stream their cached [`TraceSummary`]s into the per-service
-/// accumulators in item order, so the pooled CDFs are identical for any
-/// thread count or cache state.
+/// [`run_fleet`] against an explicit cache. Cells run through
+/// [`crate::runner::par_map`] and their cached [`TraceSummary`]s fold into
+/// the per-service accumulators in item order, so the pooled CDFs are
+/// identical for any thread count or cache state.
 pub fn run_fleet_with(
     cfg: &FleetConfig,
     cache: &RunCache,
@@ -334,21 +334,18 @@ pub fn run_fleet_with(
             }
         }
     }
-    let init: Vec<millisampler::FleetAccumulator> = cfg
+    let summaries = crate::runner::par_map(items, cfg.threads, |&(si, svc, h, k)| {
+        let cell = fleet_cell_config(cfg, si, svc, h, k);
+        (si, run_trace_summary_cached(&cell, cache))
+    });
+    let mut accs: Vec<millisampler::FleetAccumulator> = cfg
         .services
         .iter()
         .map(|_| millisampler::FleetAccumulator::new())
         .collect();
-    let accs = crate::runner::par_reduce(
-        items,
-        cfg.threads,
-        |&(si, svc, h, k)| run_trace_summary_cached(&fleet_cell_config(cfg, si, svc, h, k), cache),
-        init,
-        |mut accs, &(si, _, _, _), summary| {
-            accs[si].add_summary(&summary);
-            accs
-        },
-    );
+    for (si, summary) in summaries {
+        accs[si].add_summary(&summary);
+    }
     cfg.services.iter().copied().zip(accs).collect()
 }
 

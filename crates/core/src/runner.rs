@@ -1,30 +1,22 @@
 //! Parallel experiment execution.
 //!
 //! A simulation is single-threaded and deterministic; experiments
-//! parallelize by running many independent simulations. [`par_map`] keeps
-//! its original contract — results land at their item's index, so the
-//! output order (and therefore every downstream aggregate) is independent
-//! of thread scheduling — but now executes on the persistent
-//! [`crate::pool::SweepPool`] instead of spawning fresh threads per call,
-//! and writes results into index-disjoint slots instead of per-item
-//! mutexes. [`par_reduce`] is the streaming variant: per-item results are
-//! folded into an accumulator *in item-index order* as they arrive, so
-//! sweep reducers consume summaries incrementally instead of materializing
-//! the whole result vector first.
+//! parallelize by running many independent simulations. [`par_map`] is the
+//! one parallel primitive: scoped threads claim item indices from a shared
+//! cursor, and results land at their item's index, so the output order (and
+//! therefore every downstream aggregate folded over it) is independent of
+//! thread scheduling. Sweep items cost a millisecond of simulation or more,
+//! and every caller makes one call per study, so there is no persistent
+//! pool: a call's helper threads live exactly as long as the call.
 
-use std::cell::UnsafeCell;
-use std::collections::BTreeMap;
+use std::any::Any;
 use std::fmt::Debug;
-use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
-
-use crate::pool::{SweepPool, Trampoline};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Best-effort text of a panic payload (`&str` / `String`, else a marker).
-pub(crate) fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(p: &(dyn Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = p.downcast_ref::<String>() {
@@ -65,212 +57,119 @@ fn run_item<T: Debug, R, F: Fn(&T) -> R>(f: &F, items: &[T], i: usize) -> R {
     }
 }
 
-/// One result slot, written by exactly one worker (the one that claimed the
-/// slot's index) and read by the submitter after the job's completion latch.
-struct Slot<R> {
-    value: UnsafeCell<MaybeUninit<R>>,
-    written: AtomicBool,
+// Process-wide counters behind [`PoolStats`]. Statistics only: they publish
+// no other data, hence `Relaxed`.
+static JOBS: AtomicU64 = AtomicU64::new(0);
+static ITEMS: AtomicU64 = AtomicU64::new(0);
+static PARTICIPANTS: AtomicU64 = AtomicU64::new(0);
+
+/// Cumulative counters over every *parallel* [`par_map`] call of the
+/// process (the inline `threads == 1` loop counts nothing). Readers take a
+/// [`PoolStats::snapshot`] before a sweep and [`PoolStats::delta`] after.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Parallel `par_map` calls.
+    pub jobs: u64,
+    /// Items across those calls.
+    pub items: u64,
+    /// Threads that took part across those calls (the caller plus its
+    /// scoped helpers, per call).
+    pub participants: u64,
 }
 
-// Distinct indices are written by distinct workers and never aliased; the
-// submitter only reads after the job latch establishes happens-before.
-unsafe impl<R: Send> Sync for Slot<R> {}
+impl PoolStats {
+    /// Current cumulative counters.
+    pub fn snapshot() -> PoolStats {
+        PoolStats {
+            jobs: JOBS.load(Ordering::Relaxed),
+            items: ITEMS.load(Ordering::Relaxed),
+            participants: PARTICIPANTS.load(Ordering::Relaxed),
+        }
+    }
 
-struct MapCtx<'a, T, R, F> {
-    items: &'a [T],
-    f: &'a F,
-    slots: &'a [Slot<R>],
-}
+    /// Counters accumulated since `earlier` (a prior snapshot).
+    pub fn delta(&self, earlier: &PoolStats) -> PoolStats {
+        PoolStats {
+            jobs: self.jobs - earlier.jobs,
+            items: self.items - earlier.items,
+            participants: self.participants - earlier.participants,
+        }
+    }
 
-/// # Safety
-/// Called with a `ctx` pointing at the matching `MapCtx` and a unique,
-/// in-bounds index per job (the pool guarantees both).
-unsafe fn map_one<T: Debug, R, F: Fn(&T) -> R>(ctx: *const (), i: usize) {
-    let ctx = &*(ctx as *const MapCtx<'_, T, R, F>);
-    let r = run_item(ctx.f, ctx.items, i);
-    (*ctx.slots[i].value.get()).write(r);
-    ctx.slots[i].written.store(true, Ordering::Release);
+    /// Always `0.0`: one shared claim cursor has no lanes to steal from.
+    /// Kept only because `benchmark/src/layers.rs` calls it for its
+    /// `core.pool.steal_pct` row; goes when that row does (ROADMAP item 1).
+    pub fn steal_fraction(&self) -> f64 {
+        0.0
+    }
 }
 
 /// Applies `f` to every item on up to `threads` participants (the calling
-/// thread plus persistent pool workers), preserving input order in the
-/// output.
+/// thread plus `threads - 1` scoped helpers), preserving input order in the
+/// output. Each participant claims the next unclaimed index from one shared
+/// cursor until none is left; with `threads <= 1` the map runs inline.
 ///
 /// If `f` panics on any item, the first panic's payload is re-raised on the
 /// calling thread (`std::thread::scope` alone would replace it with a
-/// generic "a scoped thread panicked"), and workers stop claiming further
-/// items. The payload is a `String` prefixed with the failing item's index
-/// and `Debug` key, so a sweep failure names its scenario.
+/// generic "a scoped thread panicked"), and participants stop claiming
+/// further items. The payload is a `String` prefixed with the failing
+/// item's index and `Debug` key, so a sweep failure names its scenario.
 pub fn par_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
-    T: Send + Sync + Debug,
+    T: Sync + Debug,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
     let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
+    let threads = threads.min(n);
+    if threads <= 1 {
         return (0..n).map(|i| run_item(&f, &items, i)).collect();
     }
-    let slots: Vec<Slot<R>> = (0..n)
-        .map(|_| Slot {
-            value: UnsafeCell::new(MaybeUninit::uninit()),
-            written: AtomicBool::new(false),
-        })
-        .collect();
-    let ctx = MapCtx {
-        items: &items,
-        f: &f,
-        slots: &slots,
-    };
-    // Safety: `ctx` outlives `finish()` below, and `map_one` writes only
-    // the claimed index's slot.
-    let handle = unsafe {
-        SweepPool::global().submit(
-            map_one::<T, R, F> as Trampoline,
-            &ctx as *const MapCtx<'_, T, R, F> as *const (),
-            n,
-            threads - 1,
-            threads,
-        )
-    };
-    handle.participate();
-    if let Some(p) = handle.finish() {
-        // Drop whatever results landed before the panic, then re-raise.
-        for s in &slots {
-            if s.written.load(Ordering::Acquire) {
-                unsafe { (*s.value.get()).assume_init_drop() };
+    JOBS.fetch_add(1, Ordering::Relaxed);
+    ITEMS.fetch_add(n as u64, Ordering::Relaxed);
+    PARTICIPANTS.fetch_add(threads as u64, Ordering::Relaxed);
+
+    let cursor = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+    // `Relaxed` throughout: the cursor only hands out distinct indices and
+    // the flag only ends claiming early; results and the parked payload
+    // reach the caller through the scope's joins and the mutex.
+    let claim_until_dry = || {
+        let mut done = Vec::new();
+        while !stop.load(Ordering::Relaxed) {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            // `f` runs outside the lock, so a panicking item cannot poison it.
+            match catch_unwind(AssertUnwindSafe(|| run_item(&f, &items, i))) {
+                Ok(r) => done.push((i, r)),
+                Err(p) => {
+                    stop.store(true, Ordering::Relaxed);
+                    first_panic.lock().expect("panic slot").get_or_insert(p);
+                }
             }
         }
+        done
+    };
+    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads).map(|_| s.spawn(claim_until_dry)).collect();
+        let mine = claim_until_dry();
+        let theirs = helpers
+            .into_iter()
+            .flat_map(|h| h.join().expect("helper panics are caught per item"));
+        for (i, r) in mine.into_iter().chain(theirs) {
+            out[i] = Some(r);
+        }
+    });
+    if let Some(p) = first_panic.into_inner().expect("panic slot") {
         resume_unwind(p);
     }
-    slots
-        .into_iter()
-        .map(|s| {
-            assert!(s.written.into_inner(), "worker thread skipped an item");
-            unsafe { s.value.into_inner().assume_init() }
-        })
+    out.into_iter()
+        .map(|r| r.expect("every index is claimed exactly once"))
         .collect()
-}
-
-/// The reorder channel between pool workers and the folding submitter.
-struct Channel<R> {
-    q: Mutex<Vec<(usize, R)>>,
-    cv: Condvar,
-}
-
-struct ReduceCtx<'a, T, R, F> {
-    items: &'a [T],
-    map: &'a F,
-    chan: &'a Channel<R>,
-}
-
-/// # Safety
-/// Same contract as `map_one`.
-unsafe fn reduce_one<T: Debug, R, F: Fn(&T) -> R>(ctx: *const (), i: usize) {
-    let ctx = &*(ctx as *const ReduceCtx<'_, T, R, F>);
-    let r = run_item(ctx.map, ctx.items, i);
-    let mut q = ctx.chan.q.lock().expect("reduce channel");
-    q.push((i, r));
-    drop(q);
-    ctx.chan.cv.notify_one();
-}
-
-/// Streaming map-reduce: `map` runs on pool workers, and the calling thread
-/// folds each result into `acc` strictly in item-index order as results
-/// arrive (a small reorder buffer bridges out-of-order completion). The
-/// fixed fold order makes the accumulator byte-identical across thread
-/// counts, while memory stays at `O(in-flight results)` instead of
-/// `O(items)`.
-///
-/// With `threads <= 1` the whole reduction runs inline on the caller.
-/// Panics from `map` re-raise their original payload on the caller.
-pub fn par_reduce<T, R, A, F, G>(items: Vec<T>, threads: usize, map: F, init: A, mut fold: G) -> A
-where
-    T: Send + Sync + Debug,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-    G: FnMut(A, &T, R) -> A,
-{
-    let n = items.len();
-    if n == 0 {
-        return init;
-    }
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
-        let mut acc = init;
-        for i in 0..n {
-            let r = run_item(&map, &items, i);
-            acc = fold(acc, &items[i], r);
-        }
-        return acc;
-    }
-    let chan = Channel {
-        q: Mutex::new(Vec::new()),
-        cv: Condvar::new(),
-    };
-    let ctx = ReduceCtx {
-        items: &items,
-        map: &map,
-        chan: &chan,
-    };
-    // Safety: `ctx` outlives `finish()`, and the channel push is the only
-    // shared write (guarded by its mutex). All `threads` participants are
-    // pool workers; the caller folds instead of computing, so progress
-    // relies on the pool's >= 1 worker threads.
-    let handle = unsafe {
-        SweepPool::global().submit(
-            reduce_one::<T, R, F> as Trampoline,
-            &ctx as *const ReduceCtx<'_, T, R, F> as *const (),
-            n,
-            threads,
-            threads,
-        )
-    };
-    let mut acc = init;
-    let mut reorder: BTreeMap<usize, R> = BTreeMap::new();
-    let mut next = 0usize;
-    let mut received = 0usize;
-    while received < n {
-        let batch = {
-            let mut q = chan.q.lock().expect("reduce channel");
-            loop {
-                if !q.is_empty() {
-                    break std::mem::take(&mut *q);
-                }
-                // `is_done` while holding the channel lock: sends happen
-                // before their item's completion decrement, so done + empty
-                // means no further sends can arrive (items were skipped
-                // after a panic).
-                if handle.is_done() {
-                    break Vec::new();
-                }
-                let (g, _) = chan
-                    .cv
-                    .wait_timeout(q, Duration::from_millis(10))
-                    .expect("reduce channel");
-                q = g;
-            }
-        };
-        if batch.is_empty() {
-            break;
-        }
-        received += batch.len();
-        for (i, r) in batch {
-            reorder.insert(i, r);
-        }
-        while let Some(r) = reorder.remove(&next) {
-            acc = fold(acc, &items[next], r);
-            next += 1;
-        }
-    }
-    if let Some(p) = handle.finish() {
-        resume_unwind(p);
-    }
-    acc
 }
 
 /// A default thread count: available parallelism minus one, at least one.
@@ -407,8 +306,8 @@ mod tests {
 
     #[test]
     fn pool_survives_a_panicked_job() {
-        // A panicking job must not poison the persistent pool for later
-        // submissions from the same process.
+        // A panicked call leaves nothing behind (no poisoned lock, no stuck
+        // thread) for later calls from the same process.
         let _ = std::panic::catch_unwind(|| {
             par_map(vec![1u64, 2, 3, 4], 4, |_| -> u64 { panic!("one-shot") })
         });
@@ -418,8 +317,8 @@ mod tests {
 
     #[test]
     fn nested_par_map_does_not_deadlock() {
-        // Submitters participate in their own jobs, so even if every pool
-        // worker is parked on outer jobs, the inner maps complete.
+        // Every call brings its own scoped helpers and the caller works on
+        // its own call, so an inner map never waits on an outer one.
         let out = par_map((0..8u64).collect::<Vec<_>>(), 4, |&x| {
             par_map((0..8u64).collect::<Vec<_>>(), 4, |&y| x * 10 + y)
                 .into_iter()
@@ -447,56 +346,25 @@ mod tests {
     }
 
     #[test]
-    fn par_reduce_folds_in_index_order() {
-        let items: Vec<u64> = (0..200).collect();
-        let folded = par_reduce(
-            items.clone(),
-            8,
-            |&x| x * 2,
-            Vec::new(),
-            |mut acc: Vec<u64>, _item, r| {
-                acc.push(r);
-                acc
-            },
-        );
-        let serial: Vec<u64> = items.iter().map(|&x| x * 2).collect();
-        assert_eq!(folded, serial);
-    }
-
-    #[test]
-    fn par_reduce_matches_serial_accumulator() {
-        let items: Vec<u64> = (0..64).collect();
-        let sum = |acc: u64, item: &u64, r: u64| acc.wrapping_add(r ^ item);
-        let serial = par_reduce(items.clone(), 1, |&x| x * 3, 0u64, sum);
-        let parallel = par_reduce(items, 6, |&x| x * 3, 0u64, sum);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn par_reduce_empty_returns_init() {
-        let acc = par_reduce(Vec::<u32>::new(), 4, |&x| x, 42u32, |a, _, _| a + 1);
-        assert_eq!(acc, 42);
-    }
-
-    #[test]
-    fn par_reduce_panic_propagates_payload() {
-        let result = std::panic::catch_unwind(|| {
-            par_reduce(
-                (0..64u64).collect::<Vec<_>>(),
-                4,
-                |&x| {
-                    if x == 9 {
-                        panic!("reduce boom {x}");
-                    }
-                    x
-                },
-                0u64,
-                |a, _, r| a + r,
-            )
+    fn unequal_items_keep_index_order_and_every_participant_claims() {
+        // The first `THREADS` items rendezvous, which holds one participant
+        // on each: nobody can drain the cursor before the last helper has
+        // started. Item 0 then outlasts all the others put together.
+        const THREADS: usize = 4;
+        let barrier = std::sync::Barrier::new(THREADS);
+        let out = par_map((0..64usize).collect::<Vec<_>>(), THREADS, |&i| {
+            if i < THREADS {
+                barrier.wait();
+            }
+            if i == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+            (i, std::thread::current().id())
         });
-        let payload = result.expect_err("par_reduce must panic");
-        let msg = payload.downcast_ref::<String>().expect("payload lost");
-        assert_eq!(msg, "sweep item 9 (9): reduce boom 9");
+        assert!(out.iter().map(|&(i, _)| i).eq(0..64), "{out:?}");
+        let claimants: std::collections::HashSet<_> = out.iter().map(|&(_, t)| t).collect();
+        assert_eq!(claimants.len(), THREADS, "{out:?}");
+        assert!(claimants.contains(&std::thread::current().id()));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::cache::{trace_snapshot_key, RunCache};
 use crate::production::{run_trace_with_snapshot, TraceConfig};
-use crate::runner::par_reduce;
+use crate::runner::par_map;
 use millisampler::TraceSummary;
 use simnet::SimTime;
 use stats::{QuantileSketch, Rng};
@@ -173,40 +173,37 @@ pub fn run_stability_with(cfg: &StabilityConfig, cache: &RunCache) -> StabilityR
         }
     }
 
+    let summaries = par_map(items, cfg.threads, |&(si, ti, h, ref snap)| {
+        let trace_cfg = TraceConfig {
+            service: cfg.services[si],
+            duration: cfg.duration,
+            seed: cfg
+                .seed
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add((si as u64) << 40 | (ti as u64) << 20 | h as u64),
+            contention: false,
+            queue_sample: SimTime::from_ms(1),
+        };
+        let summary = cache.get_or_compute(&trace_snapshot_key(&trace_cfg, snap), || {
+            let r = run_trace_with_snapshot(&trace_cfg, snap.clone());
+            TraceSummary::from_trace(&r.trace, &r.bursts, None).with_tallies(r.tallies)
+        });
+        (si, ti, h, summary)
+    });
+
     // Pool per (service, time) for Fig. 3a and per (service, host) for 3b,
-    // streaming: summaries fold in item order as cells finish out of order
-    // on the pool, so the sketches are identical for any thread count.
+    // folding in item order so the sketches are identical for any thread
+    // count.
     let ns = cfg.services.len();
-    let by_time: Vec<Vec<QuantileSketch>> = vec![vec![QuantileSketch::new(); cfg.snapshots]; ns];
-    let by_host: Vec<Vec<QuantileSketch>> = vec![vec![QuantileSketch::new(); cfg.hosts]; ns];
-    let (by_time, by_host) = par_reduce(
-        items,
-        cfg.threads,
-        |(si, ti, h, snap)| {
-            let trace_cfg = TraceConfig {
-                service: cfg.services[*si],
-                duration: cfg.duration,
-                seed: cfg
-                    .seed
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add((*si as u64) << 40 | (*ti as u64) << 20 | *h as u64),
-                contention: false,
-                queue_sample: SimTime::from_ms(1),
-            };
-            cache.get_or_compute(&trace_snapshot_key(&trace_cfg, snap), || {
-                let r = run_trace_with_snapshot(&trace_cfg, snap.clone());
-                TraceSummary::from_trace(&r.trace, &r.bursts, None).with_tallies(r.tallies)
-            })
-        },
-        (by_time, by_host),
-        |(mut bt, mut bh), (si, ti, h, _), summary| {
-            for row in &summary.per_burst {
-                bt[*si][*ti].add(row.peak_flows);
-                bh[*si][*h].add(row.peak_flows);
-            }
-            (bt, bh)
-        },
-    );
+    let mut by_time: Vec<Vec<QuantileSketch>> =
+        vec![vec![QuantileSketch::new(); cfg.snapshots]; ns];
+    let mut by_host: Vec<Vec<QuantileSketch>> = vec![vec![QuantileSketch::new(); cfg.hosts]; ns];
+    for (si, ti, h, summary) in summaries {
+        for row in &summary.per_burst {
+            by_time[si][ti].add(row.peak_flows);
+            by_host[si][h].add(row.peak_flows);
+        }
+    }
 
     let point = |sk: &QuantileSketch| {
         (

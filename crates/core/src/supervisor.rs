@@ -2,7 +2,7 @@
 //!
 //! A plain [`crate::sweep::run_incast_sweep`] is all-or-nothing: one
 //! panicking configuration aborts the whole sweep, and one runaway run
-//! (a pathological config that never converges) holds the pool hostage.
+//! (a pathological config that never converges) holds its thread hostage.
 //! The supervisor wraps each run with
 //!
 //! - **panic isolation** — a panic in one run is caught on its worker,
@@ -34,7 +34,6 @@ use crate::cache::{fnv1a64, incast_key, RunCache};
 use crate::modes::{
     run_incast_budgeted_with, IncastRunResult, ModesConfig, RunBudget, TruncationCause,
 };
-use crate::pool::PoolStats;
 use crate::runner::{panic_message, par_map};
 use crate::sweep::{sweep_manifest, IncastSweepAggregate};
 use millisampler::RunCoverage;
@@ -44,7 +43,8 @@ use telemetry::RunManifest;
 /// How a supervised sweep executes its runs.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
-    /// Pool participants (see [`crate::runner::par_map`]).
+    /// Threads the runs spread over: the caller plus `threads - 1` scoped
+    /// helpers (see [`crate::runner::par_map`]).
     pub threads: usize,
     /// Per-run budgets; [`RunBudget::default`] means unlimited.
     pub budget: RunBudget,
@@ -96,10 +96,6 @@ pub struct SupervisedSweep {
     pub coverage: RunCoverage,
     /// Reproducer files written for failed/truncated runs.
     pub quarantined: Vec<PathBuf>,
-    /// Pool work-distribution counters this sweep accumulated (delta over
-    /// the process-global pool, so concurrent sweeps each see their own
-    /// share plus any overlap).
-    pub pool: PoolStats,
 }
 
 impl SupervisedSweep {
@@ -114,7 +110,6 @@ impl SupervisedSweep {
             self.coverage.ran, self.coverage.total
         );
         m.coverage_json = Some(self.coverage.to_json());
-        m.pool_json = Some(self.pool.to_json());
         m.truncated = self.outcomes.iter().find_map(|o| match o {
             RunOutcome::Truncated(cause, _) => Some(cause.label().to_string()),
             _ => None,
@@ -132,12 +127,10 @@ pub fn supervised_incast_sweep(
     cache: &RunCache,
 ) -> SupervisedSweep {
     let retries_before = cache.stats().disk_retries;
-    let pool_before = PoolStats::snapshot();
     let budget = (!sup.budget.is_unlimited()).then_some(&sup.budget);
-    let results = par_map(cfgs.to_vec(), sup.threads, |cfg| {
+    let results = par_map(cfgs.iter().collect(), sup.threads, |cfg| {
         supervised_run(cfg, cache, budget)
     });
-    let pool = PoolStats::snapshot().delta(&pool_before);
 
     let mut aggregate = IncastSweepAggregate::new();
     let mut coverage = RunCoverage {
@@ -174,7 +167,6 @@ pub fn supervised_incast_sweep(
         outcomes,
         coverage,
         quarantined,
-        pool,
     }
 }
 
@@ -185,8 +177,8 @@ pub fn supervised_incast_sweep(
 /// (fault applied, budget truncation, invariant violation, or panic; always
 /// `None` without the `recorder` feature). The recorder's state is
 /// thread-local and survives the unwind, so the dump must be taken here —
-/// on the worker thread that ran the simulation — before the outcome
-/// crosses to the submitter.
+/// on the thread that ran the simulation (the caller or a scoped helper) —
+/// before the outcome crosses to the caller.
 fn supervised_run(
     cfg: &ModesConfig,
     cache: &RunCache,
@@ -374,17 +366,11 @@ mod tests {
             j.contains(r#""coverage":{"total":2,"ran":1,"failed":1"#),
             "{j}"
         );
-        // Pool work-distribution counters ride along for introspection.
-        assert!(j.contains(r#""pool":{"jobs":"#), "{j}");
-        assert!(sweep.pool.jobs >= 1, "{:?}", sweep.pool);
-        assert!(sweep.pool.items >= 2, "{:?}", sweep.pool);
         // No truncated runs here, so no truncation marker.
         assert!(m.truncated.is_none());
-        // Coverage and pool counters depend on cache/IO/scheduling state;
-        // the determinism view drops both.
+        // Coverage depends on cache/IO state; the determinism view drops it.
         let det = m.deterministic().to_json();
         assert!(!det.contains("coverage"));
-        assert!(!det.contains("pool"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,12 +1,13 @@
-//! The sweep engine: persistent pool + run cache + streaming aggregation.
+//! The sweep engine: run cache + parallel map + streaming aggregation.
 //!
 //! A *sweep* is many independent simulations whose results feed one
 //! aggregate (a figure, a table row, a regression digest). This module is
 //! the one place that wires the three pieces together:
 //!
-//! - execution on the persistent work-stealing pool ([`crate::pool`],
-//!   via [`crate::runner::par_map`] / [`crate::runner::par_reduce`]),
-//! - memoization through the content-addressed [`RunCache`],
+//! - memoization through the content-addressed [`RunCache`]: the calling
+//!   thread serves every config the cache holds in memory,
+//! - disk entries and execution of the rest on scoped threads
+//!   ([`crate::runner::par_map`]),
 //! - streaming reduction into fixed-memory summaries
 //!   ([`IncastSweepAggregate`]), so reducers never retain every run.
 //!
@@ -33,14 +34,41 @@ pub fn run_incast_cached(cfg: &ModesConfig, cache: &RunCache) -> Arc<IncastRunRe
     cache.get_or_compute(&incast_key(cfg), || run_incast(cfg))
 }
 
-/// Runs a whole sweep on the persistent pool, one cached run per config.
-/// Results come back in config order regardless of thread count.
+/// Runs a whole sweep, one cached run per config; results come back in
+/// config order regardless of thread count or cache state.
+///
+/// A hit in the cache's memory layer costs a key render and a map lookup —
+/// far less than handing it to another thread — so the caller probes that
+/// layer itself and only the configs it does not hold go through
+/// [`par_map`]; a sweep the memory layer can serve starts no thread. Disk
+/// entries (a file read and a decode, milliseconds each) and simulations
+/// both happen there, in parallel. Keys are rendered and dropped one at a
+/// time. A panicking run's label carries its index in `cfgs` in front of
+/// its key, whatever the cache held.
 pub fn run_incast_sweep(
     cfgs: &[ModesConfig],
     threads: usize,
     cache: &RunCache,
 ) -> Vec<Arc<IncastRunResult>> {
-    par_map(cfgs.to_vec(), threads, |cfg| run_incast_cached(cfg, cache))
+    let mut runs: Vec<Option<Arc<IncastRunResult>>> = cfgs
+        .iter()
+        .map(|cfg| cache.get_resident(&incast_key(cfg)))
+        .collect();
+    let missing: Vec<(usize, &ModesConfig)> = cfgs
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| runs[i].is_none())
+        .collect();
+    // Re-entering the cache counts each of these as one disk hit or miss.
+    let computed = par_map(missing, threads, |&(i, cfg)| {
+        (i, run_incast_cached(cfg, cache))
+    });
+    for (i, run) in computed {
+        runs[i] = Some(run);
+    }
+    runs.into_iter()
+        .map(|run| run.expect("every config was held or computed"))
+        .collect()
 }
 
 /// Streaming, mergeable reduction of an incast sweep: fixed memory

@@ -10,6 +10,8 @@
 //! Like the real tool, it observes packet *headers only* — it shares no
 //! state with the TCP stack it measures.
 
+#![forbid(unsafe_code)]
+
 pub mod burst;
 pub mod report;
 pub mod sampler;

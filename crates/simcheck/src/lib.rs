@@ -21,6 +21,8 @@
 //! The `simcheck` binary drives seed ranges in parallel:
 //! `cargo run --release -p simcheck -- --seeds 500`.
 
+#![forbid(unsafe_code)]
+
 use incast_core::cache::CacheValue;
 use incast_core::modes::{run_incast_with, MitigationKind};
 use incast_core::{FaultSpec, ModesConfig, TopologySpec};

@@ -9,6 +9,8 @@
 //! repeat run. Failures are shrunk to minimal reproducers and printed as
 //! paste-able `#[test]`s; the process exits nonzero if anything failed.
 
+#![forbid(unsafe_code)]
+
 use incast_core::{default_threads, par_map};
 use simcheck::{fuzz_seed_with, reproducer, shrink, ForceMitigation, SeedOutcome};
 use std::io::Write;

@@ -40,6 +40,8 @@
 //! assert_eq!(fabric.sim.counters().delivered_pkts, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod buffer;
 pub mod builder;
 pub mod check;

@@ -19,6 +19,8 @@
 //! - [`retry_with_backoff`]: bounded retry for transient IO in the sweep
 //!   machinery.
 
+#![forbid(unsafe_code)]
+
 pub mod cdf;
 pub mod dist;
 pub mod histogram;

@@ -23,6 +23,8 @@
 //! no external dependencies: JSON encoding is hand-rolled in [`json`],
 //! which is what makes the output bit-for-bit reproducible.
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod json;
 pub mod manifest;

@@ -74,11 +74,6 @@ pub struct RunManifest {
     /// `wall_clock_us`; omitted when `None` and cleared by
     /// [`RunManifest::deterministic`].
     pub timing_json: Option<String>,
-    /// Pre-rendered JSON of the sweep pool's work-distribution counters
-    /// (local claims, steals, lane occupancy). Depends on thread
-    /// scheduling, so it is omitted when `None` and cleared by
-    /// [`RunManifest::deterministic`].
-    pub pool_json: Option<String>,
     /// Pre-rendered JSON of per-tier queue statistics (uplink / spine /
     /// downlink watermarks, drops, marks) for multi-tier fabrics. `None`
     /// for single-rack topologies. Deterministic for a fixed seed, so it
@@ -171,9 +166,6 @@ impl RunManifest {
         if let Some(t) = &self.timing_json {
             o.raw("timing", t);
         }
-        if let Some(p) = &self.pool_json {
-            o.raw("pool", p);
-        }
         o.finish();
         out
     }
@@ -187,7 +179,6 @@ impl RunManifest {
         m.cache_json = None;
         m.coverage_json = None;
         m.timing_json = None;
-        m.pool_json = None;
         m
     }
 }
@@ -301,18 +292,13 @@ mod tests {
     }
 
     #[test]
-    fn timing_and_pool_are_omitted_when_none_and_cleared_by_deterministic() {
+    fn timing_is_omitted_when_none_and_cleared_by_deterministic() {
         let mut m = RunManifest::new("x", 1, "t");
         assert!(!m.to_json().contains("timing"));
-        assert!(!m.to_json().contains("pool"));
         m.timing_json = Some(r#"{"setup_us":10,"sim_us":90,"aggregate_us":5}"#.to_string());
-        m.pool_json = Some(r#"{"jobs":1,"steal_claims":0}"#.to_string());
         let j = m.to_json();
-        assert!(j.contains(r#""timing":{"setup_us":10,"sim_us":90,"aggregate_us":5}"#));
-        assert!(j.ends_with(r#""pool":{"jobs":1,"steal_claims":0}}"#));
-        let det = m.deterministic().to_json();
-        assert!(!det.contains("timing"));
-        assert!(!det.contains("pool"));
+        assert!(j.ends_with(r#""timing":{"setup_us":10,"sim_us":90,"aggregate_us":5}}"#));
+        assert!(!m.deterministic().to_json().contains("timing"));
     }
 
     #[test]

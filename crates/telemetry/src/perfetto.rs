@@ -507,12 +507,7 @@ impl EventSink for PerfettoSink {
                     .u64(*burst as u64)
                     .raw(r#"","args":{"bct_ms":"#)
                     .f64(*bct_ms)
-                    // One brace too many, and so not JSON: the exporter has
-                    // always closed this object twice. Kept because this
-                    // encoder is held to its predecessor's exact bytes;
-                    // dropping it moves the pinned hashes in
-                    // `tests/tracing.rs` and nothing else.
-                    .raw("}}}");
+                    .raw("}}");
             }
             EventKind::Fault {
                 index,

@@ -27,6 +27,8 @@
 //! Hosts run a [`TcpHost`] endpoint which demultiplexes flows and exposes a
 //! callback API ([`TcpApp`]/[`TcpApi`]) to application logic.
 
+#![forbid(unsafe_code)]
+
 pub mod cca;
 pub mod config;
 pub mod host;

@@ -15,6 +15,8 @@
 //! - [`sample_schedule`]/[`ScheduleCoordinator`]: Poisson burst schedules
 //!   replayed against a worker fleet for the Section-3 fleet study.
 
+#![forbid(unsafe_code)]
+
 pub mod incast;
 pub mod schedule;
 pub mod service;

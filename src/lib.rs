@@ -34,6 +34,8 @@
 //! assert!(result.mean_bct_ms > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use incast_core as core_api;
 pub use millisampler;
 pub use simnet;

@@ -14,13 +14,15 @@
 //! RTO, and a scheduler event per re-arm is a run-long leak. And they hold
 //! the event loop to its work per frame: a hop costs one `Delivery`, plus a
 //! `TxComplete` only where a frame waits behind the one on the transmitter
-//! or the link can lose it.
+//! or the link can lose it. The last section counts threads the same way:
+//! a sweep the cache can serve starts none.
 //!
 //! The whole file is one `#[test]`: the counters are process-wide, so
 //! the measured calls run sequentially inside it instead of as tests
 //! racing in harness threads.
 
 use incast_bursts::core_api::modes::{run_incast, run_incast_instrumented, ModesConfig};
+use incast_bursts::core_api::{run_incast_sweep, PoolStats, RunCache};
 use incast_bursts::simnet::{
     build_clos_with, build_fabric_with, ClosConfig, FabricConfig, FaultKind, FaultPlan, LinkId,
     Shared, SimCounters, SimTime, TimingWheel,
@@ -297,5 +299,37 @@ fn doubling_the_flows_at_most_doubles_and_a_half_the_heap_work() {
     assert!(
         (large.allocs as f64) < 3.0 * small.allocs as f64,
         "fabric set-up allocations are super-linear in hosts: {small:?} -> {large:?}"
+    );
+
+    // A sweep hands other threads only what the cache cannot serve: warmed
+    // inline (one thread, so no helper is still exiting), a re-sweep asked
+    // for four threads makes no parallel call and starts no thread; the
+    // same sweep cold spreads over exactly the four it asked for — and so
+    // does one whose entries are on disk, a file read and a decode each.
+    let cfgs: Vec<ModesConfig> = (0..6).map(|i| one_burst(8 + i)).collect();
+    let os_threads = || std::fs::read_dir("/proc/self/task").map_or(0, |d| d.count());
+    let cache = RunCache::in_memory();
+    run_incast_sweep(&cfgs, 1, &cache);
+    let (stats, tasks) = (PoolStats::snapshot(), os_threads());
+    let warm = run_incast_sweep(&cfgs, 4, &cache);
+    assert_eq!(warm.len(), cfgs.len());
+    assert_eq!(PoolStats::snapshot().delta(&stats), PoolStats::default());
+    assert_eq!(os_threads(), tasks, "a warm sweep changed the thread count");
+    run_incast_sweep(&cfgs, 4, &RunCache::in_memory());
+    let cold = PoolStats::snapshot().delta(&stats);
+    assert_eq!((cold.jobs, cold.items, cold.participants), (1, 6, 4));
+
+    let dir = std::env::temp_dir().join(format!("incast-scaling-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    run_incast_sweep(&cfgs, 1, &RunCache::with_disk(&dir));
+    let (stats, on_disk) = (PoolStats::snapshot(), RunCache::with_disk(&dir));
+    run_incast_sweep(&cfgs, 4, &on_disk);
+    let decoded = PoolStats::snapshot().delta(&stats);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!((on_disk.stats().disk_hits, on_disk.stats().misses), (6, 0));
+    assert_eq!(
+        (decoded.jobs, decoded.items, decoded.participants),
+        (1, 6, 4),
+        "disk entries must decode on the sweep's threads, not serially on the caller"
     );
 }

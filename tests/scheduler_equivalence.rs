@@ -282,7 +282,7 @@ fn wheel_and_heap_render_byte_identical_perfetto_traces() {
     }
 }
 
-/// Rendering inside pool workers must not perturb the traces either: the
+/// Rendering on `par_map` helper threads must not perturb the traces either: the
 /// same configs produce the same documents whether the sweep runs on one
 /// thread or four.
 #[test]

@@ -7,7 +7,9 @@
 use incast_bursts::core_api::modes::ModesConfig;
 use incast_bursts::core_api::production::{run_fleet_with, FleetConfig};
 use incast_bursts::core_api::stability::{run_stability_with, StabilityConfig};
-use incast_bursts::core_api::{run_incast_sweep, IncastSweepAggregate, RunCache};
+use incast_bursts::core_api::{
+    run_incast_cached, run_incast_sweep, IncastSweepAggregate, RunCache,
+};
 use incast_bursts::simnet::SimTime;
 use incast_bursts::workload::ServiceId;
 
@@ -46,6 +48,47 @@ fn digest_is_byte_identical_across_threads_and_cache_temperature() {
     }
     for d in &digests[1..] {
         assert_eq!(d, &digests[0], "sweep aggregate diverged:\n{digests:#?}");
+    }
+}
+
+#[test]
+fn partially_warm_sweep_serves_hits_and_simulates_only_the_rest() {
+    let cfgs = fig5_style_cfgs();
+    let all_cold = digest_of(&cfgs, 1, &RunCache::in_memory());
+    let warm = cfgs.len() / 2;
+    assert!(0 < warm && warm < cfgs.len());
+    for threads in [1usize, 4] {
+        let cache = RunCache::in_memory();
+        run_incast_sweep(&cfgs[..warm], threads, &cache);
+        let before = cache.stats();
+        let runs = run_incast_sweep(&cfgs, threads, &cache);
+        let after = cache.stats();
+        assert_eq!(after.mem_hits - before.mem_hits, warm as u64);
+        assert_eq!(after.misses - before.misses, (cfgs.len() - warm) as u64);
+        // Config order: every result is the cache's entry for its config.
+        for (cfg, run) in cfgs.iter().zip(&runs) {
+            assert!(std::sync::Arc::ptr_eq(run, &run_incast_cached(cfg, &cache)));
+        }
+        let digest = IncastSweepAggregate::from_runs(runs.iter().map(|r| &**r)).digest();
+        assert_eq!(digest, all_cold, "threads={threads}");
+
+        // A panicking run names its index in the caller's slice, however
+        // many configs ahead of it the cache served.
+        let mut poisoned = cfgs.clone();
+        poisoned.push(ModesConfig {
+            burst_duration_ms: -1.0,
+            ..cfgs[0].clone()
+        });
+        let label = format!("(({}, ModesConfig {{", cfgs.len());
+        for cache in [RunCache::in_memory(), cache] {
+            let payload = std::panic::catch_unwind(|| run_incast_sweep(&poisoned, threads, &cache))
+                .expect_err("the poisoned config must abort the sweep");
+            let msg = payload.downcast_ref::<String>().expect("labelled payload");
+            assert!(
+                msg.starts_with("sweep item ") && msg.contains(&label),
+                "{msg}"
+            );
+        }
     }
 }
 
