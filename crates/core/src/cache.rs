@@ -9,7 +9,29 @@
 //! `Debug` rendering of its config (every field, in declaration order, so
 //! two configs differing in any one field get different keys), prefixed
 //! with a kind + schema version; the 64-bit FNV-1a hash of that key names
-//! the on-disk entry.
+//! the entry, on disk and in memory.
+//!
+//! The canonical key is what a *file* is named and checked by, and what the
+//! raw `&str` API ([`RunCache::get_or_compute`], [`RunCache::get`]) takes.
+//! It is not what a warm incast hit pays for: a resident incast run has two
+//! addresses that reach one entry. The sweep engine and the supervisor ask
+//! with the [`ModesConfig`] itself — an [`incast_fingerprint`] over its leaf
+//! fields finds the entry and `==` against the config the entry owns
+//! confirms it, no key rendered, nothing allocated — and render the key only
+//! on a miss, once, to name the file and the new entry. A caller holding a
+//! rendered key reaches the same entry by name; an entry owned by a config
+//! answers it by rendering that config (exact, ≈ 2 µs, paid by the raw API
+//! alone). Either way the owner is verified before the value is touched, so
+//! a fingerprint or name shared by two different runs degrades to a
+//! recompute, never a wrong result:
+//! - two configs under one fingerprint: the later one takes the slot; the
+//!   other is still found by name, at a key render per lookup;
+//! - two keys under one name: the second is computed on every lookup and
+//!   never stored;
+//! - a config that is not equal to itself (a `NaN` field) fails the `==`
+//!   and is found through its rendered key like a raw caller's;
+//! - `0.0` and `-0.0` are `==` but render differently; the fingerprint
+//!   folds floats by `to_bits`, so they stay two entries.
 //!
 //! Two layers:
 //! - **in-memory** — always on; `Arc`-shared values per process.
@@ -27,19 +49,25 @@
 //! across cache states.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::hash::Hasher;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::modes::{IncastRunResult, ModesConfig, TruncationCause};
+use crate::modes::{
+    FaultSpec, IncastRunResult, MitigationKind, MitigationSpec, ModesConfig, TopologySpec,
+    TruncationCause,
+};
 use crate::production::TraceConfig;
 use millisampler::{BurstRow, CtrlTallies, TraceSummary};
-use simnet::SimTime;
+use simnet::{BufferPolicy, FxHashMap, FxHasher, QueueConfig, SimTime};
 use stats::TimeSeries;
 use telemetry::json::{write_f64, Obj};
 use telemetry::{EventTallies, LoopProfile};
+use transport::{CcaKind, DelayedAckConfig, PacingConfig, TcpConfig, TransportKind};
 use workload::SnapshotModel;
+use workload::{BurstSchedule, Grouping};
 
 /// Bumped whenever an encoding or a simulation-visible default changes, so
 /// stale disk entries from older schemas miss instead of decode.
@@ -71,9 +99,250 @@ pub fn fnv1a64(s: &str) -> u64 {
 /// Canonical key of an incast run (`crates/core/src/modes.rs`). The
 /// `Debug` rendering covers every `ModesConfig` field — topology (flows,
 /// queue, buffer), `TcpConfig`, workload (bursts, schedule, grouping), and
-/// seed — so any single-field change produces a different key.
+/// seed — so any single-field change produces a different key. Rendered
+/// where a file is named or compared and for the raw `&str` API; a memory
+/// hit asked for by config never renders it.
 pub fn incast_key(cfg: &ModesConfig) -> String {
     format!("incast/v{CACHE_SCHEMA_VERSION}|{cfg:?}")
+}
+
+/// Folds config leaves into an [`incast_fingerprint`], one word each.
+#[derive(Default)]
+struct Fold(FxHasher);
+
+impl Fold {
+    fn word(&mut self, w: u64) {
+        self.0.write_u64(w);
+    }
+
+    /// By bit pattern: `0.0` / `-0.0` and two `NaN`s fold as they render.
+    fn float(&mut self, v: f64) {
+        self.word(v.to_bits());
+    }
+
+    fn time(&mut self, t: SimTime) {
+        self.word(t.0);
+    }
+
+    /// A tag word first, so `None` and `Some` of an all-zero payload differ.
+    fn opt<T: Copy>(&mut self, v: &Option<T>, some: impl FnOnce(&mut Self, T)) {
+        match *v {
+            None => self.word(0),
+            Some(x) => {
+                self.word(1);
+                some(self, x);
+            }
+        }
+    }
+}
+
+/// 64-bit fingerprint of an incast config: where the memory layer looks for
+/// a resident run before any key is rendered. Every struct is destructured
+/// without `..` and every enum matched without `_`, so a new field or
+/// variant does not compile until it is folded in here. It only has to
+/// spread configs out: a hit is confirmed with `==` against the stored
+/// config (a derive, which picks new fields up by itself), so a leaf folded
+/// badly costs a key render, never a wrong result.
+pub fn incast_fingerprint(cfg: &ModesConfig) -> u64 {
+    let ModesConfig {
+        num_flows,
+        topology,
+        burst_duration_ms,
+        num_bursts,
+        warmup_bursts,
+        gap,
+        tcp,
+        tor_queue,
+        receiver_tor_buffer,
+        queue_sample,
+        flight_sample,
+        grouping,
+        schedule,
+        seed,
+        horizon,
+        faults,
+        mitigation,
+    } = cfg;
+    let mut h = Fold::default();
+    h.word(*num_flows as u64);
+    match *topology {
+        TopologySpec::Dumbbell => h.word(0),
+        TopologySpec::Clos { racks, spines } => {
+            h.word(1);
+            h.word(racks as u64);
+            h.word(spines as u64);
+        }
+    }
+    h.float(*burst_duration_ms);
+    h.word(*num_bursts as u64);
+    h.word(*warmup_bursts as u64);
+    h.time(*gap);
+
+    let TcpConfig {
+        transport,
+        mss,
+        init_cwnd_segs,
+        min_cwnd_segs,
+        cca,
+        initial_rto,
+        min_rto,
+        max_rto,
+        pto_granularity,
+        delayed_ack,
+        flight_sample_interval,
+        pacing,
+        idle_restart_after,
+    } = tcp;
+    h.word(match transport {
+        TransportKind::Tcp => 0,
+        TransportKind::Quic => 1,
+    });
+    h.word(*mss as u64);
+    h.word(*init_cwnd_segs as u64);
+    h.word(*min_cwnd_segs as u64);
+    match *cca {
+        CcaKind::Dctcp { g } => {
+            h.word(0);
+            h.float(g);
+        }
+        CcaKind::Reno => h.word(1),
+        CcaKind::Cubic => h.word(2),
+        CcaKind::DctcpMemory { g, memory_gain } => {
+            h.word(3);
+            h.float(g);
+            h.float(memory_gain);
+        }
+        CcaKind::DctcpGuardrail { g, max_cwnd_segs } => {
+            h.word(4);
+            h.float(g);
+            h.word(max_cwnd_segs as u64);
+        }
+        CcaKind::SwiftLike { target_us } => {
+            h.word(5);
+            h.word(target_us);
+        }
+    }
+    h.time(*initial_rto);
+    h.time(*min_rto);
+    h.time(*max_rto);
+    h.time(*pto_granularity);
+    h.opt(delayed_ack, |h, d| {
+        let DelayedAckConfig {
+            max_segments,
+            timeout,
+        } = d;
+        h.word(max_segments as u64);
+        h.time(timeout);
+    });
+    h.opt(flight_sample_interval, Fold::time);
+    h.opt(pacing, |h, p| {
+        let PacingConfig { min_cwnd_fraction } = p;
+        h.float(min_cwnd_fraction);
+    });
+    h.opt(idle_restart_after, Fold::time);
+
+    let QueueConfig {
+        capacity_bytes,
+        capacity_pkts,
+        ecn_threshold_pkts,
+        ecn_threshold_bytes,
+    } = tor_queue;
+    h.word(*capacity_bytes);
+    h.opt(capacity_pkts, |h, n| h.word(n as u64));
+    h.opt(ecn_threshold_pkts, |h, n| h.word(n as u64));
+    h.opt(ecn_threshold_bytes, Fold::word);
+
+    h.opt(receiver_tor_buffer, |h, (bytes, policy)| {
+        h.word(bytes);
+        match policy {
+            BufferPolicy::StaticPool => h.word(0),
+            BufferPolicy::DynamicThreshold { alpha } => {
+                h.word(1);
+                h.float(alpha);
+            }
+        }
+    });
+    h.time(*queue_sample);
+    h.opt(flight_sample, Fold::time);
+    h.opt(grouping, |h, g| {
+        let Grouping {
+            group_size,
+            group_gap,
+        } = g;
+        h.word(group_size as u64);
+        h.time(group_gap);
+    });
+    match *schedule {
+        BurstSchedule::AfterCompletion { gap } => {
+            h.word(0);
+            h.time(gap);
+        }
+        BurstSchedule::Periodic { period } => {
+            h.word(1);
+            h.time(period);
+        }
+    }
+    h.word(*seed);
+    h.time(*horizon);
+
+    let FaultSpec {
+        blackhole,
+        loss,
+        corrupt,
+        ecn_off,
+        buffer_shrink,
+        straggler,
+        spine_blackhole,
+        spine_loss,
+    } = faults;
+    let window = |h: &mut Fold, (from, until): (SimTime, SimTime)| {
+        h.time(from);
+        h.time(until);
+    };
+    let lossy = |h: &mut Fold, (from, until, p): (SimTime, SimTime, f64)| {
+        window(h, (from, until));
+        h.float(p);
+    };
+    let indexed = |h: &mut Fold, (from, until, index): (SimTime, SimTime, u32)| {
+        window(h, (from, until));
+        h.word(index as u64);
+    };
+    h.opt(blackhole, window);
+    h.opt(loss, lossy);
+    h.opt(corrupt, lossy);
+    h.opt(ecn_off, window);
+    h.opt(buffer_shrink, |h, (from, until, bytes)| {
+        window(h, (from, until));
+        h.word(bytes);
+    });
+    h.opt(straggler, indexed);
+    h.opt(spine_blackhole, indexed);
+    h.opt(spine_loss, |h, (from, until, spine, p)| {
+        indexed(h, (from, until, spine));
+        h.float(p);
+    });
+
+    let MitigationSpec {
+        kind,
+        notif_loss,
+        flow_threshold,
+        window_us,
+        pause_us,
+        retry_timeout_us,
+        max_retries,
+    } = mitigation;
+    h.word(match kind {
+        MitigationKind::Off => 0,
+        MitigationKind::Pulser => 1,
+        MitigationKind::Distributed => 2,
+    });
+    h.float(*notif_loss);
+    h.word(*flow_threshold as u64);
+    h.word(*window_us);
+    h.word(*pause_us);
+    h.word(*retry_timeout_us);
+    h.word(*max_retries as u64);
+    h.0.finish()
 }
 
 /// Canonical key of a service host-trace where the snapshot model is
@@ -163,11 +432,50 @@ impl CacheStats {
     }
 }
 
+/// What produced a resident entry, and so what a lookup is checked against
+/// before the value is handed out.
+enum Owner {
+    /// Inserted by config ([`RunCache::get_or_compute_incast`]): compared
+    /// with `==` on the hit path, rendered only to answer a raw-key lookup.
+    /// Boxed: 640 bytes, about half of the key it stands in for.
+    Config(Box<ModesConfig>),
+    /// Inserted through the raw `&str` API: the canonical key itself.
+    Key(Box<str>),
+}
+
+impl Owner {
+    fn config(cfg: &ModesConfig) -> Owner {
+        Owner::Config(Box::new(cfg.clone()))
+    }
+
+    /// Whether `key` is this owner's canonical key.
+    fn renders(&self, key: &str) -> bool {
+        match self {
+            Owner::Config(cfg) => incast_key(cfg) == key,
+            Owner::Key(k) => **k == *key,
+        }
+    }
+}
+
+struct Resident {
+    owner: Owner,
+    value: Arc<dyn Any + Send + Sync>,
+}
+
+/// The memory layer: one entry per run under its disk name (`fnv1a64` of
+/// the canonical key), plus where each config-owned entry's fingerprint
+/// points. Neither map is iterated.
+#[derive(Default)]
+struct Memory {
+    by_name: FxHashMap<u64, Resident>,
+    by_fingerprint: FxHashMap<u64, u64>,
+}
+
 /// The memoization store: a typed in-memory map plus the optional disk
 /// layer. Thread-safe; sweep threads call [`Self::get_or_compute`]
 /// concurrently.
 pub struct RunCache {
-    mem: Mutex<HashMap<String, Arc<dyn Any + Send + Sync>>>,
+    mem: Mutex<Memory>,
     disk_dir: Option<PathBuf>,
     mem_hits: AtomicU64,
     disk_hits: AtomicU64,
@@ -176,11 +484,13 @@ pub struct RunCache {
     disk_retries: AtomicU64,
 }
 
+const TYPE_MIXUP: &str = "cache key reused with a different value type";
+
 impl RunCache {
     /// A cache with only the in-memory layer.
     pub fn in_memory() -> Self {
         RunCache {
-            mem: Mutex::new(HashMap::new()),
+            mem: Mutex::new(Memory::default()),
             disk_dir: None,
             mem_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
@@ -220,61 +530,157 @@ impl RunCache {
     /// returns it. Two threads racing on a cold key may both compute; the
     /// first insert wins and both observe the same pure result.
     pub fn get_or_compute<V: CacheValue>(&self, key: &str, compute: impl FnOnce() -> V) -> Arc<V> {
-        if let Some(hit) = self.lookup::<V>(key) {
+        let name = fnv1a64(key);
+        let owner = || Owner::Key(key.into());
+        if let Some(hit) = self.lookup::<V>(name, key, owner) {
             return hit;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let value = Arc::new(compute());
-        self.disk_put(key, &*value);
-        self.intern(key, value)
+        self.fill(name, key, owner, compute())
     }
 
-    /// Cache-only probe: both layers, no compute. Used by the supervised
-    /// runner, which must decide *after* a miss whether the freshly
-    /// computed result is cacheable (truncated runs are not).
+    /// Cache-only probe by canonical key: both layers, no compute.
     pub fn get<V: CacheValue>(&self, key: &str) -> Option<Arc<V>> {
-        self.lookup(key)
+        self.lookup(fnv1a64(key), key, || Owner::Key(key.into()))
     }
 
-    /// The memory layer alone: a key render's worth of work, never a file
-    /// read. What a sweep's calling thread probes before it hands the rest
-    /// to other threads (a disk entry costs milliseconds to decode, so those
-    /// stay parallel).
-    pub(crate) fn get_resident<V: CacheValue>(&self, key: &str) -> Option<Arc<V>> {
+    /// [`Self::get_or_compute`] for an incast run, addressed by the config
+    /// itself: a memory hit renders no key and allocates nothing; a miss
+    /// renders the key once, for the disk layer and the new entry's name.
+    pub fn get_or_compute_incast(
+        &self,
+        cfg: &ModesConfig,
+        compute: impl FnOnce() -> IncastRunResult,
+    ) -> Arc<IncastRunResult> {
+        match self.probe_incast(cfg) {
+            Ok(hit) => hit,
+            Err(key) => self.fill_incast(cfg, &key, compute()),
+        }
+    }
+
+    /// The memory layer alone, by config: a fingerprint, a map lookup and
+    /// an `==`, never a key render or a file read. What a sweep's calling
+    /// thread probes before it hands the rest to other threads (a disk
+    /// entry costs milliseconds to decode, so those stay parallel).
+    pub(crate) fn get_resident_incast(&self, cfg: &ModesConfig) -> Option<Arc<IncastRunResult>> {
+        let fingerprint = incast_fingerprint(cfg);
         let mem = self.mem.lock().expect("cache map");
-        let v = mem
-            .get(key)?
+        let held = mem.by_name.get(mem.by_fingerprint.get(&fingerprint)?)?;
+        match &held.owner {
+            Owner::Config(owner) if **owner == *cfg => {}
+            _ => return None,
+        }
+        let v = held
+            .value
             .clone()
-            .downcast::<V>()
-            .expect("cache key reused with a different value type");
+            .downcast::<IncastRunResult>()
+            .expect("only incast results are inserted by config");
         self.mem_hits.fetch_add(1, Ordering::Relaxed);
         Some(v)
     }
 
-    /// Both layers, promoting disk hits into memory.
-    fn lookup<V: CacheValue>(&self, key: &str) -> Option<Arc<V>> {
-        if let Some(v) = self.get_resident(key) {
+    /// Cache-only probe by config: both layers, no compute. A miss hands
+    /// back the canonical key it had to render, for [`Self::fill_incast`] —
+    /// the supervised runner decides *after* a miss whether the freshly
+    /// computed result is cacheable (truncated runs are not).
+    pub(crate) fn probe_incast(&self, cfg: &ModesConfig) -> Result<Arc<IncastRunResult>, String> {
+        if let Some(hit) = self.get_resident_incast(cfg) {
+            return Ok(hit);
+        }
+        let key = incast_key(cfg);
+        self.lookup(fnv1a64(&key), &key, || Owner::config(cfg))
+            .ok_or(key)
+    }
+
+    /// Stores the result of a run [`Self::probe_incast`] missed, under the
+    /// key that probe rendered; counts the miss.
+    pub(crate) fn fill_incast(
+        &self,
+        cfg: &ModesConfig,
+        key: &str,
+        value: IncastRunResult,
+    ) -> Arc<IncastRunResult> {
+        self.fill(fnv1a64(key), key, || Owner::config(cfg), value)
+    }
+
+    /// The memory layer by name. The owner is checked before the value is
+    /// touched: a name held by another key is a miss, and only a value of
+    /// the wrong type under the *right* key is a caller's bug.
+    fn resident<V: CacheValue>(&self, name: u64, key: &str) -> Option<Arc<V>> {
+        let mem = self.mem.lock().expect("cache map");
+        let held = mem.by_name.get(&name)?;
+        if !held.owner.renders(key) {
+            return None;
+        }
+        let v = held.value.clone().downcast::<V>().expect(TYPE_MIXUP);
+        self.mem_hits.fetch_add(1, Ordering::Relaxed);
+        Some(v)
+    }
+
+    /// Both layers by name and key, promoting a disk hit into memory under
+    /// `owner()` (built only when an entry is).
+    fn lookup<V: CacheValue>(
+        &self,
+        name: u64,
+        key: &str,
+        owner: impl FnOnce() -> Owner,
+    ) -> Option<Arc<V>> {
+        if let Some(v) = self.resident(name, key) {
             return Some(v);
         }
-        let v = self.disk_get::<V>(key)?;
+        let v = self.disk_get::<V>(name, key)?;
         self.disk_hits.fetch_add(1, Ordering::Relaxed);
-        Some(self.intern(key, v))
+        Some(self.intern(name, key, owner, v))
     }
 
-    /// Inserts unless another thread won the race; returns the resident
-    /// value either way.
-    fn intern<V: CacheValue>(&self, key: &str, value: Arc<V>) -> Arc<V> {
+    /// A computed value enters both layers; counts the miss.
+    fn fill<V: CacheValue>(
+        &self,
+        name: u64,
+        key: &str,
+        owner: impl FnOnce() -> Owner,
+        value: V,
+    ) -> Arc<V> {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let value = Arc::new(value);
+        self.disk_put(name, key, &*value);
+        self.intern(name, key, owner, value)
+    }
+
+    /// Inserts unless another thread won the race, and returns the resident
+    /// value either way — except under a name another key already holds,
+    /// where `value` goes back to the caller uncached.
+    fn intern<V: CacheValue>(
+        &self,
+        name: u64,
+        key: &str,
+        owner: impl FnOnce() -> Owner,
+        value: Arc<V>,
+    ) -> Arc<V> {
         let mut mem = self.mem.lock().expect("cache map");
-        mem.entry(key.to_string())
-            .or_insert(value)
-            .clone()
-            .downcast::<V>()
-            .expect("cache key reused with a different value type")
+        let Memory {
+            by_name,
+            by_fingerprint,
+        } = &mut *mem;
+        match by_name.entry(name) {
+            Entry::Occupied(held) if !held.get().owner.renders(key) => value,
+            Entry::Occupied(held) => held.get().value.clone().downcast::<V>().expect(TYPE_MIXUP),
+            Entry::Vacant(slot) => {
+                let owner = owner();
+                if let Owner::Config(cfg) = &owner {
+                    by_fingerprint.insert(incast_fingerprint(cfg), name);
+                }
+                slot.insert(Resident {
+                    owner,
+                    value: value.clone(),
+                });
+                value
+            }
+        }
     }
 
-    fn disk_get<V: CacheValue>(&self, key: &str) -> Option<Arc<V>> {
+    fn disk_get<V: CacheValue>(&self, name: u64, key: &str) -> Option<Arc<V>> {
         let dir = self.disk_dir.as_ref()?;
-        let body = std::fs::read_to_string(dir.join(entry_name(key))).ok()?;
+        let body = std::fs::read_to_string(dir.join(entry_name(name))).ok()?;
         let (meta, rest) = body.split_once('\n')?;
         // Verbatim meta comparison: schema, build, and the *full* key must
         // match, so hash collisions and stale builds miss.
@@ -291,11 +697,11 @@ impl RunCache {
     /// killed mid-write leaves only an ignored `.tmp` behind) — and
     /// transient errors are retried with backoff (counted in
     /// [`CacheStats::disk_retries`]).
-    fn disk_put<V: CacheValue>(&self, key: &str, value: &V) {
+    fn disk_put<V: CacheValue>(&self, name: u64, key: &str, value: &V) {
         let Some(dir) = self.disk_dir.as_ref() else {
             return;
         };
-        let name = entry_name(key);
+        let name = entry_name(name);
         let tmp = dir.join(format!(".{name}.{}.tmp", std::process::id()));
         let dst = dir.join(name);
         let body = format!("{}\n{}\n", meta_line(key), value.encode());
@@ -322,15 +728,16 @@ impl RunCache {
             mem_hits: self.mem_hits.load(Ordering::Relaxed),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.mem.lock().expect("cache map").len() as u64,
+            entries: self.mem.lock().expect("cache map").by_name.len() as u64,
             disk_writes: self.disk_writes.load(Ordering::Relaxed),
             disk_retries: self.disk_retries.load(Ordering::Relaxed),
         }
     }
 }
 
-fn entry_name(key: &str) -> String {
-    format!("{:016x}.jsonl", fnv1a64(key))
+/// File name of the entry whose canonical key hashes to `name`.
+fn entry_name(name: u64) -> String {
+    format!("{name:016x}.jsonl")
 }
 
 fn meta_line(key: &str) -> String {
@@ -751,6 +1158,153 @@ mod tests {
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }
 
+    /// A stand-in for a run, told apart by its drop count.
+    fn run_with_drops(drops: u64) -> IncastRunResult {
+        let line = format!(
+            "{{\"bcts\":[1],\"mean\":1,\"q_iv\":1,\"q_v\":[],\"win\":[],\"drops\":{drops},\
+             \"marked\":0,\"enq\":0,\"retx\":0,\"to\":0,\"fr\":0,\"s_drops\":0,\"s_to\":0,\
+             \"s_retx\":0,\"warm\":0,\"wmark\":0,\"f_iv\":0,\"flights\":[],\"fin_ps\":0,\"k\":0,\
+             \"trunc\":0,\"p_tx\":0,\"p_dl\":0,\"p_tm\":0,\"p_ft\":0,\"p_ct\":0,\"p_wall_ns\":0}}"
+        );
+        IncastRunResult::decode(&line).expect("well-formed stand-in")
+    }
+
+    fn seeded(seed: u64) -> ModesConfig {
+        ModesConfig {
+            seed,
+            ..ModesConfig::default()
+        }
+    }
+
+    fn must_hit() -> IncastRunResult {
+        panic!("a resident run was recomputed")
+    }
+
+    #[test]
+    fn config_and_rendered_key_reach_one_entry() {
+        let cache = RunCache::in_memory();
+        let (a, b) = (seeded(1), seeded(2));
+
+        // In by config, out by rendered key.
+        let inserted = cache.get_or_compute_incast(&a, || run_with_drops(1));
+        let by_key = cache.get::<IncastRunResult>(&incast_key(&a)).expect("hit");
+        assert!(Arc::ptr_eq(&inserted, &by_key));
+        assert_eq!(cache.stats().mem_hits, 1);
+        let by_key = cache.get_or_compute(&incast_key(&a), must_hit);
+        assert!(Arc::ptr_eq(&inserted, &by_key));
+        assert_eq!(cache.stats().mem_hits, 2);
+
+        // In by rendered key, out by config.
+        let inserted = cache.get_or_compute(&incast_key(&b), || run_with_drops(2));
+        let by_cfg = cache.get_or_compute_incast(&b, must_hit);
+        assert!(Arc::ptr_eq(&inserted, &by_cfg));
+        assert_eq!(cache.stats().mem_hits, 3);
+        let by_cfg = cache.probe_incast(&b).expect("hit");
+        assert_eq!(by_cfg.drops, 2);
+
+        // One count per lookup, each run resident once.
+        let s = cache.stats();
+        assert_eq!((s.mem_hits, s.misses, s.entries), (4, 2, 2));
+        assert_eq!(cache.get_resident_incast(&a).expect("hit").drops, 1);
+        assert_eq!(cache.stats().mem_hits, 5);
+    }
+
+    #[test]
+    fn nan_config_hits_through_its_key_and_signed_zeros_stay_two_entries() {
+        let cache = RunCache::in_memory();
+        let nan = ModesConfig {
+            burst_duration_ms: f64::NAN,
+            ..ModesConfig::default()
+        };
+        let same = nan.clone();
+        assert_ne!(nan, same, "a NaN field makes a config unequal to itself");
+        let first = cache.get_or_compute_incast(&nan, || run_with_drops(1));
+        let again = cache.get_or_compute_incast(&same, must_hit);
+        assert!(Arc::ptr_eq(&first, &again));
+        let by_key = cache.get_or_compute(&incast_key(&nan), must_hit);
+        assert!(Arc::ptr_eq(&first, &by_key));
+        let s = cache.stats();
+        assert_eq!((s.mem_hits, s.misses, s.entries), (2, 1, 1));
+
+        let zero = |z: f64| {
+            let mut cfg = ModesConfig::default();
+            cfg.mitigation.notif_loss = z;
+            cfg
+        };
+        let (pos, neg) = (zero(0.0), zero(-0.0));
+        assert_eq!(pos, neg, "IEEE zeros compare equal");
+        assert_ne!(incast_key(&pos), incast_key(&neg));
+        assert_ne!(incast_fingerprint(&pos), incast_fingerprint(&neg));
+        cache.get_or_compute_incast(&pos, || run_with_drops(10));
+        assert_eq!(
+            cache
+                .get_or_compute_incast(&neg, || run_with_drops(20))
+                .drops,
+            20
+        );
+        assert_eq!(cache.get_or_compute_incast(&pos, must_hit).drops, 10);
+        assert_eq!(cache.get_or_compute_incast(&neg, must_hit).drops, 20);
+        assert_eq!(cache.stats().entries, 3);
+    }
+
+    #[test]
+    fn a_shared_fingerprint_or_name_recomputes_instead_of_answering_wrongly() {
+        let cache = RunCache::in_memory();
+        let (a, b, c) = (seeded(1), seeded(2), seeded(3));
+        let name_of = |cfg: &ModesConfig| fnv1a64(&incast_key(cfg));
+        cache.get_or_compute_incast(&a, || run_with_drops(1));
+
+        // Two configs under one fingerprint: `b`'s points at `a`'s entry.
+        cache
+            .mem
+            .lock()
+            .unwrap()
+            .by_fingerprint
+            .insert(incast_fingerprint(&b), name_of(&a));
+        assert_eq!(
+            cache.get_or_compute_incast(&b, || run_with_drops(2)).drops,
+            2
+        );
+        assert_eq!(cache.get_or_compute_incast(&a, must_hit).drops, 1);
+        assert_eq!(cache.get_or_compute_incast(&b, must_hit).drops, 2);
+        let s = cache.stats();
+        assert_eq!((s.misses, s.entries), (2, 2));
+
+        // Two keys under one name: `a`'s entry also sits where `c`'s would.
+        cache.mem.lock().unwrap().by_name.insert(
+            name_of(&c),
+            Resident {
+                owner: Owner::config(&a),
+                value: Arc::new(run_with_drops(1)),
+            },
+        );
+        for by_config in [true, false, true] {
+            let mut computed = false;
+            let compute = || {
+                computed = true;
+                run_with_drops(3)
+            };
+            let got = if by_config {
+                cache.get_or_compute_incast(&c, compute)
+            } else {
+                cache.get_or_compute(&incast_key(&c), compute)
+            };
+            assert_eq!(got.drops, 3);
+            assert!(computed, "the squatted name must never serve or store `c`");
+        }
+        // Not even a value of another type is a reason to panic there: the
+        // owner is checked before the downcast.
+        assert!(cache.get::<TraceSummary>(&incast_key(&c)).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "cache key reused with a different value type")]
+    fn one_key_asked_for_as_two_types_is_a_bug() {
+        let cache = RunCache::in_memory();
+        cache.get_or_compute("k", || run_with_drops(1));
+        cache.get::<TraceSummary>("k");
+    }
+
     #[test]
     fn disk_layer_round_trips_and_verifies_key() {
         let dir = std::env::temp_dir().join(format!("incast-cache-test-{}", std::process::id()));
@@ -779,8 +1333,8 @@ mod tests {
         assert_eq!(cache.stats().disk_hits, 1);
         // …and a *different* key whose file name would collide is refused
         // by the verbatim meta comparison (simulate by renaming).
-        let from = dir.join(entry_name("key-a"));
-        let to = dir.join(entry_name("key-b"));
+        let from = dir.join(entry_name(fnv1a64("key-a")));
+        let to = dir.join(entry_name(fnv1a64("key-b")));
         std::fs::rename(from, to).unwrap();
         let cache = RunCache::with_disk(&dir);
         let mut recomputed = false;

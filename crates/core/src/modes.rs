@@ -215,7 +215,7 @@ pub enum TopologySpec {
 }
 
 /// Configuration of one cyclic-incast run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModesConfig {
     /// Number of incast flows (N senders).
     pub num_flows: usize,

@@ -170,8 +170,9 @@ pub fn supervised_incast_sweep(
     }
 }
 
-/// One supervised run: cache probe, then a budgeted run under
-/// `catch_unwind`. Only complete runs enter the cache.
+/// One supervised run: cache probe by config (a hit renders no key), then
+/// a budgeted run under `catch_unwind`. Only complete runs enter the cache,
+/// under the key the missed probe rendered.
 ///
 /// The second element is the flight-recorder dump, if the run captured one
 /// (fault applied, budget truncation, invariant violation, or panic; always
@@ -184,16 +185,16 @@ fn supervised_run(
     cache: &RunCache,
     budget: Option<&RunBudget>,
 ) -> (RunOutcome, Option<String>) {
-    let key = incast_key(cfg);
-    if let Some(hit) = cache.get::<IncastRunResult>(&key) {
-        return (RunOutcome::Completed(hit), None);
-    }
+    let key = match cache.probe_incast(cfg) {
+        Ok(hit) => return (RunOutcome::Completed(hit), None),
+        Err(key) => key,
+    };
     let outcome = match catch_unwind(AssertUnwindSafe(|| {
         run_incast_budgeted_with::<TimingWheel>(cfg, None, budget).0
     })) {
         Ok(r) => match r.truncated {
             Some(cause) => RunOutcome::Truncated(cause, Box::new(r)),
-            None => RunOutcome::Completed(cache.get_or_compute(&key, move || r)),
+            None => RunOutcome::Completed(cache.fill_incast(cfg, &key, r)),
         },
         Err(p) => {
             let msg = panic_message(&*p);

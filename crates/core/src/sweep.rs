@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use crate::cache::{incast_key, RunCache};
+use crate::cache::RunCache;
 use crate::modes::{run_incast, IncastRunResult, ModesConfig};
 use crate::runner::par_map;
 use stats::{Histogram, QuantileSketch, Summary};
@@ -31,20 +31,21 @@ use telemetry::{LoopProfile, RunManifest};
 /// Runs one incast configuration through the cache: a hit returns the
 /// memoized result, a miss computes via [`run_incast`] and stores it.
 pub fn run_incast_cached(cfg: &ModesConfig, cache: &RunCache) -> Arc<IncastRunResult> {
-    cache.get_or_compute(&incast_key(cfg), || run_incast(cfg))
+    cache.get_or_compute_incast(cfg, || run_incast(cfg))
 }
 
 /// Runs a whole sweep, one cached run per config; results come back in
 /// config order regardless of thread count or cache state.
 ///
-/// A hit in the cache's memory layer costs a key render and a map lookup —
-/// far less than handing it to another thread — so the caller probes that
-/// layer itself and only the configs it does not hold go through
-/// [`par_map`]; a sweep the memory layer can serve starts no thread. Disk
-/// entries (a file read and a decode, milliseconds each) and simulations
-/// both happen there, in parallel. Keys are rendered and dropped one at a
-/// time. A panicking run's label carries its index in `cfgs` in front of
-/// its key, whatever the cache held.
+/// A hit in the cache's memory layer costs a fingerprint of the config, a
+/// map lookup and an `==` — no key rendered, nothing allocated, far less
+/// than handing it to another thread — so the caller probes that layer
+/// itself and only the configs it does not hold go through [`par_map`]; a
+/// sweep the memory layer can serve starts no thread. Disk entries (a file
+/// read and a decode, milliseconds each) and simulations both happen there,
+/// in parallel, each rendering its canonical key once. A panicking run's
+/// label carries its index in `cfgs` in front of its key, whatever the
+/// cache held.
 pub fn run_incast_sweep(
     cfgs: &[ModesConfig],
     threads: usize,
@@ -52,7 +53,7 @@ pub fn run_incast_sweep(
 ) -> Vec<Arc<IncastRunResult>> {
     let mut runs: Vec<Option<Arc<IncastRunResult>>> = cfgs
         .iter()
-        .map(|cfg| cache.get_resident(&incast_key(cfg)))
+        .map(|cfg| cache.get_resident_incast(cfg))
         .collect();
     let missing: Vec<(usize, &ModesConfig)> = cfgs
         .iter()

@@ -1,173 +1,509 @@
 //! Cache-correctness properties:
 //!
 //! 1. The canonical key is injective over config fields: two configs
-//!    differing in exactly one field — any field, including nested ones —
-//!    never collide into the same key string.
+//!    differing in exactly one field — any leaf, including nested ones —
+//!    never collide into the same key string, never compare equal, and
+//!    never share a fingerprint. The three addresses agree.
 //! 2. A cache hit is byte-identical to the cold run: the disk encoding of
 //!    a decoded entry equals the encoding of the freshly computed result,
 //!    so warm aggregates cannot drift.
 //! 3. Damaged entries and entries written under an older schema version
 //!    are misses, never panics or wrong decodes.
+//! 4. The disk address is pinned: the entry name and meta line of a config
+//!    are what they were before the memory layer stopped rendering keys,
+//!    whichever API wrote the entry.
 
-use incast_core::cache::{fnv1a64, incast_key, trace_key, CacheValue, RunCache};
-use incast_core::modes::{run_incast, MitigationKind, ModesConfig};
+use incast_core::cache::{
+    fnv1a64, incast_fingerprint, incast_key, trace_key, CacheValue, RunCache,
+};
+use incast_core::modes::{run_incast, MitigationKind, ModesConfig, TopologySpec};
 use incast_core::production::TraceConfig;
+use incast_core::{run_incast_cached, run_incast_sweep};
 use simnet::{BufferPolicy, SimTime};
+use transport::{CcaKind, DelayedAckConfig, PacingConfig, TransportKind};
 use workload::{BurstSchedule, Grouping, ServiceId};
 
-/// The base config plus one variant per `ModesConfig` field (nested
-/// structs perturbed through a representative inner field).
+/// The base config plus one variant per `ModesConfig` leaf: every field of
+/// every nested struct, and for enums and options the variant as well as
+/// each payload field.
 fn one_field_variants() -> Vec<(&'static str, ModesConfig)> {
-    let base = ModesConfig::default;
-    let mut v: Vec<(&'static str, ModesConfig)> = Vec::new();
-    v.push(("num_flows", {
-        let mut c = base();
-        c.num_flows += 1;
-        c
-    }));
-    v.push(("burst_duration_ms", {
-        let mut c = base();
-        c.burst_duration_ms += 0.5;
-        c
-    }));
-    v.push(("num_bursts", {
-        let mut c = base();
-        c.num_bursts += 1;
-        c
-    }));
-    v.push(("warmup_bursts", {
-        let mut c = base();
-        c.warmup_bursts += 1;
-        c
-    }));
-    v.push(("gap", {
-        let mut c = base();
-        c.gap = SimTime::from_ms(3);
-        c
-    }));
-    v.push(("tcp.mss", {
-        let mut c = base();
-        c.tcp.mss -= 6;
-        c
-    }));
-    v.push(("tcp.init_cwnd_segs", {
-        let mut c = base();
-        c.tcp.init_cwnd_segs += 1;
-        c
-    }));
-    v.push(("tor_queue.ecn_threshold_pkts", {
-        let mut c = base();
-        c.tor_queue.ecn_threshold_pkts = Some(66);
-        c
-    }));
-    v.push(("receiver_tor_buffer", {
-        let mut c = base();
-        c.receiver_tor_buffer = Some((4_000_000, BufferPolicy::DynamicThreshold { alpha: 1.0 }));
-        c
-    }));
-    v.push(("queue_sample", {
-        let mut c = base();
-        c.queue_sample = SimTime::from_us(21);
-        c
-    }));
-    v.push(("flight_sample", {
-        let mut c = base();
-        c.flight_sample = Some(SimTime::from_us(100));
-        c
-    }));
-    v.push(("grouping", {
-        let mut c = base();
-        c.grouping = Some(Grouping {
-            group_size: 10,
-            group_gap: SimTime::from_us(500),
-        });
-        c
-    }));
-    v.push(("schedule", {
-        let mut c = base();
-        c.schedule = BurstSchedule::Periodic {
-            period: SimTime::from_ms(17),
-        };
-        c
-    }));
-    v.push(("seed", {
-        let mut c = base();
-        c.seed += 1;
-        c
-    }));
-    v.push(("horizon", {
-        let mut c = base();
-        c.horizon = SimTime::from_secs(31);
-        c
-    }));
-    v.push(("faults.straggler", {
-        let mut c = base();
-        c.faults.straggler = Some((SimTime::from_ms(1), SimTime::from_ms(5), 0));
-        c
-    }));
-    v.push(("faults.blackhole", {
-        let mut c = base();
-        c.faults.blackhole = Some((SimTime::from_ms(1), SimTime::from_ms(5)));
-        c
-    }));
-    // Every control-plane field: flipping any one of them must produce a
-    // distinct run, so each must perturb the key on its own.
-    v.push(("mitigation.kind", {
-        let mut c = base();
-        c.mitigation.kind = MitigationKind::Pulser;
-        c
-    }));
-    v.push(("mitigation.kind (distributed)", {
-        let mut c = base();
-        c.mitigation.kind = MitigationKind::Distributed;
-        c
-    }));
-    v.push(("mitigation.notif_loss", {
-        let mut c = base();
-        c.mitigation.notif_loss = 0.5;
-        c
-    }));
-    v.push(("mitigation.flow_threshold", {
-        let mut c = base();
-        c.mitigation.flow_threshold += 1;
-        c
-    }));
-    v.push(("mitigation.window_us", {
-        let mut c = base();
-        c.mitigation.window_us += 50;
-        c
-    }));
-    v.push(("mitigation.pause_us", {
-        let mut c = base();
-        c.mitigation.pause_us += 50;
-        c
-    }));
-    v.push(("mitigation.retry_timeout_us", {
-        let mut c = base();
-        c.mitigation.retry_timeout_us += 50;
-        c
-    }));
-    v.push(("mitigation.max_retries", {
-        let mut c = base();
-        c.mitigation.max_retries += 1;
-        c
-    }));
-    v
+    let (from, until) = (SimTime::from_ms(1), SimTime::from_ms(5));
+    type Edit = Box<dyn Fn(&mut ModesConfig)>;
+    let edits: Vec<(&'static str, Edit)> = vec![
+        ("num_flows", Box::new(|c| c.num_flows += 1)),
+        (
+            "topology",
+            Box::new(|c| {
+                c.topology = TopologySpec::Clos {
+                    racks: 2,
+                    spines: 2,
+                }
+            }),
+        ),
+        (
+            "topology.racks",
+            Box::new(|c| {
+                c.topology = TopologySpec::Clos {
+                    racks: 3,
+                    spines: 2,
+                }
+            }),
+        ),
+        (
+            "topology.spines",
+            Box::new(|c| {
+                c.topology = TopologySpec::Clos {
+                    racks: 2,
+                    spines: 3,
+                }
+            }),
+        ),
+        (
+            "burst_duration_ms",
+            Box::new(|c| c.burst_duration_ms += 0.5),
+        ),
+        ("num_bursts", Box::new(|c| c.num_bursts += 1)),
+        ("warmup_bursts", Box::new(|c| c.warmup_bursts += 1)),
+        ("gap", Box::new(|c| c.gap = SimTime::from_ms(3))),
+        (
+            "tcp.transport",
+            Box::new(|c| c.tcp.transport = TransportKind::Quic),
+        ),
+        ("tcp.mss", Box::new(|c| c.tcp.mss -= 6)),
+        (
+            "tcp.init_cwnd_segs",
+            Box::new(|c| c.tcp.init_cwnd_segs += 1),
+        ),
+        ("tcp.min_cwnd_segs", Box::new(|c| c.tcp.min_cwnd_segs += 1)),
+        (
+            "tcp.cca.g",
+            Box::new(|c| c.tcp.cca = CcaKind::Dctcp { g: 0.125 }),
+        ),
+        ("tcp.cca (reno)", Box::new(|c| c.tcp.cca = CcaKind::Reno)),
+        ("tcp.cca (cubic)", Box::new(|c| c.tcp.cca = CcaKind::Cubic)),
+        (
+            "tcp.cca (memory)",
+            Box::new(|c| {
+                c.tcp.cca = CcaKind::DctcpMemory {
+                    g: 0.0625,
+                    memory_gain: 0.25,
+                }
+            }),
+        ),
+        (
+            "tcp.cca.memory_gain",
+            Box::new(|c| {
+                c.tcp.cca = CcaKind::DctcpMemory {
+                    g: 0.0625,
+                    memory_gain: 0.5,
+                }
+            }),
+        ),
+        (
+            "tcp.cca (guardrail)",
+            Box::new(|c| {
+                c.tcp.cca = CcaKind::DctcpGuardrail {
+                    g: 0.0625,
+                    max_cwnd_segs: 8,
+                }
+            }),
+        ),
+        (
+            "tcp.cca.max_cwnd_segs",
+            Box::new(|c| {
+                c.tcp.cca = CcaKind::DctcpGuardrail {
+                    g: 0.0625,
+                    max_cwnd_segs: 9,
+                }
+            }),
+        ),
+        (
+            "tcp.cca (swift)",
+            Box::new(|c| c.tcp.cca = CcaKind::SwiftLike { target_us: 50 }),
+        ),
+        (
+            "tcp.cca.target_us",
+            Box::new(|c| c.tcp.cca = CcaKind::SwiftLike { target_us: 51 }),
+        ),
+        (
+            "tcp.initial_rto",
+            Box::new(|c| c.tcp.initial_rto = SimTime::from_secs(2)),
+        ),
+        (
+            "tcp.min_rto",
+            Box::new(|c| c.tcp.min_rto = SimTime::from_ms(201)),
+        ),
+        (
+            "tcp.max_rto",
+            Box::new(|c| c.tcp.max_rto = SimTime::from_secs(61)),
+        ),
+        (
+            "tcp.pto_granularity",
+            Box::new(|c| c.tcp.pto_granularity = SimTime::from_ms(2)),
+        ),
+        (
+            "tcp.delayed_ack",
+            Box::new(|c| c.tcp.delayed_ack = Some(DelayedAckConfig::default())),
+        ),
+        (
+            "tcp.delayed_ack.max_segments",
+            Box::new(|c| {
+                c.tcp.delayed_ack = Some(DelayedAckConfig {
+                    max_segments: 3,
+                    ..DelayedAckConfig::default()
+                })
+            }),
+        ),
+        (
+            "tcp.delayed_ack.timeout",
+            Box::new(|c| {
+                c.tcp.delayed_ack = Some(DelayedAckConfig {
+                    timeout: SimTime::from_ms(2),
+                    ..DelayedAckConfig::default()
+                })
+            }),
+        ),
+        (
+            "tcp.flight_sample_interval",
+            Box::new(|c| c.tcp.flight_sample_interval = Some(SimTime::from_us(100))),
+        ),
+        (
+            "tcp.pacing",
+            Box::new(|c| c.tcp.pacing = Some(PacingConfig::default())),
+        ),
+        (
+            "tcp.pacing.min_cwnd_fraction",
+            Box::new(|c| {
+                c.tcp.pacing = Some(PacingConfig {
+                    min_cwnd_fraction: 0.125,
+                })
+            }),
+        ),
+        (
+            "tcp.idle_restart_after",
+            Box::new(|c| c.tcp.idle_restart_after = Some(SimTime::from_ms(1))),
+        ),
+        (
+            "tor_queue.capacity_bytes",
+            Box::new(|c| c.tor_queue.capacity_bytes += 1),
+        ),
+        (
+            "tor_queue.capacity_pkts",
+            Box::new(|c| c.tor_queue.capacity_pkts = Some(1334)),
+        ),
+        (
+            "tor_queue.capacity_pkts (none)",
+            Box::new(|c| c.tor_queue.capacity_pkts = None),
+        ),
+        (
+            "tor_queue.ecn_threshold_pkts",
+            Box::new(|c| c.tor_queue.ecn_threshold_pkts = Some(66)),
+        ),
+        (
+            "tor_queue.ecn_threshold_bytes",
+            Box::new(|c| c.tor_queue.ecn_threshold_bytes = Some(97_500)),
+        ),
+        (
+            "receiver_tor_buffer",
+            Box::new(|c| {
+                c.receiver_tor_buffer =
+                    Some((4_000_000, BufferPolicy::DynamicThreshold { alpha: 1.0 }))
+            }),
+        ),
+        (
+            "receiver_tor_buffer.bytes",
+            Box::new(|c| {
+                c.receiver_tor_buffer =
+                    Some((4_000_001, BufferPolicy::DynamicThreshold { alpha: 1.0 }))
+            }),
+        ),
+        (
+            "receiver_tor_buffer.alpha",
+            Box::new(|c| {
+                c.receiver_tor_buffer =
+                    Some((4_000_000, BufferPolicy::DynamicThreshold { alpha: 2.0 }))
+            }),
+        ),
+        (
+            "receiver_tor_buffer.policy",
+            Box::new(|c| c.receiver_tor_buffer = Some((4_000_000, BufferPolicy::StaticPool))),
+        ),
+        (
+            "queue_sample",
+            Box::new(|c| c.queue_sample = SimTime::from_us(21)),
+        ),
+        (
+            "flight_sample",
+            Box::new(|c| c.flight_sample = Some(SimTime::from_us(100))),
+        ),
+        (
+            "grouping",
+            Box::new(|c| {
+                c.grouping = Some(Grouping {
+                    group_size: 10,
+                    group_gap: SimTime::from_us(500),
+                })
+            }),
+        ),
+        (
+            "grouping.group_size",
+            Box::new(|c| {
+                c.grouping = Some(Grouping {
+                    group_size: 11,
+                    group_gap: SimTime::from_us(500),
+                })
+            }),
+        ),
+        (
+            "grouping.group_gap",
+            Box::new(|c| {
+                c.grouping = Some(Grouping {
+                    group_size: 10,
+                    group_gap: SimTime::from_us(501),
+                })
+            }),
+        ),
+        (
+            "schedule",
+            Box::new(|c| {
+                c.schedule = BurstSchedule::Periodic {
+                    period: SimTime::from_ms(17),
+                }
+            }),
+        ),
+        (
+            "schedule.gap",
+            Box::new(|c| {
+                c.schedule = BurstSchedule::AfterCompletion {
+                    gap: SimTime::from_ms(3),
+                }
+            }),
+        ),
+        ("seed", Box::new(|c| c.seed += 1)),
+        ("horizon", Box::new(|c| c.horizon = SimTime::from_secs(31))),
+        (
+            "faults.blackhole",
+            Box::new(move |c| c.faults.blackhole = Some((from, until))),
+        ),
+        (
+            "faults.loss",
+            Box::new(move |c| c.faults.loss = Some((from, until, 0.01))),
+        ),
+        (
+            "faults.loss.p",
+            Box::new(move |c| c.faults.loss = Some((from, until, 0.02))),
+        ),
+        (
+            "faults.corrupt",
+            Box::new(move |c| c.faults.corrupt = Some((from, until, 0.01))),
+        ),
+        (
+            "faults.ecn_off",
+            Box::new(move |c| c.faults.ecn_off = Some((from, until))),
+        ),
+        (
+            "faults.ecn_off.until",
+            Box::new(move |c| c.faults.ecn_off = Some((from, SimTime::from_ms(6)))),
+        ),
+        (
+            "faults.buffer_shrink",
+            Box::new(move |c| c.faults.buffer_shrink = Some((from, until, 100_000))),
+        ),
+        (
+            "faults.straggler",
+            Box::new(move |c| c.faults.straggler = Some((from, until, 0))),
+        ),
+        (
+            "faults.straggler.sender",
+            Box::new(move |c| c.faults.straggler = Some((from, until, 1))),
+        ),
+        (
+            "faults.spine_blackhole",
+            Box::new(move |c| c.faults.spine_blackhole = Some((from, until, 0))),
+        ),
+        (
+            "faults.spine_loss",
+            Box::new(move |c| c.faults.spine_loss = Some((from, until, 0, 0.01))),
+        ),
+        (
+            "faults.spine_loss.spine",
+            Box::new(move |c| c.faults.spine_loss = Some((from, until, 1, 0.01))),
+        ),
+        // Every control-plane field: flipping any one of them must produce a
+        // distinct run, so each must perturb the key on its own.
+        (
+            "mitigation.kind",
+            Box::new(|c| c.mitigation.kind = MitigationKind::Pulser),
+        ),
+        (
+            "mitigation.kind (distributed)",
+            Box::new(|c| c.mitigation.kind = MitigationKind::Distributed),
+        ),
+        (
+            "mitigation.notif_loss",
+            Box::new(|c| c.mitigation.notif_loss = 0.5),
+        ),
+        (
+            "mitigation.flow_threshold",
+            Box::new(|c| c.mitigation.flow_threshold += 1),
+        ),
+        (
+            "mitigation.window_us",
+            Box::new(|c| c.mitigation.window_us += 50),
+        ),
+        (
+            "mitigation.pause_us",
+            Box::new(|c| c.mitigation.pause_us += 50),
+        ),
+        (
+            "mitigation.retry_timeout_us",
+            Box::new(|c| c.mitigation.retry_timeout_us += 50),
+        ),
+        (
+            "mitigation.max_retries",
+            Box::new(|c| c.mitigation.max_retries += 1),
+        ),
+    ];
+    edits
+        .into_iter()
+        .map(|(name, edit)| {
+            let mut cfg = ModesConfig::default();
+            edit(&mut cfg);
+            (name, cfg)
+        })
+        .collect()
+}
+
+/// All three addresses of a config — rendered key, `==`, fingerprint — tell
+/// every pair of one-leaf variants apart.
+#[test]
+fn one_field_difference_never_collides() {
+    let mut cfgs = vec![("base", ModesConfig::default())];
+    cfgs.extend(one_field_variants());
+    for (i, (ni, a)) in cfgs.iter().enumerate() {
+        assert_eq!(a, a);
+        for (nj, b) in cfgs.iter().skip(i + 1) {
+            assert_ne!(
+                incast_key(a),
+                incast_key(b),
+                "keys of '{ni}' and '{nj}' collided"
+            );
+            assert_ne!(a, b, "'{ni}' and '{nj}' compare equal");
+            assert_ne!(
+                incast_fingerprint(a),
+                incast_fingerprint(b),
+                "fingerprints of '{ni}' and '{nj}' collided"
+            );
+        }
+    }
+}
+
+/// `fnv1a64(incast_key(&ModesConfig::default()))` and the key itself, as
+/// computed before resident runs were addressed by config (schema v4).
+const DEFAULT_NAME: u64 = 0x523f_d4f5_2c14_208f;
+const DEFAULT_KEY: &str = "incast/v4|ModesConfig { num_flows: 100, topology: Dumbbell, burst_duration_ms: 15.0, num_bursts: 11, warmup_bursts: 2, gap: SimTime(2000000000), tcp: TcpConfig { transport: Tcp, mss: 1446, init_cwnd_segs: 10, min_cwnd_segs: 1, cca: Dctcp { g: 0.0625 }, initial_rto: SimTime(1000000000000), min_rto: SimTime(200000000000), max_rto: SimTime(60000000000000), pto_granularity: SimTime(1000000000), delayed_ack: None, flight_sample_interval: None, pacing: None, idle_restart_after: None }, tor_queue: QueueConfig { capacity_bytes: 2000000, capacity_pkts: Some(1333), ecn_threshold_pkts: Some(65), ecn_threshold_bytes: None }, receiver_tor_buffer: None, queue_sample: SimTime(20000000), flight_sample: None, grouping: None, schedule: AfterCompletion { gap: SimTime(2000000000) }, seed: 1, horizon: SimTime(30000000000000), faults: FaultSpec { blackhole: None, loss: None, corrupt: None, ecn_off: None, buffer_shrink: None, straggler: None, spine_blackhole: None, spine_loss: None }, mitigation: MitigationSpec { kind: Off, notif_loss: 0.0, flow_threshold: 8, window_us: 100, pause_us: 150, retry_timeout_us: 100, max_retries: 5 } }";
+
+fn tmp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "incast-cache-{tag}-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A stand-in for a run, told apart by its drop count: what the address
+/// tests store where simulating would add nothing.
+fn fake_run(drops: u64) -> incast_core::IncastRunResult {
+    let line = format!(
+        "{{\"bcts\":[1],\"mean\":1,\"q_iv\":1,\"q_v\":[],\"win\":[],\"drops\":{drops},\
+         \"marked\":0,\"enq\":0,\"retx\":0,\"to\":0,\"fr\":0,\"s_drops\":0,\"s_to\":0,\
+         \"s_retx\":0,\"warm\":0,\"wmark\":0,\"f_iv\":0,\"flights\":[],\"fin_ps\":0,\"k\":0,\
+         \"trunc\":0,\"p_tx\":0,\"p_dl\":0,\"p_tm\":0,\"p_ft\":0,\"p_ct\":0,\"p_wall_ns\":0}}"
+    );
+    CacheValue::decode(&line).expect("well-formed stand-in")
 }
 
 #[test]
-fn one_field_difference_never_collides() {
-    let base_key = incast_key(&ModesConfig::default());
-    let variants = one_field_variants();
-    let mut keys = vec![("base", base_key)];
-    for (name, cfg) in &variants {
-        keys.push((name, incast_key(cfg)));
-    }
-    for (i, (ni, ki)) in keys.iter().enumerate() {
-        for (nj, kj) in keys.iter().skip(i + 1) {
-            assert_ne!(ki, kj, "configs '{ni}' and '{nj}' collided: {ki}");
+fn disk_address_of_the_default_config_is_pinned() {
+    let cfg = ModesConfig::default();
+    assert_eq!(incast_key(&cfg), DEFAULT_KEY);
+    assert_eq!(fnv1a64(DEFAULT_KEY), DEFAULT_NAME);
+    // No string in a config's rendering needs JSON escaping, so the meta
+    // line is the three fields verbatim.
+    let meta = format!(
+        r#"{{"v":4,"build":"{}","key":"{DEFAULT_KEY}"}}"#,
+        telemetry::git_describe()
+    );
+    // Either API writes that name and that first line.
+    for by_config in [true, false] {
+        let dir = tmp_dir("pin");
+        let cache = RunCache::with_disk(&dir);
+        if by_config {
+            cache.get_or_compute_incast(&cfg, || fake_run(7));
+        } else {
+            cache.get_or_compute(DEFAULT_KEY, || fake_run(7));
         }
+        assert_eq!(cache.stats().disk_writes, 1);
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("cache dir")
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(names, [format!("{DEFAULT_NAME:016x}.jsonl")]);
+        let body = std::fs::read_to_string(dir.join(&names[0])).unwrap();
+        assert_eq!(
+            body.lines().next(),
+            Some(meta.as_str()),
+            "by_config={by_config}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A directory written through the raw key API serves a config-addressed
+/// sweep entirely from disk, and the reverse: the two APIs share one disk
+/// format.
+#[test]
+fn raw_and_config_apis_read_each_others_disk_entries() {
+    let cfgs: Vec<ModesConfig> = (0..3)
+        .map(|seed| ModesConfig {
+            num_flows: 4,
+            burst_duration_ms: 0.5,
+            num_bursts: 1,
+            warmup_bursts: 0,
+            seed,
+            ..ModesConfig::default()
+        })
+        .collect();
+
+    let dir = tmp_dir("raw-then-config");
+    let writer = RunCache::with_disk(&dir);
+    let raw: Vec<_> = cfgs
+        .iter()
+        .map(|cfg| writer.get_or_compute(&incast_key(cfg), || run_incast(cfg)))
+        .collect();
+    let reader = RunCache::with_disk(&dir);
+    let swept = run_incast_sweep(&cfgs, 2, &reader);
+    let stats = reader.stats();
+    assert_eq!((stats.disk_hits, stats.misses, stats.mem_hits), (3, 0, 0));
+    for (a, b) in raw.iter().zip(&swept) {
+        assert_eq!(a.encode(), b.encode());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = tmp_dir("config-then-raw");
+    let swept = run_incast_sweep(&cfgs, 2, &RunCache::with_disk(&dir));
+    let reader = RunCache::with_disk(&dir);
+    for (cfg, a) in cfgs.iter().zip(&swept) {
+        let b = reader.get_or_compute::<incast_core::IncastRunResult>(&incast_key(cfg), || {
+            panic!("a config-written entry must be a raw-key disk hit")
+        });
+        assert_eq!(a.encode(), b.encode());
+    }
+    let stats = reader.stats();
+    assert_eq!((stats.disk_hits, stats.misses, stats.mem_hits), (3, 0, 0));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -230,11 +566,11 @@ fn warm_hit_is_byte_identical_to_cold_run() {
     let cold = run_incast(&cfg);
 
     let cache = RunCache::with_disk(&dir);
-    let first = incast_core::run_incast_cached(&cfg, &cache);
+    let first = run_incast_cached(&cfg, &cache);
     assert_eq!(cache.stats().misses, 1);
     // Fresh cache over the same dir: forces the disk decode path.
     let cache2 = RunCache::with_disk(&dir);
-    let decoded = incast_core::run_incast_cached(&cfg, &cache2);
+    let decoded = run_incast_cached(&cfg, &cache2);
     assert_eq!(cache2.stats().disk_hits, 1);
 
     // Byte identity through the full encode/decode cycle, and against a
@@ -277,7 +613,7 @@ fn corrupted_disk_entries_miss_instead_of_panicking() {
 
     // Seed the directory with one valid entry.
     let seed_cache = RunCache::with_disk(&dir);
-    let reference = incast_core::run_incast_cached(&cfg, &seed_cache);
+    let reference = run_incast_cached(&cfg, &seed_cache);
     assert_eq!(seed_cache.stats().disk_writes, 1);
     let pristine = std::fs::read_to_string(&entry).expect("entry written");
     let (meta, payload) = pristine.split_once('\n').expect("meta line");
@@ -308,7 +644,7 @@ fn corrupted_disk_entries_miss_instead_of_panicking() {
     for (name, body) in &corruptions {
         std::fs::write(&entry, body).expect("inject corruption");
         let cache = RunCache::with_disk(&dir);
-        let recomputed = incast_core::run_incast_cached(&cfg, &cache);
+        let recomputed = run_incast_cached(&cfg, &cache);
         let stats = cache.stats();
         assert_eq!(stats.disk_hits, 0, "'{name}' decoded as a hit");
         assert_eq!(stats.misses, 1, "'{name}' did not fall through to a miss");
@@ -336,7 +672,7 @@ fn corrupted_disk_entries_miss_instead_of_panicking() {
     std::fs::write(&stale_tmp, &pristine[..pristine.len() / 3]).expect("stale tmp");
     {
         let cache = RunCache::with_disk(&dir);
-        let warmed = incast_core::run_incast_cached(&cfg, &cache);
+        let warmed = run_incast_cached(&cfg, &cache);
         assert_eq!(cache.stats().disk_hits, 1, "stale tmp shadowed the entry");
         assert_eq!(warmed.bcts_ms, reference.bcts_ms);
     }
@@ -345,7 +681,7 @@ fn corrupted_disk_entries_miss_instead_of_panicking() {
     std::fs::remove_file(&entry).expect("drop entry");
     {
         let cache = RunCache::with_disk(&dir);
-        let recomputed = incast_core::run_incast_cached(&cfg, &cache);
+        let recomputed = run_incast_cached(&cfg, &cache);
         let stats = cache.stats();
         assert_eq!(stats.disk_hits, 0, "orphan tmp decoded as a hit");
         assert_eq!(stats.misses, 1);
@@ -360,7 +696,7 @@ fn corrupted_disk_entries_miss_instead_of_panicking() {
     // Invalid UTF-8 bytes (read_to_string fails entirely).
     std::fs::write(&entry, [0xFF, 0xFE, 0x00, 0xC3]).expect("inject corruption");
     let cache = RunCache::with_disk(&dir);
-    let recomputed = incast_core::run_incast_cached(&cfg, &cache);
+    let recomputed = run_incast_cached(&cfg, &cache);
     assert_eq!(cache.stats().disk_hits, 0);
     assert_eq!(recomputed.bcts_ms, reference.bcts_ms);
 
@@ -395,7 +731,7 @@ fn entries_from_schema_v3_miss_instead_of_decoding() {
 
     // What this build writes, re-labelled as schema v3 would have.
     let seed_cache = RunCache::with_disk(&dir);
-    let reference = incast_core::run_incast_cached(&cfg, &seed_cache);
+    let reference = run_incast_cached(&cfg, &seed_cache);
     let v4 = std::fs::read_to_string(entry_of(&key)).expect("entry written");
     assert!(v4.starts_with(r#"{"v":4,"#), "{v4}");
     let v3_key = key.replacen("incast/v4|", "incast/v3|", 1);
@@ -410,7 +746,7 @@ fn entries_from_schema_v3_miss_instead_of_decoding() {
     ] {
         std::fs::write(&path, &v3).expect("plant v3 entry");
         let cache = RunCache::with_disk(&dir);
-        let recomputed = incast_core::run_incast_cached(&cfg, &cache);
+        let recomputed = run_incast_cached(&cfg, &cache);
         let stats = cache.stats();
         assert_eq!(stats.disk_hits, 0, "v3 entry {name} decoded as a hit");
         assert_eq!(stats.misses, 1, "v3 entry {name} was not a miss");

@@ -14,7 +14,7 @@
 //! contention" effect.
 
 /// Shared-buffer admission policy.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BufferPolicy {
     /// Admit while the pool has room (queues still enforce their own caps).
     StaticPool,

@@ -51,7 +51,7 @@ impl QueueItem for QueuedFrame {
 }
 
 /// Configuration of one egress queue.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueueConfig {
     /// Capacity in bytes. Arrivals that would exceed it are dropped.
     pub capacity_bytes: u64,

@@ -9,7 +9,7 @@ use simnet::{SimTime, DEFAULT_MSS};
 /// exacerbates burstiness and masks the impact of DCTCP's congestion
 /// control" (§4); we default to disabled and ablate the choice (bench
 /// `ablation_delack`).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayedAckConfig {
     /// ACK at latest after this many full-size segments (2 is standard).
     pub max_segments: u32,
@@ -61,7 +61,7 @@ impl TransportKind {
 }
 
 /// Static configuration shared by every connection on a host.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TcpConfig {
     /// Loss-recovery stack. Despite the struct's name, a host configured
     /// with [`TransportKind::Quic`] runs the QUIC-style engine; the rest of
@@ -132,7 +132,7 @@ impl Default for TcpConfig {
 }
 
 /// Swift-style pacing parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PacingConfig {
     /// The window floor as a fraction of MSS (Swift's minimum congestion
     /// window is effectively `1/num_rtts_between_packets`).

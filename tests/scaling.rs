@@ -15,7 +15,7 @@
 //! the event loop to its work per frame: a hop costs one `Delivery`, plus a
 //! `TxComplete` only where a frame waits behind the one on the transmitter
 //! or the link can lose it. The last section counts threads the same way:
-//! a sweep the cache can serve starts none.
+//! a sweep the cache can serve starts none, and allocates nothing per hit.
 //!
 //! The whole file is one `#[test]`: the counters are process-wide, so
 //! the measured calls run sequentially inside it instead of as tests
@@ -318,6 +318,22 @@ fn doubling_the_flows_at_most_doubles_and_a_half_the_heap_work() {
     run_incast_sweep(&cfgs, 4, &RunCache::in_memory());
     let cold = PoolStats::snapshot().delta(&stats);
     assert_eq!((cold.jobs, cold.items, cold.participants), (1, 6, 4));
+
+    // A memory hit is found from the config's own fields: no key is
+    // rendered and nothing else is allocated per config, so a warm re-sweep
+    // of twice the configs makes the same few allocations (the result
+    // vector, whatever its length).
+    let twelve: Vec<ModesConfig> = (0..12).map(|i| one_burst(8 + i)).collect();
+    run_incast_sweep(&twelve, 1, &cache);
+    let (six_warm, twelve_warm) = (
+        measure(|| run_incast_sweep(&cfgs, 4, &cache)),
+        measure(|| run_incast_sweep(&twelve, 4, &cache)),
+    );
+    eprintln!("warm sweep of 6: {six_warm:?}\nwarm sweep of 12: {twelve_warm:?}");
+    assert_eq!(
+        six_warm.allocs, twelve_warm.allocs,
+        "a warm hit allocates per config"
+    );
 
     let dir = std::env::temp_dir().join(format!("incast-scaling-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
