@@ -24,8 +24,8 @@ use std::io::Write;
 use telemetry::{EventClass, JsonlSink, SinkRef};
 
 /// Writes the trace to stdout, ignoring a closed pipe (`head`, `grep -m`).
-fn dump(text: &str) {
-    let _ = std::io::stdout().lock().write_all(text.as_bytes());
+fn dump(write: impl FnOnce(&mut std::io::StdoutLock<'static>) -> std::io::Result<()>) {
+    let _ = write(&mut std::io::stdout().lock());
 }
 
 fn small_cfg() -> ModesConfig {
@@ -50,7 +50,7 @@ fn main() {
         let tracer = std::rc::Rc::new(std::cell::RefCell::new(TextTracer::new(1 << 20)));
         let sink = SinkRef::from_rc(tracer.clone());
         let (r, manifest) = run_incast_instrumented(&cfg, Some(&sink));
-        dump(&tracer.borrow().render());
+        dump(|out| out.write_all(tracer.borrow().render().as_bytes()));
         eprintln!("# mean BCT {:.3} ms", r.mean_bct_ms);
         eprintln!("# {}", manifest.to_json());
         return;
@@ -75,7 +75,7 @@ fn main() {
     let (jsonl, sref) = sink.shared();
     let (r, manifest) = run_incast_instrumented(&cfg, Some(&sref));
 
-    dump(jsonl.borrow().render());
+    dump(|out| jsonl.borrow().write_to(out));
     eprintln!("# events: {}", jsonl.borrow().events_written());
     eprintln!("# profile: {}", r.profile.summary());
     eprintln!("# manifest: {}", manifest.to_json());

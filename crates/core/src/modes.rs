@@ -749,9 +749,13 @@ pub fn run_incast_budgeted_with<S: Scheduler>(
         bcts_ms.first().copied().unwrap_or(0.0)
     };
 
-    let link = fabric.sim.link(bottleneck);
-    let qstats = link.queue.stats();
-    let queue_pkts = link.queue.monitor().expect("monitor enabled above").clone();
+    let queue_pkts = fabric
+        .sim
+        .link_mut(bottleneck)
+        .queue
+        .take_monitor()
+        .expect("monitor enabled above");
+    let qstats = fabric.sim.link(bottleneck).queue.stats();
 
     let mut retx_bytes = 0;
     let mut timeouts = 0;
@@ -988,7 +992,7 @@ mod tests {
         let (r, manifest) = run_incast_instrumented(&cfg, Some(&sref));
         assert!(r.enqueued_pkts > 0);
 
-        let out = jsonl.borrow().render().to_string();
+        let out = jsonl.borrow().render();
         assert!(out.contains(r#""ev":"queue_depth""#), "queue probe silent");
         assert!(out.contains(r#""ev":"flow_window""#), "flow probes silent");
         assert!(out.contains(r#""ev":"burst_start""#));
@@ -1162,8 +1166,8 @@ mod tests {
         // But the re-hash is visible in the fabric: the per-link depth
         // probes on the rack uplinks record a different traffic pattern
         // once spine 1 is unreachable.
-        let healthy_out = healthy_jsonl.borrow().render().to_string();
-        let out = jsonl.borrow().render().to_string();
+        let healthy_out = healthy_jsonl.borrow().render();
+        let out = jsonl.borrow().render();
         assert!(out.contains(r#""ev":"fault""#), "fault events not streamed");
         let depths = |s: &str| -> Vec<String> {
             s.lines()

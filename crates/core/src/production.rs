@@ -187,11 +187,10 @@ pub fn run_trace_with_snapshot(cfg: &TraceConfig, snapshot: SnapshotModel) -> Tr
     let bursts = detect_bursts(&trace);
     let queue_pkts = fabric
         .sim
-        .link(bottleneck)
+        .link_mut(bottleneck)
         .queue
-        .monitor()
-        .expect("monitor enabled")
-        .clone();
+        .take_monitor()
+        .expect("monitor enabled");
     let dstats = fabric.sim.link(bottleneck).queue.stats();
     let tstats = fabric.sim.link(fabric.trunk).queue.stats();
     let contender_drops = if cfg.contention {

@@ -174,6 +174,15 @@ impl<T: QueueItem> EcnQueue<T> {
         self.monitor.as_ref()
     }
 
+    /// Moves the recorded depth series out, shrunk to its length, and ends
+    /// monitoring. The series leaves here to be kept — in a run result, and
+    /// in whatever caches the result — so its growth slack goes here too.
+    pub fn take_monitor(&mut self) -> Option<TimeSeries> {
+        let mut series = self.monitor.take()?;
+        series.shrink_to_fit();
+        Some(series)
+    }
+
     /// Current occupancy in bytes (excluding any frame being serialized).
     pub fn bytes(&self) -> u64 {
         self.bytes
@@ -471,6 +480,29 @@ mod tests {
         let m = q.monitor().unwrap();
         assert_eq!(m.get(0), 2.0); // peak in first bucket
         assert_eq!(m.get(1), 0.0); // drained in second
+    }
+
+    #[test]
+    fn take_monitor_moves_out_what_monitor_showed() {
+        let mut q = EcnQueue::new(QueueConfig::host_nic());
+        assert!(q.take_monitor().is_none());
+        q.enable_monitor(SimTime::from_us(10));
+        for us in 0..3000 {
+            q.enqueue(SimTime::from_us(us), pkt(100));
+            if us % 3 == 0 {
+                q.dequeue(SimTime::from_us(us));
+            }
+        }
+        let shown = q.monitor().unwrap().clone();
+        let taken = q.take_monitor().unwrap();
+        assert_eq!(taken.values(), shown.values());
+        assert_eq!(taken.interval(), shown.interval());
+        assert_eq!(taken.len(), 300);
+        assert!(q.monitor().is_none());
+        assert!(q.take_monitor().is_none());
+        // Monitoring has ended: later activity records nothing.
+        q.dequeue(SimTime::from_us(4000));
+        assert!(q.monitor().is_none());
     }
 
     #[test]

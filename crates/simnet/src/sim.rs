@@ -1790,7 +1790,7 @@ mod tests {
             }),
         );
         sim.run();
-        let out = jsonl.borrow().render().to_string();
+        let out = jsonl.borrow().render();
         // Each packet: enq + tx + rx on each of two hops = 12 events total.
         assert_eq!(out.lines().count(), 12);
         assert!(out.contains(r#""ev":"pkt_enq""#));
@@ -1822,7 +1822,7 @@ mod tests {
             }),
         );
         sim.run();
-        let out = jsonl.borrow().render().to_string();
+        let out = jsonl.borrow().render();
         // 3 enqueues + 3 dequeues on the probed link, nothing else.
         assert_eq!(out.lines().count(), 6);
         for line in out.lines() {
@@ -1861,7 +1861,7 @@ mod tests {
             }),
         );
         sim.run();
-        let out = jsonl.borrow().render().to_string();
+        let out = jsonl.borrow().render();
         let faults: Vec<&str> = out
             .lines()
             .filter(|l| l.contains(r#""reason":"fault""#))
@@ -1980,7 +1980,7 @@ mod tests {
             SimTime::from_us(60),
         ));
         sim.run();
-        let out = jsonl.borrow().render().to_string();
+        let out = jsonl.borrow().render();
         let faults: Vec<&str> = out
             .lines()
             .filter(|l| l.contains(r#""ev":"fault""#))

@@ -5,6 +5,10 @@
 //! finer for queue traces). [`TimeSeries`] is that grid: values are added at
 //! a time offset and land in `floor(t / interval)` buckets.
 
+/// Buckets a series grows to by doubling, and the most slack it may carry
+/// below 25 % (512 KiB of `f64`).
+const DOUBLING_LIMIT: usize = 64 * 1024;
+
 /// A time series of `f64` values accumulated into fixed-width buckets.
 ///
 /// Times are `u64` in any consistent unit (the simulator uses picoseconds,
@@ -43,10 +47,30 @@ impl TimeSeries {
         (t / self.interval) as usize
     }
 
+    /// Extends the series with zero buckets through `idx`. Growth adds the
+    /// larger of a quarter of the capacity and [`DOUBLING_LIMIT`] buckets
+    /// (doubling below that), so a long series — a run-long 20 µs depth
+    /// trace is hundreds of thousands of buckets — carries at most 25 % or
+    /// 512 KiB of slack where `Vec`'s doubling leaves up to 100 %, while
+    /// total copying stays linear in the final length.
     fn grow_to(&mut self, idx: usize) {
-        if idx >= self.buckets.len() {
-            self.buckets.resize(idx + 1, 0.0);
+        let len = idx + 1;
+        if len <= self.buckets.len() {
+            return;
         }
+        let cap = self.buckets.capacity();
+        if len > cap {
+            let grown = cap + (cap / 4).max(cap.min(DOUBLING_LIMIT));
+            self.buckets
+                .reserve_exact(grown.max(len) - self.buckets.len());
+        }
+        self.buckets.resize(len, 0.0);
+    }
+
+    /// Releases the capacity beyond the touched buckets, for a series that
+    /// is finished and will be kept.
+    pub fn shrink_to_fit(&mut self) {
+        self.buckets.shrink_to_fit();
     }
 
     /// Adds `value` into the bucket containing `t`.
@@ -191,6 +215,114 @@ mod tests {
         assert_eq!(ts.total(), 10.0);
         assert_eq!(ts.mean(), 2.5);
         assert_eq!(ts.max(), 4.0);
+    }
+
+    /// The series before bounded growth: `Vec::resize` on every extension.
+    struct Reference {
+        interval: u64,
+        buckets: Vec<f64>,
+    }
+
+    impl Reference {
+        fn at(&mut self, t: u64) -> &mut f64 {
+            let idx = (t / self.interval) as usize;
+            if idx >= self.buckets.len() {
+                self.buckets.resize(idx + 1, 0.0);
+            }
+            &mut self.buckets[idx]
+        }
+    }
+
+    #[test]
+    fn bounded_growth_matches_resize_and_keeps_slack_small() {
+        let mut rng = crate::Rng::new(9);
+        for case in 0..40 {
+            let interval = 1 + rng.below(20);
+            let mut ts = TimeSeries::new(interval);
+            let mut reference = Reference {
+                interval,
+                buckets: Vec::new(),
+            };
+            let mut t = 0;
+            let (mut copied, mut cap) = (0, 0);
+            for _ in 0..400 {
+                // Mostly short steps, now and then a jump of up to twice the
+                // doubling limit (a quiet gap, or a padded tail).
+                t += if rng.below(40) == 0 {
+                    rng.below(2 * DOUBLING_LIMIT as u64) * interval
+                } else {
+                    rng.below(4 * interval)
+                };
+                let v = rng.range_f64(0.0, 100.0);
+                let at = t.saturating_sub(rng.below(8 * interval));
+                match rng.below(3) {
+                    0 => {
+                        ts.record_max(at, v);
+                        let b = reference.at(at);
+                        *b = b.max(v);
+                    }
+                    1 => {
+                        ts.accumulate(at, v);
+                        *reference.at(at) += v;
+                    }
+                    _ => {
+                        ts.pad_until(t);
+                        if t > 0 {
+                            reference.at(t - 1);
+                        }
+                    }
+                }
+                let (len, now) = (ts.len(), ts.buckets.capacity());
+                if now != cap {
+                    copied += ts.buckets.len().min(cap);
+                    cap = now;
+                }
+                assert!(
+                    cap - len <= (len / 4).max(DOUBLING_LIMIT),
+                    "case {case}: capacity {cap} for {len} buckets"
+                );
+            }
+            assert_eq!(ts.len(), reference.buckets.len(), "case {case}");
+            assert_eq!(ts.values(), &reference.buckets[..], "case {case}");
+            let ref_iter = reference
+                .buckets
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| (i as u64 * interval, v));
+            assert!(ts.iter().eq(ref_iter), "case {case}");
+            for idx in [
+                0,
+                ts.len() / 2,
+                ts.len().saturating_sub(1),
+                ts.len(),
+                ts.len() + 7,
+            ] {
+                let want = reference.buckets.get(idx).copied().unwrap_or(0.0);
+                assert_eq!(ts.get(idx), want, "case {case}, bucket {idx}");
+            }
+            assert!(
+                copied <= 5 * ts.len(),
+                "case {case}: {copied} copied for {}",
+                ts.len()
+            );
+        }
+    }
+
+    #[test]
+    fn a_long_series_grows_by_a_quarter_and_shrinks_to_its_length() {
+        let mut ts = TimeSeries::new(1);
+        let (mut copied, mut cap) = (0, 0);
+        for t in 0..1_000_000 {
+            ts.record_max(t, 1.0);
+            if ts.buckets.capacity() != cap {
+                copied += t as usize;
+                cap = ts.buckets.capacity();
+            }
+        }
+        assert!(cap <= 1_250_000, "{cap}");
+        assert!(copied <= 5 * ts.len(), "{copied}");
+        ts.shrink_to_fit();
+        assert_eq!(ts.buckets.capacity(), ts.len());
     }
 
     #[test]

@@ -579,7 +579,7 @@ fn encode_pkt(w: &mut Line, ev: &'static str, link: u32, pkt: &PktInfo) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::json::Obj;
 
@@ -748,7 +748,7 @@ mod tests {
 
     /// One event of every `EventKind` × `PktDetail` variant, its fields
     /// drawn by `n` (every label, both values of every flag).
-    fn every_variant(mut n: impl FnMut() -> u64, bct_ms: f64) -> Vec<EventKind> {
+    pub(crate) fn every_variant(mut n: impl FnMut() -> u64, bct_ms: f64) -> Vec<EventKind> {
         let mut bit = {
             let mut flips = 0u32;
             move || {

@@ -8,7 +8,9 @@
 //!   per-flow cwnd transitions, burst lifecycle) flowing from simnet,
 //!   transport, and workload into pluggable sinks;
 //! - [`JsonlSink`] — a deterministic JSONL renderer of the event stream
-//!   (one JSON object per line, byte-identical across same-seed runs);
+//!   (one JSON object per line, byte-identical across same-seed runs),
+//!   held in line-aligned chunks of [`CHUNK_BYTES`] and streamed out by
+//!   `write_to`;
 //! - [`PerfettoSink`] — a causal Chrome trace-event / Perfetto exporter
 //!   (packet-hop spans, drop→retransmit and CE→ECE arrows, cwnd/queue
 //!   counter tracks) whose output opens directly in a trace viewer;
@@ -25,6 +27,7 @@
 
 #![forbid(unsafe_code)]
 
+mod chunked;
 pub mod event;
 pub mod json;
 pub mod manifest;
@@ -32,6 +35,7 @@ pub mod perfetto;
 pub mod profile;
 pub mod sink;
 
+pub use chunked::CHUNK_BYTES;
 pub use event::{
     DropCause, Event, EventClass, EventKind, FlowState, PktDetail, PktInfo, WindowTrigger,
 };

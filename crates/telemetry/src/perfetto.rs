@@ -27,14 +27,16 @@
 //! [ui.perfetto.dev]: https://ui.perfetto.dev
 //! [`JsonlSink`]: crate::JsonlSink
 
+use crate::chunked::ChunkedText;
 use crate::event::{DropCause, Event, EventClass, EventKind, PktDetail, PktInfo, WindowTrigger};
 use crate::json::Line;
 use crate::sink::{EventSink, SinkRef};
 use std::cell::RefCell;
+use std::io;
 use std::rc::Rc;
 
-/// Opening of the trace document; the rendered objects follow it in
-/// [`PerfettoSink::buf`].
+/// Opening of the trace document; the objects in [`PerfettoSink::buf`]
+/// follow it.
 const DOC_OPEN: &str = r#"{"traceEvents":["#;
 const DOC_CLOSE: &str = r#"],"displayTimeUnit":"ms"}"#;
 
@@ -253,14 +255,15 @@ fn arrow(w: &mut Line, start: bool, cause: Cause, t_ps: u64, link: u32) {
 
 /// A telemetry sink rendering Chrome trace-event JSON.
 ///
-/// Build one, run a simulation with its [`SinkRef`] attached, then call
-/// [`render`](PerfettoSink::render) and write the result to a `.json` file;
-/// the file opens directly in a trace viewer.
+/// Build one, run a simulation with its [`SinkRef`] attached, then
+/// [`write_to`](PerfettoSink::write_to) a `.json` file (or
+/// [`render`](PerfettoSink::render) it to a `String`); the file opens
+/// directly in a trace viewer.
 #[derive(Debug)]
 pub struct PerfettoSink {
-    /// The trace document so far: [`DOC_OPEN`], then the trace-event
-    /// objects in emission order, comma-separated.
-    buf: String,
+    /// The trace-event objects in emission order, comma-separated, in
+    /// chunks that each end between two events' objects.
+    buf: ChunkedText,
     /// Telemetry events consumed (not trace objects emitted; one telemetry
     /// event may expand to several trace objects).
     count: u64,
@@ -279,7 +282,7 @@ impl PerfettoSink {
     /// A fresh sink subscribing to every event class.
     pub fn new() -> Self {
         PerfettoSink {
-            buf: String::from(DOC_OPEN),
+            buf: ChunkedText::default(),
             count: 0,
             named_pids: 0,
         }
@@ -300,10 +303,19 @@ impl PerfettoSink {
 
     /// Renders the complete trace as a Chrome trace-event JSON document.
     pub fn render(&self) -> String {
-        let mut out = String::with_capacity(self.buf.len() + DOC_CLOSE.len());
-        out.push_str(&self.buf);
+        let mut out = String::with_capacity(DOC_OPEN.len() + self.buf.len() + DOC_CLOSE.len());
+        out.push_str(DOC_OPEN);
+        self.buf.push_to(&mut out);
         out.push_str(DOC_CLOSE);
         out
+    }
+
+    /// Writes the document [`render`](Self::render) returns to `w`, chunk
+    /// by chunk, without a copy.
+    pub fn write_to(&self, w: &mut impl io::Write) -> io::Result<()> {
+        w.write_all(DOC_OPEN.as_bytes())?;
+        self.buf.write_to(w)?;
+        w.write_all(DOC_CLOSE.as_bytes())
     }
 
     /// Ensures `pid` has a `process_name` metadata record (emitted once, on
@@ -312,15 +324,16 @@ impl PerfettoSink {
     /// event names its pid first, so each object written through the
     /// returned writer follows another and opens with a comma.
     fn objects_for(&mut self, pid: Pid) -> Line<'_> {
+        let out = self.buf.record();
         let bit = 1 << pid as u8;
         if self.named_pids & bit == 0 {
             if self.named_pids != 0 {
-                self.buf.push(',');
+                out.push(',');
             }
             self.named_pids |= bit;
-            self.buf.push_str(pid.process_name());
+            out.push_str(pid.process_name());
         }
-        Line::new(&mut self.buf)
+        Line::new(out)
     }
 }
 
@@ -551,7 +564,10 @@ impl EventSink for PerfettoSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunked::{CHUNK_BYTES, RECORD_ROOM};
+    use crate::event::tests::every_variant;
     use crate::event::FlowState;
+    use crate::sink::tests::long_stream;
 
     fn data(flow: u32, seq: u32, retx: bool, ce: bool) -> PktInfo {
         PktInfo {
@@ -780,6 +796,42 @@ mod tests {
         assert!(out.contains(r#""bct_ms":1.25"#), "{out}");
         // Each pid is named exactly once.
         assert_eq!(out.matches(r#""process_name""#).count(), 2, "{out}");
+    }
+
+    #[test]
+    fn one_events_objects_fit_a_chunks_record_room() {
+        // Every variant at its widest, each in a fresh sink so its record
+        // also carries the pid's `process_name` object.
+        let longest = every_variant(|| u64::MAX, 1.5)
+            .into_iter()
+            .map(|kind| {
+                let mut s = PerfettoSink::new();
+                feed(&mut s, kind, u64::MAX);
+                s.buf.len()
+            })
+            .max()
+            .expect("variants");
+        assert!(longest <= RECORD_ROOM, "a {longest}-byte event record");
+        assert!(longest > RECORD_ROOM / 2, "{longest}");
+    }
+
+    #[test]
+    fn a_multi_chunk_document_streams_what_render_returns() {
+        let mut s = PerfettoSink::new();
+        for ev in long_stream(26, 3 * CHUNK_BYTES) {
+            s.on_event(&ev);
+        }
+        let chunks: Vec<&str> = s.buf.chunks().collect();
+        assert!(chunks.len() >= 3, "{} chunks", chunks.len());
+        for chunk in &chunks {
+            assert!(chunk.ends_with('}'), "an object straddles a chunk");
+        }
+        let doc = s.render();
+        assert!(doc.starts_with(DOC_OPEN) && doc.ends_with(DOC_CLOSE));
+        assert_eq!(doc.len(), DOC_OPEN.len() + s.buf.len() + DOC_CLOSE.len());
+        let mut written = Vec::new();
+        s.write_to(&mut written).unwrap();
+        assert!(written == doc.as_bytes(), "write_to differs from render");
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! [`EventSink::accepts`] gate lets it subscribe to only the classes it
 //! wants before any serialization happens.
 
+use crate::chunked::ChunkedText;
 use crate::event::{Event, EventClass};
 use std::cell::RefCell;
+use std::io;
 use std::rc::Rc;
 
 /// A consumer of telemetry events.
@@ -98,9 +100,14 @@ impl EventSink for NullSink {
 /// An in-memory JSONL sink: every accepted event becomes one JSON object on
 /// its own line, in arrival order. Output is deterministic — equal event
 /// streams render to equal bytes.
+///
+/// The lines are kept in line-aligned chunks, so the stream sits in memory
+/// once at about its own size; [`write_to`](Self::write_to) streams them
+/// out without a copy, [`render`](Self::render) joins them into one
+/// `String`.
 #[derive(Debug)]
 pub struct JsonlSink {
-    buf: String,
+    buf: ChunkedText,
     count: u64,
     /// When set, only packet/flow events for this flow id are recorded
     /// (class-level events like queue depth always pass).
@@ -119,7 +126,7 @@ impl JsonlSink {
     /// A sink capturing every event class.
     pub fn new() -> Self {
         JsonlSink {
-            buf: String::new(),
+            buf: ChunkedText::default(),
             count: 0,
             flow_filter: None,
             classes: u8::MAX,
@@ -146,14 +153,23 @@ impl JsonlSink {
         (rc, sref)
     }
 
-    /// The rendered JSONL buffer (one JSON object per line).
-    pub fn render(&self) -> &str {
-        &self.buf
+    /// The JSONL stream (one JSON object per line) as one `String`: a copy
+    /// of the chunks. To put it in a file or a pipe, prefer
+    /// [`write_to`](Self::write_to).
+    pub fn render(&self) -> String {
+        let mut out = String::with_capacity(self.buf.len());
+        self.buf.push_to(&mut out);
+        out
+    }
+
+    /// Writes the JSONL stream to `w` chunk by chunk, without a copy.
+    pub fn write_to(&self, w: &mut impl io::Write) -> io::Result<()> {
+        self.buf.write_to(w)
     }
 
     /// Iterator over rendered lines.
     pub fn lines(&self) -> impl Iterator<Item = &str> {
-        self.buf.lines()
+        self.buf.chunks().flat_map(str::lines)
     }
 
     /// Number of events recorded.
@@ -176,7 +192,7 @@ impl EventSink for JsonlSink {
                 return;
             }
         }
-        ev.write_jsonl(&mut self.buf);
+        ev.write_jsonl(self.buf.record());
         self.count += 1;
     }
 
@@ -186,9 +202,12 @@ impl EventSink for JsonlSink {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::chunked::{CHUNK_BYTES, RECORD_ROOM};
+    use crate::event::tests::every_variant;
     use crate::event::{EventKind, FlowState, PktDetail, PktInfo, WindowTrigger};
+    use crate::json::LINE_CAPACITY;
 
     fn pkt(flow: u32) -> PktInfo {
         PktInfo {
@@ -267,6 +286,90 @@ mod tests {
         });
         assert_eq!(sink.events_written(), 1);
         assert!(sink.render().contains("flow_window"));
+    }
+
+    /// A seeded stream of every event variant, flows drawn from 0..3, with
+    /// caller-supplied labels longer than a staging buffer (and, now and
+    /// then, than a chunk's record room) — enough to fill `bytes` of JSONL.
+    pub(crate) fn long_stream(seed: u64, bytes: usize) -> Vec<Event> {
+        let label = |len: usize| -> &'static str { "label-".repeat(len / 6).leak() };
+        let (long, longer) = (label(2 * LINE_CAPACITY), label(2 * RECORD_ROOM));
+        let mut rng = stats::Rng::new(seed);
+        let (mut events, mut len) = (Vec::new(), 0);
+        while len < bytes {
+            let t_ps = rng.next_u64() >> rng.below(64);
+            let mut draw = rng.fork(t_ps);
+            let bct_ms = rng.range_f64(0.0, 400.0);
+            let mut kinds = every_variant(|| draw.next_u64() >> draw.below(64), bct_ms);
+            let label = if rng.below(50) == 0 { longer } else { long };
+            kinds.push(EventKind::CtrlEpisode {
+                node: 1,
+                link: 2,
+                epoch: 3,
+                phase: label,
+                targets: 4,
+            });
+            kinds.push(EventKind::Fault {
+                index: 5,
+                kind: label,
+                target: 6,
+            });
+            for mut kind in kinds {
+                let flow = rng.below(3) as u32;
+                match &mut kind {
+                    EventKind::PktEnqueue { pkt, .. }
+                    | EventKind::PktDrop { pkt, .. }
+                    | EventKind::PktTxStart { pkt, .. }
+                    | EventKind::PktDeliver { pkt, .. } => pkt.flow = flow,
+                    EventKind::FlowWindow { flow: f, .. } => *f = flow,
+                    _ => {}
+                }
+                let ev = Event { t_ps, kind };
+                len += ev.to_json().len() + 1;
+                events.push(ev);
+            }
+        }
+        events
+    }
+
+    #[test]
+    fn chunked_stream_renders_byte_identically_to_one_string() {
+        let classes = [
+            EventClass::Packet,
+            EventClass::Queue,
+            EventClass::Flow,
+            EventClass::App,
+            EventClass::Fault,
+            EventClass::Ctrl,
+        ];
+        let mut sink = JsonlSink::new().with_flow_filter(1).with_classes(&classes);
+        let mut reference = String::new();
+        for ev in long_stream(25, 12 * CHUNK_BYTES) {
+            sink.on_event(&ev);
+            let wanted = classes.contains(&ev.class()) && ev.flow().is_none_or(|f| f == 1);
+            if wanted {
+                reference.push_str(&ev.to_json());
+                reference.push('\n');
+            }
+        }
+        assert!(reference.contains(r#""ev":"burst_end""#));
+        assert!(!reference.contains(r#""ev":"buffer_watermark""#));
+
+        let rendered = sink.render();
+        assert!(rendered == reference, "rendered stream differs");
+        let chunks: Vec<&str> = sink.buf.chunks().collect();
+        assert!(chunks.len() >= 4, "{} chunks", chunks.len());
+        for chunk in &chunks {
+            assert!(chunk.ends_with('\n'), "a line straddles a chunk");
+        }
+        assert_eq!(sink.lines().count() as u64, sink.events_written());
+        assert!(sink.lines().eq(reference.lines()));
+        let mut written = Vec::new();
+        sink.write_to(&mut written).unwrap();
+        assert!(
+            written == reference.as_bytes(),
+            "write_to differs from render"
+        );
     }
 
     #[test]

@@ -742,7 +742,7 @@ mod tests {
         );
         fabric.sim.run();
 
-        let out = jsonl.borrow().render().to_string();
+        let out = jsonl.borrow().render();
         assert!(!out.is_empty(), "probes emitted nothing");
         // Both flows report transitions, starting with burst_start.
         assert!(out.contains(r#""flow":0"#));

@@ -752,7 +752,7 @@ mod tests {
         }
         h.sent();
         h.rto(); // rto -> backoff
-        let out = jsonl.borrow().render().to_string();
+        let out = jsonl.borrow().render();
         assert!(out.contains(r#""trigger":"burst_start""#), "{out}");
         assert!(out.contains(r#""trigger":"ack""#));
         assert!(out.contains(r#""trigger":"fast_retx""#));

@@ -383,7 +383,7 @@ mod tests {
         coord.borrow_mut().set_sink(sref);
         fabric.sim.run();
         assert!(coord.borrow().finished());
-        let out = jsonl.borrow().render().to_string();
+        let out = jsonl.borrow().render();
         let starts = out.lines().filter(|l| l.contains(r#""ev":"burst_start""#));
         let ends: Vec<&str> = out
             .lines()

@@ -103,7 +103,7 @@ fn main() {
     let flagship = cross_rack(8, 4, 7);
     let (jsonl, sref) = JsonlSink::new().shared();
     let (result, manifest) = run_incast_with::<TimingWheel>(&flagship, Some(&sref));
-    let stream = jsonl.borrow().render().to_string();
+    let stream = jsonl.borrow().render();
     let depth_samples = stream
         .lines()
         .filter(|l| l.contains(r#""ev":"queue_depth""#))

@@ -45,9 +45,11 @@ fn main() {
 
     let (sink, sref) = PerfettoSink::new().shared();
     let (result, _manifest) = run_incast_instrumented(&cfg, Some(&sref));
-    let trace = sink.borrow().render();
+    // Streamed chunk by chunk: the document is never held twice.
+    let mut file = std::fs::File::create(&out).expect("create trace");
+    sink.borrow().write_to(&mut file).expect("write trace");
+    let bytes = file.metadata().map_or(0, |m| m.len());
     let events = sink.borrow().events_written();
-    std::fs::write(&out, &trace).expect("write trace");
 
     println!(
         "traced {} flows x {} bursts (mode: {}, mean steady BCT {:.2} ms)",
@@ -56,6 +58,6 @@ fn main() {
         result.mode().label(),
         result.mean_bct_ms
     );
-    println!("wrote {out} ({events} trace events, {} bytes)", trace.len());
+    println!("wrote {out} ({events} trace events, {bytes} bytes)");
     println!("open it at https://ui.perfetto.dev");
 }

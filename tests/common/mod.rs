@@ -23,7 +23,7 @@ use std::rc::Rc;
 fn instrumented<S: Scheduler>(cfg: &ModesConfig) -> (String, RunManifest, Vec<f64>) {
     let (jsonl, sref) = JsonlSink::new().shared();
     let (result, manifest) = run_incast_with::<S>(cfg, Some(&sref));
-    let stream = jsonl.borrow().render().to_string();
+    let stream = jsonl.borrow().render();
     if let Some(v) = manifest.invariant_violations {
         assert_eq!(v, 0, "invariant violations under {cfg:?}");
     }

@@ -228,7 +228,7 @@ fn run<S: Scheduler>(mut sc: Scenario<S>, eager: bool, seed: u64) -> (Outputs, (
         })
         .collect();
     let outputs = Outputs {
-        jsonl: jsonl.borrow().render().to_string(),
+        jsonl: jsonl.borrow().render(),
         counters: format!("{head}{tail}"),
         timers: (c.timers_armed, c.timer_events_scheduled, c.timer_chases),
         tallies: (t.delivery, t.timer, t.fault, t.ctrl),

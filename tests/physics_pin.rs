@@ -56,7 +56,7 @@ fn physics(cfg: &ModesConfig) -> (u64, u64, u64) {
         r.finished_at.as_ps(),
         manifest.control_json,
     );
-    text.push_str(jsonl.borrow().render());
+    text.push_str(&jsonl.borrow().render());
     (fnv1a64(&text), r.timeouts, manifest.events_processed)
 }
 

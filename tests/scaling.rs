@@ -8,10 +8,12 @@
 //! repeats exactly. A counting global allocator records the number of
 //! allocations and the peak of live heap bytes around each measured call,
 //! and the test compares a problem with its double: linear growth gives
-//! about 2x, quadratic about 4x. The same counters hold tracing to a
-//! constant number of allocations beyond its output buffer, and a run's
-//! memory to its flows rather than its length: every ACK re-arms a 200 ms
-//! RTO, and a scheduler event per re-arm is a run-long leak. And they hold
+//! about 2x, quadratic about 4x. The same counters hold tracing to one
+//! allocation per chunk of its output and its heap to that output plus one
+//! chunk, a run's memory to its flows rather than its length — every ACK
+//! re-arms a 200 ms RTO, and a scheduler event per re-arm is a run-long
+//! leak — and a long run's queue-depth series to one copy at about its own
+//! size. And they hold
 //! the event loop to its work per frame: a hop costs one `Delivery`, plus a
 //! `TxComplete` only where a frame waits behind the one on the transmitter
 //! or the link can lose it. The last section counts threads the same way:
@@ -28,9 +30,9 @@ use incast_bursts::simnet::{
     Shared, SimCounters, SimTime, TimingWheel,
 };
 use incast_bursts::stats::Rng;
-use incast_bursts::telemetry::JsonlSink;
+use incast_bursts::telemetry::{JsonlSink, CHUNK_BYTES};
 use incast_bursts::transport::{TcpConfig, TcpHost};
-use incast_bursts::workload::{CyclicCoordinator, IncastConfig, Worker};
+use incast_bursts::workload::{BurstSchedule, CyclicCoordinator, IncastConfig, Worker};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -108,19 +110,44 @@ fn incast(flows: usize) -> HeapWork {
     })
 }
 
-/// Allocations of one instrumented run with every event class traced into
-/// a `JsonlSink`, the same run with no sink, and the bytes the sink wrote.
-fn traced_and_untraced(flows: usize) -> (u64, u64, usize) {
+/// Heap work of one instrumented run with every event class traced into a
+/// `JsonlSink`, of the same run with no sink, and the bytes the sink holds.
+fn traced_and_untraced(flows: usize) -> (HeapWork, HeapWork, usize) {
     let cfg = one_burst(flows);
     let mut bytes = 0;
     let traced = measure(|| {
         let (jsonl, sink) = JsonlSink::new().shared();
         let run = run_incast_instrumented(&cfg, Some(&sink));
-        bytes = jsonl.borrow().render().len();
-        run
+        bytes = jsonl.borrow().lines().map(|line| line.len() + 1).sum();
+        (run, jsonl)
     });
     let untraced = measure(|| run_incast_instrumented(&cfg, None));
-    (traced.allocs, untraced.allocs, bytes)
+    (traced, untraced, bytes)
+}
+
+/// Few flows, bursts 600 ms apart: a 6 s run whose largest allocation is
+/// its bottleneck's depth series. The heap work, and the series' length.
+fn depth_dominated(queue_sample: SimTime) -> (HeapWork, usize) {
+    let cfg = ModesConfig {
+        num_flows: 4,
+        burst_duration_ms: 0.5,
+        num_bursts: 11,
+        warmup_bursts: 1,
+        schedule: BurstSchedule::AfterCompletion {
+            gap: SimTime::from_ms(600),
+        },
+        queue_sample,
+        seed: 11,
+        ..ModesConfig::default()
+    };
+    let mut len = 0;
+    let work = measure(|| {
+        let r = run_incast(&cfg);
+        assert_eq!(r.bcts_ms.len(), 11, "the bursts did not complete");
+        len = r.queue_pkts.len();
+        r
+    });
+    (work, len)
 }
 
 /// `num_bursts` loss-free 5 ms bursts from 80 senders (the paper's Mode 1),
@@ -201,16 +228,26 @@ fn doubling_the_flows_at_most_doubles_and_a_half_the_heap_work() {
         "allocation count is super-linear in flows: {small:?} -> {large:?}"
     );
 
-    // Tracing allocates for the output it keeps — the sink's buffer doubling
-    // up to its final size — and a constant for the handles around it, not
-    // per event: the encoder stages each line on the stack.
+    // Tracing allocates for the output it keeps — the first chunk doubling
+    // (at most log2 of a chunk times), then one allocation per chunk — and a
+    // constant for the handles around it, not per event: the encoder stages
+    // each line on the stack. And it holds that output once: its heap is
+    // the untraced run's plus the bytes written, at most one chunk of spare
+    // room and a margin for the handles — not the up-to-2x of a doubling
+    // `String`.
     for flows in [20, 40] {
         let (traced, untraced, bytes) = traced_and_untraced(flows);
-        eprintln!("{flows} flows traced: {traced} allocs, untraced {untraced}, {bytes} B");
+        eprintln!("{flows} flows traced: {traced:?}, untraced {untraced:?}, {bytes} B");
         assert!(bytes > 100_000, "{flows}-flow trace is only {bytes} bytes");
+        let chunks = CHUNK_BYTES.ilog2() as u64 + (bytes / CHUNK_BYTES) as u64;
         assert!(
-            traced <= untraced + 64 + bytes.ilog2() as u64,
-            "tracing {flows} flows allocates per event: {traced} vs {untraced} \
+            traced.allocs <= untraced.allocs + 64 + chunks,
+            "tracing {flows} flows allocates per event: {traced:?} vs {untraced:?} \
+             untraced for {bytes} bytes of JSONL"
+        );
+        assert!(
+            traced.peak_bytes <= untraced.peak_bytes + (bytes + CHUNK_BYTES + (64 << 10)) as u64,
+            "tracing {flows} flows holds more than its output: {traced:?} vs {untraced:?} \
              untraced for {bytes} bytes of JSONL"
         );
     }
@@ -289,6 +326,20 @@ fn doubling_the_flows_at_most_doubles_and_a_half_the_heap_work() {
         none.events_processed - all.events_processed,
         elided(&all),
         "eliding a TxComplete saves exactly its event"
+    );
+
+    // A run whose heap is its depth series (300 k buckets of 20 µs) holds
+    // the series once, with bounded slack: moved into the result, not
+    // cloned out of a live copy whose capacity doubled past it. The rest of
+    // the run is the same one with 1 s buckets.
+    let (series, len) = depth_dominated(SimTime::from_us(20));
+    let (fixed, few) = depth_dominated(SimTime::from_secs(1));
+    eprintln!("depth series of {len} buckets: {series:?}; with {few}: {fixed:?}");
+    assert!(len > 280_000, "the series is only {len} buckets");
+    assert!(
+        series.peak_bytes as f64 <= fixed.peak_bytes as f64 + 1.3 * 8.0 * len as f64,
+        "a {len}-bucket depth series costs {} B of peak heap",
+        series.peak_bytes - fixed.peak_bytes
     );
 
     // Twice the racks: twice the hosts *and* nearly twice the switches, so

@@ -7,7 +7,7 @@ use incast_bursts::core_api::modes::{run_incast_instrumented, ModesConfig};
 use incast_bursts::simnet::FlowId;
 use incast_bursts::simnet::{build_dumbbell, SimTime, TextTracer};
 use incast_bursts::stats::Rng;
-use incast_bursts::telemetry::{JsonlSink, PerfettoSink};
+use incast_bursts::telemetry::{JsonlSink, PerfettoSink, CHUNK_BYTES};
 use incast_bursts::transport::{TcpConfig, TcpHost};
 use incast_bursts::workload::{CyclicCoordinator, IncastConfig, Worker};
 
@@ -98,7 +98,7 @@ fn instrumented(seed: u64) -> (String, String) {
     let cfg = small_cfg(seed);
     let (jsonl, sref) = JsonlSink::new().shared();
     let (_, manifest) = run_incast_instrumented(&cfg, Some(&sref));
-    let stream = jsonl.borrow().render().to_string();
+    let stream = jsonl.borrow().render();
     // Wall-clock is the one nondeterministic manifest field; strip it.
     (stream, manifest.deterministic().to_json())
 }
@@ -213,6 +213,10 @@ fn perfetto_links_drops_to_retransmissions_under_loss() {
     cfg.num_bursts = 3;
     cfg.faults.loss = Some((SimTime::from_ms(1), SimTime::from_ms(4), 0.3));
     let out = perfetto_instrumented(&cfg);
+    // Long enough to span several of the sink's chunks: the objects on
+    // either side of every chunk boundary still nest and separate.
+    assert!(out.len() > 2 * CHUNK_BYTES, "{} bytes", out.len());
+    assert_brackets_balance(&out);
     assert!(out.contains(r#""name":"drop""#), "no drop instants");
     assert!(out.contains(r#""name":"fault:"#), "no fault instants");
     assert!(out.contains(r#""cat":"cause""#), "no causal arrows");
@@ -275,9 +279,9 @@ fn exported_bytes_match_the_pinned_encoders() {
         let (jsonl, sref) = JsonlSink::new().shared();
         let _ = run_incast_instrumented(cfg, Some(&sref));
         let jsonl = jsonl.borrow();
-        seen.push_str(jsonl.render());
+        seen.push_str(&jsonl.render());
         let hashes = (
-            fnv1a64(jsonl.render()),
+            fnv1a64(&jsonl.render()),
             fnv1a64(&perfetto_instrumented(cfg)),
         );
         if hashes != (*jsonl_hash, *perfetto_hash) {
