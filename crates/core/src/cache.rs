@@ -15,10 +15,11 @@
 //! raw `&str` API ([`RunCache::get_or_compute`], [`RunCache::get`]) takes.
 //! It is not what a warm incast hit pays for: a resident incast run has two
 //! addresses that reach one entry. The sweep engine and the supervisor ask
-//! with the [`ModesConfig`] itself — an [`incast_fingerprint`] over its leaf
-//! fields finds the entry and `==` against the config the entry owns
-//! confirms it, no key rendered, nothing allocated — and render the key only
-//! on a miss, once, to name the file and the new entry. A caller holding a
+//! with the [`ModesConfig`] itself — an [`incast_fingerprint`], a fold over
+//! the config's one leaf walk ([`stats::Leaves`]), finds the entry and `==`
+//! against the config the entry owns confirms it, no key rendered, nothing
+//! allocated — and render the key only on a miss, once, to name the file
+//! and the new entry. A caller holding a
 //! rendered key reaches the same entry by name; an entry owned by a config
 //! answers it by rendering that config (exact, ≈ 2 µs, paid by the raw API
 //! alone). Either way the owner is verified before the value is touched, so
@@ -55,19 +56,14 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::modes::{
-    FaultSpec, IncastRunResult, MitigationKind, MitigationSpec, ModesConfig, TopologySpec,
-    TruncationCause,
-};
+use crate::modes::{IncastRunResult, ModesConfig, TruncationCause};
 use crate::production::TraceConfig;
 use millisampler::{BurstRow, CtrlTallies, TraceSummary};
-use simnet::{BufferPolicy, FxHashMap, FxHasher, QueueConfig, SimTime};
-use stats::TimeSeries;
+use simnet::{FxHashMap, FxHasher, SimTime};
+use stats::{Leaves, TimeSeries, Visit};
 use telemetry::json::{write_f64, Obj};
 use telemetry::{EventTallies, LoopProfile};
-use transport::{CcaKind, DelayedAckConfig, PacingConfig, TcpConfig, TransportKind};
 use workload::SnapshotModel;
-use workload::{BurstSchedule, Grouping};
 
 /// Bumped whenever an encoding or a simulation-visible default changes, so
 /// stale disk entries from older schemas miss instead of decode.
@@ -106,243 +102,41 @@ pub fn incast_key(cfg: &ModesConfig) -> String {
     format!("incast/v{CACHE_SCHEMA_VERSION}|{cfg:?}")
 }
 
-/// Folds config leaves into an [`incast_fingerprint`], one word each.
-#[derive(Default)]
+/// Folds config leaves into an [`incast_fingerprint`]: a word per number
+/// (floats by bit pattern, so `0.0` / `-0.0` and two `NaN`s fold as they
+/// render), the label of each enum variant, and a tag word per `Option`, so
+/// `None` and `Some` of an all-zero payload differ.
 struct Fold(FxHasher);
 
-impl Fold {
-    fn word(&mut self, w: u64) {
-        self.0.write_u64(w);
+impl Visit for Fold {
+    fn int(&mut self, _: &'static str, v: u64) {
+        self.0.write_u64(v);
     }
 
-    /// By bit pattern: `0.0` / `-0.0` and two `NaN`s fold as they render.
-    fn float(&mut self, v: f64) {
-        self.word(v.to_bits());
+    fn float(&mut self, _: &'static str, v: f64) {
+        self.0.write_u64(v.to_bits());
     }
 
-    fn time(&mut self, t: SimTime) {
-        self.word(t.0);
+    fn variant(&mut self, _: &'static str, label: &'static str, _: bool) {
+        self.0.write(label.as_bytes());
     }
 
-    /// A tag word first, so `None` and `Some` of an all-zero payload differ.
-    fn opt<T: Copy>(&mut self, v: &Option<T>, some: impl FnOnce(&mut Self, T)) {
-        match *v {
-            None => self.word(0),
-            Some(x) => {
-                self.word(1);
-                some(self, x);
-            }
-        }
+    fn option(&mut self, _: &'static str, some: bool) {
+        self.0.write_u64(some as u64);
     }
 }
 
 /// 64-bit fingerprint of an incast config: where the memory layer looks for
-/// a resident run before any key is rendered. Every struct is destructured
-/// without `..` and every enum matched without `_`, so a new field or
-/// variant does not compile until it is folded in here. It only has to
-/// spread configs out: a hit is confirmed with `==` against the stored
-/// config (a derive, which picks new fields up by itself), so a leaf folded
-/// badly costs a key render, never a wrong result.
+/// a resident run before any key is rendered. A fold over the config's leaf
+/// walk ([`stats::Leaves`]), which destructures every struct without `..`,
+/// so a new field does not compile until it is listed — and, once listed,
+/// is folded here with no further edit. It only has to spread configs out:
+/// a hit is confirmed with `==` against the stored config, so a collision
+/// costs a key render, never a wrong result.
 pub fn incast_fingerprint(cfg: &ModesConfig) -> u64 {
-    let ModesConfig {
-        num_flows,
-        topology,
-        burst_duration_ms,
-        num_bursts,
-        warmup_bursts,
-        gap,
-        tcp,
-        tor_queue,
-        receiver_tor_buffer,
-        queue_sample,
-        flight_sample,
-        grouping,
-        schedule,
-        seed,
-        horizon,
-        faults,
-        mitigation,
-    } = cfg;
-    let mut h = Fold::default();
-    h.word(*num_flows as u64);
-    match *topology {
-        TopologySpec::Dumbbell => h.word(0),
-        TopologySpec::Clos { racks, spines } => {
-            h.word(1);
-            h.word(racks as u64);
-            h.word(spines as u64);
-        }
-    }
-    h.float(*burst_duration_ms);
-    h.word(*num_bursts as u64);
-    h.word(*warmup_bursts as u64);
-    h.time(*gap);
-
-    let TcpConfig {
-        transport,
-        mss,
-        init_cwnd_segs,
-        min_cwnd_segs,
-        cca,
-        initial_rto,
-        min_rto,
-        max_rto,
-        pto_granularity,
-        delayed_ack,
-        flight_sample_interval,
-        pacing,
-        idle_restart_after,
-    } = tcp;
-    h.word(match transport {
-        TransportKind::Tcp => 0,
-        TransportKind::Quic => 1,
-    });
-    h.word(*mss as u64);
-    h.word(*init_cwnd_segs as u64);
-    h.word(*min_cwnd_segs as u64);
-    match *cca {
-        CcaKind::Dctcp { g } => {
-            h.word(0);
-            h.float(g);
-        }
-        CcaKind::Reno => h.word(1),
-        CcaKind::Cubic => h.word(2),
-        CcaKind::DctcpMemory { g, memory_gain } => {
-            h.word(3);
-            h.float(g);
-            h.float(memory_gain);
-        }
-        CcaKind::DctcpGuardrail { g, max_cwnd_segs } => {
-            h.word(4);
-            h.float(g);
-            h.word(max_cwnd_segs as u64);
-        }
-        CcaKind::SwiftLike { target_us } => {
-            h.word(5);
-            h.word(target_us);
-        }
-    }
-    h.time(*initial_rto);
-    h.time(*min_rto);
-    h.time(*max_rto);
-    h.time(*pto_granularity);
-    h.opt(delayed_ack, |h, d| {
-        let DelayedAckConfig {
-            max_segments,
-            timeout,
-        } = d;
-        h.word(max_segments as u64);
-        h.time(timeout);
-    });
-    h.opt(flight_sample_interval, Fold::time);
-    h.opt(pacing, |h, p| {
-        let PacingConfig { min_cwnd_fraction } = p;
-        h.float(min_cwnd_fraction);
-    });
-    h.opt(idle_restart_after, Fold::time);
-
-    let QueueConfig {
-        capacity_bytes,
-        capacity_pkts,
-        ecn_threshold_pkts,
-        ecn_threshold_bytes,
-    } = tor_queue;
-    h.word(*capacity_bytes);
-    h.opt(capacity_pkts, |h, n| h.word(n as u64));
-    h.opt(ecn_threshold_pkts, |h, n| h.word(n as u64));
-    h.opt(ecn_threshold_bytes, Fold::word);
-
-    h.opt(receiver_tor_buffer, |h, (bytes, policy)| {
-        h.word(bytes);
-        match policy {
-            BufferPolicy::StaticPool => h.word(0),
-            BufferPolicy::DynamicThreshold { alpha } => {
-                h.word(1);
-                h.float(alpha);
-            }
-        }
-    });
-    h.time(*queue_sample);
-    h.opt(flight_sample, Fold::time);
-    h.opt(grouping, |h, g| {
-        let Grouping {
-            group_size,
-            group_gap,
-        } = g;
-        h.word(group_size as u64);
-        h.time(group_gap);
-    });
-    match *schedule {
-        BurstSchedule::AfterCompletion { gap } => {
-            h.word(0);
-            h.time(gap);
-        }
-        BurstSchedule::Periodic { period } => {
-            h.word(1);
-            h.time(period);
-        }
-    }
-    h.word(*seed);
-    h.time(*horizon);
-
-    let FaultSpec {
-        blackhole,
-        loss,
-        corrupt,
-        ecn_off,
-        buffer_shrink,
-        straggler,
-        spine_blackhole,
-        spine_loss,
-    } = faults;
-    let window = |h: &mut Fold, (from, until): (SimTime, SimTime)| {
-        h.time(from);
-        h.time(until);
-    };
-    let lossy = |h: &mut Fold, (from, until, p): (SimTime, SimTime, f64)| {
-        window(h, (from, until));
-        h.float(p);
-    };
-    let indexed = |h: &mut Fold, (from, until, index): (SimTime, SimTime, u32)| {
-        window(h, (from, until));
-        h.word(index as u64);
-    };
-    h.opt(blackhole, window);
-    h.opt(loss, lossy);
-    h.opt(corrupt, lossy);
-    h.opt(ecn_off, window);
-    h.opt(buffer_shrink, |h, (from, until, bytes)| {
-        window(h, (from, until));
-        h.word(bytes);
-    });
-    h.opt(straggler, indexed);
-    h.opt(spine_blackhole, indexed);
-    h.opt(spine_loss, |h, (from, until, spine, p)| {
-        indexed(h, (from, until, spine));
-        h.float(p);
-    });
-
-    let MitigationSpec {
-        kind,
-        notif_loss,
-        flow_threshold,
-        window_us,
-        pause_us,
-        retry_timeout_us,
-        max_retries,
-    } = mitigation;
-    h.word(match kind {
-        MitigationKind::Off => 0,
-        MitigationKind::Pulser => 1,
-        MitigationKind::Distributed => 2,
-    });
-    h.float(*notif_loss);
-    h.word(*flow_threshold as u64);
-    h.word(*window_us);
-    h.word(*pause_us);
-    h.word(*retry_timeout_us);
-    h.word(*max_retries as u64);
-    h.0.finish()
+    let mut fold = Fold(FxHasher::default());
+    cfg.walk("", &mut fold);
+    fold.0.finish()
 }
 
 /// Canonical key of a service host-trace where the snapshot model is

@@ -156,7 +156,7 @@ pub fn run_contention_with<S: Scheduler>(
         ),
     )
     .with_git_describe();
-    manifest.config_json = cfg.tcp.to_json();
+    manifest.config_json = telemetry::json::config(&cfg.tcp);
     manifest.events_processed = fabric.sim.counters().events_processed;
     manifest.sim_time_ps = fabric.sim.now().as_ps();
     manifest.counters_json = fabric.sim.counters().to_json();

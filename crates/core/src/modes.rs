@@ -9,7 +9,7 @@ use simnet::{
     build_clos_with, BufferPolicy, ClosConfig, ControlConfig, CtrlAction, FaultPlan, QueueConfig,
     Scheduler, Shared, SimTime, TimingWheel,
 };
-use stats::{Rng, TimeSeries};
+use stats::{ConfigError, Leaves, Rng, TimeSeries, Visit};
 use telemetry::{LoopProfile, RunManifest, SinkRef};
 use transport::{TcpConfig, TcpHost};
 use workload::{BurstSchedule, CyclicCoordinator, Grouping, IncastConfig, Worker};
@@ -50,6 +50,9 @@ pub struct FaultSpec {
     pub spine_loss: Option<(SimTime, SimTime, u32, f64)>,
 }
 
+stats::leaves!(FaultSpec:
+    blackhole, loss, corrupt, ecn_off, buffer_shrink, straggler, spine_blackhole, spine_loss);
+
 impl FaultSpec {
     /// True if no fault is configured (the run installs no plan).
     pub fn is_empty(&self) -> bool {
@@ -78,6 +81,23 @@ pub enum MitigationKind {
     Distributed,
 }
 
+impl MitigationKind {
+    /// Stable label for manifests and reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            MitigationKind::Off => "off",
+            MitigationKind::Pulser => "pulser",
+            MitigationKind::Distributed => "distributed",
+        }
+    }
+}
+
+impl Leaves for MitigationKind {
+    fn walk<V: Visit>(&self, name: &'static str, v: &mut V) {
+        stats::variant!(v, name, self.label());
+    }
+}
+
 /// Configuration of the in-fabric incast control plane for one run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MitigationSpec {
@@ -99,6 +119,9 @@ pub struct MitigationSpec {
     pub max_retries: u32,
 }
 
+stats::leaves!(MitigationSpec:
+    kind, notif_loss, flow_threshold, window_us, pause_us, retry_timeout_us, max_retries);
+
 impl Default for MitigationSpec {
     fn default() -> Self {
         MitigationSpec {
@@ -117,15 +140,6 @@ impl MitigationSpec {
     /// True when the run installs no control plane.
     pub fn is_off(&self) -> bool {
         self.kind == MitigationKind::Off
-    }
-
-    /// Stable label for manifests and reports.
-    pub fn label(&self) -> &'static str {
-        match self.kind {
-            MitigationKind::Off => "off",
-            MitigationKind::Pulser => "pulser",
-            MitigationKind::Distributed => "distributed",
-        }
     }
 }
 
@@ -214,6 +228,15 @@ pub enum TopologySpec {
     },
 }
 
+impl Leaves for TopologySpec {
+    fn walk<V: Visit>(&self, name: &'static str, v: &mut V) {
+        match *self {
+            TopologySpec::Dumbbell => stats::variant!(v, name, "dumbbell"),
+            TopologySpec::Clos { racks, spines } => stats::variant!(v, name, "clos", racks, spines),
+        }
+    }
+}
+
 /// Configuration of one cyclic-incast run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModesConfig {
@@ -256,6 +279,36 @@ pub struct ModesConfig {
     pub faults: FaultSpec,
     /// In-fabric incast control plane (explicit notifications).
     pub mitigation: MitigationSpec,
+}
+
+stats::leaves!(ModesConfig:
+    num_flows, topology, burst_duration_ms, num_bursts, warmup_bursts, gap, tcp, tor_queue,
+    receiver_tor_buffer, queue_sample, flight_sample, grouping, schedule, seed, horizon, faults,
+    mitigation);
+
+impl ModesConfig {
+    /// Checks what a run cannot start without: at least one flow, a
+    /// positive burst duration, a Clos with a rack and a spine, and a valid
+    /// [`TcpConfig`]. [`run_incast`] panics on a config this rejects; the
+    /// supervisor reports it as a failed run without starting one.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let reject = |path, reason| Err(ConfigError { path, reason });
+        if self.num_flows == 0 {
+            return reject("num_flows", "must be positive");
+        }
+        if self.burst_duration_ms.is_nan() || self.burst_duration_ms <= 0.0 {
+            return reject("burst_duration_ms", "must be positive");
+        }
+        if let TopologySpec::Clos { racks, spines } = self.topology {
+            if racks == 0 {
+                return reject("topology.racks", "must be at least 1");
+            }
+            if spines == 0 {
+                return reject("topology.spines", "must be at least 1");
+            }
+        }
+        self.tcp.validate()
+    }
 }
 
 impl Default for ModesConfig {
@@ -468,8 +521,8 @@ pub fn run_incast_budgeted_with<S: Scheduler>(
     sink: Option<&SinkRef>,
     budget: Option<&RunBudget>,
 ) -> (IncastRunResult, RunManifest) {
-    assert!(cfg.num_flows > 0);
-    assert!(cfg.burst_duration_ms > 0.0);
+    cfg.validate()
+        .unwrap_or_else(|e| panic!("invalid config: {e}"));
 
     // Each run owns this worker thread's flight-recorder ring: stale
     // history (or a pending dump) from a previous run on the same thread
@@ -497,10 +550,7 @@ pub fn run_incast_budgeted_with<S: Scheduler>(
         seed: cfg.seed,
         ..ClosConfig::default()
     };
-    let mut fabric = match build_clos_with::<S>(&clos_cfg) {
-        Ok(f) => f,
-        Err(e) => panic!("invalid topology spec {:?}: {e}", cfg.topology),
-    };
+    let mut fabric = build_clos_with::<S>(&clos_cfg).expect("a validated topology builds");
     // Flow i sends from `host_for_flow(i)`: round-robin across racks, so
     // an M-rack run converges senders from M racks onto the one receiver.
     // With one rack this is exactly the dumbbell's sender order.
@@ -780,7 +830,7 @@ pub fn run_incast_budgeted_with<S: Scheduler>(
         ),
     };
     let mut manifest = RunManifest::new("incast", cfg.seed, &topology_label).with_git_describe();
-    manifest.config_json = cfg.tcp.to_json();
+    manifest.config_json = telemetry::json::config(cfg);
     manifest.event_count = sink.map(|s| s.event_count()).unwrap_or(0);
     manifest.events_processed = fabric.sim.counters().events_processed;
     manifest.sim_time_ps = fabric.sim.now().as_ps();
@@ -826,7 +876,7 @@ pub fn run_incast_budgeted_with<S: Scheduler>(
         let c = fabric.sim.counters();
         let mut out = String::new();
         let mut o = telemetry::json::Obj::new(&mut out);
-        o.str("mitigation", mit.label())
+        o.str("mitigation", mit.kind.label())
             .u64("ports", ctrl_ports.len() as u64)
             .f64("notif_loss", mit.notif_loss)
             .u64("notif_sent", c.notif_sent)
@@ -1003,7 +1053,10 @@ mod tests {
         assert!(manifest.event_count > 0);
         assert_eq!(manifest.seed, cfg.seed);
         assert_eq!(manifest.topology, "dumbbell:senders=10,receivers=1");
-        assert!(manifest.config_json.contains(r#""cca":"dctcp""#));
+        assert!(manifest.config_json.starts_with(r#"{"num_flows":10,"#));
+        assert!(manifest
+            .config_json
+            .contains(r#""cca":{"kind":"dctcp","g":0.0625}"#));
         assert!(manifest.events_processed > 0);
         assert!(manifest.counters_json.contains("delivered_pkts"));
         assert!(manifest.wall_clock_us.is_some());

@@ -5,6 +5,8 @@
 //! (a pathological config that never converges) holds its thread hostage.
 //! The supervisor wraps each run with
 //!
+//! - **validation at the front door** — a config [`ModesConfig::validate`]
+//!   rejects fails with its typed reason before a simulation starts,
 //! - **panic isolation** — a panic in one run is caught on its worker,
 //!   recorded, and quarantined; every other run still completes and
 //!   aggregates,
@@ -70,7 +72,8 @@ pub enum RunOutcome {
     /// Cut short by a budget guard; partial result retained but excluded
     /// from aggregates and never cached.
     Truncated(TruncationCause, Box<IncastRunResult>),
-    /// Panicked; the payload text (as labeled by the runner).
+    /// Rejected by [`ModesConfig::validate`] (`invalid config: <path>:
+    /// <reason>`) or panicked (`panic: <payload>`).
     Failed(String),
 }
 
@@ -151,7 +154,7 @@ pub fn supervised_incast_sweep(
             }
             RunOutcome::Failed(msg) => {
                 coverage.failed += 1;
-                Some(format!("panic: {msg}"))
+                Some(msg.clone())
             }
         };
         if let (Some(cause), Some(dir)) = (cause, sup.quarantine_dir.as_deref()) {
@@ -170,9 +173,10 @@ pub fn supervised_incast_sweep(
     }
 }
 
-/// One supervised run: cache probe by config (a hit renders no key), then
-/// a budgeted run under `catch_unwind`. Only complete runs enter the cache,
-/// under the key the missed probe rendered.
+/// One supervised run: cache probe by config (a hit renders no key and
+/// validates nothing), then validation, then a budgeted run under
+/// `catch_unwind`. Only complete runs enter the cache, under the key the
+/// missed probe rendered.
 ///
 /// The second element is the flight-recorder dump, if the run captured one
 /// (fault applied, budget truncation, invariant violation, or panic; always
@@ -189,6 +193,9 @@ fn supervised_run(
         Ok(hit) => return (RunOutcome::Completed(hit), None),
         Err(key) => key,
     };
+    if let Err(e) = cfg.validate() {
+        return (RunOutcome::Failed(format!("invalid config: {e}")), None);
+    }
     let outcome = match catch_unwind(AssertUnwindSafe(|| {
         run_incast_budgeted_with::<TimingWheel>(cfg, None, budget).0
     })) {
@@ -203,7 +210,7 @@ fn supervised_run(
             if simnet::recorder::enabled() {
                 simnet::recorder::capture(&format!("worker panic: {msg}"));
             }
-            RunOutcome::Failed(msg)
+            RunOutcome::Failed(format!("panic: {msg}"))
         }
     };
     (outcome, simnet::recorder::take_dump())
@@ -283,8 +290,8 @@ mod tests {
         }
     }
 
-    /// A config that panics inside the run: `run_incast` asserts
-    /// `burst_duration_ms > 0`.
+    /// A config [`ModesConfig::validate`] rejects: the supervisor reports
+    /// it as failed without starting a run.
     fn poisoned() -> ModesConfig {
         ModesConfig {
             burst_duration_ms: -1.0,
@@ -338,11 +345,10 @@ mod tests {
             assert!(src.contains("#[test]"), "{src}");
             assert!(src.contains("let cfg = ModesConfig {"), "{src}");
         }
-        // The failed run's payload names the scenario (satellite: labeled
-        // panic payloads).
+        // The failed run carries the typed rejection, not a panic.
         match &sweep.outcomes[1] {
             RunOutcome::Failed(msg) => {
-                assert!(msg.contains("burst_duration_ms"), "{msg}")
+                assert_eq!(msg, "invalid config: burst_duration_ms: must be positive")
             }
             o => panic!("expected failure, got {}", o.label()),
         }

@@ -12,22 +12,34 @@
 //! 4. The disk address is pinned: the entry name and meta line of a config
 //!    are what they were before the memory layer stopped rendering keys,
 //!    whichever API wrote the entry.
+//! 5. The config walk is complete: the hand-written variant list names
+//!    every leaf it visits, validation rejects at walked paths, and the
+//!    manifest's config JSON keys every leaf.
+
+use std::collections::BTreeSet;
 
 use incast_core::cache::{
     fnv1a64, incast_fingerprint, incast_key, trace_key, CacheValue, RunCache,
 };
-use incast_core::modes::{run_incast, MitigationKind, ModesConfig, TopologySpec};
+use incast_core::modes::{run_incast, FaultSpec, MitigationKind, ModesConfig, TopologySpec};
 use incast_core::production::TraceConfig;
 use incast_core::{run_incast_cached, run_incast_sweep};
 use simnet::{BufferPolicy, SimTime};
+use stats::{Leaves, Visit};
 use transport::{CcaKind, DelayedAckConfig, PacingConfig, TransportKind};
 use workload::{BurstSchedule, Grouping, ServiceId};
 
-/// The base config plus one variant per `ModesConfig` leaf: every field of
-/// every nested struct, and for enums and options the variant as well as
-/// each payload field.
+/// One variant of the default config per `ModesConfig` leaf, named by the
+/// leaf's walk path (a ` (…)` suffix tells apart several variants of one
+/// enum leaf): every field of every nested struct and tuple, and for enums
+/// and options the variant as well as each payload field.
+/// `the_variant_list_names_every_walked_leaf` keeps it complete.
 fn one_field_variants() -> Vec<(&'static str, ModesConfig)> {
-    let (from, until) = (SimTime::from_ms(1), SimTime::from_ms(5));
+    let (from, later, until) = (
+        SimTime::from_ms(1),
+        SimTime::from_ms(2),
+        SimTime::from_ms(5),
+    );
     type Edit = Box<dyn Fn(&mut ModesConfig)>;
     let edits: Vec<(&'static str, Edit)> = vec![
         ("num_flows", Box::new(|c| c.num_flows += 1)),
@@ -211,21 +223,21 @@ fn one_field_variants() -> Vec<(&'static str, ModesConfig)> {
             }),
         ),
         (
-            "receiver_tor_buffer.bytes",
+            "receiver_tor_buffer.0",
             Box::new(|c| {
                 c.receiver_tor_buffer =
                     Some((4_000_001, BufferPolicy::DynamicThreshold { alpha: 1.0 }))
             }),
         ),
         (
-            "receiver_tor_buffer.alpha",
+            "receiver_tor_buffer.1.alpha",
             Box::new(|c| {
                 c.receiver_tor_buffer =
                     Some((4_000_000, BufferPolicy::DynamicThreshold { alpha: 2.0 }))
             }),
         ),
         (
-            "receiver_tor_buffer.policy",
+            "receiver_tor_buffer.1",
             Box::new(|c| c.receiver_tor_buffer = Some((4_000_000, BufferPolicy::StaticPool))),
         ),
         (
@@ -272,6 +284,14 @@ fn one_field_variants() -> Vec<(&'static str, ModesConfig)> {
             }),
         ),
         (
+            "schedule.period",
+            Box::new(|c| {
+                c.schedule = BurstSchedule::Periodic {
+                    period: SimTime::from_ms(18),
+                }
+            }),
+        ),
+        (
             "schedule.gap",
             Box::new(|c| {
                 c.schedule = BurstSchedule::AfterCompletion {
@@ -286,11 +306,27 @@ fn one_field_variants() -> Vec<(&'static str, ModesConfig)> {
             Box::new(move |c| c.faults.blackhole = Some((from, until))),
         ),
         (
+            "faults.blackhole.0",
+            Box::new(move |c| c.faults.blackhole = Some((later, until))),
+        ),
+        (
+            "faults.blackhole.1",
+            Box::new(move |c| c.faults.blackhole = Some((from, later))),
+        ),
+        (
             "faults.loss",
             Box::new(move |c| c.faults.loss = Some((from, until, 0.01))),
         ),
         (
-            "faults.loss.p",
+            "faults.loss.0",
+            Box::new(move |c| c.faults.loss = Some((later, until, 0.01))),
+        ),
+        (
+            "faults.loss.1",
+            Box::new(move |c| c.faults.loss = Some((from, later, 0.01))),
+        ),
+        (
+            "faults.loss.2",
             Box::new(move |c| c.faults.loss = Some((from, until, 0.02))),
         ),
         (
@@ -298,11 +334,27 @@ fn one_field_variants() -> Vec<(&'static str, ModesConfig)> {
             Box::new(move |c| c.faults.corrupt = Some((from, until, 0.01))),
         ),
         (
+            "faults.corrupt.0",
+            Box::new(move |c| c.faults.corrupt = Some((later, until, 0.01))),
+        ),
+        (
+            "faults.corrupt.1",
+            Box::new(move |c| c.faults.corrupt = Some((from, later, 0.01))),
+        ),
+        (
+            "faults.corrupt.2",
+            Box::new(move |c| c.faults.corrupt = Some((from, until, 0.02))),
+        ),
+        (
             "faults.ecn_off",
             Box::new(move |c| c.faults.ecn_off = Some((from, until))),
         ),
         (
-            "faults.ecn_off.until",
+            "faults.ecn_off.0",
+            Box::new(move |c| c.faults.ecn_off = Some((later, until))),
+        ),
+        (
+            "faults.ecn_off.1",
             Box::new(move |c| c.faults.ecn_off = Some((from, SimTime::from_ms(6)))),
         ),
         (
@@ -310,11 +362,31 @@ fn one_field_variants() -> Vec<(&'static str, ModesConfig)> {
             Box::new(move |c| c.faults.buffer_shrink = Some((from, until, 100_000))),
         ),
         (
+            "faults.buffer_shrink.0",
+            Box::new(move |c| c.faults.buffer_shrink = Some((later, until, 100_000))),
+        ),
+        (
+            "faults.buffer_shrink.1",
+            Box::new(move |c| c.faults.buffer_shrink = Some((from, later, 100_000))),
+        ),
+        (
+            "faults.buffer_shrink.2",
+            Box::new(move |c| c.faults.buffer_shrink = Some((from, until, 100_001))),
+        ),
+        (
             "faults.straggler",
             Box::new(move |c| c.faults.straggler = Some((from, until, 0))),
         ),
         (
-            "faults.straggler.sender",
+            "faults.straggler.0",
+            Box::new(move |c| c.faults.straggler = Some((later, until, 0))),
+        ),
+        (
+            "faults.straggler.1",
+            Box::new(move |c| c.faults.straggler = Some((from, later, 0))),
+        ),
+        (
+            "faults.straggler.2",
             Box::new(move |c| c.faults.straggler = Some((from, until, 1))),
         ),
         (
@@ -322,12 +394,36 @@ fn one_field_variants() -> Vec<(&'static str, ModesConfig)> {
             Box::new(move |c| c.faults.spine_blackhole = Some((from, until, 0))),
         ),
         (
+            "faults.spine_blackhole.0",
+            Box::new(move |c| c.faults.spine_blackhole = Some((later, until, 0))),
+        ),
+        (
+            "faults.spine_blackhole.1",
+            Box::new(move |c| c.faults.spine_blackhole = Some((from, later, 0))),
+        ),
+        (
+            "faults.spine_blackhole.2",
+            Box::new(move |c| c.faults.spine_blackhole = Some((from, until, 1))),
+        ),
+        (
             "faults.spine_loss",
             Box::new(move |c| c.faults.spine_loss = Some((from, until, 0, 0.01))),
         ),
         (
-            "faults.spine_loss.spine",
+            "faults.spine_loss.0",
+            Box::new(move |c| c.faults.spine_loss = Some((later, until, 0, 0.01))),
+        ),
+        (
+            "faults.spine_loss.1",
+            Box::new(move |c| c.faults.spine_loss = Some((from, later, 0, 0.01))),
+        ),
+        (
+            "faults.spine_loss.2",
             Box::new(move |c| c.faults.spine_loss = Some((from, until, 1, 0.01))),
+        ),
+        (
+            "faults.spine_loss.3",
+            Box::new(move |c| c.faults.spine_loss = Some((from, until, 0, 0.02))),
         ),
         // Every control-plane field: flipping any one of them must produce a
         // distinct run, so each must perturb the key on its own.
@@ -397,6 +493,177 @@ fn one_field_difference_never_collides() {
         }
     }
 }
+
+/// Every leaf path a config's walk visits, and how many of its leaves the
+/// config JSON writes a key for (all but a present `Option`, whose payload
+/// is written instead).
+#[derive(Default)]
+struct Paths {
+    stack: Vec<&'static str>,
+    paths: BTreeSet<String>,
+    keyed: usize,
+}
+
+impl Paths {
+    fn of(cfg: &ModesConfig) -> Paths {
+        let mut p = Paths::default();
+        cfg.walk("", &mut p);
+        p
+    }
+
+    fn leaf(&mut self, name: &'static str, keyed: bool) {
+        let mut path: Vec<&str> = self
+            .stack
+            .iter()
+            .copied()
+            .filter(|s| !s.is_empty())
+            .collect();
+        path.push(name);
+        self.paths.insert(path.join("."));
+        self.keyed += keyed as usize;
+    }
+}
+
+impl Visit for Paths {
+    fn int(&mut self, name: &'static str, _: u64) {
+        self.leaf(name, true);
+    }
+    fn float(&mut self, name: &'static str, _: f64) {
+        self.leaf(name, true);
+    }
+    fn variant(&mut self, name: &'static str, _: &'static str, fields: bool) {
+        self.leaf(name, true);
+        if fields {
+            self.stack.push(name);
+        }
+    }
+    fn option(&mut self, name: &'static str, some: bool) {
+        self.leaf(name, !some);
+    }
+    fn enter(&mut self, name: &'static str) {
+        self.stack.push(name);
+    }
+    fn leave(&mut self) {
+        self.stack.pop();
+    }
+}
+
+/// The default config with every `Option` anywhere in it `Some`.
+fn all_some() -> ModesConfig {
+    let (from, until) = (SimTime::from_ms(1), SimTime::from_ms(5));
+    let mut c = ModesConfig::default();
+    c.tcp.delayed_ack = Some(DelayedAckConfig::default());
+    c.tcp.flight_sample_interval = Some(SimTime::from_us(100));
+    c.tcp.pacing = Some(PacingConfig::default());
+    c.tcp.idle_restart_after = Some(SimTime::from_ms(1));
+    c.tor_queue.ecn_threshold_bytes = Some(97_500);
+    c.receiver_tor_buffer = Some((4_000_000, BufferPolicy::DynamicThreshold { alpha: 1.0 }));
+    c.flight_sample = Some(SimTime::from_us(100));
+    c.grouping = Some(Grouping {
+        group_size: 10,
+        group_gap: SimTime::from_us(500),
+    });
+    c.faults = FaultSpec {
+        blackhole: Some((from, until)),
+        loss: Some((from, until, 0.01)),
+        corrupt: Some((from, until, 0.01)),
+        ecn_off: Some((from, until)),
+        buffer_shrink: Some((from, until, 100_000)),
+        straggler: Some((from, until, 0)),
+        spine_blackhole: Some((from, until, 0)),
+        spine_loss: Some((from, until, 0, 0.01)),
+    };
+    c
+}
+
+/// The hand-written variant list cannot fall behind the walk: every leaf the
+/// walk visits on a config with every `Option` present is named by a
+/// variant, and every variant names a leaf its own config's walk visits.
+#[test]
+fn the_variant_list_names_every_walked_leaf() {
+    let variants = one_field_variants();
+    let named: BTreeSet<&str> = variants
+        .iter()
+        .map(|(name, _)| name.split(" (").next().unwrap())
+        .collect();
+    let walked = Paths::of(&all_some()).paths;
+    let unnamed: Vec<_> = walked
+        .iter()
+        .filter(|p| !named.contains(p.as_str()))
+        .collect();
+    assert!(
+        unnamed.is_empty(),
+        "leaves no variant perturbs: {unnamed:?}"
+    );
+    for (name, cfg) in &variants {
+        let path = name.split(" (").next().unwrap();
+        assert!(
+            Paths::of(cfg).paths.contains(path),
+            "variant '{name}' names no leaf its walk visits"
+        );
+    }
+}
+
+/// One config per validation rule: each is rejected at the leaf the rule
+/// guards, and that leaf is one the walk visits.
+#[test]
+fn validation_rejects_each_rule_at_a_walked_path() {
+    type Edit = fn(&mut ModesConfig);
+    let rules: [(&str, Edit); 10] = [
+        ("num_flows", |c| c.num_flows = 0),
+        ("burst_duration_ms", |c| c.burst_duration_ms = f64::NAN),
+        ("topology.racks", |c| {
+            c.topology = TopologySpec::Clos {
+                racks: 0,
+                spines: 2,
+            }
+        }),
+        ("topology.spines", |c| {
+            c.topology = TopologySpec::Clos {
+                racks: 2,
+                spines: 0,
+            }
+        }),
+        ("tcp.mss", |c| c.tcp.mss = 0),
+        ("tcp.min_cwnd_segs", |c| c.tcp.min_cwnd_segs = 0),
+        ("tcp.init_cwnd_segs", |c| c.tcp.min_cwnd_segs = 11),
+        ("tcp.min_rto", |c| c.tcp.min_rto = SimTime::from_secs(61)),
+        ("tcp.pacing", |c| {
+            c.tcp.transport = TransportKind::Quic;
+            c.tcp.pacing = Some(PacingConfig::default());
+        }),
+        ("tcp.pto_granularity", |c| {
+            c.tcp.transport = TransportKind::Quic;
+            c.tcp.pto_granularity = SimTime::ZERO;
+        }),
+    ];
+    assert_eq!(ModesConfig::default().validate(), Ok(()));
+    assert_eq!(all_some().validate(), Ok(()));
+    for (path, edit) in rules {
+        let mut cfg = ModesConfig::default();
+        edit(&mut cfg);
+        let err = cfg.validate().expect_err(path);
+        assert_eq!(err.path, path, "{err}");
+        assert!(Paths::of(&cfg).paths.contains(path), "{path} is not walked");
+    }
+}
+
+/// The manifest's config JSON of the default config, pinned; one key per
+/// leaf the walk visits.
+#[test]
+fn default_config_json_is_pinned_and_keys_every_leaf() {
+    let cfg = ModesConfig::default();
+    let json = telemetry::json::config(&cfg);
+    assert_eq!(json, DEFAULT_JSON);
+    let leaf_keys = json.matches("\":").count() - json.matches("\":{").count();
+    assert_eq!(leaf_keys, Paths::of(&cfg).keyed);
+    let all = all_some();
+    let json = telemetry::json::config(&all);
+    let leaf_keys = json.matches("\":").count() - json.matches("\":{").count();
+    assert_eq!(leaf_keys, Paths::of(&all).keyed, "{json}");
+}
+
+const DEFAULT_JSON: &str = r#"{"num_flows":100,"topology":"dumbbell","burst_duration_ms":15,"num_bursts":11,"warmup_bursts":2,"gap":2000000000,"tcp":{"transport":"tcp","mss":1446,"init_cwnd_segs":10,"min_cwnd_segs":1,"cca":{"kind":"dctcp","g":0.0625},"initial_rto":1000000000000,"min_rto":200000000000,"max_rto":60000000000000,"pto_granularity":1000000000,"delayed_ack":null,"flight_sample_interval":null,"pacing":null,"idle_restart_after":null},"tor_queue":{"capacity_bytes":2000000,"capacity_pkts":1333,"ecn_threshold_pkts":65,"ecn_threshold_bytes":null},"receiver_tor_buffer":null,"queue_sample":20000000,"flight_sample":null,"grouping":null,"schedule":{"kind":"after_completion","gap":2000000000},"seed":1,"horizon":30000000000000,"faults":{"blackhole":null,"loss":null,"corrupt":null,"ecn_off":null,"buffer_shrink":null,"straggler":null,"spine_blackhole":null,"spine_loss":null},"mitigation":{"kind":"off","notif_loss":0,"flow_threshold":8,"window_us":100,"pause_us":150,"retry_timeout_us":100,"max_retries":5}}"#;
 
 /// `fnv1a64(incast_key(&ModesConfig::default()))` and the key itself, as
 /// computed before resident runs were addressed by config (schema v4).

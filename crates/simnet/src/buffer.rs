@@ -13,6 +13,8 @@
 //! with several, each gets proportionally less — exactly the "rack-level
 //! contention" effect.
 
+use stats::{Leaves, Visit};
+
 /// Shared-buffer admission policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BufferPolicy {
@@ -20,6 +22,17 @@ pub enum BufferPolicy {
     StaticPool,
     /// Dynamic Threshold with the given `alpha`.
     DynamicThreshold { alpha: f64 },
+}
+
+impl Leaves for BufferPolicy {
+    fn walk<V: Visit>(&self, name: &'static str, v: &mut V) {
+        match *self {
+            BufferPolicy::StaticPool => stats::variant!(v, name, "static_pool"),
+            BufferPolicy::DynamicThreshold { alpha } => {
+                stats::variant!(v, name, "dynamic_threshold", alpha)
+            }
+        }
+    }
 }
 
 /// One shared memory pool, charged by every member queue.

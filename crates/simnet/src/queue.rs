@@ -64,6 +64,8 @@ pub struct QueueConfig {
     pub ecn_threshold_bytes: Option<u64>,
 }
 
+stats::leaves!(QueueConfig: capacity_bytes, capacity_pkts, ecn_threshold_pkts, ecn_threshold_bytes);
+
 impl QueueConfig {
     /// The paper's receiver-ToR configuration: 2 MB / 1333 packets capacity,
     /// 65-packet marking threshold.

@@ -15,6 +15,13 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
+impl stats::Leaves for SimTime {
+    /// A time is one integer leaf, in picoseconds.
+    fn walk<V: stats::Visit>(&self, name: &'static str, v: &mut V) {
+        v.int(name, self.0);
+    }
+}
+
 pub const PS_PER_NS: u64 = 1_000;
 pub const PS_PER_US: u64 = 1_000_000;
 pub const PS_PER_MS: u64 = 1_000_000_000;

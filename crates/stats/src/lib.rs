@@ -17,13 +17,16 @@
 //!   streaming sweep aggregation,
 //! - [`summary`]: scalar summary statistics (mean, variance, percentiles),
 //! - [`retry_with_backoff`]: bounded retry for transient IO in the sweep
-//!   machinery.
+//!   machinery,
+//! - [`Leaves`] / [`Visit`]: the one exhaustive walk over a config's
+//!   fields, and [`ConfigError`], what validating one reports.
 
 #![forbid(unsafe_code)]
 
 pub mod cdf;
 pub mod dist;
 pub mod histogram;
+pub mod leaves;
 pub mod retry;
 pub mod rng;
 pub mod sketch;
@@ -33,6 +36,7 @@ pub mod timeseries;
 pub use cdf::Cdf;
 pub use dist::Dist;
 pub use histogram::Histogram;
+pub use leaves::{ConfigError, Leaves, Visit};
 pub use retry::retry_with_backoff;
 pub use rng::Rng;
 pub use sketch::QuantileSketch;

@@ -21,8 +21,8 @@ pub struct RunManifest {
     pub seed: u64,
     /// Topology summary, e.g. `"dumbbell:senders=32,trunk=100G"`.
     pub topology: String,
-    /// Pre-rendered JSON of the transport config (see
-    /// `TcpConfig::to_json` in the transport crate), or `"{}"`.
+    /// Pre-rendered JSON of the run's config ([`crate::json::config`]), or
+    /// `"{}"`.
     pub config_json: String,
     /// Output of `git describe --always --dirty`, or `"unknown"`.
     pub git_describe: String,

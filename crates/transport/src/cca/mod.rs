@@ -22,6 +22,7 @@ pub use reno::Reno;
 pub use swift::SwiftLike;
 
 use simnet::SimTime;
+use stats::{Leaves, Visit};
 
 /// Context the sender passes to every CCA callback.
 #[derive(Debug, Clone, Copy)]
@@ -145,6 +146,23 @@ impl CcaKind {
             CcaKind::DctcpMemory { .. } => "dctcp-memory",
             CcaKind::DctcpGuardrail { .. } => "dctcp-guardrail",
             CcaKind::SwiftLike { .. } => "swift-like",
+        }
+    }
+}
+
+impl Leaves for CcaKind {
+    fn walk<V: Visit>(&self, name: &'static str, v: &mut V) {
+        let label = self.name();
+        match *self {
+            CcaKind::Reno | CcaKind::Cubic => stats::variant!(v, name, label),
+            CcaKind::Dctcp { g } => stats::variant!(v, name, label, g),
+            CcaKind::DctcpMemory { g, memory_gain } => {
+                stats::variant!(v, name, label, g, memory_gain)
+            }
+            CcaKind::DctcpGuardrail { g, max_cwnd_segs } => {
+                stats::variant!(v, name, label, g, max_cwnd_segs)
+            }
+            CcaKind::SwiftLike { target_us } => stats::variant!(v, name, label, target_us),
         }
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::cca::CcaKind;
 use simnet::{SimTime, DEFAULT_MSS};
+use stats::{ConfigError, Leaves, Visit};
 
 /// Delayed acknowledgment behavior.
 ///
@@ -16,6 +17,8 @@ pub struct DelayedAckConfig {
     /// ACK at latest after this delay.
     pub timeout: SimTime,
 }
+
+stats::leaves!(DelayedAckConfig: max_segments, timeout);
 
 impl Default for DelayedAckConfig {
     fn default() -> Self {
@@ -57,6 +60,12 @@ impl TransportKind {
             "quic" => Some(TransportKind::Quic),
             _ => None,
         }
+    }
+}
+
+impl Leaves for TransportKind {
+    fn walk<V: Visit>(&self, name: &'static str, v: &mut V) {
+        stats::variant!(v, name, self.name());
     }
 }
 
@@ -109,6 +118,10 @@ pub struct TcpConfig {
     pub idle_restart_after: Option<SimTime>,
 }
 
+stats::leaves!(TcpConfig:
+    transport, mss, init_cwnd_segs, min_cwnd_segs, cca, initial_rto, min_rto, max_rto,
+    pto_granularity, delayed_ack, flight_sample_interval, pacing, idle_restart_after);
+
 impl Default for TcpConfig {
     /// The paper's Section 4 endpoint configuration: DCTCP with g = 1/16,
     /// CWND floor of 1 MSS, delayed ACKs off, 200 ms minimum RTO.
@@ -139,6 +152,8 @@ pub struct PacingConfig {
     pub min_cwnd_fraction: f64,
 }
 
+stats::leaves!(PacingConfig: min_cwnd_fraction);
+
 impl Default for PacingConfig {
     fn default() -> Self {
         // One packet every up to 16 RTTs.
@@ -164,57 +179,28 @@ impl TcpConfig {
         self.init_cwnd_segs as u64 * self.mss_bytes()
     }
 
-    /// Deterministic JSON rendering, for run manifests: every field that
-    /// shapes behavior, times in picoseconds, the CCA by name.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let mut o = telemetry::json::Obj::new(&mut out);
-        o.str("transport", self.transport.name())
-            .u64("mss", self.mss as u64)
-            .u64("init_cwnd_segs", self.init_cwnd_segs as u64)
-            .u64("min_cwnd_segs", self.min_cwnd_segs as u64)
-            .str("cca", self.cca.name())
-            .u64("initial_rto_ps", self.initial_rto.as_ps())
-            .u64("min_rto_ps", self.min_rto.as_ps())
-            .u64("max_rto_ps", self.max_rto.as_ps())
-            .u64("pto_granularity_ps", self.pto_granularity.as_ps())
-            .bool("delayed_ack", self.delayed_ack.is_some());
-        match self.flight_sample_interval {
-            Some(iv) => o.u64("flight_sample_interval_ps", iv.as_ps()),
-            None => o.null("flight_sample_interval_ps"),
-        };
-        match self.pacing {
-            Some(p) => o.f64("pacing_min_cwnd_fraction", p.min_cwnd_fraction),
-            None => o.null("pacing_min_cwnd_fraction"),
-        };
-        match self.idle_restart_after {
-            Some(t) => o.u64("idle_restart_after_ps", t.as_ps()),
-            None => o.null("idle_restart_after_ps"),
-        };
-        o.finish();
-        out
-    }
-
     /// Validates invariants (positive MSS, floor <= initial window, sane
-    /// RTO ordering). Call after hand-constructing a config.
-    pub fn validate(&self) -> Result<(), String> {
+    /// RTO ordering). Paths are the leaves' paths under a `ModesConfig`
+    /// (`tcp.mss`); a host built from an invalid config panics.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let reject = |path, reason| Err(ConfigError { path, reason });
         if self.mss == 0 {
-            return Err("mss must be positive".into());
+            return reject("tcp.mss", "must be positive");
         }
         if self.min_cwnd_segs == 0 {
-            return Err("min_cwnd_segs must be at least 1".into());
+            return reject("tcp.min_cwnd_segs", "must be at least 1");
         }
         if self.init_cwnd_segs < self.min_cwnd_segs {
-            return Err("init_cwnd below min_cwnd".into());
+            return reject("tcp.init_cwnd_segs", "below min_cwnd_segs");
         }
         if self.min_rto > self.max_rto {
-            return Err("min_rto exceeds max_rto".into());
+            return reject("tcp.min_rto", "exceeds max_rto");
         }
         if self.transport == TransportKind::Quic && self.pacing.is_some() {
-            return Err("sub-MSS pacing mode requires the tcp transport".into());
+            return reject("tcp.pacing", "sub-MSS pacing requires the tcp transport");
         }
         if self.transport == TransportKind::Quic && self.pto_granularity == SimTime::ZERO {
-            return Err("pto_granularity must be positive".into());
+            return reject("tcp.pto_granularity", "must be positive");
         }
         Ok(())
     }
@@ -248,26 +234,26 @@ mod tests {
             mss: 0,
             ..TcpConfig::default()
         };
-        assert!(c.validate().is_err());
+        assert_eq!(c.validate().unwrap_err().path, "tcp.mss");
 
         let c = TcpConfig {
             min_cwnd_segs: 0,
             ..TcpConfig::default()
         };
-        assert!(c.validate().is_err());
+        assert_eq!(c.validate().unwrap_err().path, "tcp.min_cwnd_segs");
 
         let c = TcpConfig {
             init_cwnd_segs: 1,
             min_cwnd_segs: 4,
             ..TcpConfig::default()
         };
-        assert!(c.validate().is_err());
+        assert_eq!(c.validate().unwrap_err().path, "tcp.init_cwnd_segs");
 
         let c = TcpConfig {
             min_rto: SimTime::from_secs(100),
             ..TcpConfig::default()
         };
-        assert!(c.validate().is_err());
+        assert_eq!(c.validate().unwrap_err().path, "tcp.min_rto");
     }
 
     #[test]
@@ -293,7 +279,7 @@ mod tests {
             pacing: Some(PacingConfig::default()),
             ..TcpConfig::default()
         };
-        assert!(c.validate().is_err());
+        assert_eq!(c.validate().unwrap_err().path, "tcp.pacing");
         let c = TcpConfig {
             transport: TransportKind::Quic,
             ..TcpConfig::default()
@@ -304,28 +290,33 @@ mod tests {
             pto_granularity: SimTime::ZERO,
             ..TcpConfig::default()
         };
-        assert!(c.validate().is_err());
+        assert_eq!(c.validate().unwrap_err().path, "tcp.pto_granularity");
     }
 
     #[test]
-    fn to_json_is_deterministic_and_names_cca() {
-        let c = TcpConfig::default();
-        let js = c.to_json();
-        assert_eq!(js, c.clone().to_json());
-        assert!(js.contains(r#""cca":"dctcp""#), "{js}");
-        assert!(js.contains(r#""transport":"tcp""#), "{js}");
-        assert!(js.contains(r#""mss":1446"#));
-        assert!(js.contains(r#""pacing_min_cwnd_fraction":null"#));
-        let q = TcpConfig {
-            transport: TransportKind::Quic,
-            ..TcpConfig::default()
-        };
-        assert!(q.to_json().contains(r#""transport":"quic""#));
-
+    fn config_json_walks_every_field() {
+        let json = |c: &TcpConfig| telemetry::json::config(c);
+        assert_eq!(
+            json(&TcpConfig::default()),
+            r#"{"transport":"tcp","mss":1446,"init_cwnd_segs":10,"min_cwnd_segs":1,"cca":{"kind":"dctcp","g":0.0625},"initial_rto":1000000000000,"min_rto":200000000000,"max_rto":60000000000000,"pto_granularity":1000000000,"delayed_ack":null,"flight_sample_interval":null,"pacing":null,"idle_restart_after":null}"#
+        );
         let c = TcpConfig {
+            transport: TransportKind::Quic,
+            cca: CcaKind::Reno,
+            delayed_ack: Some(DelayedAckConfig::default()),
             pacing: Some(PacingConfig::default()),
             ..TcpConfig::default()
         };
-        assert!(c.to_json().contains(r#""pacing_min_cwnd_fraction":0.0625"#));
+        let js = json(&c);
+        assert!(js.contains(r#""transport":"quic""#), "{js}");
+        assert!(js.contains(r#""cca":"reno""#), "{js}");
+        assert!(
+            js.contains(r#""delayed_ack":{"max_segments":2,"timeout":1000000000}"#),
+            "{js}"
+        );
+        assert!(
+            js.contains(r#""pacing":{"min_cwnd_fraction":0.0625}"#),
+            "{js}"
+        );
     }
 }

@@ -11,7 +11,7 @@
 //! windows for queue-trace alignment.
 
 use simnet::{FlowId, NodeId, SimTime};
-use stats::Rng;
+use stats::{Leaves, Rng, Visit};
 use telemetry::{Event, EventClass, EventKind, SinkRef};
 use transport::{TcpApi, TcpApp};
 
@@ -28,6 +28,17 @@ pub enum BurstSchedule {
         /// Burst start spacing.
         period: SimTime,
     },
+}
+
+impl Leaves for BurstSchedule {
+    fn walk<V: Visit>(&self, name: &'static str, v: &mut V) {
+        match *self {
+            BurstSchedule::AfterCompletion { gap } => {
+                stats::variant!(v, name, "after_completion", gap)
+            }
+            BurstSchedule::Periodic { period } => stats::variant!(v, name, "periodic", period),
+        }
+    }
 }
 
 /// Configuration of the cyclic incast coordinator.
@@ -65,6 +76,8 @@ pub struct Grouping {
     /// Delay between consecutive groups' requests.
     pub group_gap: SimTime,
 }
+
+stats::leaves!(Grouping: group_size, group_gap);
 
 impl IncastConfig {
     /// The paper's setup for a given worker set: equal demand sized so the

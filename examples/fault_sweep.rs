@@ -7,11 +7,14 @@
 //! cargo run --release --example fault_sweep -- --poison
 //! ```
 //!
-//! With `--poison`, one config is invalid (panics inside the engine) and
-//! one is a runaway (exceeds the per-run event budget). The sweep still
-//! completes: survivors aggregate, the casualties are counted in the
-//! coverage line and quarantined as ready-to-paste reproducer tests under
-//! `target/quarantine/`. CI's `fault-matrix` job greps the coverage line.
+//! With `--poison`, one config is invalid (a negative burst duration, which
+//! `ModesConfig::validate` rejects before any simulation starts: the run
+//! fails with `invalid config: burst_duration_ms: must be positive`, no
+//! panic) and one is a runaway (exceeds the per-run event budget). The
+//! sweep still completes: survivors aggregate, the casualties are counted
+//! in the coverage line and quarantined as ready-to-paste reproducer tests
+//! under `target/quarantine/`. CI's `fault-matrix` job greps the coverage
+//! line and the typed rejection.
 
 use incast_bursts::core_api::modes::{ModesConfig, RunBudget};
 use incast_bursts::core_api::supervisor::{supervised_incast_sweep, RunOutcome, SupervisorConfig};
@@ -52,7 +55,7 @@ fn main() {
     c.faults.straggler = Some((SimTime::from_us(100), SimTime::from_ms(5), 3));
     cfgs.push(c);
     if poison {
-        // Invalid config: the engine asserts on a negative burst duration.
+        // Invalid config: rejected by validation, never run.
         let mut c = base(8, 6);
         c.burst_duration_ms = -1.0;
         cfgs.push(c);

@@ -39,12 +39,14 @@ pub fn run_with<S: Scheduler>(cfg: &ModesConfig) -> (String, String, Vec<f64>) {
     (stream, det.to_json(), bcts)
 }
 
-/// [`run_with`] with the control rollup split out of the manifest JSON and
-/// returned unmasked beside it: the rollup *names* the configured plane,
-/// which is exactly what may differ between a dead plane and no plane.
+/// [`run_with`] with the two manifest fields that *name* the configured
+/// plane — exactly what may differ between a dead plane and no plane —
+/// taken out of the manifest JSON: the control rollup, returned unmasked
+/// beside it, and the config record, masked.
 pub fn observe<S: Scheduler>(cfg: &ModesConfig) -> (String, String, Option<String>, Vec<f64>) {
     let (stream, mut det, bcts) = instrumented::<S>(cfg);
     let control = det.control_json.take();
+    det.config_json = "masked".to_string();
     (stream, det.to_json(), control, bcts)
 }
 

@@ -176,7 +176,7 @@ fn incast_engine_results_collapse_for_the_degenerate_clos() {
     assert_eq!(r_dumbbell.bcts_ms, r_clos.bcts_ms);
 
     // Manifests agree modulo the fields that *name* the topology: the
-    // label itself and the Clos-only per-tier rollup.
+    // label itself, the config record and the Clos-only per-tier rollup.
     let mut da = m_dumbbell.deterministic();
     let mut db = m_clos.deterministic();
     assert_eq!(da.topology, "dumbbell:senders=10,receivers=1");
@@ -188,8 +188,13 @@ fn incast_engine_results_collapse_for_the_degenerate_clos() {
         db.tiers_json.as_deref().map(|t| t.contains("uplink")),
         Some(true)
     );
+    assert!(db
+        .config_json
+        .contains(r#""topology":{"kind":"clos","racks":1,"spines":1}"#));
     da.topology = "masked".into();
     db.topology = "masked".into();
+    da.config_json = "masked".into();
+    db.config_json = "masked".into();
     da.tiers_json = None;
     db.tiers_json = None;
     assert_eq!(da.to_json(), db.to_json());
