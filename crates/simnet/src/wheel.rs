@@ -10,11 +10,9 @@
 //! wheel instead hashes each event into a slot by its due time:
 //!
 //! - Time is bucketed into **ticks** of `2^18` ps (≈ 262 ns). Ordering
-//!   within a tick is exact — due events are kept `(time, seq)`-sorted in
-//!   the ready buffer — so tick size trades refill frequency against
-//!   ready-buffer length, not correctness. 262 ns spans a couple of events
-//!   of an incast run's steady state, which measured fastest: one refill
-//!   amortizes over a small batch without the ready inserts getting long.
+//!   within a tick is exact — the cursor's tick is staged `(time, seq)`-sorted
+//!   in the ready buffer — so tick size trades refill frequency against the
+//!   length of one tick's sort, not correctness.
 //! - Four **levels** of 64 slots each cover `64^4` ticks ≈ 4.4 s of future:
 //!   level 0 resolves single ticks, each higher level resolves 64× coarser.
 //!   Insertion is O(1): pick the level whose resolution still separates the
@@ -26,18 +24,19 @@
 //!   in a few `trailing_zeros` instructions instead of stepping slot by
 //!   slot, which matters because simulated time is mostly empty even at
 //!   262 ns resolution.
-//! - A one-slot **front cache** catches the hottest schedule of all: an
-//!   event that is provably the next pop (sub-tick serialization and
-//!   propagation hops — an ACK crossing a 100 Gbps link schedules its next
-//!   hop a few ns out, ahead of everything pending). Roughly a third of a
-//!   fig5 run's schedules would otherwise sort-insert at the very *front*
-//!   of the ready buffer, the position that memmoves the whole live tail.
+//! - A cached **coarse bound**, a lower bound on the tick of every event in
+//!   levels 1.. and the overflow heap, makes most refills a bit scan and
+//!   one compare: a level-0 tick below it is provably the earliest pending
+//!   tick. Only when it is not does a refill cascade and rescan the coarse
+//!   levels.
 //!
-//! Events whose tick has come due sit in a small `ready` heap ordered by
-//! `(time, seq)` — exactly the reference [`EventQueue`] order — so the wheel
-//! pops the same sequence the heap would, event for event. That equivalence
-//! is enforced by the property tests below and by the differential harness
-//! in `tests/scheduler_equivalence.rs`.
+//! Only the cursor's tick is ever staged in `ready`, sorted by `(time, seq)`
+//! — exactly the reference [`EventQueue`] order — so the wheel pops the same
+//! sequence the heap would, event for event. An event scheduled for a later
+//! tick is a slot push; only one for the cursor's own tick sort-inserts, and
+//! then among that one tick's events. The equivalence is enforced by the
+//! property tests below and by the differential harness in
+//! `tests/scheduler_equivalence.rs`.
 //!
 //! The wheel never finds and removes an event. [`crate::sim::Simulator`]
 //! keeps one live event per timer: re-arming to a later deadline or
@@ -113,22 +112,20 @@ impl PartialOrd for Packed {
     }
 }
 
-/// The due-event staging buffer: a vector in ascending `(time, seq)` pop
-/// order with a consuming head cursor.
+/// The cursor's tick, staged in ascending `(time, seq)` pop order with a
+/// consuming head cursor.
 ///
-/// Storing pop order front-to-back makes the hot due-insert cheap: a
-/// freshly scheduled due event almost always pops *after* everything
-/// already staged (its time is ≥ now and its seq is the newest), so the
-/// binary search lands at the end and the insert is an O(1) push. Back-
-/// to-front storage would put that same event at index 0 and memmove the
-/// whole buffer every time. Popping advances `head` instead of shifting;
-/// the vector is cleared (capacity kept) once drained. A heap here costs a
-/// cache-hostile sift on every one of the run's million-plus pops; sorting
-/// each refill's bulk drain once is measurably cheaper on the fig5 mix.
+/// A refill copies one level-0 slot in and sorts it: a tick is 262 ns, a
+/// handful of events. Popping advances `head` instead of shifting; the
+/// vector is cleared (capacity kept) once drained. An event scheduled into
+/// the cursor's tick while it drains binary-inserts; its time is ≥ now and
+/// its seq usually the newest, so it mostly lands at or near the end.
 #[derive(Debug, Default)]
 struct ReadyVec {
     v: Vec<Packed>,
     head: usize,
+    /// Entries moved by [`ReadyVec::push`] so far (diagnostic).
+    shifted: u64,
 }
 
 impl ReadyVec {
@@ -153,26 +150,22 @@ impl ReadyVec {
         self.v.get(self.head)
     }
 
-    /// Inserts `ev` keeping pop order; O(log n) search plus a memmove of
-    /// everything later-popping than `ev`. The worst case — an event
-    /// beating the head, which would move the entire live tail — is
-    /// siphoned off by the wheel's front cache before it gets here.
+    /// Inserts `ev` keeping pop order: O(log n) search plus a memmove of
+    /// everything that pops after `ev`.
     #[inline]
     fn push(&mut self, ev: Packed) {
         let key = (ev.time, ev.st);
-        let i = self.v[self.head..].partition_point(|e| (e.time, e.st) < key);
-        self.v.insert(self.head + i, ev);
+        let at = self.head + self.v[self.head..].partition_point(|e| (e.time, e.st) < key);
+        self.shifted += (self.v.len() - at) as u64;
+        self.v.insert(at, ev);
     }
 
-    /// Appends without ordering; the caller must [`ReadyVec::sort`] before
-    /// the next pop/peek/push.
+    /// Copies `slot`'s events in, leaving the slot empty with its capacity
+    /// kept, and restores pop order.
     #[inline]
-    fn append_unsorted(&mut self, events: std::vec::Drain<'_, Packed>) {
-        self.v.extend(events);
-    }
-
-    #[inline]
-    fn sort(&mut self) {
+    fn take(&mut self, slot: &mut Vec<Packed>) {
+        self.v.extend_from_slice(slot);
+        slot.clear();
         self.v[self.head..].sort_unstable_by_key(|e| (e.time, e.st));
     }
 }
@@ -195,7 +188,7 @@ fn tick_of(t: SimTime) -> u64 {
     t.as_ps() >> TICK_BITS
 }
 
-/// Where the candidate scan found the earliest pending tick.
+/// Where the candidate scan found the earliest possible coarse tick.
 #[derive(Clone, Copy, Debug)]
 enum Cand {
     Slot { level: usize, idx: usize },
@@ -205,19 +198,13 @@ enum Cand {
 /// The hierarchical timing wheel scheduler. See the module docs.
 #[derive(Debug)]
 pub struct TimingWheel {
-    /// Current tick: no pending event's tick is below it.
+    /// Current tick. Outside a refill every pending event of this tick or
+    /// earlier is in `ready`, and every other one is later.
     cursor: u64,
-    /// One-slot front cache: a freshly scheduled event that provably
-    /// precedes everything pending (its `(time, seq)` beats the ready
-    /// head, which is the global minimum whenever `ready` is non-empty)
-    /// parks here instead of sort-inserting at the very front of the
-    /// ready buffer — the most expensive position, a memmove of the whole
-    /// live tail. Incast hot loops hit this constantly: an event chain
-    /// hopping ns-scale links schedules its own continuation as the next
-    /// global event. While occupied, the cache is the pop source and the
-    /// cursor never advances, so parked events re-insert safely on
-    /// demotion.
-    front: Option<Packed>,
+    /// Lower bound on the tick of every event in levels 1.. and the
+    /// overflow heap: reset by each candidate scan, lowered by each insert
+    /// there. A level-0 tick below it is the earliest pending tick.
+    coarse: u64,
     /// Events of the tick the cursor sits on, in `(time, seq)` pop order.
     ready: ReadyVec,
     /// `LEVELS x SLOTS` buckets, level-major. Slot vectors keep their
@@ -246,13 +233,17 @@ impl Default for TimingWheel {
     fn default() -> Self {
         TimingWheel {
             cursor: 0,
-            front: None,
+            coarse: u64::MAX,
             ready: ReadyVec::default(),
-            // Each slot starts at the capacity its first push would allocate
-            // anyway (24 KiB in all): timer events are sparse, so well into
-            // a run one still lands in a coarse slot nothing has touched,
-            // and the steady state must not allocate for that.
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::with_capacity(4)).collect(),
+            // Each coarse slot starts at the capacity its first push would
+            // allocate anyway: timer events are sparse, so well into a run
+            // one still lands in a coarse slot nothing has touched, and the
+            // steady state must not allocate for that. Level-0 slots start
+            // at twice that (30 KiB in all): they hold the near future tick
+            // by tick until the cursor reaches it.
+            slots: (0..LEVELS * SLOTS)
+                .map(|i| Vec::with_capacity(if i < SLOTS { 8 } else { 4 }))
+                .collect(),
             occ: [0; LEVELS],
             entered: [u64::MAX; LEVELS],
             overflow: BinaryHeap::new(),
@@ -276,6 +267,13 @@ impl TimingWheel {
     /// finer resolution as the cursor caught up with it).
     pub fn cascades(&self) -> u64 {
         self.cascades
+    }
+
+    /// Entries shifted by sorted inserts into the ready buffer so far
+    /// (diagnostic: each is one event memmoved because a newly scheduled
+    /// event of the cursor's tick pops before it).
+    pub fn ready_shifts(&self) -> u64 {
+        self.ready.shifted
     }
 
     /// Compresses a freshly scheduled event into the wheel's internal
@@ -339,38 +337,6 @@ impl TimingWheel {
         }
     }
 
-    /// Routes a freshly scheduled event through the front cache: an event
-    /// that provably pops before everything pending parks in the one-slot
-    /// register, everything else takes the ordinary [`TimingWheel::insert`]
-    /// path. Only schedule-time entry points come through here — internal
-    /// re-hashes (cascades, overflow pull-ins) bypass the cache, their
-    /// events are never the global minimum mid-refill.
-    ///
-    /// Safety of the demotion (`insert(f)` below): while the cache is
-    /// occupied every pop/peek path serves it first and never calls
-    /// `refill`, so the cursor cannot have advanced since `f` parked and
-    /// `f` still hashes at or ahead of the cursor.
-    #[inline]
-    fn front_or_insert(&mut self, p: Packed) {
-        match self.front {
-            Some(f) => {
-                if (p.time, p.st) < (f.time, f.st) {
-                    self.front = Some(p);
-                    self.insert(f);
-                } else {
-                    self.insert(p);
-                }
-            }
-            // The ready head is the global minimum whenever it exists (the
-            // cursor sits on the earliest pending tick); with ready empty
-            // there is no O(1) bound to beat, so don't park.
-            None => match self.ready.peek() {
-                Some(h) if (p.time, p.st) < (h.time, h.st) => self.front = Some(p),
-                _ => self.insert(p),
-            },
-        }
-    }
-
     /// Places `ev` relative to the cursor: due ticks go to `ready`, the
     /// near future into the finest level that still separates it from the
     /// cursor, the far future into the overflow heap.
@@ -381,6 +347,10 @@ impl TimingWheel {
             return;
         }
         let delta = tick - self.cursor;
+        if delta >= SLOTS as u64 {
+            // Bound to levels 1.. or the overflow heap.
+            self.coarse = self.coarse.min(tick);
+        }
         for l in 0..LEVELS {
             if delta < 1u64 << (SLOT_BITS * (l as u32 + 1)) {
                 let idx = ((tick >> (SLOT_BITS * l as u32)) & SLOT_MASK) as usize;
@@ -392,14 +362,85 @@ impl TimingWheel {
         self.overflow.push(ev);
     }
 
-    /// Advances the cursor to the earliest pending tick and gathers every
-    /// event of that tick into `ready`. Returns false only when nothing is
+    /// The earliest occupied level-0 tick. Every level-0 event lies within
+    /// the 64 ticks from the cursor on (it was inserted less than 64 ticks
+    /// out, and the cursor never passes a pending event), so with the
+    /// bitmap rotated to the cursor's digit the next one is its lowest bit.
+    #[inline]
+    fn next_level0(&self) -> Option<u64> {
+        let rotated = self.occ[0].rotate_right((self.cursor & SLOT_MASK) as u32);
+        (rotated != 0).then(|| self.cursor + rotated.trailing_zeros() as u64)
+    }
+
+    /// Moves the cursor onto level-0 tick `t` and stages its slot.
+    #[inline]
+    fn take_tick(&mut self, t: u64) {
+        let idx = (t & SLOT_MASK) as usize;
+        self.cursor = t;
+        self.occ[0] &= !(1u64 << idx);
+        self.ready.take(&mut self.slots[idx]);
+    }
+
+    /// Completes the earliest pending tick in `ready` from level 0, if the
+    /// coarse bound proves no coarser event precedes or shares it.
+    ///
+    /// With `ready` empty that tick is the next level-0 one, when it lies
+    /// below the bound. With `ready` holding part of the cursor's tick (an
+    /// [`TimingWheel::act`] staged it), the rest is its level-0 slot unless
+    /// the bound admits a coarse event at the cursor.
+    #[inline]
+    fn stage(&mut self) -> bool {
+        let next = self.next_level0();
+        if self.ready.is_empty() {
+            match next {
+                Some(t) if t < self.coarse => self.take_tick(t),
+                _ => return false,
+            }
+        } else if self.coarse > self.cursor {
+            if next == Some(self.cursor) {
+                self.take_tick(self.cursor);
+            }
+        } else {
+            return false;
+        }
+        true
+    }
+
+    /// Stages the earliest pending tick in `ready` and moves the cursor onto
+    /// it. Called with `ready` empty; returns false only when nothing is
     /// pending at all.
     ///
-    /// Conservative candidates (a higher-level slot's start, which may
-    /// undershoot the slot's actual minimum) are resolved by cascading the
-    /// slot and rescanning; the loop returns once the scan proves all
-    /// remaining wheel/overflow events lie strictly after the cursor.
+    /// The fast path is [`TimingWheel::stage`] against the cached bound. It
+    /// owes no cascade: it moves the cursor only to a tick below every
+    /// coarse event, so it passes none, and a coarse slot it moves the
+    /// cursor into is cascaded by the next slow pass, before any scan
+    /// prices it.
+    ///
+    /// The slow path cascades, rescans the coarse levels (resetting the
+    /// bound) and stages from level 0 if the fresh bound allows it; if not,
+    /// it jumps the cursor to the best coarse candidate, resolves it and
+    /// goes round again. A conservative candidate (a higher-level slot's
+    /// start, which may undershoot the slot's actual minimum) is resolved
+    /// by its re-hash plus the rescan.
+    fn refill(&mut self) -> bool {
+        if self.stage() {
+            return true;
+        }
+        loop {
+            self.cascade_entered_slots();
+            let cand = self.scan();
+            if self.stage() {
+                return true;
+            }
+            let Some(cand) = cand else {
+                return false;
+            };
+            debug_assert!(self.coarse >= self.cursor, "wheel scanned past an event");
+            self.cursor = self.coarse;
+            self.act(cand);
+        }
+    }
+
     /// Re-hashes to finer resolution the current-frame events of any
     /// coarse slot the cursor has moved inside of. Those events now
     /// resolve at a lower level (same coarse digit, so the delta shrank
@@ -461,141 +502,79 @@ impl TimingWheel {
         }
     }
 
-    fn refill(&mut self) -> bool {
-        loop {
-            self.cascade_entered_slots();
+    /// Resets the coarse bound to the earliest possible tick in levels 1..
+    /// and the overflow heap and returns where it lies, `None` if they are
+    /// all empty. Sound right after [`TimingWheel::cascade_entered_slots`]:
+    /// the cursor's own coarse slots then hold only events a revolution out.
+    fn scan(&mut self) -> Option<Cand> {
+        let mut best_tick = u64::MAX;
+        let mut best: Option<Cand> = None;
 
-            // Lower bound over everything coarser than level 0: the
-            // earliest possible tick in levels 1.. and the overflow heap.
-            let mut best_tick = u64::MAX;
-            let mut best: Option<Cand> = None;
-
-            for l in 1..LEVELS {
-                if self.occ[l] == 0 {
-                    continue;
-                }
-                let shift = SLOT_BITS * l as u32;
-                let span = 1u64 << shift;
-                let il = ((self.cursor >> shift) & SLOT_MASK) as u32;
-                let frame = self.cursor & !((span << SLOT_BITS) - 1);
-                // Slots ahead in this frame: their start tick is a lower
-                // bound (cheap, and safe — undershoot just causes a cascade
-                // plus rescan).
-                let ahead = (self.occ[l] >> il) >> 1;
-                if ahead != 0 {
-                    let idx = ahead.trailing_zeros() + il + 1;
-                    let t = frame + idx as u64 * span;
-                    if t < best_tick {
-                        best_tick = t;
-                        best = Some(Cand::Slot {
-                            level: l,
-                            idx: idx as usize,
-                        });
-                    }
-                }
-                // Slots at or behind the cursor wrapped into the next
-                // frame. The cursor's own slot belongs here too: its
-                // current-frame events were cascaded away on entry, so
-                // anything left in it is a revolution out.
-                let behind = if il == SLOT_MASK as u32 {
-                    self.occ[l]
-                } else {
-                    self.occ[l] & !(u64::MAX << (il + 1))
-                };
-                if behind != 0 {
-                    let idx = behind.trailing_zeros();
-                    let t = frame + (span << SLOT_BITS) + idx as u64 * span;
-                    if t < best_tick {
-                        best_tick = t;
-                        best = Some(Cand::Slot {
-                            level: l,
-                            idx: idx as usize,
-                        });
-                    }
-                }
+        for l in 1..LEVELS {
+            if self.occ[l] == 0 {
+                continue;
             }
-
-            if let Some(e) = self.overflow.peek() {
-                let t = tick_of(e.time);
-                if t < best_tick {
-                    best_tick = t;
-                    best = Some(Cand::Overflow);
-                }
-            }
-
-            // Bulk-drain the level-0 frame: every tick from the cursor up
-            // to the coarse bound is exactly resolved, so all of them move
-            // to `ready` in one pass and the scan amortizes over up to 64
-            // pops. The cursor lands on the last tick proven clear, so
-            // late inserts into the drained range go straight to `ready`.
-            let c0 = (self.cursor & SLOT_MASK) as u32;
-            let frame = self.cursor & !SLOT_MASK;
-            let limit = best_tick.min(frame + SLOTS as u64); // exclusive
-            let mut ahead0 = self.occ[0] >> c0;
-            let mut drained = false;
-            while ahead0 != 0 {
-                let idx = ahead0.trailing_zeros() + c0;
-                let tick = frame | idx as u64;
-                if tick >= limit {
-                    break;
-                }
-                self.occ[0] &= !(1u64 << idx);
-                self.ready
-                    .append_unsorted(self.slots[idx as usize].drain(..));
-                ahead0 &= ahead0 - 1;
-                // The cursor lands on the last *occupied* tick drained, not
-                // `limit - 1`: ticks between the two are proven clear, but
-                // keeping the cursor low routes later inserts into level-0
-                // slots (a plain push) instead of the ready buffer (a
-                // binary insert paying a memmove), and the occupancy bitmap
-                // makes rescanning the cleared gap free.
-                self.cursor = tick;
-                drained = true;
-            }
-            if drained {
-                self.ready.sort();
-                return true;
-            }
-
-            // Nothing due in this frame before the coarse bound; consider
-            // the level-0 bits that wrapped into the next frame, then jump
-            // to the best candidate and resolve it.
-            let behind0 = self.occ[0] & !(u64::MAX << c0);
-            if behind0 != 0 {
-                let idx = behind0.trailing_zeros();
-                let t = frame + SLOTS as u64 + idx as u64;
+            let shift = SLOT_BITS * l as u32;
+            let span = 1u64 << shift;
+            let il = ((self.cursor >> shift) & SLOT_MASK) as u32;
+            let frame = self.cursor & !((span << SLOT_BITS) - 1);
+            // Slots ahead in this frame: their start tick is a lower
+            // bound (cheap, and safe — undershoot just causes a cascade
+            // plus rescan).
+            let ahead = (self.occ[l] >> il) >> 1;
+            if ahead != 0 {
+                let idx = ahead.trailing_zeros() + il + 1;
+                let t = frame + idx as u64 * span;
                 if t < best_tick {
                     best_tick = t;
                     best = Some(Cand::Slot {
-                        level: 0,
+                        level: l,
                         idx: idx as usize,
                     });
                 }
             }
-            let Some(cand) = best else {
-                return !self.ready.is_empty();
+            // Slots at or behind the cursor wrapped into the next
+            // frame. The cursor's own slot belongs here too: its
+            // current-frame events were cascaded away on entry, so
+            // anything left in it is a revolution out.
+            let behind = if il == SLOT_MASK as u32 {
+                self.occ[l]
+            } else {
+                self.occ[l] & !(u64::MAX << (il + 1))
             };
-            if !self.ready.is_empty() && best_tick > self.cursor {
-                // `ready` already holds everything up to the cursor;
-                // the rest is strictly later.
-                return true;
+            if behind != 0 {
+                let idx = behind.trailing_zeros();
+                let t = frame + (span << SLOT_BITS) + idx as u64 * span;
+                if t < best_tick {
+                    best_tick = t;
+                    best = Some(Cand::Slot {
+                        level: l,
+                        idx: idx as usize,
+                    });
+                }
             }
-            debug_assert!(best_tick >= self.cursor, "wheel scanned past an event");
-            self.cursor = best_tick;
-            self.act(cand);
         }
+
+        if let Some(e) = self.overflow.peek() {
+            let t = tick_of(e.time);
+            if t < best_tick {
+                best_tick = t;
+                best = Some(Cand::Overflow);
+            }
+        }
+        self.coarse = best_tick;
+        best
     }
 
-    /// Drains the candidate the cursor just advanced to: a slot re-hashes
-    /// through [`TimingWheel::insert`] (due events land in `ready`), the
-    /// overflow heap spills everything now within the wheel's span.
+    /// Resolves the coarse candidate the cursor just advanced to: a slot
+    /// re-hashes through [`TimingWheel::insert`] (events of the cursor's
+    /// tick land in `ready`), the overflow heap spills everything now
+    /// within the wheel's span.
     fn act(&mut self, cand: Cand) {
         match cand {
             Cand::Slot { level, idx } => {
                 self.occ[level] &= !(1u64 << idx);
-                // Draining a level-0 slot moves events straight to
-                // `ready`; only coarser slots are true cascades.
-                self.cascades += (level > 0) as u64;
+                self.cascades += 1;
                 // Same capacity-preserving copy-out as the cascade above;
                 // `insert` may legitimately push back into this very slot
                 // (an event a full revolution out re-hashes to the same
@@ -627,12 +606,15 @@ impl TimingWheel {
 impl Scheduler for TimingWheel {
     const NAME: &'static str = "wheel";
 
+    // Inlined so that each call site's constant `EventKind` folds `pack`'s
+    // match instead of dispatching through a jump table.
+    #[inline]
     fn schedule(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
         let p = self.pack(time, seq, kind);
-        self.front_or_insert(p);
+        self.insert(p);
     }
 
     fn reserve_seq(&mut self) -> u64 {
@@ -641,17 +623,14 @@ impl Scheduler for TimingWheel {
         seq
     }
 
+    #[inline]
     fn schedule_reserved(&mut self, time: SimTime, seq: u64, kind: EventKind) {
         self.len += 1;
         let p = self.pack(time, seq, kind);
-        self.front_or_insert(p);
+        self.insert(p);
     }
 
     fn pop(&mut self) -> Option<Event> {
-        if let Some(p) = self.front.take() {
-            self.len -= 1;
-            return Some(self.unpack(p));
-        }
         if self.ready.is_empty() && !self.refill() {
             return None;
         }
@@ -661,16 +640,6 @@ impl Scheduler for TimingWheel {
     }
 
     fn pop_due(&mut self, deadline: SimTime) -> Option<Event> {
-        // The front cache, when occupied, is the global minimum: past the
-        // deadline means nothing else is due either.
-        if let Some(p) = self.front {
-            if p.time > deadline {
-                return None;
-            }
-            self.front = None;
-            self.len -= 1;
-            return Some(self.unpack(p));
-        }
         if self.ready.is_empty() && !self.refill() {
             return None;
         }
@@ -683,9 +652,6 @@ impl Scheduler for TimingWheel {
     }
 
     fn peek_time(&mut self) -> Option<SimTime> {
-        if let Some(p) = &self.front {
-            return Some(p.time);
-        }
         if self.ready.is_empty() && !self.refill() {
             return None;
         }
@@ -693,9 +659,6 @@ impl Scheduler for TimingWheel {
     }
 
     fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        if let Some(p) = &self.front {
-            return Some((p.time, p.seq()));
-        }
         if self.ready.is_empty() && !self.refill() {
             return None;
         }
@@ -717,6 +680,8 @@ mod tests {
     use crate::ids::{LinkId, NodeId};
     use stats::Rng;
 
+    const TICK: u64 = 1 << TICK_BITS;
+
     fn kind(tag: u64) -> EventKind {
         EventKind::Timer {
             node: NodeId(0),
@@ -732,7 +697,56 @@ mod tests {
         }
     }
 
-    /// The model the wheel is checked against: a plain vector, sorted on
+    /// A delta (ps) from one of the profiles the model tests draw from:
+    /// every level and the overflow, plus deltas *just past* each level's
+    /// reach. Those land an event in levels 1–3 or the overflow heap while
+    /// level 0 still holds ticks the fast path will drain, and, once the
+    /// cursor has moved on, below ticks inserted into level 0 after them.
+    fn draw_delta(rng: &mut Rng) -> u64 {
+        let past = |rng: &mut Rng, reach: u64| reach * TICK + rng.below(reach * TICK);
+        match rng.below(10) {
+            0 => rng.below(TICK),                                       // same tick
+            1 | 2 => rng.below(64 * TICK),                              // level 0
+            3 => rng.below(64 * 64 * TICK),                             // level 1
+            4 => rng.below(SPAN_TICKS * TICK),                          // whole wheel
+            5 => SPAN_TICKS * TICK + rng.below(60 * SPAN_TICKS * TICK), // overflow
+            6 => past(rng, 64),                                         // just past level 0
+            7 => past(rng, 64 * 64),                                    // just past level 1
+            8 => {
+                // Just past level 2, or just past the wheel's span.
+                if rng.chance(0.5) {
+                    past(rng, 64 * 64 * 64)
+                } else {
+                    SPAN_TICKS * TICK + rng.below(64 * TICK)
+                }
+            }
+            _ => 0, // due immediately
+        }
+    }
+
+    /// One step of a model-test script. Times are relative to the last
+    /// popped event's.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        At(u64),
+        Pop,
+        /// `pop_due` with this deadline.
+        PopDue(u64),
+        Peek,
+    }
+
+    /// A random script: 30 % pops, 8 % `pop_due` with a deadline within
+    /// two ticks (often stopping mid-tick), 5 % peeks, the rest schedules.
+    fn draw_op(rng: &mut Rng) -> Op {
+        match rng.below(100) {
+            0..=29 => Op::Pop,
+            30..=37 => Op::PopDue(rng.below(2 * TICK)),
+            38..=42 => Op::Peek,
+            _ => Op::At(draw_delta(rng)),
+        }
+    }
+
+    /// The model the wheel is checked against: a plain vector, searched on
     /// every pop. Brutally slow, obviously correct.
     #[derive(Default)]
     struct SortedVecModel {
@@ -745,48 +759,67 @@ mod tests {
             self.pending.push((t, self.next_seq, tag));
             self.next_seq += 1;
         }
-        fn pop(&mut self) -> Option<(u64, u64, u64)> {
-            let i = self
-                .pending
+        fn min_index(&self) -> Option<usize> {
+            self.pending
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, &(t, s, _))| (t, s))
-                .map(|(i, _)| i)?;
+                .map(|(i, _)| i)
+        }
+        fn pop(&mut self) -> Option<(u64, u64, u64)> {
+            let i = self.min_index()?;
             Some(self.pending.swap_remove(i))
+        }
+        fn pop_due(&mut self, deadline: u64) -> Option<(u64, u64, u64)> {
+            let i = self.min_index()?;
+            (self.pending[i].0 <= deadline).then(|| self.pending.swap_remove(i))
+        }
+        fn peek_time(&self) -> Option<u64> {
+            self.min_index().map(|i| self.pending[i].0)
         }
     }
 
-    /// Drives the wheel and the model through the same schedule/pop script
-    /// and asserts identical pop streams.
-    fn check_script(script: &[(bool, u64)]) {
+    /// Drives the wheel and the model through the same script and asserts
+    /// identical pops, `pop_due` refusals and peeks.
+    fn check_script(script: &[Op]) {
         let mut wheel = TimingWheel::new();
         let mut model = SortedVecModel::default();
         let mut tag = 0u64;
         let mut now = 0u64;
-        for &(is_pop, t) in script {
-            if is_pop {
-                let got = wheel.pop();
-                let want = model.pop();
-                match (got, want) {
-                    (Some(g), Some(w)) => {
-                        assert_eq!((g.time.as_ps(), g.seq, tag_of(&g)), w, "pop diverged");
-                        now = g.time.as_ps();
-                    }
-                    (None, None) => {}
-                    (g, w) => panic!("presence diverged: wheel={g:?} model={w:?}"),
+        for (step, &op) in script.iter().enumerate() {
+            let (got, want) = match op {
+                Op::At(d) => {
+                    wheel.schedule(SimTime::from_ps(now + d), kind(tag));
+                    model.schedule(now + d, tag);
+                    tag += 1;
+                    continue;
                 }
-            } else {
-                let at = now + t;
-                wheel.schedule(SimTime::from_ps(at), kind(tag));
-                model.schedule(at, tag);
-                tag += 1;
+                Op::Peek => {
+                    let got = wheel.peek_time().map(SimTime::as_ps);
+                    assert_eq!(got, model.peek_time(), "peek diverged at step {step}");
+                    continue;
+                }
+                Op::Pop => (wheel.pop(), model.pop()),
+                Op::PopDue(d) => (
+                    wheel.pop_due(SimTime::from_ps(now + d)),
+                    model.pop_due(now + d),
+                ),
+            };
+            match (got, want) {
+                (Some(g), Some(w)) => {
+                    let g3 = (g.time.as_ps(), g.seq, tag_of(&g));
+                    assert_eq!(g3, w, "pop diverged at step {step} ({op:?})");
+                    now = g.time.as_ps();
+                }
+                (None, None) => {}
+                (g, w) => {
+                    panic!("presence diverged at step {step} ({op:?}): wheel={g:?} model={w:?}")
+                }
             }
         }
         // Drain both to the end.
         loop {
-            let got = wheel.pop();
-            let want = model.pop();
-            match (got, want) {
+            match (wheel.pop(), model.pop()) {
                 (Some(g), Some(w)) => {
                     assert_eq!((g.time.as_ps(), g.seq, tag_of(&g)), w, "drain diverged")
                 }
@@ -799,28 +832,31 @@ mod tests {
 
     #[test]
     fn random_ops_match_sorted_vec_model() {
-        let tick = 1u64 << TICK_BITS;
-        for seed in 0..25u64 {
+        for seed in 0..40u64 {
             let mut rng = Rng::new(seed);
-            let mut script = Vec::new();
-            for _ in 0..1500 {
-                if rng.chance(0.4) {
-                    script.push((true, 0));
-                } else {
-                    // Delta profile spanning every level and the overflow.
-                    let delta = match rng.below(6) {
-                        0 => rng.below(tick),                                       // same tick
-                        1 => rng.below(64 * tick),                                  // level 0
-                        2 => rng.below(64 * 64 * tick),                             // level 1
-                        3 => rng.below(SPAN_TICKS * tick),                          // whole wheel
-                        4 => SPAN_TICKS * tick + rng.below(60 * SPAN_TICKS * tick), // overflow
-                        _ => 0, // due immediately
-                    };
-                    script.push((false, delta));
-                }
-            }
+            let script: Vec<Op> = (0..1500).map(|_| draw_op(&mut rng)).collect();
             check_script(&script);
         }
+    }
+
+    #[test]
+    fn coarse_event_below_the_cached_bound_is_not_overtaken() {
+        // The cached bound starts far out (a 200 ms timer). A level-1 event
+        // at tick 69 lowers it; the fast path then drains tick 10, and a
+        // level-0 event scheduled from there lands at tick 70, one tick
+        // after the level-1 event, which must still come first.
+        check_script(&[
+            Op::At(SimTime::from_ms(200).as_ps()),
+            Op::At(10 * TICK),
+            Op::At(69 * TICK),
+            Op::Pop,
+            Op::At(60 * TICK),
+            Op::PopDue(59 * TICK - 1), // nothing due before tick 69
+            Op::Peek,
+            Op::PopDue(59 * TICK + TICK / 2), // stops mid-tick 69
+            Op::Peek,
+            Op::Pop,
+        ]);
     }
 
     #[test]
@@ -847,32 +883,31 @@ mod tests {
         // Events pinned to the exact slot and level boundaries: last tick of
         // level 0, first of level 1, the level-2 and level-3 edges, and one
         // tick short of the overflow span. Each ± one tick and ± one ps.
-        let tick = 1u64 << TICK_BITS;
         let edges = [
-            63 * tick,
-            64 * tick,
-            (64 * 64 - 1) * tick,
-            64 * 64 * tick,
-            64 * 64 * 64 * tick,
-            (SPAN_TICKS - 1) * tick,
-            SPAN_TICKS * tick,     // first overflow tick
-            SPAN_TICKS * tick * 3, // deep overflow
+            63 * TICK,
+            64 * TICK,
+            (64 * 64 - 1) * TICK,
+            64 * 64 * TICK,
+            64 * 64 * 64 * TICK,
+            (SPAN_TICKS - 1) * TICK,
+            SPAN_TICKS * TICK,     // first overflow tick
+            SPAN_TICKS * TICK * 3, // deep overflow
         ];
         let mut script = Vec::new();
         for &e in &edges {
             for d in [
-                e.saturating_sub(tick),
+                e.saturating_sub(TICK),
                 e.saturating_sub(1),
                 e,
                 e + 1,
-                e + tick,
+                e + TICK,
             ] {
-                script.push((false, d));
+                script.push(Op::At(d));
             }
         }
         // Interleave pops so the cursor crosses the rollovers mid-script.
         for i in (0..script.len()).rev().step_by(3) {
-            script.insert(i, (true, 0));
+            script.insert(i, Op::Pop);
         }
         check_script(&script);
     }
@@ -881,25 +916,24 @@ mod tests {
     fn cross_revolution_events_do_not_fire_early() {
         // Two events one full level-1 revolution apart land in the same
         // slot; the later one must wait for the next pass.
-        let tick = 1u64 << TICK_BITS;
         let mut wheel = TimingWheel::new();
-        wheel.schedule(SimTime::from_ps(70 * tick), kind(0));
+        wheel.schedule(SimTime::from_ps(70 * TICK), kind(0));
         // Pop it so the cursor advances to tick 70.
         assert_eq!(tag_of(&wheel.pop().unwrap()), 0);
         // Same level-1 slot digit, one revolution later, plus a nearer event.
-        wheel.schedule(SimTime::from_ps((70 + 64 * 64) * tick), kind(1));
-        wheel.schedule(SimTime::from_ps(80 * tick), kind(2));
+        wheel.schedule(SimTime::from_ps((70 + 64 * 64) * TICK), kind(1));
+        wheel.schedule(SimTime::from_ps(80 * TICK), kind(2));
         assert_eq!(tag_of(&wheel.pop().unwrap()), 2);
         let last = wheel.pop().unwrap();
         assert_eq!(tag_of(&last), 1);
-        assert_eq!(last.time.as_ps(), (70 + 64 * 64) * tick);
+        assert_eq!(last.time.as_ps(), (70 + 64 * 64) * TICK);
         assert!(wheel.pop().is_none());
     }
 
     #[test]
     fn overflow_events_cascade_into_wheel() {
         let mut wheel = TimingWheel::new();
-        // A 60 s RTO ceiling event: far beyond the ~1.1 s span.
+        // A 60 s RTO ceiling event: far beyond the ~4.4 s span.
         wheel.schedule(SimTime::from_secs(60), kind(0));
         wheel.schedule(SimTime::from_ms(1), kind(1));
         assert_eq!(wheel.len(), 2);
@@ -931,36 +965,73 @@ mod tests {
         let mut wheel = TimingWheel::new();
         let mut heap = EventQueue::new();
         let mut now = 0u64;
-        for step in 0..3000u64 {
-            if rng.chance(0.45) {
-                let (g, w) = (Scheduler::pop(&mut wheel), heap.pop());
-                match (g, w) {
-                    (Some(g), Some(w)) => {
-                        assert_eq!((g.time, g.seq), (w.time, w.seq));
-                        now = g.time.as_ps();
+        // Seqs reserved on both schedulers and not yet scheduled.
+        let mut reserved: Vec<u64> = Vec::new();
+        for step in 0..6000u64 {
+            let (g, w) = match draw_op(&mut rng) {
+                Op::At(d) => {
+                    let t = SimTime::from_ps(now + d);
+                    let k = match rng.below(3) {
+                        0 => EventKind::TxComplete {
+                            link: LinkId(step as u32),
+                        },
+                        1 => EventKind::Delivery {
+                            link: LinkId(step as u32),
+                            slot: crate::packet::PacketSlot(0),
+                        },
+                        _ => kind(step),
+                    };
+                    // A quarter of schedules go through a reserved seq, as
+                    // the simulator's timer table and transmitters do.
+                    match rng.below(8) {
+                        0 => {
+                            let seq = Scheduler::reserve_seq(&mut wheel);
+                            assert_eq!(seq, heap.reserve_seq());
+                            reserved.push(seq);
+                        }
+                        1 if !reserved.is_empty() => {
+                            let seq =
+                                reserved.swap_remove(rng.below(reserved.len() as u64) as usize);
+                            Scheduler::schedule_reserved(&mut wheel, t, seq, k);
+                            heap.schedule_reserved(t, seq, k);
+                        }
+                        _ => {
+                            Scheduler::schedule(&mut wheel, t, k);
+                            heap.schedule(t, k);
+                        }
                     }
-                    (None, None) => {}
-                    _ => panic!("presence diverged at step {step}"),
+                    continue;
                 }
-            } else {
-                let t = SimTime::from_ps(now + rng.below(1u64 << 42));
-                let k = match rng.below(3) {
-                    0 => EventKind::TxComplete {
-                        link: LinkId(step as u32),
-                    },
-                    1 => EventKind::Delivery {
-                        link: LinkId(step as u32),
-                        slot: crate::packet::PacketSlot(0),
-                    },
-                    _ => kind(step),
-                };
-                Scheduler::schedule(&mut wheel, t, k);
-                heap.schedule(t, k);
+                Op::Peek => {
+                    assert_eq!(
+                        Scheduler::peek_time(&mut wheel),
+                        heap.peek_time(),
+                        "peek at step {step}"
+                    );
+                    continue;
+                }
+                Op::Pop => (Scheduler::pop(&mut wheel), heap.pop()),
+                Op::PopDue(d) => {
+                    let deadline = SimTime::from_ps(now + d);
+                    let w = match heap.peek_time() {
+                        Some(t) if t <= deadline => heap.pop(),
+                        _ => None,
+                    };
+                    (Scheduler::pop_due(&mut wheel, deadline), w)
+                }
+            };
+            match (g, w) {
+                (Some(g), Some(w)) => {
+                    assert_eq!(format!("{g:?}"), format!("{w:?}"), "step {step}");
+                    now = g.time.as_ps();
+                }
+                (None, None) => {}
+                _ => panic!("presence diverged at step {step}"),
             }
         }
         loop {
             match (Scheduler::pop(&mut wheel), heap.pop()) {
-                (Some(g), Some(w)) => assert_eq!((g.time, g.seq), (w.time, w.seq)),
+                (Some(g), Some(w)) => assert_eq!(format!("{g:?}"), format!("{w:?}")),
                 (None, None) => break,
                 _ => panic!("drain presence diverged"),
             }
@@ -987,6 +1058,75 @@ mod tests {
             "{} cascades for {} events",
             wheel.cascades(),
             fired
+        );
+    }
+
+    #[test]
+    fn incast_stream_does_not_sort_insert() {
+        // The packet path of an incast: 80 links, each scheduling its next
+        // frame 17–20 ticks after the last (a 1500 B frame at 100 Gbps plus
+        // propagation), spread over that period, and one sparse 200 ms
+        // timer. No frame is due in the tick it is scheduled from, so none
+        // should shift the ready buffer.
+        let mut rng = Rng::new(5);
+        let mut wheel = TimingWheel::new();
+        let hop = |rng: &mut Rng| 17 * TICK + rng.below(3 * TICK);
+        for link in 0..80 {
+            let kind = EventKind::Delivery {
+                link: LinkId(link),
+                slot: PacketSlot(0),
+            };
+            wheel.schedule(SimTime::from_ps(rng.below(20 * TICK)), kind);
+        }
+        wheel.schedule(SimTime::from_ms(200), kind(0));
+        for _ in 0..200_000 {
+            let ev = wheel.pop().unwrap();
+            let next = match ev.kind {
+                EventKind::Timer { .. } => SimTime::from_ms(200).as_ps(),
+                _ => hop(&mut rng),
+            };
+            wheel.schedule(SimTime::from_ps(ev.time.as_ps() + next), ev.kind);
+        }
+        let per_schedule = wheel.ready_shifts() as f64 / wheel.scheduled_total() as f64;
+        assert!(
+            per_schedule <= 0.05,
+            "{per_schedule:.3} ready entries shifted per schedule"
+        );
+    }
+
+    #[test]
+    fn hold64k_sort_inserts_stay_short() {
+        // The `hold64k` kernel's shape: 65 536 pending, 90 % due within
+        // 2^24 ps (64 ticks) and 10 % at 200 ms; each hold pops the minimum
+        // and schedules one more from its time. Only an event due in the
+        // cursor's own tick may shift the ready buffer, and only past the
+        // rest of that tick: with `x` the unelapsed share of the tick and
+        // `n` its events, a hold lands there with probability 0.9·x/64 and
+        // then shifts about n·x/2, so 0.9·n/384 on average — ≈ 3.6 at this
+        // population's ~1 500 events per tick. Bulk-draining the whole
+        // 64-tick frame instead shifts thousands per hold.
+        let mut rng = Rng::new(9);
+        let mut wheel = TimingWheel::new();
+        let mut horizon = |now: u64| {
+            now + if rng.chance(0.1) {
+                SimTime::from_ms(200).as_ps()
+            } else {
+                rng.below(1 << 24)
+            }
+        };
+        for i in 0..65_536 {
+            wheel.schedule(SimTime::from_ps(horizon(0)), kind(i));
+        }
+        let before = wheel.ready_shifts();
+        const HOLDS: u64 = 100_000;
+        for i in 0..HOLDS {
+            let ev = wheel.pop().unwrap();
+            wheel.schedule(SimTime::from_ps(horizon(ev.time.as_ps())), kind(i));
+        }
+        let per_hold = (wheel.ready_shifts() - before) as f64 / HOLDS as f64;
+        assert!(
+            per_hold <= 8.0,
+            "{per_hold:.1} ready entries shifted per hold"
         );
     }
 }
