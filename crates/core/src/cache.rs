@@ -80,6 +80,10 @@ use workload::SnapshotModel;
 /// can be lost, so a v3 entry disagrees with a fresh run of the same
 /// config. The build-id guard does not cover this: `git_describe()` reads
 /// `"unknown"` on both sides outside a checkout.
+///
+/// Still v4 after `ModesConfig::gap` and `TcpConfig::flight_sample_interval`
+/// were deleted: a key without those fields can never equal an old key, so
+/// an old entry misses by file name and, renamed, by its verbatim meta line.
 pub const CACHE_SCHEMA_VERSION: u32 = 4;
 
 /// 64-bit FNV-1a over the canonical key; names the on-disk entry file.

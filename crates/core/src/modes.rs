@@ -253,8 +253,6 @@ pub struct ModesConfig {
     /// slow-start storm of burst 0 also contaminates burst 1, so the
     /// default here is 2.
     pub warmup_bursts: u32,
-    /// Think time between a burst's completion and the next request wave.
-    pub gap: SimTime,
     /// Endpoint TCP configuration (DCTCP with the paper's parameters by
     /// default).
     pub tcp: TcpConfig,
@@ -282,22 +280,28 @@ pub struct ModesConfig {
 }
 
 stats::leaves!(ModesConfig:
-    num_flows, topology, burst_duration_ms, num_bursts, warmup_bursts, gap, tcp, tor_queue,
+    num_flows, topology, burst_duration_ms, num_bursts, warmup_bursts, tcp, tor_queue,
     receiver_tor_buffer, queue_sample, flight_sample, grouping, schedule, seed, horizon, faults,
     mitigation);
 
 impl ModesConfig {
-    /// Checks what a run cannot start without: at least one flow, a
-    /// positive burst duration, a Clos with a rack and a spine, and a valid
-    /// [`TcpConfig`]. [`run_incast`] panics on a config this rejects; the
-    /// supervisor reports it as a failed run without starting one.
+    /// Checks what a run cannot start without: at least one flow and one
+    /// burst, a positive burst duration, a Clos with a rack and a spine,
+    /// non-empty queues, buffers and groups, a positive DT α, fault
+    /// probabilities in [0, 1], and a valid [`TcpConfig`]. [`run_incast`]
+    /// panics on a config this rejects; the supervisor reports it as a
+    /// failed run without starting one.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let reject = |path, reason| Err(ConfigError { path, reason });
+        let not_prob = |p: f64| !(0.0..=1.0).contains(&p);
         if self.num_flows == 0 {
             return reject("num_flows", "must be positive");
         }
         if self.burst_duration_ms.is_nan() || self.burst_duration_ms <= 0.0 {
             return reject("burst_duration_ms", "must be positive");
+        }
+        if self.num_bursts == 0 {
+            return reject("num_bursts", "must be positive");
         }
         if let TopologySpec::Clos { racks, spines } = self.topology {
             if racks == 0 {
@@ -306,6 +310,35 @@ impl ModesConfig {
             if spines == 0 {
                 return reject("topology.spines", "must be at least 1");
             }
+        }
+        if self.tor_queue.capacity_bytes == 0 {
+            return reject("tor_queue.capacity_bytes", "must be positive");
+        }
+        if let Some((bytes, policy)) = self.receiver_tor_buffer {
+            if bytes == 0 {
+                return reject("receiver_tor_buffer.0", "must be positive");
+            }
+            if let BufferPolicy::DynamicThreshold { alpha } = policy {
+                if !(alpha > 0.0 && alpha.is_finite()) {
+                    return reject("receiver_tor_buffer.1.alpha", "must be positive and finite");
+                }
+            }
+        }
+        if self.grouping.is_some_and(|g| g.group_size == 0) {
+            return reject("grouping.group_size", "must be positive");
+        }
+        let f = &self.faults;
+        if f.loss.is_some_and(|(_, _, p)| not_prob(p)) {
+            return reject("faults.loss.2", "must be in [0, 1]");
+        }
+        if f.corrupt.is_some_and(|(_, _, p)| not_prob(p)) {
+            return reject("faults.corrupt.2", "must be in [0, 1]");
+        }
+        if f.spine_loss.is_some_and(|(_, _, _, p)| not_prob(p)) {
+            return reject("faults.spine_loss.3", "must be in [0, 1]");
+        }
+        if f.buffer_shrink.is_some_and(|(_, _, bytes)| bytes == 0) {
+            return reject("faults.buffer_shrink.2", "must be positive");
         }
         self.tcp.validate()
     }
@@ -320,7 +353,6 @@ impl Default for ModesConfig {
             burst_duration_ms: 15.0,
             num_bursts: 11,
             warmup_bursts: 2,
-            gap: SimTime::from_ms(2),
             tcp: TcpConfig::default(),
             tor_queue: QueueConfig::paper_tor(),
             receiver_tor_buffer: None,
@@ -523,11 +555,6 @@ pub fn run_incast_budgeted_with<S: Scheduler>(
 ) -> (IncastRunResult, RunManifest) {
     cfg.validate()
         .unwrap_or_else(|e| panic!("invalid config: {e}"));
-
-    // Each run owns this worker thread's flight-recorder ring: stale
-    // history (or a pending dump) from a previous run on the same thread
-    // must not leak into a dump captured here.
-    simnet::recorder::reset();
     let t_setup = std::time::Instant::now();
 
     // Every run builds through the Clos builder: the dumbbell is its
@@ -778,11 +805,6 @@ pub fn run_incast_budgeted_with<S: Scheduler>(
 
     let sim_us = t_sim.elapsed().as_micros() as u64;
     let t_aggregate = std::time::Instant::now();
-    if let Some(cause) = truncated {
-        if simnet::recorder::enabled() {
-            simnet::recorder::capture(&format!("run budget exceeded: {}", cause.label()));
-        }
-    }
 
     // Collect results.
     let coord = coord_handle.borrow();
@@ -898,13 +920,7 @@ pub fn run_incast_budgeted_with<S: Scheduler>(
         // violations the per-event hooks recorded along the way. The caller
         // (e.g. the simcheck fuzzer) owns resetting/draining the log.
         fabric.sim.audit_conservation();
-        let violations = simnet::check::violation_count();
-        if violations > 0 && simnet::recorder::enabled() {
-            simnet::recorder::capture(&format!(
-                "simcheck: {violations} invariant violation(s) on record"
-            ));
-        }
-        manifest.invariant_violations = Some(violations);
+        manifest.invariant_violations = Some(simnet::check::violation_count());
     }
     manifest.timing_json = Some({
         let mut out = String::new();

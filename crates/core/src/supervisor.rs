@@ -19,6 +19,10 @@
 //!   the tree is valid construction syntax, which is what makes the
 //!   emitted source compile as-is; `tests/quarantine_reproducer.rs` pins
 //!   the emitter to a checked-in compiled copy),
+//! - **flight dumps by replay** — a casualty that passed validation is run
+//!   again with a 256-event [`TextTracer`] attached, and its last packet
+//!   and fault events land beside the reproducer as `<name>.flight.txt` (a
+//!   run is a pure function of its config, so the replay is the run),
 //! - **coverage accounting** — a [`RunCoverage`] reports
 //!   ran/failed/truncated/retried so a partial aggregate is never
 //!   mistaken for a complete one.
@@ -28,8 +32,10 @@
 //! counts and cache states (the wall-clock watchdog is the one
 //! intentionally nondeterministic guard).
 
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::cache::{fnv1a64, incast_key, RunCache};
@@ -39,8 +45,11 @@ use crate::modes::{
 use crate::runner::{panic_message, par_map};
 use crate::sweep::{sweep_manifest, IncastSweepAggregate};
 use millisampler::RunCoverage;
-use simnet::TimingWheel;
-use telemetry::RunManifest;
+use simnet::{TextTracer, TimingWheel};
+use telemetry::{RunManifest, SinkRef};
+
+/// Events of history a quarantined casualty's flight dump keeps.
+const FLIGHT_LINES: usize = 256;
 
 /// How a supervised sweep executes its runs.
 #[derive(Debug, Clone)]
@@ -123,7 +132,8 @@ impl SupervisedSweep {
 
 /// Runs every config under supervision: panics are isolated per run,
 /// budgets truncate runaways, survivors aggregate in config order, and
-/// failures quarantine reproducers. See the module docs for the contract.
+/// failures quarantine reproducers and flight dumps, the latter replayed
+/// here, serially. See the module docs for the contract.
 pub fn supervised_incast_sweep(
     cfgs: &[ModesConfig],
     sup: &SupervisorConfig,
@@ -141,7 +151,7 @@ pub fn supervised_incast_sweep(
         ..RunCoverage::default()
     };
     let mut quarantined = Vec::new();
-    for (cfg, (outcome, flight_dump)) in cfgs.iter().zip(&results) {
+    for (cfg, outcome) in cfgs.iter().zip(&results) {
         let cause = match outcome {
             RunOutcome::Completed(r) => {
                 aggregate.absorb(r);
@@ -158,16 +168,15 @@ pub fn supervised_incast_sweep(
             }
         };
         if let (Some(cause), Some(dir)) = (cause, sup.quarantine_dir.as_deref()) {
-            if let Some(path) = quarantine(dir, cfg, &cause, flight_dump.as_deref()) {
+            if let Some(path) = quarantine(dir, cfg, &cause, outcome, budget) {
                 quarantined.push(path);
             }
         }
     }
     coverage.retried = cache.stats().disk_retries - retries_before;
-    let outcomes = results.into_iter().map(|(o, _)| o).collect();
     SupervisedSweep {
         aggregate,
-        outcomes,
+        outcomes: results,
         coverage,
         quarantined,
     }
@@ -177,43 +186,91 @@ pub fn supervised_incast_sweep(
 /// validates nothing), then validation, then a budgeted run under
 /// `catch_unwind`. Only complete runs enter the cache, under the key the
 /// missed probe rendered.
-///
-/// The second element is the flight-recorder dump, if the run captured one
-/// (fault applied, budget truncation, invariant violation, or panic; always
-/// `None` without the `recorder` feature). The recorder's state is
-/// thread-local and survives the unwind, so the dump must be taken here —
-/// on the thread that ran the simulation (the caller or a scoped helper) —
-/// before the outcome crosses to the caller.
-fn supervised_run(
-    cfg: &ModesConfig,
-    cache: &RunCache,
-    budget: Option<&RunBudget>,
-) -> (RunOutcome, Option<String>) {
+fn supervised_run(cfg: &ModesConfig, cache: &RunCache, budget: Option<&RunBudget>) -> RunOutcome {
     let key = match cache.probe_incast(cfg) {
-        Ok(hit) => return (RunOutcome::Completed(hit), None),
+        Ok(hit) => return RunOutcome::Completed(hit),
         Err(key) => key,
     };
     if let Err(e) = cfg.validate() {
-        return (RunOutcome::Failed(format!("invalid config: {e}")), None);
+        return RunOutcome::Failed(format!("invalid config: {e}"));
     }
-    let outcome = match catch_unwind(AssertUnwindSafe(|| {
+    match catch_unwind(AssertUnwindSafe(|| {
         run_incast_budgeted_with::<TimingWheel>(cfg, None, budget).0
     })) {
         Ok(r) => match r.truncated {
             Some(cause) => RunOutcome::Truncated(cause, Box::new(r)),
             None => RunOutcome::Completed(cache.fill_incast(cfg, &key, r)),
         },
-        Err(p) => {
-            let msg = panic_message(&*p);
-            // The ring still holds the events leading up to the panic;
-            // capture them before the payload leaves the thread.
-            if simnet::recorder::enabled() {
-                simnet::recorder::capture(&format!("worker panic: {msg}"));
-            }
-            RunOutcome::Failed(format!("panic: {msg}"))
-        }
+        Err(p) => RunOutcome::Failed(format!("panic: {}", panic_message(&*p))),
+    }
+}
+
+/// The flight dump of a casualty that passed validation, by replaying it;
+/// `None` for a rejected config, which never started a run.
+///
+/// A truncated run replays under an event budget of exactly the events it
+/// processed: whether the events, sim-time or wall-clock guard cut it, the
+/// event loop stops at the same polling step with the same event prefix.
+/// A panicked run replays under the sweep's budget.
+fn flight_dump(
+    cfg: &ModesConfig,
+    cause: &str,
+    outcome: &RunOutcome,
+    budget: Option<&RunBudget>,
+) -> Option<String> {
+    let budget = match outcome {
+        RunOutcome::Truncated(_, partial) => Some(RunBudget {
+            max_events: Some(partial.profile.events()),
+            ..RunBudget::default()
+        }),
+        RunOutcome::Failed(_) if cfg.validate().is_ok() => budget.copied(),
+        _ => return None,
     };
-    (outcome, simnet::recorder::take_dump())
+    Some(replay_flight(cause, outcome, |sink| {
+        run_incast_budgeted_with::<TimingWheel>(cfg, Some(sink), budget.as_ref()).0
+    }))
+}
+
+/// Runs `run` with a [`FLIGHT_LINES`]-event [`TextTracer`] as its sink,
+/// under `catch_unwind`, and renders the dump: a header naming `cause`,
+/// how the replay ended and whether that is how `outcome` ended, then the
+/// tracer's lines.
+fn replay_flight(
+    cause: &str,
+    outcome: &RunOutcome,
+    run: impl FnOnce(&SinkRef) -> IncastRunResult,
+) -> String {
+    let ended = |r: &IncastRunResult| {
+        let how = if r.truncated.is_some() {
+            "truncated"
+        } else {
+            "completed"
+        };
+        format!("{how} at {} events", r.profile.events())
+    };
+    let expected = match outcome {
+        RunOutcome::Completed(r) => ended(r),
+        RunOutcome::Truncated(_, r) => ended(r),
+        RunOutcome::Failed(msg) => msg.clone(),
+    };
+    let tracer = Rc::new(RefCell::new(TextTracer::new(FLIGHT_LINES)));
+    let sink = SinkRef::from_rc(tracer.clone());
+    let replayed = match catch_unwind(AssertUnwindSafe(|| run(&sink))) {
+        Ok(r) => ended(&r),
+        Err(p) => format!("panic: {}", panic_message(&*p)),
+    };
+    let verdict = if replayed == expected {
+        "reproduced".to_string()
+    } else {
+        format!("NOT reproduced (the run: {expected})")
+    };
+    let t = tracer.borrow();
+    format!(
+        "flight dump: {cause}\nreplay: {replayed}, {verdict}\nlast {} of {} traced events:\n{}",
+        t.events_seen.min(FLIGHT_LINES as u64),
+        t.events_seen,
+        t.render()
+    )
 }
 
 /// Renders a failed run as a ready-to-paste `#[test]` that replays the
@@ -246,18 +303,20 @@ fn {test_name}() {{
 }
 
 /// Writes the reproducer for one failed/truncated run, plus — when the
-/// flight recorder captured one — a sibling `<name>.flight.txt` with the
-/// causal dump; best effort (an unwritable quarantine dir must not fail
-/// the sweep).
+/// run got as far as starting — its [`flight_dump`] as a sibling
+/// `<name>.flight.txt`; best effort (an unwritable quarantine dir must not
+/// fail the sweep).
 fn quarantine(
     dir: &Path,
     cfg: &ModesConfig,
     cause: &str,
-    flight_dump: Option<&str>,
+    outcome: &RunOutcome,
+    budget: Option<&RunBudget>,
 ) -> Option<PathBuf> {
     let hash = fnv1a64(&incast_key(cfg));
     let name = format!("quarantine_run_{hash:016x}");
     let src = reproducer_source(&name, cfg, cause);
+    let dump = flight_dump(cfg, cause, outcome, budget);
     let path = dir.join(format!("{name}.rs"));
     let (outcome, _retries) = stats::retry_with_backoff(
         3,
@@ -265,7 +324,7 @@ fn quarantine(
         || -> std::io::Result<()> {
             std::fs::create_dir_all(dir)?;
             std::fs::write(&path, &src)?;
-            if let Some(dump) = flight_dump {
+            if let Some(dump) = &dump {
                 std::fs::write(dir.join(format!("{name}.flight.txt")), dump)?;
             }
             Ok(())
@@ -345,6 +404,13 @@ mod tests {
             assert!(src.contains("#[test]"), "{src}");
             assert!(src.contains("let cfg = ModesConfig {"), "{src}");
         }
+        // Only the runaway started a run, so only it has a flight dump.
+        let dumps: Vec<bool> = sweep
+            .quarantined
+            .iter()
+            .map(|p| p.with_extension("flight.txt").exists())
+            .collect();
+        assert_eq!(dumps, [false, true]);
         // The failed run carries the typed rejection, not a panic.
         match &sweep.outcomes[1] {
             RunOutcome::Failed(msg) => {
@@ -381,37 +447,132 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[cfg(feature = "recorder")]
-    #[test]
-    fn quarantined_truncation_carries_a_flight_dump() {
-        let dir = tmp_quarantine("flight");
+    /// Sweeps one runaway (2000 bursts) under `budget` with quarantine on;
+    /// returns its outcome and flight dump.
+    fn quarantine_runaway(tag: &str, seed: u64, budget: RunBudget) -> (RunOutcome, String) {
+        let dir = tmp_quarantine(tag);
         let _ = std::fs::remove_dir_all(&dir);
         let cfgs = vec![ModesConfig {
             num_bursts: 2000,
-            ..tiny(11)
+            ..tiny(seed)
         }];
         let sup = SupervisorConfig {
             threads: 1,
-            budget: RunBudget {
-                max_events: Some(20_000),
-                ..RunBudget::default()
-            },
+            budget,
             quarantine_dir: Some(dir.clone()),
         };
-        let cache = RunCache::in_memory();
-        let sweep = supervised_incast_sweep(&cfgs, &sup, &cache);
+        let mut sweep = supervised_incast_sweep(&cfgs, &sup, &RunCache::in_memory());
         assert_eq!(sweep.coverage.truncated, 1);
         assert_eq!(sweep.quarantined.len(), 1);
         let flight = sweep.quarantined[0].with_extension("flight.txt");
         let dump = std::fs::read_to_string(&flight).expect("flight dump beside reproducer");
-        assert!(
-            dump.starts_with("flight recorder: run budget exceeded: events"),
-            "{dump}"
-        );
-        // The causal history is non-empty: ring lines render as
-        // "<t> ps  <tag> ...".
-        assert!(dump.contains(" ps  "), "dump has no events: {dump}");
         let _ = std::fs::remove_dir_all(&dir);
+        (sweep.outcomes.remove(0), dump)
+    }
+
+    fn events_budget(max_events: u64) -> RunBudget {
+        RunBudget {
+            max_events: Some(max_events),
+            ..RunBudget::default()
+        }
+    }
+
+    fn partial_events(outcome: &RunOutcome) -> u64 {
+        match outcome {
+            RunOutcome::Truncated(_, partial) => partial.profile.events(),
+            o => panic!("expected truncation, got {}", o.label()),
+        }
+    }
+
+    #[test]
+    fn quarantined_truncation_carries_a_flight_dump() {
+        let (outcome, dump) = quarantine_runaway("flight", 11, events_budget(20_000));
+        let events = partial_events(&outcome);
+        assert!(events >= 20_000);
+        let header = format!(
+            "flight dump: budget exceeded: events\n\
+             replay: truncated at {events} events, reproduced\n\
+             last 256 of "
+        );
+        assert!(dump.starts_with(&header), "{dump}");
+        assert_eq!(dump.lines().count(), 3 + FLIGHT_LINES, "{dump}");
+    }
+
+    #[test]
+    fn flight_dump_is_the_tail_of_a_tracer_on_the_same_budgeted_run() {
+        let (_, dump) = quarantine_runaway("tail", 12, events_budget(20_000));
+        let tracer = Rc::new(RefCell::new(TextTracer::new(1 << 20)));
+        let sink = SinkRef::from_rc(tracer.clone());
+        let cfg = ModesConfig {
+            num_bursts: 2000,
+            ..tiny(12)
+        };
+        run_incast_budgeted_with::<TimingWheel>(&cfg, Some(&sink), Some(&events_budget(20_000)));
+        let full = tracer.borrow().render();
+        let tail: Vec<&str> = full.lines().rev().take(FLIGHT_LINES).collect();
+        let body: Vec<&str> = dump.lines().skip(3).collect();
+        assert_eq!(body, tail.into_iter().rev().collect::<Vec<_>>());
+        let seen = tracer.borrow().events_seen;
+        assert!(dump.contains(&format!("last 256 of {seen} traced events:\n")));
+    }
+
+    #[test]
+    fn wall_clock_truncation_replays_exactly_the_events_it_ran() {
+        let (outcome, dump) = quarantine_runaway(
+            "wall",
+            13,
+            RunBudget {
+                wall_clock: Some(std::time::Duration::from_millis(5)),
+                ..RunBudget::default()
+            },
+        );
+        let events = partial_events(&outcome);
+        let header = format!(
+            "flight dump: budget exceeded: wall_clock\n\
+             replay: truncated at {events} events, reproduced\n"
+        );
+        assert!(dump.starts_with(&header), "{dump}");
+    }
+
+    #[test]
+    fn a_panicking_replay_dumps_its_last_events_and_the_panic() {
+        let outcome = RunOutcome::Failed("panic: boom".to_string());
+        for k in [3u32, 300] {
+            let dump = replay_flight("panic: boom", &outcome, |sink| {
+                for seq in 0..k {
+                    let pkt = simnet::Packet::data(
+                        simnet::FlowId(1),
+                        simnet::NodeId(0),
+                        simnet::NodeId(2),
+                        seq,
+                        1446,
+                        false,
+                        SimTime::ZERO,
+                    );
+                    sink.emit(&telemetry::Event {
+                        t_ps: seq as u64,
+                        kind: telemetry::EventKind::PktTxStart {
+                            link: 0,
+                            pkt: simnet::packet_info(&pkt),
+                        },
+                    });
+                }
+                panic!("boom")
+            });
+            let held = k.min(FLIGHT_LINES as u32);
+            let lines: Vec<&str> = dump.lines().collect();
+            assert_eq!(
+                lines[..2],
+                [
+                    "flight dump: panic: boom",
+                    "replay: panic: boom, reproduced"
+                ]
+            );
+            assert_eq!(lines[2], format!("last {held} of {k} traced events:"));
+            assert_eq!(lines.len(), 3 + held as usize, "{dump}");
+            let last = format!("DATA seq={} len=1446", k - 1);
+            assert!(lines[lines.len() - 1].ends_with(&last), "{dump}");
+        }
     }
 
     #[test]

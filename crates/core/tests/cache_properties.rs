@@ -76,7 +76,6 @@ fn one_field_variants() -> Vec<(&'static str, ModesConfig)> {
         ),
         ("num_bursts", Box::new(|c| c.num_bursts += 1)),
         ("warmup_bursts", Box::new(|c| c.warmup_bursts += 1)),
-        ("gap", Box::new(|c| c.gap = SimTime::from_ms(3))),
         (
             "tcp.transport",
             Box::new(|c| c.tcp.transport = TransportKind::Quic),
@@ -174,10 +173,6 @@ fn one_field_variants() -> Vec<(&'static str, ModesConfig)> {
                     ..DelayedAckConfig::default()
                 })
             }),
-        ),
-        (
-            "tcp.flight_sample_interval",
-            Box::new(|c| c.tcp.flight_sample_interval = Some(SimTime::from_us(100))),
         ),
         (
             "tcp.pacing",
@@ -553,7 +548,6 @@ fn all_some() -> ModesConfig {
     let (from, until) = (SimTime::from_ms(1), SimTime::from_ms(5));
     let mut c = ModesConfig::default();
     c.tcp.delayed_ack = Some(DelayedAckConfig::default());
-    c.tcp.flight_sample_interval = Some(SimTime::from_us(100));
     c.tcp.pacing = Some(PacingConfig::default());
     c.tcp.idle_restart_after = Some(SimTime::from_ms(1));
     c.tor_queue.ecn_threshold_bytes = Some(97_500);
@@ -609,9 +603,10 @@ fn the_variant_list_names_every_walked_leaf() {
 #[test]
 fn validation_rejects_each_rule_at_a_walked_path() {
     type Edit = fn(&mut ModesConfig);
-    let rules: [(&str, Edit); 10] = [
+    let rules: [(&str, Edit); 21] = [
         ("num_flows", |c| c.num_flows = 0),
         ("burst_duration_ms", |c| c.burst_duration_ms = f64::NAN),
+        ("num_bursts", |c| c.num_bursts = 0),
         ("topology.racks", |c| {
             c.topology = TopologySpec::Clos {
                 racks: 0,
@@ -635,6 +630,39 @@ fn validation_rejects_each_rule_at_a_walked_path() {
         ("tcp.pto_granularity", |c| {
             c.tcp.transport = TransportKind::Quic;
             c.tcp.pto_granularity = SimTime::ZERO;
+        }),
+        ("tcp.cca.g", |c| c.tcp.cca = CcaKind::Dctcp { g: 0.0 }),
+        ("tcp.pacing.min_cwnd_fraction", |c| {
+            c.tcp.pacing = Some(PacingConfig {
+                min_cwnd_fraction: 0.0,
+            })
+        }),
+        ("tor_queue.capacity_bytes", |c| {
+            c.tor_queue.capacity_bytes = 0
+        }),
+        ("receiver_tor_buffer.0", |c| {
+            c.receiver_tor_buffer = Some((0, BufferPolicy::StaticPool))
+        }),
+        ("receiver_tor_buffer.1.alpha", |c| {
+            c.receiver_tor_buffer = Some((4_000_000, BufferPolicy::DynamicThreshold { alpha: 0.0 }))
+        }),
+        ("grouping.group_size", |c| {
+            c.grouping = Some(Grouping {
+                group_size: 0,
+                group_gap: SimTime::from_us(500),
+            })
+        }),
+        ("faults.loss.2", |c| {
+            c.faults.loss = Some((SimTime::ZERO, SimTime::from_ms(1), 1.5))
+        }),
+        ("faults.corrupt.2", |c| {
+            c.faults.corrupt = Some((SimTime::ZERO, SimTime::from_ms(1), -0.5))
+        }),
+        ("faults.spine_loss.3", |c| {
+            c.faults.spine_loss = Some((SimTime::ZERO, SimTime::from_ms(1), 0, f64::NAN))
+        }),
+        ("faults.buffer_shrink.2", |c| {
+            c.faults.buffer_shrink = Some((SimTime::ZERO, SimTime::from_ms(1), 0))
         }),
     ];
     assert_eq!(ModesConfig::default().validate(), Ok(()));
@@ -663,12 +691,13 @@ fn default_config_json_is_pinned_and_keys_every_leaf() {
     assert_eq!(leaf_keys, Paths::of(&all).keyed, "{json}");
 }
 
-const DEFAULT_JSON: &str = r#"{"num_flows":100,"topology":"dumbbell","burst_duration_ms":15,"num_bursts":11,"warmup_bursts":2,"gap":2000000000,"tcp":{"transport":"tcp","mss":1446,"init_cwnd_segs":10,"min_cwnd_segs":1,"cca":{"kind":"dctcp","g":0.0625},"initial_rto":1000000000000,"min_rto":200000000000,"max_rto":60000000000000,"pto_granularity":1000000000,"delayed_ack":null,"flight_sample_interval":null,"pacing":null,"idle_restart_after":null},"tor_queue":{"capacity_bytes":2000000,"capacity_pkts":1333,"ecn_threshold_pkts":65,"ecn_threshold_bytes":null},"receiver_tor_buffer":null,"queue_sample":20000000,"flight_sample":null,"grouping":null,"schedule":{"kind":"after_completion","gap":2000000000},"seed":1,"horizon":30000000000000,"faults":{"blackhole":null,"loss":null,"corrupt":null,"ecn_off":null,"buffer_shrink":null,"straggler":null,"spine_blackhole":null,"spine_loss":null},"mitigation":{"kind":"off","notif_loss":0,"flow_threshold":8,"window_us":100,"pause_us":150,"retry_timeout_us":100,"max_retries":5}}"#;
+const DEFAULT_JSON: &str = r#"{"num_flows":100,"topology":"dumbbell","burst_duration_ms":15,"num_bursts":11,"warmup_bursts":2,"tcp":{"transport":"tcp","mss":1446,"init_cwnd_segs":10,"min_cwnd_segs":1,"cca":{"kind":"dctcp","g":0.0625},"initial_rto":1000000000000,"min_rto":200000000000,"max_rto":60000000000000,"pto_granularity":1000000000,"delayed_ack":null,"pacing":null,"idle_restart_after":null},"tor_queue":{"capacity_bytes":2000000,"capacity_pkts":1333,"ecn_threshold_pkts":65,"ecn_threshold_bytes":null},"receiver_tor_buffer":null,"queue_sample":20000000,"flight_sample":null,"grouping":null,"schedule":{"kind":"after_completion","gap":2000000000},"seed":1,"horizon":30000000000000,"faults":{"blackhole":null,"loss":null,"corrupt":null,"ecn_off":null,"buffer_shrink":null,"straggler":null,"spine_blackhole":null,"spine_loss":null},"mitigation":{"kind":"off","notif_loss":0,"flow_threshold":8,"window_us":100,"pause_us":150,"retry_timeout_us":100,"max_retries":5}}"#;
 
 /// `fnv1a64(incast_key(&ModesConfig::default()))` and the key itself, as
-/// computed before resident runs were addressed by config (schema v4).
-const DEFAULT_NAME: u64 = 0x523f_d4f5_2c14_208f;
-const DEFAULT_KEY: &str = "incast/v4|ModesConfig { num_flows: 100, topology: Dumbbell, burst_duration_ms: 15.0, num_bursts: 11, warmup_bursts: 2, gap: SimTime(2000000000), tcp: TcpConfig { transport: Tcp, mss: 1446, init_cwnd_segs: 10, min_cwnd_segs: 1, cca: Dctcp { g: 0.0625 }, initial_rto: SimTime(1000000000000), min_rto: SimTime(200000000000), max_rto: SimTime(60000000000000), pto_granularity: SimTime(1000000000), delayed_ack: None, flight_sample_interval: None, pacing: None, idle_restart_after: None }, tor_queue: QueueConfig { capacity_bytes: 2000000, capacity_pkts: Some(1333), ecn_threshold_pkts: Some(65), ecn_threshold_bytes: None }, receiver_tor_buffer: None, queue_sample: SimTime(20000000), flight_sample: None, grouping: None, schedule: AfterCompletion { gap: SimTime(2000000000) }, seed: 1, horizon: SimTime(30000000000000), faults: FaultSpec { blackhole: None, loss: None, corrupt: None, ecn_off: None, buffer_shrink: None, straggler: None, spine_blackhole: None, spine_loss: None }, mitigation: MitigationSpec { kind: Off, notif_loss: 0.0, flow_threshold: 8, window_us: 100, pause_us: 150, retry_timeout_us: 100, max_retries: 5 } }";
+/// computed before resident runs were addressed by config (schema v4), less
+/// the `gap` and `tcp.flight_sample_interval` leaves no run ever read.
+const DEFAULT_NAME: u64 = 0xa0d9_a473_2bae_8e19;
+const DEFAULT_KEY: &str = "incast/v4|ModesConfig { num_flows: 100, topology: Dumbbell, burst_duration_ms: 15.0, num_bursts: 11, warmup_bursts: 2, tcp: TcpConfig { transport: Tcp, mss: 1446, init_cwnd_segs: 10, min_cwnd_segs: 1, cca: Dctcp { g: 0.0625 }, initial_rto: SimTime(1000000000000), min_rto: SimTime(200000000000), max_rto: SimTime(60000000000000), pto_granularity: SimTime(1000000000), delayed_ack: None, pacing: None, idle_restart_after: None }, tor_queue: QueueConfig { capacity_bytes: 2000000, capacity_pkts: Some(1333), ecn_threshold_pkts: Some(65), ecn_threshold_bytes: None }, receiver_tor_buffer: None, queue_sample: SimTime(20000000), flight_sample: None, grouping: None, schedule: AfterCompletion { gap: SimTime(2000000000) }, seed: 1, horizon: SimTime(30000000000000), faults: FaultSpec { blackhole: None, loss: None, corrupt: None, ecn_off: None, buffer_shrink: None, straggler: None, spine_blackhole: None, spine_loss: None }, mitigation: MitigationSpec { kind: Off, notif_loss: 0.0, flow_threshold: 8, window_us: 100, pause_us: 150, retry_timeout_us: 100, max_retries: 5 } }";
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(

@@ -7,15 +7,16 @@ use incast_core::modes::{ModesConfig, TopologySpec};
 use incast_core::supervisor::{supervised_incast_sweep, RunOutcome, SupervisorConfig};
 use incast_core::RunCache;
 use simcheck::Scenario;
-use simnet::SimTime;
-use transport::{PacingConfig, TransportKind};
+use simnet::{BufferPolicy, SimTime};
+use transport::{CcaKind, PacingConfig, TransportKind};
+use workload::Grouping;
 
 /// Breaks one validation rule of a config.
 type Break = fn(&mut ModesConfig);
 
 /// Each rule `ModesConfig::validate` enforces, as the path it rejects at
 /// and an edit that breaks it (and only it) on any valid config.
-const RULES: [(&str, Break); 10] = [
+const RULES: [(&str, Break); 21] = [
     ("num_flows", |c| c.num_flows = 0),
     ("burst_duration_ms", |c| {
         c.burst_duration_ms = -c.burst_duration_ms
@@ -47,6 +48,41 @@ const RULES: [(&str, Break); 10] = [
     ("tcp.pto_granularity", |c| {
         c.tcp.transport = TransportKind::Quic;
         c.tcp.pto_granularity = SimTime::ZERO;
+    }),
+    ("num_bursts", |c| c.num_bursts = 0),
+    ("tor_queue.capacity_bytes", |c| {
+        c.tor_queue.capacity_bytes = 0
+    }),
+    ("receiver_tor_buffer.0", |c| {
+        c.receiver_tor_buffer = Some((0, BufferPolicy::StaticPool))
+    }),
+    ("receiver_tor_buffer.1.alpha", |c| {
+        c.receiver_tor_buffer = Some((1 << 20, BufferPolicy::DynamicThreshold { alpha: -1.0 }))
+    }),
+    ("faults.loss.2", |c| {
+        c.faults.loss = Some((SimTime::ZERO, SimTime::from_ms(1), 1.5))
+    }),
+    ("faults.corrupt.2", |c| {
+        c.faults.corrupt = Some((SimTime::ZERO, SimTime::from_ms(1), -0.1))
+    }),
+    ("faults.spine_loss.3", |c| {
+        c.faults.spine_loss = Some((SimTime::ZERO, SimTime::from_ms(1), 0, 2.0))
+    }),
+    ("faults.buffer_shrink.2", |c| {
+        c.faults.buffer_shrink = Some((SimTime::ZERO, SimTime::from_ms(1), 0))
+    }),
+    ("tcp.pacing.min_cwnd_fraction", |c| {
+        c.tcp.transport = TransportKind::Tcp;
+        c.tcp.pacing = Some(PacingConfig {
+            min_cwnd_fraction: 0.0,
+        });
+    }),
+    ("tcp.cca.g", |c| c.tcp.cca = CcaKind::Dctcp { g: 0.0 }),
+    ("grouping.group_size", |c| {
+        c.grouping = Some(Grouping {
+            group_size: 0,
+            group_gap: SimTime::from_us(200),
+        })
     }),
 ];
 

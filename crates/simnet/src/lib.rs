@@ -55,7 +55,6 @@ pub mod link;
 pub mod node;
 pub mod packet;
 pub mod queue;
-pub mod recorder;
 pub mod sim;
 pub mod time;
 pub mod topology;

@@ -626,17 +626,6 @@ impl<S: Scheduler> Simulator<S> {
     fn apply_fault(&mut self, index: u32) {
         let ev = self.fault_plan.events[index as usize];
         self.counters.faults_applied += 1;
-        crate::recorder::note("fault", self.now.as_ps(), ev.kind.target(), index as u64, 0);
-        // A landing fault is one of the recorder's dump triggers: snapshot
-        // the history that led up to it (cold path; faults are rare).
-        if crate::recorder::enabled() {
-            crate::recorder::capture(&format!(
-                "fault applied: {} (target {}, plan index {})",
-                ev.kind.label(),
-                ev.kind.target(),
-                index
-            ));
-        }
         match ev.kind {
             FaultKind::LinkDown { link } => self.links[link.index()].down = true,
             FaultKind::LinkUp { link } => self.links[link.index()].down = false,
@@ -701,14 +690,9 @@ impl<S: Scheduler> Simulator<S> {
             self.ctrl_observe(link_id, slot);
         }
         let now = self.now;
-        let (wire, ecn_capable, flow, pkt_id) = {
+        let (wire, ecn_capable) = {
             let pkt = self.pool.get(slot);
-            (
-                pkt.wire_size,
-                pkt.ecn.is_capable(),
-                pkt.flow.0 as u64,
-                pkt.id,
-            )
+            (pkt.wire_size, pkt.ecn.is_capable())
         };
         let link = &mut self.links[link_id.index()];
         // Shared-buffer admission, if this queue charges a pool.
@@ -718,7 +702,6 @@ impl<S: Scheduler> Simulator<S> {
                 link.queue.note_shared_drop(wire as u64);
                 self.counters.queue_drops += 1;
                 self.counters.shared_buffer_drops += 1;
-                crate::recorder::note("drop_shared", now.as_ps(), link_id.0 as u64, flow, pkt_id);
                 self.emit_pkt(link_id, slot, |link, pkt| telemetry::EventKind::PktDrop {
                     link,
                     pkt,
@@ -751,13 +734,6 @@ impl<S: Scheduler> Simulator<S> {
                 }
                 #[cfg(feature = "check")]
                 self.audit_enqueue(link_id, shared, wire as u64);
-                crate::recorder::note(
-                    if marked { "enq_mark" } else { "enq" },
-                    now.as_ps(),
-                    link_id.0 as u64,
-                    flow,
-                    pkt_id,
-                );
                 // Trace before applying the mark: the trace records the
                 // packet as it arrived at the queue, the CE mark is what it
                 // carries onward.
@@ -781,16 +757,6 @@ impl<S: Scheduler> Simulator<S> {
             }
             EnqueueOutcome::Dropped(reason) => {
                 self.counters.queue_drops += 1;
-                crate::recorder::note(
-                    match reason {
-                        crate::queue::DropReason::QueueFull => "drop_full",
-                        crate::queue::DropReason::SharedBuffer => "drop_shared",
-                    },
-                    now.as_ps(),
-                    link_id.0 as u64,
-                    flow,
-                    pkt_id,
-                );
                 self.emit_pkt(link_id, slot, |link, pkt| telemetry::EventKind::PktDrop {
                     link,
                     pkt,
@@ -899,24 +865,17 @@ impl<S: Scheduler> Simulator<S> {
             if !(down && crate::check::inject_fault_drop_miscount()) {
                 self.counters.fault_drops += 1;
             }
-            let (label, reason) = if corrupt {
-                ("drop_corrupt", DropCause::Corrupt)
+            let reason = if corrupt {
+                DropCause::Corrupt
             } else {
-                ("drop_fault", DropCause::Fault)
+                DropCause::Fault
             };
             self.emit_pkt(link_id, slot, |link, pkt| telemetry::EventKind::PktDrop {
                 link,
                 pkt,
                 reason,
             });
-            let pkt = self.pool.take(slot);
-            crate::recorder::note(
-                label,
-                self.now.as_ps(),
-                link_id.0 as u64,
-                pkt.flow.0 as u64,
-                pkt.id,
-            );
+            self.pool.take(slot);
         } else {
             self.events.schedule_reserved(
                 self.now + prop,
@@ -960,17 +919,10 @@ impl<S: Scheduler> Simulator<S> {
     }
 
     fn on_delivery(&mut self, link_id: LinkId, slot: PacketSlot) {
-        let (flow, pkt_id, pkt_src, pkt_dst) = {
+        let (flow, pkt_src, pkt_dst) = {
             let pkt = self.pool.get(slot);
-            (pkt.flow.0, pkt.id, pkt.src, pkt.dst)
+            (pkt.flow.0, pkt.src, pkt.dst)
         };
-        crate::recorder::note(
-            "rx",
-            self.now.as_ps(),
-            link_id.0 as u64,
-            flow as u64,
-            pkt_id,
-        );
         self.emit_pkt(link_id, slot, |link, pkt| {
             telemetry::EventKind::PktDeliver { link, pkt }
         });

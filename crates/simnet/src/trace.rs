@@ -2,10 +2,10 @@
 //!
 //! The simulator emits structured [`telemetry::Event`]s; this module
 //! bridges packets to that event model and provides the line-per-event
-//! [`TextTracer`], a thin *formatter* over the packet class of that stream:
-//! a [`telemetry::EventSink`] attached with [`crate::Simulator::set_sink`]
-//! like any other. For machine-readable traces attach a
-//! [`telemetry::JsonlSink`] instead.
+//! [`TextTracer`], a thin *formatter* over the packet (and fault) classes
+//! of that stream: a [`telemetry::EventSink`] attached with
+//! [`crate::Simulator::set_sink`] like any other. For machine-readable
+//! traces attach a [`telemetry::JsonlSink`] instead.
 
 use crate::ids::{FlowId, LinkId, NodeId};
 use crate::packet::{Packet, PacketKind};
@@ -62,31 +62,33 @@ pub fn drop_cause(reason: DropReason) -> DropCause {
     }
 }
 
-/// A line-per-event text tracer with an optional flow filter and a bounded
-/// buffer (oldest lines are dropped once the cap is hit, and a counter keeps
-/// the total).
+/// A line-per-event text tracer with an optional flow filter: a ring of the
+/// last `cap` packet events (and, unfiltered, fault events), formatted only
+/// by [`render`](Self::render). Recording copies one [`Event`] into the
+/// ring, so once the ring is full a traced run allocates nothing per event;
+/// a counter keeps the total seen.
 #[derive(Debug)]
 pub struct TextTracer {
     filter: Option<FlowId>,
     cap: usize,
-    lines: std::collections::VecDeque<String>,
-    /// Total events matched (including ones evicted from the buffer).
+    ring: std::collections::VecDeque<Event>,
+    /// Total events matched (including ones evicted from the ring).
     pub events_seen: u64,
 }
 
 impl TextTracer {
-    /// Traces every flow, keeping at most `cap` lines.
+    /// Traces every flow, keeping the last `cap` events.
     pub fn new(cap: usize) -> Self {
         assert!(cap > 0, "zero-capacity tracer");
         TextTracer {
             filter: None,
             cap,
-            lines: std::collections::VecDeque::new(),
+            ring: std::collections::VecDeque::new(),
             events_seen: 0,
         }
     }
 
-    /// Traces only `flow`.
+    /// Traces only `flow` (fault events carry no flow and are left out).
     pub fn for_flow(flow: FlowId, cap: usize) -> Self {
         TextTracer {
             filter: Some(flow),
@@ -94,16 +96,11 @@ impl TextTracer {
         }
     }
 
-    /// The retained lines, oldest first.
-    pub fn lines(&self) -> impl Iterator<Item = &str> {
-        self.lines.iter().map(String::as_str)
-    }
-
-    /// Renders the whole retained log.
+    /// Renders the retained events, oldest first, one line each.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for l in &self.lines {
-            out.push_str(l);
+        for ev in &self.ring {
+            out.push_str(&Self::line(ev));
             out.push('\n');
         }
         out
@@ -152,9 +149,8 @@ impl TextTracer {
         }
     }
 
-    /// Formats one packet-class telemetry event into the tracer's buffer.
-    /// Non-packet events (queue depth, flow windows, …) are ignored.
-    fn format_event(&mut self, ev: &Event) {
+    /// One log line for a retained (packet or fault) event.
+    fn line(ev: &Event) -> String {
         let (what, link, pkt) = match &ev.kind {
             EventKind::PktEnqueue {
                 link,
@@ -188,15 +184,17 @@ impl TextTracer {
             } => ("DROP(corrupt)", *link, pkt),
             EventKind::PktTxStart { link, pkt } => ("tx", *link, pkt),
             EventKind::PktDeliver { link, pkt } => ("rx", *link, pkt),
-            _ => return,
-        };
-        if let Some(f) = self.filter {
-            if pkt.flow != f.0 {
-                return;
+            EventKind::Fault {
+                index,
+                kind,
+                target,
+            } => {
+                let t = SimTime(ev.t_ps);
+                return format!("{t:>12} FAULT {kind} target={target} plan={index}");
             }
-        }
-        self.events_seen += 1;
-        let line = format!(
+            _ => unreachable!("the tracer retains packet and fault events only"),
+        };
+        format!(
             "{:>12} {} {:<11} {} {}->{} {}",
             SimTime(ev.t_ps),
             LinkId(link),
@@ -205,21 +203,30 @@ impl TextTracer {
             NodeId(pkt.src),
             NodeId(pkt.dst),
             Self::describe(pkt),
-        );
-        if self.lines.len() == self.cap {
-            self.lines.pop_front();
-        }
-        self.lines.push_back(line);
+        )
     }
 }
 
 impl EventSink for TextTracer {
     fn accepts(&self, class: EventClass) -> bool {
-        class == EventClass::Packet
+        class == EventClass::Packet || (class == EventClass::Fault && self.filter.is_none())
     }
 
+    /// Retains a packet event of the traced flow(s), or an unfiltered
+    /// fault; everything else (queue depth, flow windows, …) is ignored.
     fn on_event(&mut self, ev: &Event) {
-        self.format_event(ev);
+        let keep = match self.filter {
+            None => matches!(ev.class(), EventClass::Packet | EventClass::Fault),
+            Some(f) => ev.class() == EventClass::Packet && ev.flow() == Some(f.0),
+        };
+        if !keep {
+            return;
+        }
+        self.events_seen += 1;
+        if self.ring.len() == self.cap {
+            self.ring.pop_front();
+        }
+        self.ring.push_back(*ev);
     }
 
     fn event_count(&self) -> u64 {
@@ -285,7 +292,7 @@ mod tests {
         t.on_event(&ev(tx, &data(5)));
         t.on_event(&ev(tx, &data(7)));
         assert_eq!(t.events_seen, 1);
-        assert_eq!(t.lines().count(), 1);
+        assert_eq!(t.render().lines().count(), 1);
     }
 
     #[test]
@@ -295,7 +302,7 @@ mod tests {
         for _ in 0..10 {
             t.on_event(&ev(tx, &p));
         }
-        assert_eq!(t.lines().count(), 3);
+        assert_eq!(t.render().lines().count(), 3);
         assert_eq!(t.events_seen, 10);
     }
 
@@ -404,5 +411,153 @@ mod tests {
     #[should_panic]
     fn zero_cap_rejected() {
         TextTracer::new(0);
+    }
+
+    fn fault(index: u32) -> Event {
+        Event {
+            t_ps: SimTime::from_us(7).as_ps(),
+            kind: EventKind::Fault {
+                index,
+                kind: "link_down",
+                target: 3,
+            },
+        }
+    }
+
+    #[test]
+    fn fault_events_render_as_fault_lines() {
+        let mut t = TextTracer::new(4);
+        assert!(t.accepts(EventClass::Fault));
+        t.on_event(&fault(2));
+        assert_eq!(t.events_seen, 1);
+        assert_eq!(t.render(), "7.000us FAULT link_down target=3 plan=2\n");
+    }
+
+    #[test]
+    fn a_flow_filter_drops_fault_lines() {
+        let mut t = TextTracer::for_flow(FlowId(7), 4);
+        assert!(!t.accepts(EventClass::Fault));
+        t.on_event(&fault(0));
+        t.on_event(&ev(tx, &data(7)));
+        assert_eq!(t.events_seen, 1);
+        assert!(!t.render().contains("FAULT"));
+    }
+
+    /// Every packet event and detail kind at distinct times (plus a queue
+    /// sample the tracer ignores) renders to the bytes the tracer produced
+    /// when it formatted each event on arrival instead of at `render()`.
+    #[test]
+    fn render_of_a_fixed_event_list_is_pinned() {
+        let pkt = |flow: u32, ce, detail| PktInfo {
+            flow,
+            src: flow + 1,
+            dst: 0,
+            bytes: 1500,
+            ce,
+            detail,
+        };
+        let data = |seq, payload, retx| PktDetail::Data { seq, payload, retx };
+        let kinds = [
+            EventKind::PktEnqueue {
+                link: 1,
+                marked: true,
+                pkt: pkt(1, true, data(100, 1446, true)),
+            },
+            EventKind::PktEnqueue {
+                link: 2,
+                marked: false,
+                pkt: pkt(
+                    2,
+                    false,
+                    PktDetail::Ack {
+                        ack: 777,
+                        ece: true,
+                    },
+                ),
+            },
+            EventKind::PktTxStart {
+                link: 3,
+                pkt: pkt(
+                    3,
+                    true,
+                    PktDetail::QuicData {
+                        pn: 17,
+                        offset: 4096,
+                        payload: 1446,
+                        retx: false,
+                    },
+                ),
+            },
+            EventKind::PktDeliver {
+                link: 4,
+                pkt: pkt(
+                    4,
+                    false,
+                    PktDetail::QuicAck {
+                        largest: 17,
+                        ranges: 2,
+                        ece: true,
+                    },
+                ),
+            },
+            EventKind::QueueDepth {
+                link: 4,
+                pkts: 3,
+                bytes: 4500,
+            },
+            EventKind::PktDrop {
+                link: 5,
+                reason: DropCause::QueueFull,
+                pkt: pkt(
+                    5,
+                    false,
+                    PktDetail::Ctrl {
+                        demand: 9000,
+                        burst: 3,
+                    },
+                ),
+            },
+            EventKind::PktDrop {
+                link: 6,
+                reason: DropCause::SharedBuffer,
+                pkt: pkt(
+                    6,
+                    false,
+                    PktDetail::Notif {
+                        epoch: 4,
+                        pause_ps: 150_000_000,
+                        cut: true,
+                    },
+                ),
+            },
+            EventKind::PktDrop {
+                link: 7,
+                reason: DropCause::Fault,
+                pkt: pkt(7, false, PktDetail::NotifAck { epoch: 4 }),
+            },
+            EventKind::PktDrop {
+                link: 8,
+                reason: DropCause::Corrupt,
+                pkt: pkt(8, false, data(0, 64, false)),
+            },
+        ];
+        let mut t = TextTracer::new(16);
+        for (i, kind) in kinds.into_iter().enumerate() {
+            t.on_event(&Event {
+                t_ps: 1_234_567 * (i as u64 + 1),
+                kind,
+            });
+        }
+        assert_eq!(
+            t.render(),
+            "1.235us l1 enq+mark    f1 n2->n0 DATA seq=100 len=1446 retx CE\n\
+             2.469us l2 enq         f2 n3->n0 ACK ack=777 ECE\n\
+             3.704us l3 tx          f3 n4->n0 QDATA pn=17 off=4096 len=1446 CE\n\
+             4.938us l4 rx          f4 n5->n0 QACK largest=17 ranges=2 ECE\n\
+             7.407us l5 DROP(full)  f5 n6->n0 CTRL demand=9000 burst=3\n\
+             8.642us l6 DROP(shared) f6 n7->n0 NOTIF epoch=4 pause=150000000ps cut\n\
+             9.877us l7 DROP(fault) f7 n8->n0 NACK epoch=4\n\
+             11.111us l8 DROP(corrupt) f8 n9->n0 DATA seq=0 len=64\n"
+        );
     }
 }

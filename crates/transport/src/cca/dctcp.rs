@@ -35,7 +35,7 @@ pub struct Dctcp {
 impl Dctcp {
     /// Creates DCTCP with the given initial window (bytes) and gain `g`.
     pub fn new(init_cwnd: u64, g: f64) -> Self {
-        assert!((0.0..=1.0).contains(&g), "g out of (0,1]");
+        assert!(g > 0.0 && g <= 1.0, "g out of (0,1]");
         Dctcp {
             cwnd: init_cwnd as f64,
             ssthresh: f64::INFINITY,

@@ -99,9 +99,6 @@ pub struct TcpConfig {
     /// The QUIC-style stack ignores this: its receiver acknowledges every
     /// packet immediately (max_ack_delay = 0).
     pub delayed_ack: Option<DelayedAckConfig>,
-    /// If set, each sender records its in-flight bytes into fixed-interval
-    /// buckets (drives the paper's Fig. 7).
-    pub flight_sample_interval: Option<SimTime>,
     /// Swift-style pacing mode (the paper's §5.2 discussion): when the
     /// congestion window falls below 1 MSS, the sender transmits one
     /// packet every `RTT x MSS / cwnd` instead of clamping at the 1-MSS
@@ -120,7 +117,7 @@ pub struct TcpConfig {
 
 stats::leaves!(TcpConfig:
     transport, mss, init_cwnd_segs, min_cwnd_segs, cca, initial_rto, min_rto, max_rto,
-    pto_granularity, delayed_ack, flight_sample_interval, pacing, idle_restart_after);
+    pto_granularity, delayed_ack, pacing, idle_restart_after);
 
 impl Default for TcpConfig {
     /// The paper's Section 4 endpoint configuration: DCTCP with g = 1/16,
@@ -137,7 +134,6 @@ impl Default for TcpConfig {
             max_rto: SimTime::from_secs(60),
             pto_granularity: SimTime::from_ms(1),
             delayed_ack: None,
-            flight_sample_interval: None,
             pacing: None,
             idle_restart_after: None,
         }
@@ -180,8 +176,9 @@ impl TcpConfig {
     }
 
     /// Validates invariants (positive MSS, floor <= initial window, sane
-    /// RTO ordering). Paths are the leaves' paths under a `ModesConfig`
-    /// (`tcp.mss`); a host built from an invalid config panics.
+    /// RTO ordering, DCTCP gain and pacing fraction in (0, 1]). Paths are
+    /// the leaves' paths under a `ModesConfig` (`tcp.mss`); a host built
+    /// from an invalid config panics.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let reject = |path, reason| Err(ConfigError { path, reason });
         if self.mss == 0 {
@@ -196,8 +193,21 @@ impl TcpConfig {
         if self.min_rto > self.max_rto {
             return reject("tcp.min_rto", "exceeds max_rto");
         }
+        if let CcaKind::Dctcp { g }
+        | CcaKind::DctcpMemory { g, .. }
+        | CcaKind::DctcpGuardrail { g, .. } = self.cca
+        {
+            if !(g > 0.0 && g <= 1.0) {
+                return reject("tcp.cca.g", "must be in (0, 1]");
+            }
+        }
         if self.transport == TransportKind::Quic && self.pacing.is_some() {
             return reject("tcp.pacing", "sub-MSS pacing requires the tcp transport");
+        }
+        if let Some(p) = self.pacing {
+            if !(p.min_cwnd_fraction > 0.0 && p.min_cwnd_fraction <= 1.0) {
+                return reject("tcp.pacing.min_cwnd_fraction", "must be in (0, 1]");
+            }
         }
         if self.transport == TransportKind::Quic && self.pto_granularity == SimTime::ZERO {
             return reject("tcp.pto_granularity", "must be positive");
@@ -254,6 +264,31 @@ mod tests {
             ..TcpConfig::default()
         };
         assert_eq!(c.validate().unwrap_err().path, "tcp.min_rto");
+
+        for g in [0.0, -0.5, 1.5, f64::NAN] {
+            let c = TcpConfig {
+                cca: CcaKind::DctcpGuardrail {
+                    g,
+                    max_cwnd_segs: 8,
+                },
+                ..TcpConfig::default()
+            };
+            assert_eq!(c.validate().unwrap_err().path, "tcp.cca.g", "g = {g}");
+        }
+        let c = TcpConfig {
+            cca: CcaKind::Dctcp { g: 1.0 },
+            ..TcpConfig::default()
+        };
+        assert!(c.validate().is_ok());
+
+        for min_cwnd_fraction in [0.0, 1.5] {
+            let c = TcpConfig {
+                pacing: Some(PacingConfig { min_cwnd_fraction }),
+                ..TcpConfig::default()
+            };
+            let err = c.validate().unwrap_err();
+            assert_eq!(err.path, "tcp.pacing.min_cwnd_fraction");
+        }
     }
 
     #[test]
@@ -298,7 +333,7 @@ mod tests {
         let json = |c: &TcpConfig| telemetry::json::config(c);
         assert_eq!(
             json(&TcpConfig::default()),
-            r#"{"transport":"tcp","mss":1446,"init_cwnd_segs":10,"min_cwnd_segs":1,"cca":{"kind":"dctcp","g":0.0625},"initial_rto":1000000000000,"min_rto":200000000000,"max_rto":60000000000000,"pto_granularity":1000000000,"delayed_ack":null,"flight_sample_interval":null,"pacing":null,"idle_restart_after":null}"#
+            r#"{"transport":"tcp","mss":1446,"init_cwnd_segs":10,"min_cwnd_segs":1,"cca":{"kind":"dctcp","g":0.0625},"initial_rto":1000000000000,"min_rto":200000000000,"max_rto":60000000000000,"pto_granularity":1000000000,"delayed_ack":null,"pacing":null,"idle_restart_after":null}"#
         );
         let c = TcpConfig {
             transport: TransportKind::Quic,

@@ -51,4 +51,4 @@ pub use receiver::Receiver;
 pub use recovery::Recovery;
 pub use rtt::RttEstimator;
 pub use sender::{AckOutcome, FlowProbe, Sender};
-pub use stats::{FlightRecorder, ReceiverStats, SenderStats};
+pub use stats::{ReceiverStats, SenderStats};

@@ -26,7 +26,7 @@ use crate::config::{TcpConfig, TransportKind};
 use crate::rtt::RttEstimator;
 use crate::sender::FlowProbe;
 use crate::seq;
-use crate::stats::{FlightRecorder, SenderStats};
+use crate::stats::SenderStats;
 use simnet::{AckBlocks, Ctx, FlowId, NodeId, Packet, SimTime};
 use telemetry::{FlowState, WindowTrigger};
 
@@ -92,8 +92,6 @@ pub struct TxCtx<'a, 'c> {
     pub rtt: &'a mut RttEstimator,
     /// Counter sink.
     pub stats: &'a mut SenderStats,
-    /// Fixed-interval in-flight recorder, if enabled.
-    pub flight: &'a mut Option<FlightRecorder>,
     /// Window-transition probe, if attached.
     pub probe: &'a Option<FlowProbe>,
 }
@@ -158,13 +156,6 @@ impl TxCtx<'_, '_> {
         self.stats.bytes_sent += len as u64;
         if retx {
             self.stats.bytes_retx += len as u64;
-        }
-    }
-
-    /// Records an in-flight sample, if the recorder is enabled.
-    pub fn record_flight(&mut self, inflight: u64) {
-        if let Some(rec) = self.flight {
-            rec.record(self.ctx.now().as_ps(), inflight);
         }
     }
 

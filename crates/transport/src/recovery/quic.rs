@@ -370,7 +370,6 @@ impl Recovery for QuicRecovery {
         if self.bytes_in_flight > 0 && !self.pto_armed {
             self.arm_pto(tx);
         }
-        tx.record_flight(self.bytes_in_flight);
         #[cfg(feature = "check")]
         self.oracle_state(tx);
     }
@@ -594,7 +593,6 @@ impl Recovery for QuicRecovery {
         if self.bytes_in_flight > 0 {
             self.arm_pto(tx);
         }
-        tx.record_flight(self.bytes_in_flight);
         tx.probe_window(WindowTrigger::Rto, self.state(), self.bytes_in_flight);
         #[cfg(feature = "check")]
         self.oracle_state(tx);

@@ -240,7 +240,6 @@ impl Recovery for TcpRecovery {
         if self.in_flight() > 0 && !self.rto_armed {
             self.arm_rto(tx);
         }
-        tx.record_flight(self.in_flight());
         #[cfg(feature = "check")]
         self.oracle_state(tx);
     }
@@ -314,7 +313,6 @@ impl Recovery for TcpRecovery {
                 },
             );
             self.fill(tx);
-            tx.record_flight(self.in_flight());
             return;
         }
 
@@ -386,7 +384,6 @@ impl Recovery for TcpRecovery {
         tx.cca.on_timeout(&cctx);
         self.backing_off = true;
         self.retransmit_head(tx);
-        tx.record_flight(self.in_flight());
         self.probe_window(tx, WindowTrigger::Rto);
         #[cfg(feature = "check")]
         self.oracle_state(tx);

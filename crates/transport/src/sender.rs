@@ -19,17 +19,16 @@ use crate::config::{TcpConfig, TransportKind};
 use crate::keys;
 use crate::recovery::{self, AckView, Recovery, TxCtx};
 use crate::rtt::RttEstimator;
-use crate::stats::{FlightRecorder, SenderStats};
+use crate::stats::SenderStats;
 use simnet::{AckBlocks, Ctx, FlowId, NodeId, SimTime};
 use telemetry::{Event, EventClass, EventKind, FlowState, SinkRef, WindowTrigger};
 
 /// Streams per-flow congestion-window transitions to a telemetry sink.
 ///
-/// This generalizes [`FlightRecorder`]: instead of fixed-interval in-flight
-/// samples it captures every window *transition* — which trigger moved the
-/// window (ACK, ECE, fast retransmit, RTO, burst start), the resulting
-/// cwnd/ssthresh/in-flight, and the sender's recovery state — as
-/// [`telemetry::EventKind::FlowWindow`] events.
+/// Every window *transition* — which trigger moved the window (ACK, ECE,
+/// fast retransmit, RTO, burst start), the resulting cwnd/ssthresh/in-flight,
+/// and the sender's recovery state — becomes a
+/// [`telemetry::EventKind::FlowWindow`] event.
 #[derive(Debug, Clone)]
 pub struct FlowProbe {
     sink: SinkRef,
@@ -107,7 +106,6 @@ pub struct Sender {
     /// The loss-recovery engine (sequence space, retransmission, timers).
     recovery: Box<dyn Recovery>,
     stats: SenderStats,
-    flight: Option<FlightRecorder>,
     probe: Option<FlowProbe>,
     /// RFC 2861 window validation: restart threshold and the parameters
     /// needed to rebuild the window (`(threshold, init_cwnd, cca_kind)`).
@@ -148,9 +146,6 @@ impl Sender {
             recovery: recovery::build(cfg, flow),
             stats: SenderStats::default(),
             probe: None,
-            flight: cfg
-                .flight_sample_interval
-                .map(|iv| FlightRecorder::new(iv.as_ps())),
             idle_restart: cfg
                 .idle_restart_after
                 .map(|t| (t, cfg.init_cwnd_bytes(), cfg.cca)),
@@ -177,7 +172,6 @@ impl Sender {
                 cca: &mut *self.cca,
                 rtt: &mut self.rtt,
                 stats: &mut self.stats,
-                flight: &mut self.flight,
                 probe: &self.probe,
             },
         )
@@ -216,11 +210,6 @@ impl Sender {
     /// The congestion control algorithm (diagnostic).
     pub fn cca(&self) -> &dyn Cca {
         self.cca.as_ref()
-    }
-
-    /// The in-flight recorder, if enabled.
-    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref()
     }
 
     /// Attaches a window-transition probe. A sink that does not subscribe
@@ -712,20 +701,6 @@ mod tests {
         h.rto();
         let sent = h.sent();
         assert_eq!(sent[0].1 as u64, MSS / 2, "resend only what was sent");
-    }
-
-    #[test]
-    fn flight_recorder_tracks_inflight() {
-        let cfg = TcpConfig {
-            flight_sample_interval: Some(SimTime::from_us(50)),
-            ..TcpConfig::default()
-        };
-        let mut h = Harness::new(&cfg);
-        h.demand(5 * MSS);
-        assert_eq!(
-            h.tx.flight_recorder().unwrap().series().get(0),
-            (5 * MSS) as f64
-        );
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Per-flow transport statistics.
 
-use stats::TimeSeries;
-
 /// Counters kept by a sending connection.
 #[derive(Debug, Clone, Default)]
 pub struct SenderStats {
@@ -43,32 +41,6 @@ pub struct ReceiverStats {
     pub acks_sent: u64,
 }
 
-/// Optional fixed-interval record of a sender's in-flight bytes (drives the
-/// paper's Fig. 7 per-flow skew analysis).
-#[derive(Debug, Clone)]
-pub struct FlightRecorder {
-    series: TimeSeries,
-}
-
-impl FlightRecorder {
-    /// Creates a recorder with the given bucket width in picoseconds.
-    pub fn new(interval_ps: u64) -> Self {
-        FlightRecorder {
-            series: TimeSeries::new(interval_ps),
-        }
-    }
-
-    /// Records the in-flight level at `now_ps` (bucket keeps the max).
-    pub fn record(&mut self, now_ps: u64, inflight_bytes: u64) {
-        self.series.record_max(now_ps, inflight_bytes as f64);
-    }
-
-    /// The recorded series.
-    pub fn series(&self) -> &TimeSeries {
-        &self.series
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,16 +53,5 @@ mod tests {
         let r = ReceiverStats::default();
         assert_eq!(r.bytes_delivered, 0);
         assert_eq!(r.dup_bytes, 0);
-    }
-
-    #[test]
-    fn flight_recorder_keeps_peaks() {
-        let mut f = FlightRecorder::new(1000);
-        f.record(0, 10);
-        f.record(500, 30);
-        f.record(999, 20);
-        f.record(1500, 5);
-        assert_eq!(f.series().get(0), 30.0);
-        assert_eq!(f.series().get(1), 5.0);
     }
 }
