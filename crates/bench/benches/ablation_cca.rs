@@ -41,7 +41,7 @@ fn main() {
         cfg.tcp.cca = kind;
         let r = run_incast(&cfg);
         t.row([
-            kind.name().to_string(),
+            kind.label().to_string(),
             r.mode().label().to_string(),
             f(r.mean_bct_ms),
             f(r.mean_steady_queue_pkts()),

@@ -5,11 +5,12 @@
 //! modules share large config overlaps (a re-run figure bench repeats every
 //! point; production and stability revisit the same service cells across
 //! processes), so recomputing is pure waste. [`RunCache`]
-//! memoizes by *content address*: the canonical key of a run is the full
-//! `Debug` rendering of its config (every field, in declaration order, so
-//! two configs differing in any one field get different keys), prefixed
-//! with a kind + schema version; the 64-bit FNV-1a hash of that key names
-//! the entry, on disk and in memory.
+//! memoizes by *content address*: the canonical key of an incast run is
+//! its config's text ([`stats::leaves::write`]: every leaf, in declaration
+//! order, read back bit-exactly by [`stats::leaves::read`], so two configs
+//! differing in any one leaf get different keys), prefixed with a kind +
+//! schema version; the 64-bit FNV-1a hash of that key names the entry, on
+//! disk and in memory.
 //!
 //! The canonical key is what a *file* is named and checked by, and what the
 //! raw `&str` API ([`RunCache::get_or_compute`], [`RunCache::get`]) takes.
@@ -30,7 +31,8 @@
 //! - two keys under one name: the second is computed on every lookup and
 //!   never stored;
 //! - a config that is not equal to itself (a `NaN` field) fails the `==`
-//!   and is found through its rendered key like a raw caller's;
+//!   and is found through its rendered key like a raw caller's (`NaN`,
+//!   `inf` and `-inf` render as three different strings);
 //! - `0.0` and `-0.0` are `==` but render differently; the fingerprint
 //!   folds floats by `to_bits`, so they stay two entries.
 //!
@@ -43,11 +45,12 @@
 //!   miss, never a wrong result. Enabled for [`RunCache::global`] with
 //!   `INCAST_RUN_CACHE=1` (directory override: `INCAST_RUN_CACHE_DIR`).
 //!
-//! Values round-trip bit-exactly: floats are written with Rust's shortest
-//! round-trip formatting (the same encoder the telemetry JSONL stream
-//! uses) and parsed back with `str::parse`, so a warm sweep's aggregates
-//! are byte-identical to a cold one — the sweep differential test holds
-//! across cache states.
+//! Values are written in the same text as keys, through their own leaf
+//! lists, and round-trip bit-exactly: floats are written with Rust's
+//! shortest round-trip formatting and parsed back with `str::parse`, so a
+//! warm sweep's aggregates are byte-identical to a cold one — the sweep
+//! differential test holds across cache states. The reader is strict: a
+//! damaged entry (a missing leaf, a zero series interval) is a miss.
 
 use std::any::Any;
 use std::collections::hash_map::Entry;
@@ -56,13 +59,13 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::modes::{IncastRunResult, ModesConfig, TruncationCause};
+use crate::modes::{IncastRunResult, ModesConfig};
 use crate::production::TraceConfig;
-use millisampler::{BurstRow, CtrlTallies, TraceSummary};
-use simnet::{FxHashMap, FxHasher, SimTime};
-use stats::{Leaves, TimeSeries, Visit};
-use telemetry::json::{write_f64, Obj};
-use telemetry::{EventTallies, LoopProfile};
+use millisampler::TraceSummary;
+use simnet::{FxHashMap, FxHasher};
+use stats::leaves::{read, write};
+use stats::{Leaves, Visit};
+use telemetry::json::Obj;
 use workload::SnapshotModel;
 
 /// Bumped whenever an encoding or a simulation-visible default changes, so
@@ -84,7 +87,10 @@ use workload::SnapshotModel;
 /// Still v4 after `ModesConfig::gap` and `TcpConfig::flight_sample_interval`
 /// were deleted: a key without those fields can never equal an old key, so
 /// an old entry misses by file name and, renamed, by its verbatim meta line.
-pub const CACHE_SCHEMA_VERSION: u32 = 4;
+///
+/// v5: the incast key is the config's text instead of its `Debug`
+/// rendering, and values are written through their leaf lists.
+pub const CACHE_SCHEMA_VERSION: u32 = 5;
 
 /// 64-bit FNV-1a over the canonical key; names the on-disk entry file.
 pub fn fnv1a64(s: &str) -> u64 {
@@ -96,19 +102,18 @@ pub fn fnv1a64(s: &str) -> u64 {
     h
 }
 
-/// Canonical key of an incast run (`crates/core/src/modes.rs`). The
-/// `Debug` rendering covers every `ModesConfig` field — topology (flows,
-/// queue, buffer), `TcpConfig`, workload (bursts, schedule, grouping), and
-/// seed — so any single-field change produces a different key. Rendered
-/// where a file is named or compared and for the raw `&str` API; a memory
-/// hit asked for by config never renders it.
+/// Canonical key of an incast run: `incast/v5|` and the config's text,
+/// which [`stats::leaves::read`] reads back bit-exactly — so the key is
+/// injective, and any single-leaf change produces a different key.
+/// Rendered where a file is named or compared and for the raw `&str` API;
+/// a memory hit asked for by config never renders it.
 pub fn incast_key(cfg: &ModesConfig) -> String {
-    format!("incast/v{CACHE_SCHEMA_VERSION}|{cfg:?}")
+    format!("incast/v{CACHE_SCHEMA_VERSION}|{}", write(cfg))
 }
 
 /// Folds config leaves into an [`incast_fingerprint`]: a word per number
-/// (floats by bit pattern, so `0.0` / `-0.0` and two `NaN`s fold as they
-/// render), the label of each enum variant, and a tag word per `Option`, so
+/// (floats by bit pattern, so `0.0` and `-0.0` fold as they render), the
+/// bytes of each string and enum label, and a tag word per `Option`, so
 /// `None` and `Some` of an all-zero payload differ.
 struct Fold(FxHasher);
 
@@ -119,6 +124,11 @@ impl Visit for Fold {
 
     fn float(&mut self, _: &'static str, v: f64) {
         self.0.write_u64(v.to_bits());
+    }
+
+    fn str(&mut self, _: &'static str, v: &str) {
+        self.0.write(v.as_bytes());
+        self.0.write_u8(0xff);
     }
 
     fn variant(&mut self, _: &'static str, label: &'static str, _: bool) {
@@ -156,8 +166,9 @@ pub fn trace_snapshot_key(cfg: &TraceConfig, snapshot: &SnapshotModel) -> String
     format!("tracesnap/v{CACHE_SCHEMA_VERSION}|{cfg:?}|{snapshot:?}")
 }
 
-/// A value the cache can persist: a one-line JSON encoding that decodes
-/// back bit-exactly (floats use shortest-round-trip formatting).
+/// A value the cache can persist: a one-line encoding that decodes back
+/// bit-exactly. The run cache's own values are written and read through
+/// their leaf lists ([`stats::leaves`]).
 pub trait CacheValue: Send + Sync + Sized + 'static {
     /// Encodes as a single line (no interior newlines).
     fn encode(&self) -> String;
@@ -548,361 +559,33 @@ fn meta_line(key: &str) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Encoding helpers (the decoder is a hand-rolled scanner: the workspace is
-// air-gapped, so no serde).
-
-/// Renders a `[v0,v1,…]` JSON array with shortest-round-trip floats.
-fn f64_array(vals: &[f64]) -> String {
-    let mut out = String::from("[");
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_f64(*v, &mut out);
-    }
-    out.push(']');
-    out
-}
-
-/// A strict cursor over an encoded value: every helper consumes exactly
-/// the expected production or fails the whole decode (=> cache miss).
-struct Scan<'a> {
-    s: &'a str,
-    pos: usize,
-}
-
-impl<'a> Scan<'a> {
-    fn new(s: &'a str) -> Self {
-        Scan { s, pos: 0 }
-    }
-
-    fn lit(&mut self, l: &str) -> Option<()> {
-        if self.s[self.pos..].starts_with(l) {
-            self.pos += l.len();
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn number_str(&mut self) -> Option<&'a str> {
-        let rest = &self.s[self.pos..];
-        let end = rest
-            .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-            .unwrap_or(rest.len());
-        if end == 0 {
-            return None;
-        }
-        self.pos += end;
-        Some(&rest[..end])
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.number_str()?.parse().ok()
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.number_str()?.parse().ok()
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        self.number_str()?.parse().ok()
-    }
-
-    /// A float or JSON `null` (how the encoder spells a `None`).
-    fn f64_or_null(&mut self) -> Option<Option<f64>> {
-        if self.lit("null").is_some() {
-            return Some(None);
-        }
-        Some(Some(self.f64()?))
-    }
-
-    fn f64_array(&mut self) -> Option<Vec<f64>> {
-        self.lit("[")?;
-        let mut out = Vec::new();
-        if self.lit("]").is_some() {
-            return Some(out);
-        }
-        loop {
-            out.push(self.f64()?);
-            if self.lit(",").is_some() {
-                continue;
-            }
-            self.lit("]")?;
-            return Some(out);
-        }
-    }
-
-    fn f64_arrays(&mut self) -> Option<Vec<Vec<f64>>> {
-        self.lit("[")?;
-        let mut out = Vec::new();
-        if self.lit("]").is_some() {
-            return Some(out);
-        }
-        loop {
-            out.push(self.f64_array()?);
-            if self.lit(",").is_some() {
-                continue;
-            }
-            self.lit("]")?;
-            return Some(out);
-        }
-    }
-
-    fn end(&self) -> Option<()> {
-        (self.pos == self.s.len()).then_some(())
-    }
-}
-
 impl CacheValue for IncastRunResult {
     fn encode(&self) -> String {
-        let windows: Vec<f64> = self
-            .burst_windows
-            .iter()
-            .flat_map(|&(s, e)| [s, e])
-            .collect();
-        let mut out = String::new();
-        let mut o = Obj::new(&mut out);
-        o.raw("bcts", &f64_array(&self.bcts_ms))
-            .f64("mean", self.mean_bct_ms)
-            .u64("q_iv", self.queue_pkts.interval())
-            .raw("q_v", &f64_array(self.queue_pkts.values()))
-            .raw("win", &f64_array(&windows))
-            .u64("drops", self.drops)
-            .u64("marked", self.marked_pkts)
-            .u64("enq", self.enqueued_pkts)
-            .u64("retx", self.retx_bytes)
-            .u64("to", self.timeouts)
-            .u64("fr", self.fast_retransmits)
-            .u64("s_drops", self.steady_drops)
-            .u64("s_to", self.steady_timeouts)
-            .u64("s_retx", self.steady_retx_bytes)
-            .u64("warm", self.warmup_bursts as u64)
-            .u64("wmark", self.queue_watermark_pkts as u64)
-            .u64(
-                "f_iv",
-                self.flights.first().map(|f| f.interval()).unwrap_or(0),
-            )
-            .raw(
-                "flights",
-                &telemetry::json::array_of_raw(self.flights.iter().map(|f| f64_array(f.values()))),
-            )
-            .u64("fin_ps", self.finished_at.as_ps())
-            .u64("k", self.ecn_threshold_pkts as u64)
-            .u64("trunc", self.truncated.map(|c| c.code()).unwrap_or(0))
-            .u64("p_tx", self.profile.tallies.tx_complete)
-            .u64("p_dl", self.profile.tallies.delivery)
-            .u64("p_tm", self.profile.tallies.timer)
-            .u64("p_ft", self.profile.tallies.fault)
-            .u64("p_ct", self.profile.tallies.ctrl)
-            .u64("p_wall_ns", self.profile.wall.as_nanos() as u64);
-        o.finish();
-        out
+        write(self)
     }
 
     fn decode(s: &str) -> Option<Self> {
-        let mut sc = Scan::new(s);
-        sc.lit("{\"bcts\":")?;
-        let bcts_ms = sc.f64_array()?;
-        sc.lit(",\"mean\":")?;
-        let mean_bct_ms = sc.f64()?;
-        sc.lit(",\"q_iv\":")?;
-        let q_iv = sc.u64()?;
-        sc.lit(",\"q_v\":")?;
-        let q_v = sc.f64_array()?;
-        sc.lit(",\"win\":")?;
-        let win = sc.f64_array()?;
-        if win.len() % 2 != 0 {
-            return None;
-        }
-        sc.lit(",\"drops\":")?;
-        let drops = sc.u64()?;
-        sc.lit(",\"marked\":")?;
-        let marked_pkts = sc.u64()?;
-        sc.lit(",\"enq\":")?;
-        let enqueued_pkts = sc.u64()?;
-        sc.lit(",\"retx\":")?;
-        let retx_bytes = sc.u64()?;
-        sc.lit(",\"to\":")?;
-        let timeouts = sc.u64()?;
-        sc.lit(",\"fr\":")?;
-        let fast_retransmits = sc.u64()?;
-        sc.lit(",\"s_drops\":")?;
-        let steady_drops = sc.u64()?;
-        sc.lit(",\"s_to\":")?;
-        let steady_timeouts = sc.u64()?;
-        sc.lit(",\"s_retx\":")?;
-        let steady_retx_bytes = sc.u64()?;
-        sc.lit(",\"warm\":")?;
-        let warmup_bursts = sc.u32()?;
-        sc.lit(",\"wmark\":")?;
-        let queue_watermark_pkts = sc.u32()?;
-        sc.lit(",\"f_iv\":")?;
-        let f_iv = sc.u64()?;
-        sc.lit(",\"flights\":")?;
-        let flight_vals = sc.f64_arrays()?;
-        sc.lit(",\"fin_ps\":")?;
-        let fin_ps = sc.u64()?;
-        sc.lit(",\"k\":")?;
-        let ecn_threshold_pkts = sc.u32()?;
-        sc.lit(",\"trunc\":")?;
-        let trunc_code = sc.u64()?;
-        if trunc_code > 3 {
-            return None;
-        }
-        sc.lit(",\"p_tx\":")?;
-        let tx_complete = sc.u64()?;
-        sc.lit(",\"p_dl\":")?;
-        let delivery = sc.u64()?;
-        sc.lit(",\"p_tm\":")?;
-        let timer = sc.u64()?;
-        sc.lit(",\"p_ft\":")?;
-        let fault = sc.u64()?;
-        sc.lit(",\"p_ct\":")?;
-        let ctrl = sc.u64()?;
-        sc.lit(",\"p_wall_ns\":")?;
-        let wall_ns = sc.u64()?;
-        sc.lit("}")?;
-        sc.end()?;
-        if !flight_vals.is_empty() && f_iv == 0 {
-            return None;
-        }
-        Some(IncastRunResult {
-            bcts_ms,
-            mean_bct_ms,
-            queue_pkts: TimeSeries::from_values(q_iv, q_v),
-            burst_windows: win.chunks_exact(2).map(|c| (c[0], c[1])).collect(),
-            drops,
-            marked_pkts,
-            enqueued_pkts,
-            retx_bytes,
-            timeouts,
-            fast_retransmits,
-            steady_drops,
-            steady_timeouts,
-            steady_retx_bytes,
-            warmup_bursts,
-            queue_watermark_pkts,
-            flights: flight_vals
-                .into_iter()
-                .map(|v| TimeSeries::from_values(f_iv, v))
-                .collect(),
-            finished_at: SimTime::from_ps(fin_ps),
-            ecn_threshold_pkts,
-            truncated: TruncationCause::from_code(trunc_code),
-            profile: LoopProfile {
-                tallies: EventTallies {
-                    tx_complete,
-                    delivery,
-                    timer,
-                    fault,
-                    ctrl,
-                },
-                wall: std::time::Duration::from_nanos(wall_ns),
-            },
-        })
+        read(s).ok()
     }
 }
 
 impl CacheValue for TraceSummary {
     fn encode(&self) -> String {
-        let rows = self.per_burst.iter().map(|r| {
-            let mut s = String::from("[");
-            write_f64(r.duration_ms, &mut s);
-            s.push(',');
-            write_f64(r.peak_flows, &mut s);
-            s.push(',');
-            write_f64(r.marked_fraction, &mut s);
-            s.push(',');
-            write_f64(r.retx_fraction, &mut s);
-            s.push(',');
-            match r.queue_peak_fraction {
-                Some(q) => write_f64(q, &mut s),
-                None => s.push_str("null"),
-            }
-            s.push(']');
-            s
-        });
-        let mut out = String::new();
-        let mut o = Obj::new(&mut out);
-        o.f64("bps", self.bursts_per_sec)
-            .f64("util", self.mean_utilization)
-            .raw("rows", &telemetry::json::array_of_raw(rows))
-            .u64("fa", self.tallies.faults_applied)
-            .u64("ns", self.tallies.notif_sent)
-            .u64("na", self.tallies.notif_acked)
-            .u64("nr", self.tallies.notif_retries)
-            .u64("nl", self.tallies.notif_lost);
-        o.finish();
-        out
+        write(self)
     }
 
     fn decode(s: &str) -> Option<Self> {
-        let mut sc = Scan::new(s);
-        sc.lit("{\"bps\":")?;
-        let bursts_per_sec = sc.f64()?;
-        sc.lit(",\"util\":")?;
-        let mean_utilization = sc.f64()?;
-        sc.lit(",\"rows\":[")?;
-        let mut per_burst = Vec::new();
-        if sc.lit("]").is_none() {
-            loop {
-                sc.lit("[")?;
-                let duration_ms = sc.f64()?;
-                sc.lit(",")?;
-                let peak_flows = sc.f64()?;
-                sc.lit(",")?;
-                let marked_fraction = sc.f64()?;
-                sc.lit(",")?;
-                let retx_fraction = sc.f64()?;
-                sc.lit(",")?;
-                let queue_peak_fraction = sc.f64_or_null()?;
-                sc.lit("]")?;
-                per_burst.push(BurstRow {
-                    duration_ms,
-                    peak_flows,
-                    marked_fraction,
-                    retx_fraction,
-                    queue_peak_fraction,
-                });
-                if sc.lit(",").is_some() {
-                    continue;
-                }
-                sc.lit("]")?;
-                break;
-            }
-        }
-        sc.lit(",\"fa\":")?;
-        let faults_applied = sc.u64()?;
-        sc.lit(",\"ns\":")?;
-        let notif_sent = sc.u64()?;
-        sc.lit(",\"na\":")?;
-        let notif_acked = sc.u64()?;
-        sc.lit(",\"nr\":")?;
-        let notif_retries = sc.u64()?;
-        sc.lit(",\"nl\":")?;
-        let notif_lost = sc.u64()?;
-        sc.lit("}")?;
-        sc.end()?;
-        Some(TraceSummary {
-            bursts_per_sec,
-            mean_utilization,
-            per_burst,
-            tallies: CtrlTallies {
-                faults_applied,
-                notif_sent,
-                notif_acked,
-                notif_retries,
-                notif_lost,
-            },
-        })
+        read(s).ok()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modes::TruncationCause;
+    use millisampler::{BurstRow, CtrlTallies};
+    use stats::TimeSeries;
+    use telemetry::{EventTallies, LoopProfile};
 
     #[test]
     fn fnv_matches_reference_vectors() {
@@ -913,14 +596,11 @@ mod tests {
     }
 
     #[test]
-    fn keys_carry_kind_version_and_fields() {
+    fn keys_carry_kind_version_and_the_config_text() {
         let cfg = ModesConfig::default();
         let k = incast_key(&cfg);
-        assert!(k.starts_with("incast/v4|ModesConfig"));
-        assert!(k.contains("faults: FaultSpec"));
-        assert!(k.contains("mitigation: MitigationSpec"));
-        assert!(k.contains("num_flows: 100"));
-        assert!(k.contains("seed: 1"));
+        let text = k.strip_prefix("incast/v5|").expect("kind and version");
+        assert_eq!(read::<ModesConfig>(text), Ok(cfg));
     }
 
     #[test]
@@ -958,14 +638,13 @@ mod tests {
 
     /// A stand-in for a run, told apart by its drop count.
     fn run_with_drops(drops: u64) -> IncastRunResult {
-        let line = format!(
-            "{{\"bcts\":[1],\"mean\":1,\"q_iv\":1,\"q_v\":[],\"win\":[],\"drops\":{drops},\
-             \"marked\":0,\"enq\":0,\"retx\":0,\"to\":0,\"fr\":0,\"s_drops\":0,\"s_to\":0,\
-             \"s_retx\":0,\"warm\":0,\"wmark\":0,\"f_iv\":0,\"flights\":[],\"fin_ps\":0,\"k\":0,\
-             \"trunc\":0,\"p_tx\":0,\"p_dl\":0,\"p_tm\":0,\"p_ft\":0,\"p_ct\":0,\"p_wall_ns\":0}}"
-        );
-        IncastRunResult::decode(&line).expect("well-formed stand-in")
+        IncastRunResult {
+            drops,
+            ..read(STAND_IN).expect("well-formed stand-in")
+        }
     }
+
+    const STAND_IN: &str = r#"{"bcts_ms":[1],"mean_bct_ms":1,"queue_pkts":{"interval":1,"buckets":[]},"burst_windows":[],"drops":0,"marked_pkts":0,"enqueued_pkts":0,"retx_bytes":0,"timeouts":0,"fast_retransmits":0,"steady_drops":0,"steady_timeouts":0,"steady_retx_bytes":0,"warmup_bursts":0,"queue_watermark_pkts":0,"flights":[],"finished_at":0,"ecn_threshold_pkts":0,"truncated":null,"profile":{"tallies":{"tx_complete":0,"delivery":0,"timer":0,"fault":0,"ctrl":0},"wall":0}}"#;
 
     fn seeded(seed: u64) -> ModesConfig {
         ModesConfig {
@@ -1145,6 +824,41 @@ mod tests {
     }
 
     #[test]
+    fn incast_result_round_trips_bit_exactly() {
+        let queue = |interval, buckets: &[f64]| {
+            let mut t = TimeSeries::new(interval);
+            for (i, &v) in buckets.iter().enumerate() {
+                t.accumulate(i as u64 * interval, v);
+            }
+            t
+        };
+        let r = IncastRunResult {
+            bcts_ms: vec![0.1 + 0.2, 1.0 / 3.0],
+            mean_bct_ms: f64::NAN,
+            queue_pkts: queue(20, &[0.0, 1e-7, 7.5]),
+            burst_windows: vec![(0.0, 1e-9), (2.5, f64::INFINITY)],
+            flights: vec![queue(100, &[1446.0]), queue(100, &[])],
+            truncated: Some(TruncationCause::WallClock),
+            profile: LoopProfile {
+                tallies: EventTallies {
+                    delivery: 41,
+                    ..EventTallies::default()
+                },
+                wall: std::time::Duration::from_nanos(123_456_789),
+            },
+            ..run_with_drops(3)
+        };
+        let text = r.encode();
+        let back = IncastRunResult::decode(&text).expect("decode");
+        assert_eq!(back.encode(), text);
+        assert_eq!(back.mean_bct_ms.to_bits(), r.mean_bct_ms.to_bits());
+        assert_eq!(back.queue_pkts.values(), r.queue_pkts.values());
+        assert_eq!(back.truncated, r.truncated);
+        assert_eq!(back.profile.wall, r.profile.wall);
+        assert!(text.contains(r#""truncated":"wall_clock""#), "{text}");
+    }
+
+    #[test]
     fn trace_summary_round_trips_bit_exactly() {
         let s = TraceSummary {
             bursts_per_sec: 1.0 / 3.0,
@@ -1190,7 +904,10 @@ mod tests {
     fn corrupt_lines_decode_to_none() {
         assert!(TraceSummary::decode("").is_none());
         assert!(TraceSummary::decode("{}").is_none());
-        assert!(TraceSummary::decode("{\"bps\":1,\"util\":nope,\"rows\":[]}").is_none());
-        assert!(IncastRunResult::decode("{\"bcts\":[1,2]").is_none());
+        assert!(TraceSummary::decode(r#"{"bursts_per_sec":1,"mean_utilization":nope}"#).is_none());
+        assert!(IncastRunResult::decode(r#"{"bcts_ms":[1,2]"#).is_none());
+        let zero = STAND_IN.replace(r#""interval":1"#, r#""interval":0"#);
+        let err = read::<IncastRunResult>(&zero).expect_err("a zero interval");
+        assert_eq!(err.path, "queue_pkts.interval");
     }
 }

@@ -10,7 +10,8 @@
 //! downlink. Flow ids are partitioned per group (`flow_base = g * 1000`),
 //! keeping traces and the ECMP flow hash unambiguous.
 
-use simnet::{build_clos_with, ClosConfig, ClosError, QueueConfig, Scheduler, Shared, SimTime};
+use simnet::{build_clos_with, ClosConfig, QueueConfig, Scheduler, Shared, SimTime};
+use stats::ConfigError;
 use stats::Rng;
 use telemetry::RunManifest;
 use transport::{TcpConfig, TcpHost};
@@ -74,7 +75,7 @@ pub struct ContentionResult {
 /// Runs one all-to-all rack-contention experiment on the wheel scheduler.
 pub fn run_contention(
     cfg: &ContentionConfig,
-) -> Result<(ContentionResult, RunManifest), ClosError> {
+) -> Result<(ContentionResult, RunManifest), ConfigError> {
     run_contention_with::<simnet::TimingWheel>(cfg)
 }
 
@@ -82,7 +83,7 @@ pub fn run_contention(
 /// differential wheel-vs-heap gate).
 pub fn run_contention_with<S: Scheduler>(
     cfg: &ContentionConfig,
-) -> Result<(ContentionResult, RunManifest), ClosError> {
+) -> Result<(ContentionResult, RunManifest), ConfigError> {
     assert!(cfg.racks >= 2, "contention needs at least two racks");
     assert!(cfg.burst_duration_ms > 0.0);
     // Host 0 of each rack is its group's coordinator; host `1 + g` of
@@ -156,7 +157,7 @@ pub fn run_contention_with<S: Scheduler>(
         ),
     )
     .with_git_describe();
-    manifest.config_json = telemetry::json::config(&cfg.tcp);
+    manifest.config_json = stats::leaves::write(&cfg.tcp);
     manifest.events_processed = fabric.sim.counters().events_processed;
     manifest.sim_time_ps = fabric.sim.now().as_ps();
     manifest.counters_json = fabric.sim.counters().to_json();

@@ -9,7 +9,7 @@ use simnet::{
     build_clos_with, BufferPolicy, ClosConfig, ControlConfig, CtrlAction, FaultPlan, QueueConfig,
     Scheduler, Shared, SimTime, TimingWheel,
 };
-use stats::{ConfigError, Leaves, Rng, TimeSeries, Visit};
+use stats::{ConfigError, Rng, TimeSeries};
 use telemetry::{LoopProfile, RunManifest, SinkRef};
 use transport::{TcpConfig, TcpHost};
 use workload::{BurstSchedule, CyclicCoordinator, Grouping, IncastConfig, Worker};
@@ -81,22 +81,11 @@ pub enum MitigationKind {
     Distributed,
 }
 
-impl MitigationKind {
-    /// Stable label for manifests and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            MitigationKind::Off => "off",
-            MitigationKind::Pulser => "pulser",
-            MitigationKind::Distributed => "distributed",
-        }
-    }
-}
-
-impl Leaves for MitigationKind {
-    fn walk<V: Visit>(&self, name: &'static str, v: &mut V) {
-        stats::variant!(v, name, self.label());
-    }
-}
+stats::variants!(MitigationKind {
+    Off => "off",
+    Pulser => "pulser",
+    Distributed => "distributed",
+});
 
 /// Configuration of the in-fabric incast control plane for one run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -154,36 +143,11 @@ pub enum TruncationCause {
     WallClock,
 }
 
-impl TruncationCause {
-    /// Stable manifest label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TruncationCause::SimTime => "sim_time",
-            TruncationCause::Events => "events",
-            TruncationCause::WallClock => "wall_clock",
-        }
-    }
-
-    /// Stable integer code (for the run-cache encoding; 0 means "not
-    /// truncated").
-    pub fn code(&self) -> u64 {
-        match self {
-            TruncationCause::SimTime => 1,
-            TruncationCause::Events => 2,
-            TruncationCause::WallClock => 3,
-        }
-    }
-
-    /// Inverse of [`TruncationCause::code`].
-    pub fn from_code(code: u64) -> Option<TruncationCause> {
-        match code {
-            1 => Some(TruncationCause::SimTime),
-            2 => Some(TruncationCause::Events),
-            3 => Some(TruncationCause::WallClock),
-            _ => None,
-        }
-    }
-}
+stats::variants!(TruncationCause {
+    SimTime => "sim_time",
+    Events => "events",
+    WallClock => "wall_clock",
+});
 
 /// Resource budgets for one supervised run. Any exceeded budget stops the
 /// run gracefully at the next polling step: partial results are collected,
@@ -228,14 +192,10 @@ pub enum TopologySpec {
     },
 }
 
-impl Leaves for TopologySpec {
-    fn walk<V: Visit>(&self, name: &'static str, v: &mut V) {
-        match *self {
-            TopologySpec::Dumbbell => stats::variant!(v, name, "dumbbell"),
-            TopologySpec::Clos { racks, spines } => stats::variant!(v, name, "clos", racks, spines),
-        }
-    }
-}
+stats::variants!(TopologySpec {
+    Dumbbell => "dumbbell",
+    Clos { racks, spines } => "clos",
+});
 
 /// Configuration of one cyclic-incast run.
 #[derive(Debug, Clone, PartialEq)]
@@ -292,7 +252,7 @@ impl ModesConfig {
     /// panics on a config this rejects; the supervisor reports it as a
     /// failed run without starting one.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let reject = |path, reason| Err(ConfigError { path, reason });
+        let reject = |path, reason| Err(ConfigError::new(path, reason));
         let not_prob = |p: f64| !(0.0..=1.0).contains(&p);
         if self.num_flows == 0 {
             return reject("num_flows", "must be positive");
@@ -442,6 +402,12 @@ pub struct IncastRunResult {
     /// Event-loop wall-clock profile (events/sec, per-kind tallies).
     pub profile: LoopProfile,
 }
+
+stats::leaves!(IncastRunResult:
+    bcts_ms, mean_bct_ms, queue_pkts, burst_windows, drops, marked_pkts, enqueued_pkts,
+    retx_bytes, timeouts, fast_retransmits, steady_drops, steady_timeouts, steady_retx_bytes,
+    warmup_bursts, queue_watermark_pkts, flights, finished_at, ecn_threshold_pkts, truncated,
+    profile);
 
 impl IncastRunResult {
     /// Queue-depth samples restricted to the steady-state burst windows
@@ -852,7 +818,7 @@ pub fn run_incast_budgeted_with<S: Scheduler>(
         ),
     };
     let mut manifest = RunManifest::new("incast", cfg.seed, &topology_label).with_git_describe();
-    manifest.config_json = telemetry::json::config(cfg);
+    manifest.config_json = stats::leaves::write(cfg);
     manifest.event_count = sink.map(|s| s.event_count()).unwrap_or(0);
     manifest.events_processed = fabric.sim.counters().events_processed;
     manifest.sim_time_ps = fabric.sim.now().as_ps();
@@ -1263,15 +1229,16 @@ mod tests {
     }
 
     #[test]
-    fn truncation_cause_codes_round_trip() {
+    fn truncation_causes_are_written_by_label_and_read_back() {
         for c in [
             TruncationCause::SimTime,
             TruncationCause::Events,
             TruncationCause::WallClock,
         ] {
-            assert_eq!(TruncationCause::from_code(c.code()), Some(c));
+            let text = stats::leaves::write(&Some(c));
+            assert_eq!(text, format!("\"{}\"", c.label()));
+            assert_eq!(stats::leaves::read(&text), Ok(Some(c)));
         }
-        assert_eq!(TruncationCause::from_code(0), None);
-        assert_eq!(TruncationCause::from_code(9), None);
+        assert!(stats::leaves::read::<TruncationCause>("\"stalled\"").is_err());
     }
 }

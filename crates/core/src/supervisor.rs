@@ -14,11 +14,10 @@
 //!   next polling step; truncated runs are marked in the manifest and
 //!   excluded from aggregates,
 //! - **quarantine reproducers** — each failed or truncated run writes a
-//!   ready-to-paste `#[test]` under `target/quarantine/` that replays the
-//!   exact configuration (the `Debug` rendering of every config type in
-//!   the tree is valid construction syntax, which is what makes the
-//!   emitted source compile as-is; `tests/quarantine_reproducer.rs` pins
-//!   the emitter to a checked-in compiled copy),
+//!   data file under `target/quarantine/`, `<name>.json`: the config's text
+//!   ([`stats::leaves::write`]) and the outcome running it had
+//!   ([`reproducer`]); [`replay`] reads one back, runs it and compares, and
+//!   `tests/repro.rs` replays every checked-in one,
 //! - **flight dumps by replay** — a casualty that passed validation is run
 //!   again with a 256-event [`TextTracer`] attached, and its last packet
 //!   and fault events land beside the reproducer as `<name>.flight.txt` (a
@@ -46,6 +45,7 @@ use crate::runner::{panic_message, par_map};
 use crate::sweep::{sweep_manifest, IncastSweepAggregate};
 use millisampler::RunCoverage;
 use simnet::{TextTracer, TimingWheel};
+use stats::ConfigError;
 use telemetry::{RunManifest, SinkRef};
 
 /// Events of history a quarantined casualty's flight dump keeps.
@@ -205,60 +205,109 @@ fn supervised_run(cfg: &ModesConfig, cache: &RunCache, budget: Option<&RunBudget
     }
 }
 
-/// The flight dump of a casualty that passed validation, by replaying it;
-/// `None` for a rejected config, which never started a run.
-///
-/// A truncated run replays under an event budget of exactly the events it
-/// processed: whether the events, sim-time or wall-clock guard cut it, the
-/// event loop stops at the same polling step with the same event prefix.
-/// A panicked run replays under the sweep's budget.
-fn flight_dump(
-    cfg: &ModesConfig,
-    cause: &str,
-    outcome: &RunOutcome,
-    budget: Option<&RunBudget>,
-) -> Option<String> {
-    let budget = match outcome {
-        RunOutcome::Truncated(_, partial) => Some(RunBudget {
-            max_events: Some(partial.profile.events()),
-            ..RunBudget::default()
-        }),
-        RunOutcome::Failed(_) if cfg.validate().is_ok() => budget.copied(),
-        _ => return None,
-    };
-    Some(replay_flight(cause, outcome, |sink| {
-        run_incast_budgeted_with::<TimingWheel>(cfg, Some(sink), budget.as_ref()).0
-    }))
+/// A reproducer file, `{"config":…,"outcome":"…"}`: a config's text and
+/// the outcome running it had, one line as [`outcome`] words it.
+struct Reproducer {
+    config: ModesConfig,
+    outcome: String,
 }
 
-/// Runs `run` with a [`FLIGHT_LINES`]-event [`TextTracer`] as its sink,
-/// under `catch_unwind`, and renders the dump: a header naming `cause`,
-/// how the replay ended and whether that is how `outcome` ended, then the
-/// tracer's lines.
-fn replay_flight(
-    cause: &str,
-    outcome: &RunOutcome,
-    run: impl FnOnce(&SinkRef) -> IncastRunResult,
-) -> String {
-    let ended = |r: &IncastRunResult| {
-        let how = if r.truncated.is_some() {
-            "truncated"
-        } else {
-            "completed"
-        };
-        format!("{how} at {} events", r.profile.events())
-    };
-    let expected = match outcome {
-        RunOutcome::Completed(r) => ended(r),
-        RunOutcome::Truncated(_, r) => ended(r),
-        RunOutcome::Failed(msg) => msg.clone(),
-    };
+stats::leaves!(Reproducer: config, outcome);
+
+/// The text of the reproducer of `cfg`, which ran to `outcome`.
+pub fn reproducer(cfg: &ModesConfig, outcome: &str) -> String {
+    stats::leaves::write(&Reproducer {
+        config: cfg.clone(),
+        outcome: outcome.to_string(),
+    })
+}
+
+/// What replaying a reproducer showed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Replay {
+    /// The outcome the reproducer records.
+    pub expected: String,
+    /// The outcome its config ran to now.
+    pub replayed: String,
+}
+
+impl Replay {
+    /// Whether the two outcomes are the same.
+    pub fn reproduced(&self) -> bool {
+        self.expected == self.replayed
+    }
+}
+
+/// Reads a [`reproducer`], validates and runs its config, and reports both
+/// outcomes; a text that is not a reproducer is a [`ConfigError`] at the
+/// path where it stops matching (`config.tcp.mss`, `outcome`).
+///
+/// A `truncated at N events` run is replayed under an events budget of
+/// exactly `N`: whichever guard cut it, the event loop stops at the same
+/// polling step with the same event prefix. Every other outcome is replayed
+/// without a budget, and so depends on the physics alone.
+pub fn replay(text: &str) -> Result<Replay, ConfigError> {
+    let Reproducer { config, outcome } = stats::leaves::read(text.trim_end())?;
+    let budget = truncated_events(&outcome).map(events_budget);
+    Ok(Replay {
+        replayed: self::outcome(&config, None, budget.as_ref()),
+        expected: outcome,
+    })
+}
+
+/// What running `cfg` under `budget`, with `sink` attached, ends with, as
+/// one line: `rejected: <path>: <reason>`, `panic: <message>`, `truncated
+/// at <N> events` or `finished <k> of <n> bursts, mean BCT <x> ms`
+/// (shortest round-trip float).
+pub fn outcome(cfg: &ModesConfig, sink: Option<&SinkRef>, budget: Option<&RunBudget>) -> String {
+    let run = || run_incast_budgeted_with::<TimingWheel>(cfg, sink, budget).0;
+    match cfg.validate() {
+        Err(e) => format!("rejected: {e}"),
+        Ok(()) => caught(|| ended(cfg, &run())),
+    }
+}
+
+/// `run`'s outcome, or `panic: <message>` if it panicked.
+fn caught(run: impl FnOnce() -> String) -> String {
+    catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|p| format!("panic: {}", panic_message(&*p)))
+}
+
+/// The outcome of a run of `cfg` that returned `r`.
+fn ended(cfg: &ModesConfig, r: &IncastRunResult) -> String {
+    match r.truncated {
+        Some(_) => format!("truncated at {} events", r.profile.events()),
+        None => format!(
+            "finished {} of {} bursts, mean BCT {} ms",
+            r.bcts_ms.len(),
+            cfg.num_bursts,
+            r.mean_bct_ms
+        ),
+    }
+}
+
+/// `N` of a `truncated at N events` outcome.
+fn truncated_events(outcome: &str) -> Option<u64> {
+    outcome
+        .strip_prefix("truncated at ")?
+        .strip_suffix(" events")?
+        .parse()
+        .ok()
+}
+
+fn events_budget(max_events: u64) -> RunBudget {
+    RunBudget {
+        max_events: Some(max_events),
+        ..RunBudget::default()
+    }
+}
+
+/// Runs `run` with a [`FLIGHT_LINES`]-event [`TextTracer`] as its sink and
+/// renders the dump: a header naming `cause`, the outcome the replay ended
+/// with and whether that is `expected`, then the tracer's lines.
+fn replay_flight(cause: &str, expected: &str, run: impl FnOnce(&SinkRef) -> String) -> String {
     let tracer = Rc::new(RefCell::new(TextTracer::new(FLIGHT_LINES)));
     let sink = SinkRef::from_rc(tracer.clone());
-    let replayed = match catch_unwind(AssertUnwindSafe(|| run(&sink))) {
-        Ok(r) => ended(&r),
-        Err(p) => format!("panic: {}", panic_message(&*p)),
-    };
+    let replayed = caught(|| run(&sink));
     let verdict = if replayed == expected {
         "reproduced".to_string()
     } else {
@@ -273,64 +322,45 @@ fn replay_flight(
     )
 }
 
-/// Renders a failed run as a ready-to-paste `#[test]` that replays the
-/// exact configuration. The `Debug` rendering of `ModesConfig` (and every
-/// type it contains) is valid construction syntax given the glob imports
-/// below; `tests/quarantine_reproducer.rs` keeps a compiled copy of one
-/// emission and asserts the emitter still produces it byte-for-byte.
-pub fn reproducer_source(test_name: &str, cfg: &ModesConfig, cause: &str) -> String {
-    let cause = cause.replace('\n', "; ");
-    format!(
-        r#"// Quarantined by the supervised sweep runner.
-// cause: {cause}
-// Paste into crates/core/tests/<file>.rs and run:
-//   cargo test -p incast-core --test <file>
-#[test]
-fn {test_name}() {{
-    #[allow(unused_imports)]
-    use incast_core::modes::{{FaultSpec, MitigationKind::*, MitigationSpec, ModesConfig, TopologySpec::*}};
-    #[allow(unused_imports)]
-    use simnet::{{BufferPolicy::*, QueueConfig, SimTime}};
-    #[allow(unused_imports)]
-    use transport::{{CcaKind::*, DelayedAckConfig, PacingConfig, TcpConfig, TransportKind::*}};
-    #[allow(unused_imports)]
-    use workload::{{BurstSchedule::*, Grouping}};
-    let cfg = {cfg:?};
-    let _ = incast_core::run_incast(&cfg);
-}}
-"#
-    )
-}
-
-/// Writes the reproducer for one failed/truncated run, plus — when the
-/// run got as far as starting — its [`flight_dump`] as a sibling
-/// `<name>.flight.txt`; best effort (an unwritable quarantine dir must not
-/// fail the sweep).
+/// Writes the reproducer of one failed/truncated run as `<name>.json` and,
+/// if the run started, its flight dump (replayed as [`replay`] would, a
+/// panic under the sweep's `budget`) as `<name>.flight.txt`; best effort.
 fn quarantine(
     dir: &Path,
     cfg: &ModesConfig,
     cause: &str,
-    outcome: &RunOutcome,
+    ran: &RunOutcome,
     budget: Option<&RunBudget>,
 ) -> Option<PathBuf> {
-    let hash = fnv1a64(&incast_key(cfg));
-    let name = format!("quarantine_run_{hash:016x}");
-    let src = reproducer_source(&name, cfg, cause);
-    let dump = flight_dump(cfg, cause, outcome, budget);
-    let path = dir.join(format!("{name}.rs"));
-    let (outcome, _retries) = stats::retry_with_backoff(
+    let expected = match (ran, cfg.validate()) {
+        (_, Err(e)) => format!("rejected: {e}"),
+        (RunOutcome::Failed(msg), Ok(())) => msg.clone(),
+        (RunOutcome::Completed(r), Ok(())) => ended(cfg, r),
+        (RunOutcome::Truncated(_, r), Ok(())) => ended(cfg, r),
+    };
+    let dump = cfg.validate().is_ok().then(|| {
+        let budget =
+            truncated_events(&expected).map_or(budget.copied(), |n| Some(events_budget(n)));
+        replay_flight(cause, &expected, |sink| {
+            outcome(cfg, Some(sink), budget.as_ref())
+        })
+    });
+    let name = format!("quarantine_run_{:016x}", fnv1a64(&incast_key(cfg)));
+    let path = dir.join(format!("{name}.json"));
+    let text = reproducer(cfg, &expected) + "\n";
+    let (written, _retries) = stats::retry_with_backoff(
         3,
         std::time::Duration::from_millis(5),
         || -> std::io::Result<()> {
             std::fs::create_dir_all(dir)?;
-            std::fs::write(&path, &src)?;
+            std::fs::write(&path, &text)?;
             if let Some(dump) = &dump {
                 std::fs::write(dir.join(format!("{name}.flight.txt")), dump)?;
             }
             Ok(())
         },
     );
-    outcome.ok().map(|_| path)
+    written.ok().map(|_| path)
 }
 
 #[cfg(test)]
@@ -397,13 +427,20 @@ mod tests {
         assert_eq!(sweep.outcomes[1].label(), "failed");
         assert_eq!(sweep.outcomes[3].label(), "truncated");
 
-        // Both casualties left compiling reproducers behind.
+        // Both casualties left reproducers behind that replay as recorded.
         assert_eq!(sweep.quarantined.len(), 2);
-        for p in &sweep.quarantined {
-            let src = std::fs::read_to_string(p).expect("reproducer written");
-            assert!(src.contains("#[test]"), "{src}");
-            assert!(src.contains("let cfg = ModesConfig {"), "{src}");
-        }
+        let replays: Vec<Replay> = sweep
+            .quarantined
+            .iter()
+            .map(|p| replay(&std::fs::read_to_string(p).expect("reproducer written")).unwrap())
+            .collect();
+        assert_eq!(
+            replays[0].expected,
+            "rejected: burst_duration_ms: must be positive"
+        );
+        let events = partial_events(&sweep.outcomes[3]);
+        assert_eq!(replays[1].expected, format!("truncated at {events} events"));
+        assert!(replays.iter().all(Replay::reproduced), "{replays:?}");
         // Only the runaway started a run, so only it has a flight dump.
         let dumps: Vec<bool> = sweep
             .quarantined
@@ -470,13 +507,6 @@ mod tests {
         (sweep.outcomes.remove(0), dump)
     }
 
-    fn events_budget(max_events: u64) -> RunBudget {
-        RunBudget {
-            max_events: Some(max_events),
-            ..RunBudget::default()
-        }
-    }
-
     fn partial_events(outcome: &RunOutcome) -> u64 {
         match outcome {
             RunOutcome::Truncated(_, partial) => partial.profile.events(),
@@ -536,9 +566,8 @@ mod tests {
 
     #[test]
     fn a_panicking_replay_dumps_its_last_events_and_the_panic() {
-        let outcome = RunOutcome::Failed("panic: boom".to_string());
         for k in [3u32, 300] {
-            let dump = replay_flight("panic: boom", &outcome, |sink| {
+            let dump = replay_flight("panic: boom", "panic: boom", |sink| {
                 for seq in 0..k {
                     let pkt = simnet::Packet::data(
                         simnet::FlowId(1),
@@ -573,6 +602,31 @@ mod tests {
             let last = format!("DATA seq={} len=1446", k - 1);
             assert!(lines[lines.len() - 1].ends_with(&last), "{dump}");
         }
+    }
+
+    #[test]
+    fn a_reproducer_is_its_config_and_outcome_and_replays() {
+        let cfg = tiny(21);
+        let outcome = outcome(&cfg, None, None);
+        assert!(
+            outcome.starts_with("finished 2 of 2 bursts, mean BCT "),
+            "{outcome}"
+        );
+        let text = reproducer(&cfg, &outcome);
+        let config = stats::leaves::write(&cfg);
+        assert_eq!(
+            text,
+            format!(r#"{{"config":{config},"outcome":"{outcome}"}}"#)
+        );
+        let r = replay(&text).expect("a reproducer");
+        assert!(r.reproduced(), "{r:?}");
+
+        let drifted = reproducer(&cfg, "finished 2 of 2 bursts, mean BCT 1 ms");
+        assert!(!replay(&drifted).unwrap().reproduced());
+        let broken = text.replace(r#""mss":1446"#, r#""mss":-1"#);
+        assert_eq!(replay(&broken).unwrap_err().path, "config.tcp.mss");
+        let cut = text.replace(r#","outcome""#, r#","result""#);
+        assert_eq!(replay(&cut).unwrap_err().path, "outcome");
     }
 
     #[test]

@@ -9,22 +9,25 @@
 //!    so warm aggregates cannot drift.
 //! 3. Damaged entries and entries written under an older schema version
 //!    are misses, never panics or wrong decodes.
-//! 4. The disk address is pinned: the entry name and meta line of a config
-//!    are what they were before the memory layer stopped rendering keys,
-//!    whichever API wrote the entry.
+//! 4. The disk address is pinned: the key is the config's text, and the
+//!    entry name and meta line are the same whichever API wrote the entry.
 //! 5. The config walk is complete: the hand-written variant list names
 //!    every leaf it visits, validation rejects at walked paths, and the
-//!    manifest's config JSON keys every leaf.
+//!    config's text keys every leaf, reads back bit-exactly, and is
+//!    rejected at the path where it is damaged.
 
 use std::collections::BTreeSet;
 
 use incast_core::cache::{
     fnv1a64, incast_fingerprint, incast_key, trace_key, CacheValue, RunCache,
 };
-use incast_core::modes::{run_incast, FaultSpec, MitigationKind, ModesConfig, TopologySpec};
+use incast_core::modes::{
+    run_incast, FaultSpec, IncastRunResult, MitigationKind, ModesConfig, TopologySpec,
+};
 use incast_core::production::TraceConfig;
 use incast_core::{run_incast_cached, run_incast_sweep};
 use simnet::{BufferPolicy, SimTime};
+use stats::leaves::{read, write};
 use stats::{Leaves, Visit};
 use transport::{CcaKind, DelayedAckConfig, PacingConfig, TransportKind};
 use workload::{BurstSchedule, Grouping, ServiceId};
@@ -526,6 +529,9 @@ impl Visit for Paths {
     fn float(&mut self, name: &'static str, _: f64) {
         self.leaf(name, true);
     }
+    fn str(&mut self, name: &'static str, _: &str) {
+        self.leaf(name, true);
+    }
     fn variant(&mut self, name: &'static str, _: &'static str, fields: bool) {
         self.leaf(name, true);
         if fields {
@@ -676,28 +682,113 @@ fn validation_rejects_each_rule_at_a_walked_path() {
     }
 }
 
-/// The manifest's config JSON of the default config, pinned; one key per
-/// leaf the walk visits.
+/// The default config's text (its manifest JSON and cache key), pinned;
+/// one key per leaf the walk visits.
 #[test]
 fn default_config_json_is_pinned_and_keys_every_leaf() {
     let cfg = ModesConfig::default();
-    let json = telemetry::json::config(&cfg);
+    let json = write(&cfg);
     assert_eq!(json, DEFAULT_JSON);
     let leaf_keys = json.matches("\":").count() - json.matches("\":{").count();
     assert_eq!(leaf_keys, Paths::of(&cfg).keyed);
     let all = all_some();
-    let json = telemetry::json::config(&all);
+    let json = write(&all);
     let leaf_keys = json.matches("\":").count() - json.matches("\":{").count();
     assert_eq!(leaf_keys, Paths::of(&all).keyed, "{json}");
 }
 
+/// Every config the tests know reads back from its text with every float
+/// bit intact (the fingerprint folds floats by bits), including non-finite
+/// and negative-zero leaves the validator would reject.
+#[test]
+fn the_text_reads_back_every_config_bit_exactly() {
+    let mut cfgs: Vec<(String, ModesConfig)> = one_field_variants()
+        .into_iter()
+        .map(|(name, c)| (name.to_string(), c))
+        .collect();
+    cfgs.push(("all_some".into(), all_some()));
+    for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0] {
+        let mut c = all_some();
+        c.burst_duration_ms = x;
+        c.mitigation.notif_loss = x;
+        c.faults.spine_loss = Some((SimTime::ZERO, SimTime::from_ms(1), 0, x));
+        c.receiver_tor_buffer = Some((1, BufferPolicy::DynamicThreshold { alpha: x }));
+        cfgs.push((format!("floats = {x}"), c));
+    }
+    for (name, cfg) in &cfgs {
+        let text = write(cfg);
+        let back: ModesConfig = read(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(incast_fingerprint(&back), incast_fingerprint(cfg), "{name}");
+        assert_eq!(write(&back), text, "{name}");
+    }
+    let inf = |x: f64| {
+        write(&ModesConfig {
+            burst_duration_ms: x,
+            ..ModesConfig::default()
+        })
+    };
+    assert!(inf(f64::NAN).contains(r#""burst_duration_ms":"NaN""#));
+    assert!(inf(f64::INFINITY).contains(r#""burst_duration_ms":"inf""#));
+    assert!(inf(f64::NEG_INFINITY).contains(r#""burst_duration_ms":"-inf""#));
+}
+
+/// A damaged text is rejected at the path of the leaf where it stops
+/// matching the walk, never read as some other config.
+#[test]
+fn the_reader_rejects_a_damaged_config_at_its_path() {
+    let cases = [
+        (
+            "unknown key",
+            DEFAULT_JSON.replace(r#""mss":"#, r#""mtu":"#),
+            "tcp.mss",
+        ),
+        (
+            "missing key",
+            DEFAULT_JSON.replace(r#""seed":1,"#, ""),
+            "seed",
+        ),
+        (
+            "reordered keys",
+            DEFAULT_JSON.replace(
+                r#""num_bursts":11,"warmup_bursts":2"#,
+                r#""warmup_bursts":2,"num_bursts":11"#,
+            ),
+            "num_bursts",
+        ),
+        (
+            "a string for a number",
+            DEFAULT_JSON.replace(r#""g":0.0625"#, r#""g":"0.0625""#),
+            "tcp.cca.g",
+        ),
+        (
+            "u32 overflow",
+            DEFAULT_JSON.replace(r#""num_bursts":11"#, r#""num_bursts":4294967296"#),
+            "num_bursts",
+        ),
+        (
+            "unknown variant label",
+            DEFAULT_JSON.replace(r#""kind":"dctcp""#, r#""kind":"bbr""#),
+            "tcp.cca",
+        ),
+        (
+            "an extra key",
+            DEFAULT_JSON.replace(r#""max_retries":5}"#, r#""max_retries":5,"x":1}"#),
+            "mitigation",
+        ),
+        ("trailing bytes", format!("{DEFAULT_JSON}{{}}"), ""),
+    ];
+    for (what, text, path) in cases {
+        assert_ne!(text, DEFAULT_JSON, "{what}: the edit did not apply");
+        let err = read::<ModesConfig>(&text).expect_err(what);
+        assert_eq!(err.path, path, "{what}: {err}");
+    }
+}
+
 const DEFAULT_JSON: &str = r#"{"num_flows":100,"topology":"dumbbell","burst_duration_ms":15,"num_bursts":11,"warmup_bursts":2,"tcp":{"transport":"tcp","mss":1446,"init_cwnd_segs":10,"min_cwnd_segs":1,"cca":{"kind":"dctcp","g":0.0625},"initial_rto":1000000000000,"min_rto":200000000000,"max_rto":60000000000000,"pto_granularity":1000000000,"delayed_ack":null,"pacing":null,"idle_restart_after":null},"tor_queue":{"capacity_bytes":2000000,"capacity_pkts":1333,"ecn_threshold_pkts":65,"ecn_threshold_bytes":null},"receiver_tor_buffer":null,"queue_sample":20000000,"flight_sample":null,"grouping":null,"schedule":{"kind":"after_completion","gap":2000000000},"seed":1,"horizon":30000000000000,"faults":{"blackhole":null,"loss":null,"corrupt":null,"ecn_off":null,"buffer_shrink":null,"straggler":null,"spine_blackhole":null,"spine_loss":null},"mitigation":{"kind":"off","notif_loss":0,"flow_threshold":8,"window_us":100,"pause_us":150,"retry_timeout_us":100,"max_retries":5}}"#;
 
-/// `fnv1a64(incast_key(&ModesConfig::default()))` and the key itself, as
-/// computed before resident runs were addressed by config (schema v4), less
-/// the `gap` and `tcp.flight_sample_interval` leaves no run ever read.
-const DEFAULT_NAME: u64 = 0xa0d9_a473_2bae_8e19;
-const DEFAULT_KEY: &str = "incast/v4|ModesConfig { num_flows: 100, topology: Dumbbell, burst_duration_ms: 15.0, num_bursts: 11, warmup_bursts: 2, tcp: TcpConfig { transport: Tcp, mss: 1446, init_cwnd_segs: 10, min_cwnd_segs: 1, cca: Dctcp { g: 0.0625 }, initial_rto: SimTime(1000000000000), min_rto: SimTime(200000000000), max_rto: SimTime(60000000000000), pto_granularity: SimTime(1000000000), delayed_ack: None, pacing: None, idle_restart_after: None }, tor_queue: QueueConfig { capacity_bytes: 2000000, capacity_pkts: Some(1333), ecn_threshold_pkts: Some(65), ecn_threshold_bytes: None }, receiver_tor_buffer: None, queue_sample: SimTime(20000000), flight_sample: None, grouping: None, schedule: AfterCompletion { gap: SimTime(2000000000) }, seed: 1, horizon: SimTime(30000000000000), faults: FaultSpec { blackhole: None, loss: None, corrupt: None, ecn_off: None, buffer_shrink: None, straggler: None, spine_blackhole: None, spine_loss: None }, mitigation: MitigationSpec { kind: Off, notif_loss: 0.0, flow_threshold: 8, window_us: 100, pause_us: 150, retry_timeout_us: 100, max_retries: 5 } }";
+/// `fnv1a64(incast_key(&ModesConfig::default()))`, the default config's
+/// disk entry name under schema v5.
+const DEFAULT_NAME: u64 = 0x547b_340f_4cbc_8478;
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -711,26 +802,39 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
 
 /// A stand-in for a run, told apart by its drop count: what the address
 /// tests store where simulating would add nothing.
-fn fake_run(drops: u64) -> incast_core::IncastRunResult {
-    let line = format!(
-        "{{\"bcts\":[1],\"mean\":1,\"q_iv\":1,\"q_v\":[],\"win\":[],\"drops\":{drops},\
-         \"marked\":0,\"enq\":0,\"retx\":0,\"to\":0,\"fr\":0,\"s_drops\":0,\"s_to\":0,\
-         \"s_retx\":0,\"warm\":0,\"wmark\":0,\"f_iv\":0,\"flights\":[],\"fin_ps\":0,\"k\":0,\
-         \"trunc\":0,\"p_tx\":0,\"p_dl\":0,\"p_tm\":0,\"p_ft\":0,\"p_ct\":0,\"p_wall_ns\":0}}"
+fn fake_run(drops: u64) -> IncastRunResult {
+    let text = format!(
+        r#"{{"bcts_ms":[1],"mean_bct_ms":1,"queue_pkts":{{"interval":1,"buckets":[]}},"burst_windows":[],"drops":{drops},"marked_pkts":0,"enqueued_pkts":0,"retx_bytes":0,"timeouts":0,"fast_retransmits":0,"steady_drops":0,"steady_timeouts":0,"steady_retx_bytes":0,"warmup_bursts":0,"queue_watermark_pkts":0,"flights":[],"finished_at":0,"ecn_threshold_pkts":0,"truncated":null,"profile":{{"tallies":{{"tx_complete":0,"delivery":0,"timer":0,"fault":0,"ctrl":0}},"wall":0}}}}"#
     );
-    CacheValue::decode(&line).expect("well-formed stand-in")
+    CacheValue::decode(&text).expect("well-formed stand-in")
+}
+
+/// A result's text with its wall-clock field zeroed: what two executions
+/// of one config agree on.
+fn wall_free(r: &IncastRunResult) -> String {
+    let mut r = IncastRunResult::decode(&r.encode()).expect("reads back");
+    r.profile.wall = std::time::Duration::ZERO;
+    r.encode()
+}
+
+/// A disk entry's meta line and its value's [`wall_free`] text.
+fn entry_wall_free(body: &str) -> (String, String) {
+    let (meta, value) = body.split_once('\n').expect("meta line");
+    let value = IncastRunResult::decode(value.trim_end()).expect("a valid entry");
+    (meta.to_string(), wall_free(&value))
 }
 
 #[test]
 fn disk_address_of_the_default_config_is_pinned() {
     let cfg = ModesConfig::default();
-    assert_eq!(incast_key(&cfg), DEFAULT_KEY);
-    assert_eq!(fnv1a64(DEFAULT_KEY), DEFAULT_NAME);
-    // No string in a config's rendering needs JSON escaping, so the meta
-    // line is the three fields verbatim.
+    let key = format!("incast/v5|{DEFAULT_JSON}");
+    assert_eq!(incast_key(&cfg), key);
+    assert_eq!(fnv1a64(&key), DEFAULT_NAME);
+    // The meta line is the three fields, the key's quotes escaped.
     let meta = format!(
-        r#"{{"v":4,"build":"{}","key":"{DEFAULT_KEY}"}}"#,
-        telemetry::git_describe()
+        r#"{{"v":5,"build":"{}","key":"{}"}}"#,
+        telemetry::git_describe(),
+        key.replace('"', r#"\""#)
     );
     // Either API writes that name and that first line.
     for by_config in [true, false] {
@@ -739,7 +843,7 @@ fn disk_address_of_the_default_config_is_pinned() {
         if by_config {
             cache.get_or_compute_incast(&cfg, || fake_run(7));
         } else {
-            cache.get_or_compute(DEFAULT_KEY, || fake_run(7));
+            cache.get_or_compute(&key, || fake_run(7));
         }
         assert_eq!(cache.stats().disk_writes, 1);
         let names: Vec<_> = std::fs::read_dir(&dir)
@@ -871,10 +975,9 @@ fn warm_hit_is_byte_identical_to_cold_run() {
 
     // Byte identity through the full encode/decode cycle, and against a
     // plain uncached run (wall-clock is the one field allowed to differ
-    // between two separate executions; everything before it must match).
-    let strip_wall = |s: &str| s.split(",\"p_wall_ns\":").next().unwrap().to_string();
+    // between two separate executions).
     assert_eq!(first.encode(), decoded.encode());
-    assert_eq!(strip_wall(&cold.encode()), strip_wall(&decoded.encode()));
+    assert_eq!(wall_free(&cold), wall_free(&decoded));
     // Spot-check decoded structure (not just the encoding): per-burst
     // BCTs, flight series, and the profile survive exactly.
     assert_eq!(cold.bcts_ms, decoded.bcts_ms);
@@ -935,8 +1038,21 @@ fn corrupted_disk_entries_miss_instead_of_panicking() {
         ("garbled meta", format!("{{\"v\":999}}\n{payload}")),
         // Binary noise, including an invalid-UTF-8 decoy handled below.
         ("binary noise", "\u{1}\u{2}\u{3}\n[1,2,".to_string()),
+        // Well-formed, but a series no `TimeSeries` can have.
+        (
+            "zero queue interval",
+            format!(
+                "{meta}\n{}",
+                payload.replacen(
+                    r#""queue_pkts":{"interval":20000000"#,
+                    r#""queue_pkts":{"interval":0"#,
+                    1
+                )
+            ),
+        ),
     ];
 
+    assert!(corruptions[7].1.contains(r#""queue_pkts":{"interval":0,"#));
     for (name, body) in &corruptions {
         std::fs::write(&entry, body).expect("inject corruption");
         let cache = RunCache::with_disk(&dir);
@@ -950,11 +1066,10 @@ fn corrupted_disk_entries_miss_instead_of_panicking() {
         );
         // The recompute must also have repaired the entry on disk (byte
         // identical up to the wall-clock field, which varies per execution).
-        let strip_wall = |s: &str| s.split(",\"p_wall_ns\":").next().unwrap().to_string();
         let repaired = std::fs::read_to_string(&entry).expect("entry rewritten");
         assert_eq!(
-            strip_wall(&repaired),
-            strip_wall(&pristine),
+            entry_wall_free(&repaired),
+            entry_wall_free(&pristine),
             "'{name}' left a bad entry behind"
         );
     }
@@ -983,9 +1098,8 @@ fn corrupted_disk_entries_miss_instead_of_panicking() {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.disk_writes, 1);
         assert_eq!(recomputed.bcts_ms, reference.bcts_ms);
-        let strip_wall = |s: &str| s.split(",\"p_wall_ns\":").next().unwrap().to_string();
         let republished = std::fs::read_to_string(&entry).expect("entry republished");
-        assert_eq!(strip_wall(&republished), strip_wall(&pristine));
+        assert_eq!(entry_wall_free(&republished), entry_wall_free(&pristine));
     }
     let _ = std::fs::remove_file(&stale_tmp);
 
@@ -999,16 +1113,15 @@ fn corrupted_disk_entries_miss_instead_of_panicking() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// 4. An entry a schema-v3 build left on disk is a miss: v3 results carry
-///    the event counts of a `TxComplete` per frame per hop, and outside a
+/// 4. An entry a schema-v4 build left on disk is a miss: outside a
 ///    checkout both builds call themselves `"unknown"`, so only the schema
-///    version tells them apart. The v3 file sits under the hash of its v3
-///    key and is never looked at; copied over the v4 entry's name (a cache
+///    version tells them apart. The v4 file sits under the hash of its v4
+///    key and is never looked at; copied over the v5 entry's name (a cache
 ///    directory migrated by hand) its meta line still gives it away.
 #[test]
-fn entries_from_schema_v3_miss_instead_of_decoding() {
+fn entries_from_schema_v4_miss_instead_of_decoding() {
     let dir = std::env::temp_dir().join(format!(
-        "incast-cache-v3-{}-{:?}",
+        "incast-cache-v4-{}-{:?}",
         std::process::id(),
         std::thread::current().id()
     ));
@@ -1022,30 +1135,30 @@ fn entries_from_schema_v3_miss_instead_of_decoding() {
         ..ModesConfig::default()
     };
     let key = incast_key(&cfg);
-    assert!(key.starts_with("incast/v4|"), "{key}");
+    assert!(key.starts_with("incast/v5|"), "{key}");
     let entry_of = |key: &str| dir.join(format!("{:016x}.jsonl", fnv1a64(key)));
 
-    // What this build writes, re-labelled as schema v3 would have.
+    // What this build writes, re-labelled as schema v4 would have.
     let seed_cache = RunCache::with_disk(&dir);
     let reference = run_incast_cached(&cfg, &seed_cache);
-    let v4 = std::fs::read_to_string(entry_of(&key)).expect("entry written");
-    assert!(v4.starts_with(r#"{"v":4,"#), "{v4}");
-    let v3_key = key.replacen("incast/v4|", "incast/v3|", 1);
-    let v3 = v4
-        .replacen(r#"{"v":4,"#, r#"{"v":3,"#, 1)
-        .replacen("incast/v4|", "incast/v3|", 1);
-    std::fs::remove_file(entry_of(&key)).expect("drop the v4 entry");
+    let v5 = std::fs::read_to_string(entry_of(&key)).expect("entry written");
+    assert!(v5.starts_with(r#"{"v":5,"#), "{v5}");
+    let v4_key = key.replacen("incast/v5|", "incast/v4|", 1);
+    let v4 = v5
+        .replacen(r#"{"v":5,"#, r#"{"v":4,"#, 1)
+        .replacen("incast/v5|", "incast/v4|", 1);
+    std::fs::remove_file(entry_of(&key)).expect("drop the v5 entry");
 
     for (name, path) in [
-        ("under its own v3 name", entry_of(&v3_key)),
-        ("renamed over the v4 entry", entry_of(&key)),
+        ("under its own v4 name", entry_of(&v4_key)),
+        ("renamed over the v5 entry", entry_of(&key)),
     ] {
-        std::fs::write(&path, &v3).expect("plant v3 entry");
+        std::fs::write(&path, &v4).expect("plant v4 entry");
         let cache = RunCache::with_disk(&dir);
         let recomputed = run_incast_cached(&cfg, &cache);
         let stats = cache.stats();
-        assert_eq!(stats.disk_hits, 0, "v3 entry {name} decoded as a hit");
-        assert_eq!(stats.misses, 1, "v3 entry {name} was not a miss");
+        assert_eq!(stats.disk_hits, 0, "v4 entry {name} decoded as a hit");
+        assert_eq!(stats.misses, 1, "v4 entry {name} was not a miss");
         assert_eq!(recomputed.bcts_ms, reference.bcts_ms);
         assert_eq!(recomputed.profile.tallies, reference.profile.tallies);
         std::fs::remove_file(entry_of(&key)).expect("recompute republished");

@@ -29,6 +29,9 @@ pub struct BurstRow {
     pub queue_peak_fraction: Option<f64>,
 }
 
+stats::leaves!(BurstRow:
+    duration_ms, peak_flows, marked_fraction, retx_fraction, queue_peak_fraction);
+
 /// Fault and control-plane tallies carried alongside a trace's burst rows:
 /// how many fault actions the simulator applied during the run, and the
 /// notification lifecycle counts of the in-fabric control plane. All fields
@@ -47,6 +50,8 @@ pub struct CtrlTallies {
     /// Emissions suppressed by injected control-path loss.
     pub notif_lost: u64,
 }
+
+stats::leaves!(CtrlTallies: faults_applied, notif_sent, notif_acked, notif_retries, notif_lost);
 
 impl CtrlTallies {
     /// Adds another tally set into this one. Addition is commutative and
@@ -84,6 +89,8 @@ pub struct TraceSummary {
     /// zero and the runner attaches the simulator counters).
     pub tallies: CtrlTallies,
 }
+
+stats::leaves!(TraceSummary: bursts_per_sec, mean_utilization, per_burst, tallies);
 
 impl TraceSummary {
     /// Reduces one host-trace to its summary. Arguments mirror

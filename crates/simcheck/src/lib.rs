@@ -15,15 +15,16 @@
 //!    and zero recorded violations.
 //! 3. **Shrinking.** [`shrink`] greedily minimizes a failing scenario
 //!    (halve flows, drop the buffer, shorten bursts, ...) while the failure
-//!    persists, and [`reproducer`] renders the survivor as a ready-to-paste
-//!    `#[test]`.
+//!    persists; the binary prints the survivor as a reproducer file
+//!    (`incast_core::supervisor::reproducer`: its config's text and the
+//!    outcome running it has), which `tests/repro.rs` replays once checked
+//!    in under `tests/repro/`.
 //!
 //! The `simcheck` binary drives seed ranges in parallel:
 //! `cargo run --release -p simcheck -- --seeds 500`.
 
 #![forbid(unsafe_code)]
 
-use incast_core::cache::CacheValue;
 use incast_core::modes::{run_incast_with, MitigationKind};
 use incast_core::{FaultSpec, ModesConfig, TopologySpec};
 use simnet::check::Violation;
@@ -88,9 +89,8 @@ pub struct MitigationScenario {
     pub loss_pm: u32,
 }
 
-/// One randomly generated incast scenario. The `Debug` rendering is valid
-/// construction syntax, which is what lets [`reproducer`] emit a paste-able
-/// test from a shrunk failure.
+/// One randomly generated incast scenario; [`Scenario::to_config`] is the
+/// run it stands for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scenario {
     /// Seed for both the generator that produced this scenario and the run
@@ -344,14 +344,11 @@ impl Failure {
     }
 }
 
-/// Result-encoding with the wall-clock profile field stripped (everything
+/// A result's text with the wall-clock profile field zeroed (everything
 /// else in an [`incast_core::IncastRunResult`] is deterministic).
-fn deterministic_encoding(result: &incast_core::IncastRunResult) -> String {
-    let enc = result.encode();
-    enc.split(",\"p_wall_ns\":")
-        .next()
-        .unwrap_or(&enc)
-        .to_string()
+fn deterministic_encoding(result: &mut incast_core::IncastRunResult) -> String {
+    result.profile.wall = std::time::Duration::ZERO;
+    stats::leaves::write(result)
 }
 
 /// Runs `scenario` with all invariants on: once on the timing wheel, once
@@ -361,13 +358,13 @@ pub fn check_scenario(scenario: &Scenario) -> Option<Failure> {
     simnet::check::reset();
     let cfg = scenario.to_config();
 
-    let (r_wheel, m_wheel) = run_incast_with::<TimingWheel>(&cfg, None);
-    let (r_heap, m_heap) = run_incast_with::<EventQueue>(&cfg, None);
-    let (r_again, _) = run_incast_with::<TimingWheel>(&cfg, None);
+    let (mut r_wheel, m_wheel) = run_incast_with::<TimingWheel>(&cfg, None);
+    let (mut r_heap, m_heap) = run_incast_with::<EventQueue>(&cfg, None);
+    let (mut r_again, _) = run_incast_with::<TimingWheel>(&cfg, None);
 
-    let e_wheel = deterministic_encoding(&r_wheel);
-    let e_heap = deterministic_encoding(&r_heap);
-    let e_again = deterministic_encoding(&r_again);
+    let e_wheel = deterministic_encoding(&mut r_wheel);
+    let e_heap = deterministic_encoding(&mut r_heap);
+    let e_again = deterministic_encoding(&mut r_again);
 
     let mut mismatch = None;
     if e_wheel != e_heap {
@@ -597,27 +594,6 @@ pub fn shrink(failing: &Scenario) -> Scenario {
     }
 }
 
-/// Renders a shrunk failure as a ready-to-paste `#[test]`.
-pub fn reproducer(sc: &Scenario, failure: &Failure) -> String {
-    format!(
-        r#"// Shrunk by `cargo run -p simcheck` from seed {seed}.
-// Failure: {summary}
-#[test]
-fn simcheck_reproducer_seed_{seed}() {{
-    use simcheck::*;
-    let scenario = {sc:?};
-    assert!(
-        simcheck::check_scenario(&scenario).is_none(),
-        "invariant violation or scheduler divergence"
-    );
-}}
-"#,
-        seed = sc.seed,
-        summary = failure.summary(),
-        sc = sc,
-    )
-}
-
 /// Outcome of fuzzing one seed (what the binary and CI report).
 #[derive(Debug)]
 pub enum SeedOutcome {
@@ -787,14 +763,6 @@ mod tests {
         assert!(pins.iter().all(|m| !m.distributed));
         assert!(ForceMitigation::Distributed.pin(3).unwrap().distributed);
         assert_eq!(ForceMitigation::Off.pin(3), None);
-    }
-
-    #[test]
-    fn debug_rendering_is_construction_syntax() {
-        let sc = Scenario::generate(3);
-        let dbg = format!("{sc:?}");
-        assert!(dbg.starts_with("Scenario {"), "{dbg}");
-        assert!(dbg.contains("seed: 3"), "{dbg}");
     }
 
     #[test]

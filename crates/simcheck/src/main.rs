@@ -6,13 +6,16 @@
 //! ```
 //!
 //! Each seed becomes one random scenario, run on both schedulers plus a
-//! repeat run. Failures are shrunk to minimal reproducers and printed as
-//! paste-able `#[test]`s; the process exits nonzero if anything failed.
+//! repeat run. Failures are shrunk to minimal scenarios and printed as
+//! reproducer files — one line, `{"config":…,"outcome":"…"}` — that
+//! `tests/repro.rs` replays once saved under `tests/repro/`; the process
+//! exits nonzero if anything failed.
 
 #![forbid(unsafe_code)]
 
+use incast_core::supervisor::{outcome, reproducer};
 use incast_core::{default_threads, par_map};
-use simcheck::{fuzz_seed_with, reproducer, shrink, ForceMitigation, SeedOutcome};
+use simcheck::{check_scenario, fuzz_seed_with, shrink, ForceMitigation, SeedOutcome};
 use std::io::Write;
 
 struct Args {
@@ -147,16 +150,13 @@ fn main() {
     // Shrink each failure (sequentially: shrinking re-runs scenarios and
     // uses the thread-local violation log).
     for (seed, failure) in &failures {
-        report.push_str(&format!(
-            "\nseed {seed}: {}\n  original: {:?}\n",
-            failure.summary(),
-            failure.scenario
-        ));
         let minimal = shrink(&failure.scenario);
-        report.push_str(&format!("  shrunk:   {minimal:?}\n"));
+        let shrunk = check_scenario(&minimal).map_or(String::new(), |f| f.summary());
+        let cfg = minimal.to_config();
         report.push_str(&format!(
-            "  reproducer:\n{}\n",
-            reproducer(&minimal, failure)
+            "\nseed {seed}: {}\n  shrunk: {shrunk}\n{}\n",
+            failure.summary(),
+            reproducer(&cfg, &outcome(&cfg, None, None))
         ));
     }
     print!("{report}");

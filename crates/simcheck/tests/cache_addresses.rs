@@ -10,6 +10,21 @@ use incast_core::modes::ModesConfig;
 use incast_core::{run_incast_cached, run_incast_sweep, IncastRunResult, RunCache};
 use simcheck::Scenario;
 
+/// The config of every scenario the fuzzer draws reads back from its text
+/// bit-exactly (floats compared through the bit-folding fingerprint), so
+/// each is a reproducer's config.
+#[test]
+fn generated_scenario_configs_read_back_bit_exactly() {
+    for seed in 0..200 {
+        let cfg = Scenario::generate(seed).to_config();
+        let text = stats::leaves::write(&cfg);
+        let back: ModesConfig = stats::leaves::read(&text).expect("reads back");
+        assert_eq!(back, cfg, "seed {seed}");
+        assert_eq!(incast_fingerprint(&back), incast_fingerprint(&cfg));
+        assert_eq!(stats::leaves::write(&back), text);
+    }
+}
+
 /// Over the scenarios of seeds 0..2000, pairwise: two configs are `==`
 /// exactly when they render the same key, and no two distinct configs share
 /// a fingerprint. The first hundred are drawn a second time, so that both

@@ -2,10 +2,19 @@
 //! cleanly, and a deliberately injected accounting bug must be caught and
 //! shrunk to a small reproducer.
 
+use incast_core::supervisor::{outcome, replay, reproducer};
 use simcheck::{
-    check_scenario, fuzz_seed, fuzz_seed_with, reproducer, shrink, ForceMitigation, Scenario,
-    SeedOutcome,
+    check_scenario, fuzz_seed, fuzz_seed_with, shrink, ForceMitigation, Scenario, SeedOutcome,
 };
+
+/// A shrunk scenario's reproducer file, checked to replay as recorded.
+fn replayed_reproducer(sc: &Scenario) -> String {
+    let cfg = sc.to_config();
+    let text = reproducer(&cfg, &outcome(&cfg, None, None));
+    let replay = replay(&text).expect("a reproducer");
+    assert!(replay.reproduced(), "{replay:?}");
+    text
+}
 
 /// A fixed seed range runs with every invariant on and zero violations.
 /// (CI runs a larger range in release via the `simcheck` binary.)
@@ -94,12 +103,10 @@ fn injected_buffer_bug_is_caught_and_shrunk() {
         "shrinking must keep the buffer (dropping it removes the failure)"
     );
 
-    let test_src = reproducer(&minimal, &failure);
-    assert!(test_src.contains("#[test]"), "{test_src}");
-    assert!(test_src.contains("check_scenario"), "{test_src}");
+    let text = replayed_reproducer(&minimal);
     assert!(
-        test_src.contains(&format!("seed: {}", minimal.seed)),
-        "{test_src}"
+        text.contains(&format!(r#""seed":{},"#, minimal.seed)),
+        "{text}"
     );
 
     assert!(clean_again.is_none(), "bug off: scenario must pass again");
@@ -144,8 +151,8 @@ fn injected_fault_miscount_is_caught_and_shrunk_to_a_minimal_plan() {
         minimal.num_flows <= scenario.num_flows,
         "shrinking never adds flows"
     );
-    let test_src = reproducer(&minimal, &failure);
-    assert!(test_src.contains("fault: FaultScenario"), "{test_src}");
+    let text = replayed_reproducer(&minimal);
+    assert!(text.contains(r#""blackhole":{"0":"#), "{text}");
 
     // Bug off: the same scenario passes again (faults alone are benign).
     assert!(

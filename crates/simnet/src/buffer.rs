@@ -13,8 +13,6 @@
 //! with several, each gets proportionally less — exactly the "rack-level
 //! contention" effect.
 
-use stats::{Leaves, Visit};
-
 /// Shared-buffer admission policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BufferPolicy {
@@ -24,16 +22,10 @@ pub enum BufferPolicy {
     DynamicThreshold { alpha: f64 },
 }
 
-impl Leaves for BufferPolicy {
-    fn walk<V: Visit>(&self, name: &'static str, v: &mut V) {
-        match *self {
-            BufferPolicy::StaticPool => stats::variant!(v, name, "static_pool"),
-            BufferPolicy::DynamicThreshold { alpha } => {
-                stats::variant!(v, name, "dynamic_threshold", alpha)
-            }
-        }
-    }
-}
+stats::variants!(BufferPolicy {
+    StaticPool => "static_pool",
+    DynamicThreshold { alpha } => "dynamic_threshold",
+});
 
 /// One shared memory pool, charged by every member queue.
 #[derive(Debug, Clone)]

@@ -81,7 +81,7 @@ pub use sim::{SimCounters, Simulator};
 pub use time::SimTime;
 pub use topology::{
     build_clos, build_clos_with, build_dumbbell, build_fabric, build_fabric_with, ClosConfig,
-    ClosError, ClosFabric, FabricConfig, IncastFabric,
+    ClosFabric, FabricConfig, IncastFabric,
 };
 pub use trace::{drop_cause, packet_info, TextTracer};
 pub use units::Rate;

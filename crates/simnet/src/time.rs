@@ -15,10 +15,17 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
+/// A time is one integer leaf, in picoseconds.
 impl stats::Leaves for SimTime {
-    /// A time is one integer leaf, in picoseconds.
     fn walk<V: stats::Visit>(&self, name: &'static str, v: &mut V) {
         v.int(name, self.0);
+    }
+
+    fn read(
+        name: &'static str,
+        r: &mut stats::leaves::Reader<'_>,
+    ) -> Result<Self, stats::ConfigError> {
+        r.int(name).map(SimTime)
     }
 }
 

@@ -19,6 +19,7 @@ use crate::sim::Simulator;
 use crate::time::SimTime;
 use crate::units::Rate;
 use crate::wheel::TimingWheel;
+use stats::ConfigError;
 
 /// Configuration for [`build_fabric`].
 #[derive(Debug, Clone)]
@@ -264,33 +265,6 @@ impl Default for ClosConfig {
     }
 }
 
-/// Rejected [`ClosConfig`] shapes. The builder returns these instead of
-/// panicking so sweep/fuzz layers can report a bad config as data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClosError {
-    /// `racks == 0`.
-    ZeroRacks,
-    /// `hosts_per_rack == 0`.
-    ZeroHosts,
-    /// `spines == 0`.
-    ZeroSpines,
-    /// `num_receivers == 0`.
-    ZeroReceivers,
-}
-
-impl std::fmt::Display for ClosError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClosError::ZeroRacks => write!(f, "clos config has zero racks"),
-            ClosError::ZeroHosts => write!(f, "clos config has zero hosts per rack"),
-            ClosError::ZeroSpines => write!(f, "clos config has zero spines"),
-            ClosError::ZeroReceivers => write!(f, "clos config has zero receivers"),
-        }
-    }
-}
-
-impl std::error::Error for ClosError {}
-
 /// A built Clos fabric.
 pub struct ClosFabric<S: Scheduler = TimingWheel> {
     /// The runnable simulator.
@@ -356,11 +330,13 @@ fn clos_per_link_propagation(cfg: &ClosConfig) -> SimTime {
 }
 
 /// Builds a leaf/spine Clos fabric (wheel scheduler).
-pub fn build_clos(cfg: &ClosConfig) -> Result<ClosFabric, ClosError> {
+pub fn build_clos(cfg: &ClosConfig) -> Result<ClosFabric, ConfigError> {
     build_clos_with::<TimingWheel>(cfg)
 }
 
-/// [`build_clos`] with an explicit [`Scheduler`].
+/// [`build_clos`] with an explicit [`Scheduler`]. A shape with no racks,
+/// hosts, spines or receivers is a [`ConfigError`] at that field, not a
+/// panic, so sweep and fuzz layers can report it as data.
 ///
 /// The degenerate `racks == 1` form collapses the spine tier to `spines`
 /// parallel ToR-to-ToR trunks via the same internal builder as
@@ -368,18 +344,15 @@ pub fn build_clos(cfg: &ClosConfig) -> Result<ClosFabric, ClosError> {
 /// byte-identical to `build_fabric` of the corresponding [`FabricConfig`]
 /// (same builder-call sequence, hence same node ids, link ids, and
 /// event stream — `tests/fabric_equivalence.rs` pins this).
-pub fn build_clos_with<S: Scheduler>(cfg: &ClosConfig) -> Result<ClosFabric<S>, ClosError> {
-    if cfg.racks == 0 {
-        return Err(ClosError::ZeroRacks);
-    }
-    if cfg.hosts_per_rack == 0 {
-        return Err(ClosError::ZeroHosts);
-    }
-    if cfg.spines == 0 {
-        return Err(ClosError::ZeroSpines);
-    }
-    if cfg.num_receivers == 0 {
-        return Err(ClosError::ZeroReceivers);
+pub fn build_clos_with<S: Scheduler>(cfg: &ClosConfig) -> Result<ClosFabric<S>, ConfigError> {
+    let shape = [
+        ("racks", cfg.racks),
+        ("hosts_per_rack", cfg.hosts_per_rack),
+        ("spines", cfg.spines),
+        ("num_receivers", cfg.num_receivers),
+    ];
+    if let Some((path, _)) = shape.iter().find(|(_, n)| *n == 0) {
+        return Err(ConfigError::new(*path, "must be at least 1"));
     }
 
     if cfg.racks == 1 {
@@ -589,23 +562,20 @@ mod tests {
             f(&mut cfg);
             build_clos(&cfg)
         };
+        let path = |f| zero(f).err().map(|e| e.path);
+        assert_eq!(path(|c| c.racks = 0).as_deref(), Some("racks"));
         assert_eq!(
-            zero(|c| c.racks = 0).err(),
-            Some(ClosError::ZeroRacks),
-            "zero racks"
+            path(|c| c.hosts_per_rack = 0).as_deref(),
+            Some("hosts_per_rack")
+        );
+        assert_eq!(path(|c| c.spines = 0).as_deref(), Some("spines"));
+        assert_eq!(
+            path(|c| c.num_receivers = 0).as_deref(),
+            Some("num_receivers")
         );
         assert_eq!(
-            zero(|c| c.hosts_per_rack = 0).err(),
-            Some(ClosError::ZeroHosts)
-        );
-        assert_eq!(zero(|c| c.spines = 0).err(), Some(ClosError::ZeroSpines));
-        assert_eq!(
-            zero(|c| c.num_receivers = 0).err(),
-            Some(ClosError::ZeroReceivers)
-        );
-        assert_eq!(
-            ClosError::ZeroSpines.to_string(),
-            "clos config has zero spines"
+            zero(|c| c.spines = 0).err().unwrap().to_string(),
+            "spines: must be at least 1"
         );
     }
 

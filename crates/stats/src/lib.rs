@@ -18,8 +18,10 @@
 //! - [`summary`]: scalar summary statistics (mean, variance, percentiles),
 //! - [`retry_with_backoff`]: bounded retry for transient IO in the sweep
 //!   machinery,
-//! - [`Leaves`] / [`Visit`]: the one exhaustive walk over a config's
-//!   fields, and [`ConfigError`], what validating one reports.
+//! - [`Leaves`] / [`Visit`]: the one exhaustive walk over a value's
+//!   fields, the one JSON text it writes and reads back
+//!   ([`leaves::write`] / [`leaves::read`]), and [`ConfigError`], what
+//!   validating or reading one reports.
 
 #![forbid(unsafe_code)]
 

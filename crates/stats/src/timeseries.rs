@@ -5,6 +5,8 @@
 //! finer for queue traces). [`TimeSeries`] is that grid: values are added at
 //! a time offset and land in `floor(t / interval)` buckets.
 
+use crate::leaves::{ConfigError, Leaves, Reader, Visit};
+
 /// Buckets a series grows to by doubling, and the most slack it may carry
 /// below 25 % (512 KiB of `f64`).
 const DOUBLING_LIMIT: usize = 64 * 1024;
@@ -19,6 +21,29 @@ pub struct TimeSeries {
     buckets: Vec<f64>,
 }
 
+/// Written like `leaves!(TimeSeries: interval, buckets)`; read back only
+/// with a positive interval, the one thing [`TimeSeries::new`] checks.
+impl Leaves for TimeSeries {
+    fn walk<V: Visit>(&self, name: &'static str, v: &mut V) {
+        let TimeSeries { interval, buckets } = self;
+        v.enter(name);
+        interval.walk("interval", v);
+        buckets.walk("buckets", v);
+        v.leave();
+    }
+
+    fn read(name: &'static str, r: &mut Reader<'_>) -> Result<Self, ConfigError> {
+        r.enter(name)?;
+        let interval = u64::read("interval", r)?;
+        if interval == 0 {
+            return Err(r.error("interval", "must be positive"));
+        }
+        let buckets = Vec::read("buckets", r)?;
+        r.leave()?;
+        Ok(TimeSeries { interval, buckets })
+    }
+}
+
 impl TimeSeries {
     /// Creates a series with the given bucket width. Panics if zero.
     pub fn new(interval: u64) -> Self {
@@ -27,14 +52,6 @@ impl TimeSeries {
             interval,
             buckets: Vec::new(),
         }
-    }
-
-    /// Reconstructs a series from its bucket values (the inverse of
-    /// [`Self::values`]), used by the run cache to decode stored series
-    /// bit-exactly. Panics if `interval` is zero.
-    pub fn from_values(interval: u64, buckets: Vec<f64>) -> Self {
-        assert!(interval > 0, "zero bucket interval");
-        Self { interval, buckets }
     }
 
     /// Bucket width.

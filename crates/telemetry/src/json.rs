@@ -13,10 +13,10 @@
 //! the per-event path under the JSONL and Perfetto sinks: the caller hands
 //! it whole literal fragments (`,"ev":"pkt_enq","link":` is one copy), it
 //! stages them with the numbers between in a fixed stack buffer, and the
-//! finished line reaches the output in one `push_str`. [`config`] renders a
-//! whole config through its leaf walk, for manifests.
+//! finished line reaches the output in one `push_str`. A config's JSON is
+//! not written here but by its leaf walk, `stats::leaves::write`, which
+//! also reads it back.
 
-use stats::{Leaves, Visit};
 use std::fmt::Write as _;
 
 /// `"00" "01" … "99"`: two decimal digits per table step.
@@ -320,84 +320,6 @@ impl<'a> Obj<'a> {
     }
 }
 
-/// Renders an iterator of pre-rendered JSON values as a JSON array.
-pub fn array_of_raw<I: IntoIterator<Item = String>>(items: I) -> String {
-    let mut out = String::from("[");
-    for (i, item) in items.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&item);
-    }
-    out.push(']');
-    out
-}
-
-/// Renders a config as one JSON object through its leaf walk
-/// ([`stats::Leaves`]): every leaf in declaration order under its field
-/// name, times as integer picoseconds, `None` as `null`, a tuple as an
-/// object keyed by position, an enum as its label — or, for a variant with
-/// fields, an object whose `kind` is the label.
-pub fn config<T: Leaves>(value: &T) -> String {
-    let mut w = ConfigWriter(String::new());
-    value.walk("", &mut w);
-    w.0
-}
-
-/// The [`Visit`] behind [`config`]. Names and labels are identifiers, so
-/// they are written unescaped.
-struct ConfigWriter(String);
-
-impl ConfigWriter {
-    /// Writes `"name":`, after a comma unless it opens an object. The root
-    /// alone is named `""` and has no key.
-    fn key(&mut self, name: &str) {
-        if name.is_empty() {
-            return;
-        }
-        if !self.0.ends_with('{') {
-            self.0.push(',');
-        }
-        let _ = write!(self.0, "\"{name}\":");
-    }
-}
-
-impl Visit for ConfigWriter {
-    fn int(&mut self, name: &'static str, v: u64) {
-        self.key(name);
-        write_u64(v, &mut self.0);
-    }
-
-    fn float(&mut self, name: &'static str, v: f64) {
-        self.key(name);
-        write_f64(v, &mut self.0);
-    }
-
-    fn variant(&mut self, name: &'static str, label: &'static str, fields: bool) {
-        if fields {
-            self.enter(name);
-        }
-        self.key(if fields { "kind" } else { name });
-        let _ = write!(self.0, "\"{label}\"");
-    }
-
-    fn option(&mut self, name: &'static str, some: bool) {
-        if !some {
-            self.key(name);
-            self.0.push_str("null");
-        }
-    }
-
-    fn enter(&mut self, name: &'static str) {
-        self.key(name);
-        self.0.push('{');
-    }
-
-    fn leave(&mut self) {
-        self.0.push('}');
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -437,15 +359,12 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn raw_and_arrays() {
+    fn raw_values_are_verbatim() {
         let mut buf = String::new();
         let mut o = Obj::new(&mut buf);
         o.raw("inner", r#"{"x":1}"#);
         o.finish();
         assert_eq!(buf, r#"{"inner":{"x":1}}"#);
-        let arr = array_of_raw(vec!["1".to_string(), "2".to_string()]);
-        assert_eq!(arr, "[1,2]");
-        assert_eq!(array_of_raw(Vec::<String>::new()), "[]");
     }
 
     /// Every value at which the digit count changes, and its neighbours.

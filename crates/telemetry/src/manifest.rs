@@ -21,7 +21,7 @@ pub struct RunManifest {
     pub seed: u64,
     /// Topology summary, e.g. `"dumbbell:senders=32,trunk=100G"`.
     pub topology: String,
-    /// Pre-rendered JSON of the run's config ([`crate::json::config`]), or
+    /// Pre-rendered JSON of the run's config (`stats::leaves::write`), or
     /// `"{}"`.
     pub config_json: String,
     /// Output of `git describe --always --dirty`, or `"unknown"`.

@@ -22,6 +22,8 @@ pub struct EventTallies {
     pub ctrl: u64,
 }
 
+stats::leaves!(EventTallies: tx_complete, delivery, timer, fault, ctrl);
+
 impl EventTallies {
     /// Total events across kinds.
     pub fn total(&self) -> u64 {
@@ -37,6 +39,8 @@ pub struct LoopProfile {
     /// Wall-clock time spent inside the event loop.
     pub wall: Duration,
 }
+
+stats::leaves!(LoopProfile: tallies, wall);
 
 impl LoopProfile {
     /// An empty profile.

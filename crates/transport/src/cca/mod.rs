@@ -22,7 +22,6 @@ pub use reno::Reno;
 pub use swift::SwiftLike;
 
 use simnet::SimTime;
-use stats::{Leaves, Visit};
 
 /// Context the sender passes to every CCA callback.
 #[derive(Debug, Clone, Copy)]
@@ -136,36 +135,16 @@ impl CcaKind {
             )),
         }
     }
-
-    /// Short name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CcaKind::Dctcp { .. } => "dctcp",
-            CcaKind::Reno => "reno",
-            CcaKind::Cubic => "cubic",
-            CcaKind::DctcpMemory { .. } => "dctcp-memory",
-            CcaKind::DctcpGuardrail { .. } => "dctcp-guardrail",
-            CcaKind::SwiftLike { .. } => "swift-like",
-        }
-    }
 }
 
-impl Leaves for CcaKind {
-    fn walk<V: Visit>(&self, name: &'static str, v: &mut V) {
-        let label = self.name();
-        match *self {
-            CcaKind::Reno | CcaKind::Cubic => stats::variant!(v, name, label),
-            CcaKind::Dctcp { g } => stats::variant!(v, name, label, g),
-            CcaKind::DctcpMemory { g, memory_gain } => {
-                stats::variant!(v, name, label, g, memory_gain)
-            }
-            CcaKind::DctcpGuardrail { g, max_cwnd_segs } => {
-                stats::variant!(v, name, label, g, max_cwnd_segs)
-            }
-            CcaKind::SwiftLike { target_us } => stats::variant!(v, name, label, target_us),
-        }
-    }
-}
+stats::variants!(CcaKind {
+    Dctcp { g } => "dctcp",
+    Reno => "reno",
+    Cubic => "cubic",
+    DctcpMemory { g, memory_gain } => "dctcp-memory",
+    DctcpGuardrail { g, max_cwnd_segs } => "dctcp-guardrail",
+    SwiftLike { target_us } => "swift-like",
+});
 
 #[cfg(test)]
 pub(crate) fn test_ctx(now_us: u64) -> CcaCtx {
@@ -216,7 +195,7 @@ mod tests {
         for (kind, name) in kinds {
             let cca = kind.build(14460, 1446);
             assert_eq!(cca.name(), name);
-            assert_eq!(kind.name(), name);
+            assert_eq!(kind.label(), name);
             assert_eq!(cca.cwnd(), 14460);
         }
     }

@@ -2,7 +2,7 @@
 
 use crate::cca::CcaKind;
 use simnet::{SimTime, DEFAULT_MSS};
-use stats::{ConfigError, Leaves, Visit};
+use stats::ConfigError;
 
 /// Delayed acknowledgment behavior.
 ///
@@ -44,30 +44,7 @@ pub enum TransportKind {
     Quic,
 }
 
-impl TransportKind {
-    /// Stable wire label (CLI flags, manifests).
-    pub fn name(self) -> &'static str {
-        match self {
-            TransportKind::Tcp => "tcp",
-            TransportKind::Quic => "quic",
-        }
-    }
-
-    /// Parses a wire label.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "tcp" => Some(TransportKind::Tcp),
-            "quic" => Some(TransportKind::Quic),
-            _ => None,
-        }
-    }
-}
-
-impl Leaves for TransportKind {
-    fn walk<V: Visit>(&self, name: &'static str, v: &mut V) {
-        stats::variant!(v, name, self.name());
-    }
-}
+stats::variants!(TransportKind { Tcp => "tcp", Quic => "quic" });
 
 /// Static configuration shared by every connection on a host.
 #[derive(Debug, Clone, PartialEq)]
@@ -180,7 +157,7 @@ impl TcpConfig {
     /// the leaves' paths under a `ModesConfig` (`tcp.mss`); a host built
     /// from an invalid config panics.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let reject = |path, reason| Err(ConfigError { path, reason });
+        let reject = |path, reason| Err(ConfigError::new(path, reason));
         if self.mss == 0 {
             return reject("tcp.mss", "must be positive");
         }
@@ -301,9 +278,10 @@ mod tests {
     #[test]
     fn transport_kind_labels_round_trip() {
         for k in [TransportKind::Tcp, TransportKind::Quic] {
-            assert_eq!(TransportKind::parse(k.name()), Some(k));
+            let text = format!("\"{}\"", k.label());
+            assert_eq!(stats::leaves::read(&text), Ok(k));
         }
-        assert_eq!(TransportKind::parse("sctp"), None);
+        assert!(stats::leaves::read::<TransportKind>("\"sctp\"").is_err());
         assert_eq!(TransportKind::default(), TransportKind::Tcp);
     }
 
@@ -330,7 +308,7 @@ mod tests {
 
     #[test]
     fn config_json_walks_every_field() {
-        let json = |c: &TcpConfig| telemetry::json::config(c);
+        let json = |c: &TcpConfig| stats::leaves::write(c);
         assert_eq!(
             json(&TcpConfig::default()),
             r#"{"transport":"tcp","mss":1446,"init_cwnd_segs":10,"min_cwnd_segs":1,"cca":{"kind":"dctcp","g":0.0625},"initial_rto":1000000000000,"min_rto":200000000000,"max_rto":60000000000000,"pto_granularity":1000000000,"delayed_ack":null,"pacing":null,"idle_restart_after":null}"#

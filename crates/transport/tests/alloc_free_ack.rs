@@ -152,7 +152,7 @@ fn steady_state_ack_processing_allocates_nothing() {
             delivered > 1_000,
             "{}: window processed too little traffic to be meaningful \
              ({delivered} packets) — fixture broke, not the allocator claim",
-            kind.name()
+            kind.label()
         );
         assert_eq!(
             allocs,
@@ -160,7 +160,7 @@ fn steady_state_ack_processing_allocates_nothing() {
             "{}: {allocs} heap allocations during a steady-state window of \
              {delivered} delivered packets; the ACK path is supposed to be \
              allocation-free",
-            kind.name()
+            kind.label()
         );
     }
 }

@@ -11,7 +11,7 @@
 //! windows for queue-trace alignment.
 
 use simnet::{FlowId, NodeId, SimTime};
-use stats::{Leaves, Rng, Visit};
+use stats::Rng;
 use telemetry::{Event, EventClass, EventKind, SinkRef};
 use transport::{TcpApi, TcpApp};
 
@@ -30,16 +30,10 @@ pub enum BurstSchedule {
     },
 }
 
-impl Leaves for BurstSchedule {
-    fn walk<V: Visit>(&self, name: &'static str, v: &mut V) {
-        match *self {
-            BurstSchedule::AfterCompletion { gap } => {
-                stats::variant!(v, name, "after_completion", gap)
-            }
-            BurstSchedule::Periodic { period } => stats::variant!(v, name, "periodic", period),
-        }
-    }
-}
+stats::variants!(BurstSchedule {
+    AfterCompletion { gap } => "after_completion",
+    Periodic { period } => "periodic",
+});
 
 /// Configuration of the cyclic incast coordinator.
 #[derive(Debug, Clone)]

@@ -12,12 +12,15 @@
 //! fails with `invalid config: burst_duration_ms: must be positive`, no
 //! panic) and one is a runaway (exceeds the per-run event budget). The
 //! sweep still completes: survivors aggregate, the casualties are counted
-//! in the coverage line and quarantined as ready-to-paste reproducer tests
-//! under `target/quarantine/`. CI's `fault-matrix` job greps the coverage
-//! line and the typed rejection.
+//! in the coverage line and quarantined as reproducer files (config and
+//! outcome) under `target/quarantine/`, which the example then replays
+//! through `supervisor::replay`. CI's `fault-matrix` job greps the coverage
+//! line, the typed rejection and the replay line.
 
 use incast_bursts::core_api::modes::{ModesConfig, RunBudget};
-use incast_bursts::core_api::supervisor::{supervised_incast_sweep, RunOutcome, SupervisorConfig};
+use incast_bursts::core_api::supervisor::{
+    replay, supervised_incast_sweep, RunOutcome, SupervisorConfig,
+};
 use incast_bursts::core_api::RunCache;
 use incast_bursts::simnet::SimTime;
 
@@ -65,9 +68,11 @@ fn main() {
         cfgs.push(c);
     }
 
+    // Every healthy run here takes under 40 000 events; a small budget keeps
+    // the runaway's reproducer quick to replay, even in a debug build.
     let sup = SupervisorConfig {
         budget: RunBudget {
-            max_events: Some(2_000_000),
+            max_events: Some(50_000),
             ..RunBudget::default()
         },
         ..SupervisorConfig::default()
@@ -91,9 +96,24 @@ fn main() {
             }
         }
     }
+    let mut replayed = 0;
+    let mut reproduced = 0;
     for path in &sweep.quarantined {
         println!("  quarantined reproducer: {}", path.display());
+        let text = std::fs::read_to_string(path).unwrap_or_default();
+        match replay(&text) {
+            Ok(r) => {
+                replayed += 1;
+                reproduced += r.reproduced() as usize;
+                println!("    replay: {} (recorded: {})", r.replayed, r.expected);
+            }
+            Err(e) => println!("    replay: unreadable reproducer: {e}"),
+        }
     }
+    println!(
+        "replayed {replayed} of {} reproducers, {reproduced} reproduced",
+        sweep.quarantined.len()
+    );
     println!("{}", sweep.coverage.summary());
 
     let manifest = sweep.manifest("fault_sweep", 1, &cache);
@@ -110,6 +130,6 @@ fn main() {
     if poison {
         assert_eq!(sweep.coverage.failed, 1);
         assert_eq!(sweep.coverage.truncated, 1);
-        assert!(!sweep.quarantined.is_empty(), "no reproducers written");
+        assert_eq!(reproduced, 2, "both casualties must replay as recorded");
     }
 }
