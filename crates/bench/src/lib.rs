@@ -23,28 +23,36 @@ pub fn banner(id: &str, what: &str, paper_claim: &str) {
     println!("================================================================");
 }
 
-/// Loss-recovery stack selection for the figure harnesses: `--transport
-/// tcp|quic` on the command line (after `--` under `cargo bench`), or the
-/// `INCAST_TRANSPORT` environment variable; defaults to TCP, the paper's
-/// stack. Lets every figure re-run under the QUIC-style engine to ask
-/// which findings are TCP artifacts (see EXPERIMENTS.md).
+/// Loss-recovery stack selection for the figure harnesses and the
+/// `dctcp_modes` example: `--transport tcp|quic` on the command line
+/// (after `--` under `cargo bench`); defaults to TCP, the paper's stack.
+/// Lets every figure re-run under the QUIC-style engine to ask which
+/// findings are TCP artifacts (see EXPERIMENTS.md). An unknown value exits
+/// 2, listing the labels.
 pub fn transport_arg() -> transport::TransportKind {
-    let mut it = std::env::args().skip(1);
-    let mut choice = std::env::var("INCAST_TRANSPORT").ok();
+    parse_transport(std::env::args().skip(1)).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2)
+    })
+}
+
+/// The transport `--transport V` or `--transport=V` in `args` names (the
+/// last one given), read through `TransportKind`'s labels.
+pub fn parse_transport(
+    args: impl IntoIterator<Item = String>,
+) -> Result<transport::TransportKind, String> {
+    let mut it = args.into_iter();
+    let mut choice = None;
     while let Some(flag) = it.next() {
         if flag == "--transport" {
-            choice = it.next();
+            choice = Some(it.next().ok_or("--transport: missing value (tcp|quic)")?);
         } else if let Some(v) = flag.strip_prefix("--transport=") {
             choice = Some(v.to_string());
         }
     }
-    match choice.as_deref() {
-        None | Some("tcp") => transport::TransportKind::Tcp,
-        Some("quic") => transport::TransportKind::Quic,
-        Some(other) => {
-            eprintln!("unknown transport {other:?} (tcp|quic); using tcp");
-            transport::TransportKind::Tcp
-        }
+    match choice {
+        None => Ok(transport::TransportKind::Tcp),
+        Some(v) => stats::leaves::read_label(&v).map_err(|e| format!("--transport: {}", e.reason)),
     }
 }
 
@@ -67,6 +75,19 @@ pub fn pc(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn transport_flag_reads_the_labels_and_rejects_anything_else() {
+        use transport::TransportKind::{Quic, Tcp};
+        let parse = |args: &[&str]| parse_transport(args.iter().map(|a| a.to_string()));
+        assert_eq!(parse(&[]), Ok(Tcp));
+        assert_eq!(parse(&["--bench", "--transport", "tcp"]), Ok(Tcp));
+        assert_eq!(parse(&["--transport", "quic"]), Ok(Quic));
+        assert_eq!(parse(&["--transport=quic"]), Ok(Quic));
+        let err = parse(&["--transport", "quick"]).unwrap_err();
+        assert!(err.contains("expected tcp|quic"), "{err}");
+        assert!(parse(&["--transport"]).is_err(), "a missing value");
+    }
 
     #[test]
     fn formatting() {

@@ -1,4 +1,4 @@
-//! # simcheck — randomized scenario fuzzing for the incast simulator
+//! # simcheck — randomized config fuzzing for the incast simulator
 //!
 //! Three layers, in the spirit of generative protocol checkers:
 //!
@@ -7,14 +7,16 @@
 //!    conservation, per-node time monotonicity, and the transport crates'
 //!    TCP conformance oracle (sequence-space monotonicity, no ACK of unsent
 //!    data, RTO backoff doubling, ECE-matches-CE).
-//! 2. **Scenario fuzzing.** [`Scenario::generate`] derives a random but
-//!    seeded incast configuration — fan-in, burst schedule, queue capacity,
-//!    ECN threshold, shared-buffer model, delayed ACKs, grouping — and
-//!    [`check_scenario`] runs it on both event schedulers (timing wheel and
-//!    reference heap) plus a repeat run, requiring byte-identical results
-//!    and zero recorded violations.
-//! 3. **Shrinking.** [`shrink`] greedily minimizes a failing scenario
-//!    (halve flows, drop the buffer, shorten bursts, ...) while the failure
+//! 2. **Config fuzzing.** [`generate`] draws a random but seeded
+//!    [`ModesConfig`] — fan-in, burst schedule, queue capacity, ECN
+//!    threshold, shared-buffer model, delayed ACKs, grouping, a fault,
+//!    transport, fabric and control plane — and [`check_scenario`] runs it
+//!    on both event schedulers (timing wheel and reference heap) plus a
+//!    repeat run, requiring byte-identical results and zero recorded
+//!    violations. [`pin_topology`] and [`pin_mitigation`] overwrite one
+//!    axis of a draw in place (the binary's `--topology` / `--mitigation`).
+//! 3. **Shrinking.** [`shrink`] greedily minimizes a failing config (halve
+//!    flows, drop the buffer, shorten bursts, ...) while the failure
 //!    persists; the binary prints the survivor as a reproducer file
 //!    (`incast_core::supervisor::reproducer`: its config's text and the
 //!    outcome running it has), which `tests/repro.rs` replays once checked
@@ -25,292 +27,150 @@
 
 #![forbid(unsafe_code)]
 
-use incast_core::modes::{run_incast_with, MitigationKind};
+use incast_core::modes::{run_incast_with, MitigationKind, MitigationSpec};
 use incast_core::{FaultSpec, ModesConfig, TopologySpec};
 use simnet::check::Violation;
 use simnet::{BufferPolicy, EventQueue, QueueConfig, SimTime, TimingWheel};
 use stats::Rng;
-use transport::{DelayedAckConfig, TcpConfig, TransportKind};
+use transport::{DelayedAckConfig, TransportKind};
 use workload::{BurstSchedule, Grouping};
 
-/// Shared-buffer part of a [`Scenario`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BufferScenario {
-    /// Pool size in KiB.
-    pub total_kb: u64,
-    /// Dynamic Threshold alpha x100 (`Some(50)` = alpha 0.5), or `None`
-    /// for a static pool.
-    pub alpha_x100: Option<u32>,
+/// Picoseconds per microsecond: fault windows are drawn, and halved, on
+/// the microsecond grid.
+const US: u64 = 1_000_000;
+
+/// The burst schedule a draw that is not periodic runs, and the one a
+/// periodic config shrinks to.
+const BACK_TO_BACK: BurstSchedule = BurstSchedule::AfterCompletion {
+    gap: SimTime::from_ms(1),
+};
+
+/// The receiver group size a grouped draw of `num_flows` flows uses.
+fn group_size(num_flows: usize) -> usize {
+    (num_flows / 4).max(2)
 }
 
-/// Fault-injection part of a [`Scenario`]: at most one scheduled fault,
-/// with integral microsecond windows so scenarios stay `Eq` and shrink
-/// deterministically. All-`None` means a fault-free run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FaultScenario {
-    /// Trunk blackhole over `[from_us, until_us)`.
-    pub blackhole_us: Option<(u64, u64)>,
-    /// Random trunk loss over a window, probability in per-mille.
-    pub loss_pm: Option<(u64, u64, u32)>,
-    /// Host pause (paper-style straggler) of one sender over a window.
-    pub straggler_us: Option<(u64, u64, u32)>,
-}
-
-impl FaultScenario {
-    /// True when no fault is scheduled.
-    pub fn is_empty(&self) -> bool {
-        *self == FaultScenario::default()
-    }
-
-    /// Length of the scheduled window in microseconds (0 when empty).
-    pub fn window_us(&self) -> u64 {
-        let span = |w: (u64, u64)| w.1.saturating_sub(w.0);
-        self.blackhole_us.map(span).unwrap_or(0)
-            + self
-                .loss_pm
-                .map(|(a, b, _)| b.saturating_sub(a))
-                .unwrap_or(0)
-            + self
-                .straggler_us
-                .map(|(a, b, _)| b.saturating_sub(a))
-                .unwrap_or(0)
-    }
-}
-
-/// Control-plane part of a [`Scenario`]: which notification plane runs and
-/// how lossy its control path is (per-mille, so scenarios stay `Eq`;
-/// 1000 = fully blackholed, which must degrade to exactly the baseline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MitigationScenario {
-    /// `false` = Pulser pause plane on the receiver downlinks; `true` =
-    /// distributed cwnd-cut plane on every fabric tier.
-    pub distributed: bool,
-    /// Notification loss probability in per-mille.
-    pub loss_pm: u32,
-}
-
-/// One randomly generated incast scenario; [`Scenario::to_config`] is the
-/// run it stands for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Scenario {
-    /// Seed for both the generator that produced this scenario and the run
-    /// itself.
-    pub seed: u64,
-    /// Incast fan-in (N senders).
-    pub num_flows: usize,
-    /// Burst duration in tenths of a millisecond (integral so scenarios
-    /// stay `Eq` and shrink deterministically).
-    pub burst_ms_x10: u64,
-    /// Bursts per run.
-    pub num_bursts: u32,
-    /// Bottleneck queue capacity in packets.
-    pub queue_capacity_pkts: u32,
-    /// ECN marking threshold K in packets (`None` = no marking).
-    pub ecn_threshold_pkts: Option<u32>,
-    /// Optional shared buffer on the receiver ToR.
-    pub buffer: Option<BufferScenario>,
-    /// DCTCP delayed-ACK state machine on or off.
-    pub delayed_ack: bool,
-    /// Receiver-side group scheduling (§5.2 mitigation path).
-    pub grouping: bool,
-    /// Open-loop periodic bursts instead of request-response.
-    pub periodic: bool,
-    /// Scheduled fault, if any (blackhole, lossy window, or straggler).
-    pub fault: FaultScenario,
-    /// Run the QUIC-style loss-recovery stack instead of TCP NewReno.
-    pub quic: bool,
-    /// Multi-rack Clos fabric as `(racks, spines)`, or `None` for the
-    /// single-rack dumbbell. Senders round-robin across racks, so the same
-    /// fan-in exercises ECMP across the spine tier.
-    pub clos: Option<(u8, u8)>,
-    /// In-fabric notification control plane, or `None` for mitigation-off.
-    pub mitigation: Option<MitigationScenario>,
-}
-
-impl Scenario {
-    /// Derives a random scenario from `seed`. The same seed always yields
-    /// the same scenario, and the scenario's run uses the same seed, so one
-    /// integer pins the whole test case.
-    pub fn generate(seed: u64) -> Scenario {
-        let mut rng = Rng::new(seed ^ 0x51AC_C0DE_D00D_F00D);
-        let queue_capacity_pkts = rng.range_u64(30, 300) as u32;
-        let ecn_threshold_pkts = if rng.chance(0.85) {
-            Some(rng.range_u64(4, (queue_capacity_pkts / 2).max(5) as u64) as u32)
+/// Derives a random config from `seed`. The same seed always yields the
+/// same config, and the run uses the same seed, so one integer pins the
+/// whole test case.
+pub fn generate(seed: u64) -> ModesConfig {
+    let mut rng = Rng::new(seed ^ 0x51AC_C0DE_D00D_F00D);
+    let capacity_pkts = rng.range_u64(30, 300) as u32;
+    let ecn_threshold_pkts = rng
+        .chance(0.85)
+        .then(|| rng.range_u64(4, (capacity_pkts / 2).max(5) as u64) as u32);
+    let receiver_tor_buffer = rng.chance(0.6).then(|| {
+        let bytes = rng.range_u64(64, 1024) * 1024;
+        let policy = if rng.chance(0.7) {
+            let alpha = *rng
+                .choose(&[0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
+                .expect("six alphas");
+            BufferPolicy::DynamicThreshold { alpha }
         } else {
-            None
+            BufferPolicy::StaticPool
         };
-        let buffer = if rng.chance(0.6) {
-            Some(BufferScenario {
-                total_kb: rng.range_u64(64, 1024),
-                alpha_x100: if rng.chance(0.7) {
-                    Some(*rng.choose(&[25u32, 50, 100, 200, 400, 800]).unwrap())
-                } else {
-                    None
-                },
-            })
-        } else {
-            None
-        };
-        let mut sc = Scenario {
-            seed,
-            num_flows: rng.range_u64(2, 40) as usize,
-            burst_ms_x10: rng.range_u64(5, 40),
-            num_bursts: rng.range_u64(1, 3) as u32,
-            queue_capacity_pkts,
+        (bytes, policy)
+    });
+    let num_flows = rng.range_u64(2, 40) as usize;
+    let mut cfg = ModesConfig {
+        num_flows,
+        burst_duration_ms: rng.range_u64(5, 40) as f64 / 10.0,
+        num_bursts: rng.range_u64(1, 3) as u32,
+        warmup_bursts: 0,
+        tor_queue: QueueConfig {
+            capacity_bytes: capacity_pkts as u64 * 1500,
+            capacity_pkts: Some(capacity_pkts),
             ecn_threshold_pkts,
-            buffer,
-            delayed_ack: rng.chance(0.3),
-            grouping: rng.chance(0.2),
-            periodic: rng.chance(0.3),
-            fault: FaultScenario::default(),
-            quic: false,
-            clos: None,
-            mitigation: None,
-        };
-        // Fault draws come LAST so adding them did not reshuffle the
-        // scenarios older seeds generate.
-        if rng.chance(0.3) {
-            let from = rng.range_u64(50, 2_000);
-            let until = from + rng.range_u64(100, 3_000);
-            sc.fault = match rng.range_u64(0, 3) {
-                0 => FaultScenario {
-                    blackhole_us: Some((from, until)),
-                    ..FaultScenario::default()
-                },
-                1 => FaultScenario {
-                    loss_pm: Some((from, until, rng.range_u64(10, 200) as u32)),
-                    ..FaultScenario::default()
-                },
-                _ => FaultScenario {
-                    straggler_us: Some((from, until, rng.range_u64(0, sc.num_flows as u64) as u32)),
-                    ..FaultScenario::default()
-                },
-            };
-        }
-        // The transport draw also comes after everything older, for the
-        // same seed-stability reason: seeds that predate the QUIC stack
-        // still generate the same TCP scenarios they always did.
-        sc.quic = rng.chance(0.4);
-        // The topology draw is the newest of all, appended last like the
-        // two above it: seeds that predate multi-rack fabrics still
-        // generate the same single-rack scenarios they always did.
-        if rng.chance(0.25) {
-            sc.clos = Some((rng.range_u64(2, 4) as u8, rng.range_u64(1, 4) as u8));
-        }
-        // The control-plane draw is the newest, appended after every older
-        // draw for the same seed-stability reason. Loss spans the full
-        // 0..=1000 per-mille range so the sample covers lossless planes,
-        // partially-degraded ones, and the fully-dead plane (which must be
-        // byte-identical to mitigation-off).
-        if rng.chance(0.25) {
-            sc.mitigation = Some(MitigationScenario {
-                distributed: rng.chance(0.4),
-                loss_pm: rng.range_u64(0, 1000) as u32,
-            });
-        }
-        sc
-    }
-
-    /// The [`ModesConfig`] this scenario runs as.
-    pub fn to_config(&self) -> ModesConfig {
-        let tcp = TcpConfig {
-            transport: if self.quic {
-                TransportKind::Quic
-            } else {
-                TransportKind::Tcp
-            },
-            delayed_ack: if self.delayed_ack {
-                Some(DelayedAckConfig::default())
-            } else {
-                None
-            },
-            ..TcpConfig::default()
-        };
-        let tor_queue = QueueConfig {
-            capacity_bytes: self.queue_capacity_pkts as u64 * 1500,
-            capacity_pkts: Some(self.queue_capacity_pkts),
-            ecn_threshold_pkts: self.ecn_threshold_pkts,
             ecn_threshold_bytes: None,
-        };
-        let receiver_tor_buffer = self.buffer.map(|b| {
-            let policy = match b.alpha_x100 {
-                Some(a) => BufferPolicy::DynamicThreshold {
-                    alpha: a as f64 / 100.0,
-                },
-                None => BufferPolicy::StaticPool,
-            };
-            (b.total_kb * 1024, policy)
+        },
+        receiver_tor_buffer,
+        schedule: BACK_TO_BACK,
+        seed,
+        horizon: SimTime::from_secs(5),
+        ..ModesConfig::default()
+    };
+    if rng.chance(0.3) {
+        cfg.tcp.delayed_ack = Some(DelayedAckConfig::default());
+    }
+    if rng.chance(0.2) {
+        cfg.grouping = Some(Grouping {
+            group_size: group_size(num_flows),
+            group_gap: SimTime::from_us(200),
         });
-        ModesConfig {
-            num_flows: self.num_flows,
-            topology: match self.clos {
-                Some((racks, spines)) => TopologySpec::Clos {
-                    racks: racks as usize,
-                    spines: spines as usize,
-                },
-                None => TopologySpec::Dumbbell,
-            },
-            burst_duration_ms: self.burst_ms_x10 as f64 / 10.0,
-            num_bursts: self.num_bursts,
-            warmup_bursts: 0,
-            tcp,
-            tor_queue,
-            receiver_tor_buffer,
-            grouping: if self.grouping {
-                Some(Grouping {
-                    group_size: (self.num_flows / 4).max(2),
-                    group_gap: SimTime::from_us(200),
-                })
-            } else {
-                None
-            },
-            schedule: if self.periodic {
-                BurstSchedule::Periodic {
-                    period: SimTime::from_ms(5),
-                }
-            } else {
-                BurstSchedule::AfterCompletion {
-                    gap: SimTime::from_ms(1),
-                }
-            },
-            seed: self.seed,
-            horizon: SimTime::from_secs(5),
-            faults: {
-                let mut f = FaultSpec::default();
-                if let Some((a, b)) = self.fault.blackhole_us {
-                    f.blackhole = Some((SimTime::from_us(a), SimTime::from_us(b)));
-                }
-                if let Some((a, b, pm)) = self.fault.loss_pm {
-                    f.loss = Some((SimTime::from_us(a), SimTime::from_us(b), pm as f64 / 1000.0));
-                }
-                if let Some((a, b, idx)) = self.fault.straggler_us {
-                    f.straggler = Some((SimTime::from_us(a), SimTime::from_us(b), idx));
-                }
-                f
-            },
-            mitigation: {
-                let mut m = incast_core::modes::MitigationSpec::default();
-                if let Some(mit) = self.mitigation {
-                    m.kind = if mit.distributed {
-                        MitigationKind::Distributed
-                    } else {
-                        MitigationKind::Pulser
-                    };
-                    m.notif_loss = mit.loss_pm as f64 / 1000.0;
-                }
-                m
-            },
-            ..ModesConfig::default()
+    }
+    if rng.chance(0.3) {
+        cfg.schedule = BurstSchedule::Periodic {
+            period: SimTime::from_ms(5),
+        };
+    }
+    // Every later axis is drawn after all older ones, so adding it did not
+    // reshuffle the configs older seeds generate: the fault, ...
+    if rng.chance(0.3) {
+        let from = rng.range_u64(50, 2_000);
+        let until = from + rng.range_u64(100, 3_000);
+        let (a, b) = (SimTime::from_us(from), SimTime::from_us(until));
+        let f = &mut cfg.faults;
+        match rng.range_u64(0, 3) {
+            0 => f.blackhole = Some((a, b)),
+            1 => f.loss = Some((a, b, rng.range_u64(10, 200) as f64 / 1000.0)),
+            _ => f.straggler = Some((a, b, rng.range_u64(0, num_flows as u64) as u32)),
         }
+    }
+    // ... the transport, ...
+    if rng.chance(0.4) {
+        cfg.tcp.transport = TransportKind::Quic;
+    }
+    // ... the multi-rack fabric, ...
+    if rng.chance(0.25) {
+        cfg.topology = TopologySpec::Clos {
+            racks: rng.range_u64(2, 4) as usize,
+            spines: rng.range_u64(1, 4) as usize,
+        };
+    }
+    // ... and the control plane. Loss spans the full 0..=100 % range so the
+    // sample covers lossless planes, partially-degraded ones, and the
+    // fully-dead plane (which must be byte-identical to mitigation-off).
+    if rng.chance(0.25) {
+        cfg.mitigation.kind = if rng.chance(0.4) {
+            MitigationKind::Distributed
+        } else {
+            MitigationKind::Pulser
+        };
+        cfg.mitigation.notif_loss = rng.range_u64(0, 1000) as f64 / 1000.0;
+    }
+    cfg
+}
+
+/// Pins the fabric (`--topology`): a multi-rack Clos of 2-4 racks and 1-4
+/// spines derived from the config's seed, or the dumbbell.
+pub fn pin_topology(cfg: &mut ModesConfig, clos: bool) {
+    cfg.topology = if clos {
+        TopologySpec::Clos {
+            racks: 2 + (cfg.seed % 3) as usize,
+            spines: 1 + (cfg.seed % 4) as usize,
+        }
+    } else {
+        TopologySpec::Dumbbell
+    };
+}
+
+/// Pins the control plane (`--mitigation`): `Off` strips it; a plane runs
+/// with a notification loss that walks 0..=100 % in 10 % steps as the seed
+/// advances, so a pinned sweep still covers every degradation regime.
+pub fn pin_mitigation(cfg: &mut ModesConfig, kind: MitigationKind) {
+    cfg.mitigation = MitigationSpec::default();
+    if kind != MitigationKind::Off {
+        cfg.mitigation.kind = kind;
+        cfg.mitigation.notif_loss = (cfg.seed % 11 * 100) as f64 / 1000.0;
     }
 }
 
-/// A failed scenario: any recorded invariant violation, a wheel-vs-heap
+/// A failed config: any recorded invariant violation, a wheel-vs-heap
 /// divergence, or a repeat-run nondeterminism.
 #[derive(Debug)]
 pub struct Failure {
-    /// The scenario that failed.
-    pub scenario: Scenario,
+    /// The config that failed.
+    pub config: ModesConfig,
     /// Violations drained from the invariant log (capped; see
     /// `simnet::check`), plus the true total.
     pub violations: Vec<Violation>,
@@ -351,16 +211,15 @@ fn deterministic_encoding(result: &mut incast_core::IncastRunResult) -> String {
     stats::leaves::write(result)
 }
 
-/// Runs `scenario` with all invariants on: once on the timing wheel, once
-/// on the reference heap scheduler, and once more on the wheel for repeat
+/// Runs `cfg` with all invariants on: once on the timing wheel, once on the
+/// reference heap scheduler, and once more on the wheel for repeat
 /// determinism. Returns `None` on a clean pass, `Some(Failure)` otherwise.
-pub fn check_scenario(scenario: &Scenario) -> Option<Failure> {
+pub fn check_scenario(cfg: &ModesConfig) -> Option<Failure> {
     simnet::check::reset();
-    let cfg = scenario.to_config();
 
-    let (mut r_wheel, m_wheel) = run_incast_with::<TimingWheel>(&cfg, None);
-    let (mut r_heap, m_heap) = run_incast_with::<EventQueue>(&cfg, None);
-    let (mut r_again, _) = run_incast_with::<TimingWheel>(&cfg, None);
+    let (mut r_wheel, m_wheel) = run_incast_with::<TimingWheel>(cfg, None);
+    let (mut r_heap, m_heap) = run_incast_with::<EventQueue>(cfg, None);
+    let (mut r_again, _) = run_incast_with::<TimingWheel>(cfg, None);
 
     let e_wheel = deterministic_encoding(&mut r_wheel);
     let e_heap = deterministic_encoding(&mut r_heap);
@@ -389,10 +248,10 @@ pub fn check_scenario(scenario: &Scenario) -> Option<Failure> {
     }
 
     // Graceful-degradation invariants: a control plane may pause or pace
-    // flows — in overloaded scenarios it legitimately completes bursts the
+    // flows — in overloaded configs it legitimately completes bursts the
     // baseline never finishes — but it can never *wedge* one, and it can
     // never make a burst pathologically slower than the mitigation-off
-    // twin of the same scenario. Two checks:
+    // twin of the same config. Two checks:
     //
     // 1. No deadlock: if the mitigated run drains idle *before* the
     //    horizon while the baseline proved more bursts were completable,
@@ -415,13 +274,14 @@ pub fn check_scenario(scenario: &Scenario) -> Option<Failure> {
     //    stack), so drops that the baseline repairs at RTT scale become
     //    200 ms-floor RTO chains — 2 ms bursts regress to 1.2–2.8 s even
     //    with a lossless control path. See EXPERIMENTS.md "Mitigations".
-    if let Some(mit) = scenario.mitigation.filter(|_| mismatch.is_none()) {
-        let enveloped = !mit.distributed || scenario.quic;
-        let off = Scenario {
-            mitigation: None,
-            ..*scenario
+    if !cfg.mitigation.is_off() && mismatch.is_none() {
+        let enveloped = cfg.mitigation.kind != MitigationKind::Distributed
+            || cfg.tcp.transport == TransportKind::Quic;
+        let off = ModesConfig {
+            mitigation: MitigationSpec::default(),
+            ..cfg.clone()
         };
-        let (r_off, _) = run_incast_with::<TimingWheel>(&off.to_config(), None);
+        let (r_off, _) = run_incast_with::<TimingWheel>(&off, None);
         if r_wheel.bcts_ms.len() < r_off.bcts_ms.len() && m_wheel.sim_time_ps < cfg.horizon.as_ps()
         {
             mismatch = Some(format!(
@@ -453,344 +313,321 @@ pub fn check_scenario(scenario: &Scenario) -> Option<Failure> {
         return None;
     }
     Some(Failure {
-        scenario: *scenario,
+        config: cfg.clone(),
         violations,
         violation_count,
         mismatch,
     })
 }
 
-/// Shrinking transformations of `sc`, each strictly smaller (so greedy
+/// `burst_duration_ms` in tenths of a millisecond, the grid it is drawn and
+/// halved on.
+fn tenths(ms: f64) -> u64 {
+    (ms * 10.0).round() as u64
+}
+
+/// Total length in microseconds of the fault windows [`generate`] draws
+/// (blackhole, loss, straggler).
+fn fault_window_us(f: &FaultSpec) -> u64 {
+    let span = |a: SimTime, b: SimTime| b.as_ps().saturating_sub(a.as_ps()) / US;
+    f.blackhole.map_or(0, |(a, b)| span(a, b))
+        + f.loss.map_or(0, |(a, b, _)| span(a, b))
+        + f.straggler.map_or(0, |(a, b, _)| span(a, b))
+}
+
+/// The end of a window from `a` to `b` halved on the microsecond grid.
+fn halved(a: SimTime, b: SimTime) -> SimTime {
+    a + SimTime::from_us(b.as_ps().saturating_sub(a.as_ps()) / US / 2)
+}
+
+/// Sets the fan-in, keeping a grouped config's group size the one
+/// [`generate`] derives from it.
+fn set_flows(c: &mut ModesConfig, num_flows: usize) {
+    c.num_flows = num_flows;
+    if let Some(g) = &mut c.grouping {
+        g.group_size = group_size(num_flows);
+    }
+}
+
+/// Shrinking transformations of `cfg`, each strictly smaller (so greedy
 /// shrinking terminates).
-fn shrink_candidates(sc: &Scenario) -> Vec<Scenario> {
+fn shrink_candidates(cfg: &ModesConfig) -> Vec<ModesConfig> {
     let mut out = Vec::new();
+    let mut edit = |f: &dyn Fn(&mut ModesConfig)| {
+        let mut c = cfg.clone();
+        f(&mut c);
+        out.push(c);
+    };
     // Mitigation off comes FIRST: a failure that persists without the
     // control plane is not a control-plane bug, and ruling that out early
     // keeps every later shrink step running on the cheaper baseline.
-    if sc.mitigation.is_some() {
-        out.push(Scenario {
-            mitigation: None,
-            ..*sc
-        });
+    if !cfg.mitigation.is_off() {
+        edit(&|c| c.mitigation = MitigationSpec::default());
     }
-    if sc.num_flows > 2 {
-        out.push(Scenario {
-            num_flows: (sc.num_flows / 2).max(2),
-            ..*sc
-        });
-        out.push(Scenario {
-            num_flows: sc.num_flows - 1,
-            ..*sc
-        });
+    if cfg.num_flows > 2 {
+        edit(&|c| set_flows(c, (c.num_flows / 2).max(2)));
+        edit(&|c| set_flows(c, c.num_flows - 1));
     }
-    if sc.num_bursts > 1 {
-        out.push(Scenario {
-            num_bursts: 1,
-            ..*sc
-        });
+    if cfg.num_bursts > 1 {
+        edit(&|c| c.num_bursts = 1);
     }
-    if sc.burst_ms_x10 > 5 {
-        out.push(Scenario {
-            burst_ms_x10: (sc.burst_ms_x10 / 2).max(5),
-            ..*sc
-        });
+    if tenths(cfg.burst_duration_ms) > 5 {
+        edit(&|c| c.burst_duration_ms = (tenths(c.burst_duration_ms) / 2).max(5) as f64 / 10.0);
     }
-    if sc.buffer.is_some() {
-        out.push(Scenario {
-            buffer: None,
-            ..*sc
-        });
+    if cfg.receiver_tor_buffer.is_some() {
+        edit(&|c| c.receiver_tor_buffer = None);
     }
-    if sc.grouping {
-        out.push(Scenario {
-            grouping: false,
-            ..*sc
-        });
+    if cfg.grouping.is_some() {
+        edit(&|c| c.grouping = None);
     }
-    if sc.delayed_ack {
-        out.push(Scenario {
-            delayed_ack: false,
-            ..*sc
-        });
+    if cfg.tcp.delayed_ack.is_some() {
+        edit(&|c| c.tcp.delayed_ack = None);
     }
-    if sc.periodic {
-        out.push(Scenario {
-            periodic: false,
-            ..*sc
-        });
+    if matches!(cfg.schedule, BurstSchedule::Periodic { .. }) {
+        edit(&|c| c.schedule = BACK_TO_BACK);
     }
-    if sc.quic {
+    if cfg.tcp.transport == TransportKind::Quic {
         // Shrink toward the TCP baseline: a failure that persists without
         // the QUIC stack is not a QUIC bug.
-        out.push(Scenario { quic: false, ..*sc });
+        edit(&|c| c.tcp.transport = TransportKind::Tcp);
     }
-    if let Some((racks, spines)) = sc.clos {
+    if let TopologySpec::Clos { racks, spines } = cfg.topology {
         // Shrink toward the dumbbell: drop the multi-rack fabric entirely...
-        out.push(Scenario { clos: None, ..*sc });
+        edit(&|c| c.topology = TopologySpec::Dumbbell);
         // ...or walk racks, then spines, down toward the 1x1 degenerate
         // form (which is byte-identical to the dumbbell build).
+        let clos = |racks, spines| TopologySpec::Clos { racks, spines };
         if racks > 1 {
-            out.push(Scenario {
-                clos: Some((racks - 1, spines)),
-                ..*sc
-            });
+            edit(&|c| c.topology = clos(racks - 1, spines));
         }
         if spines > 1 {
-            out.push(Scenario {
-                clos: Some((racks, spines - 1)),
-                ..*sc
-            });
+            edit(&|c| c.topology = clos(racks, spines - 1));
         }
     }
-    if sc.ecn_threshold_pkts.is_some() {
-        out.push(Scenario {
-            ecn_threshold_pkts: None,
-            ..*sc
-        });
+    if cfg.tor_queue.ecn_threshold_pkts.is_some() {
+        edit(&|c| c.tor_queue.ecn_threshold_pkts = None);
     }
-    if !sc.fault.is_empty() {
+    if !cfg.faults.is_empty() {
         // Drop the fault entirely...
-        out.push(Scenario {
-            fault: FaultScenario::default(),
-            ..*sc
-        });
+        edit(&|c| c.faults = FaultSpec::default());
         // ...or keep it but halve its window (strictly shorter).
-        if sc.fault.window_us() > 100 {
-            let halve = |(a, b): (u64, u64)| (a, a + (b - a) / 2);
-            out.push(Scenario {
-                fault: FaultScenario {
-                    blackhole_us: sc.fault.blackhole_us.map(halve),
-                    loss_pm: sc.fault.loss_pm.map(|(a, b, p)| (a, a + (b - a) / 2, p)),
-                    straggler_us: sc
-                        .fault
-                        .straggler_us
-                        .map(|(a, b, i)| (a, a + (b - a) / 2, i)),
-                },
-                ..*sc
+        if fault_window_us(&cfg.faults) > 100 {
+            edit(&|c| {
+                let f = &mut c.faults;
+                f.blackhole = f.blackhole.map(|(a, b)| (a, halved(a, b)));
+                f.loss = f.loss.map(|(a, b, p)| (a, halved(a, b), p));
+                f.straggler = f.straggler.map(|(a, b, i)| (a, halved(a, b), i));
             });
         }
     }
     out
 }
 
-/// Greedily shrinks a failing scenario: applies the first transformation
+/// Greedily shrinks a failing config: applies the first transformation
 /// that still fails, repeats until no transformation preserves the failure.
 /// Every candidate is strictly smaller, so this terminates. Returns the
-/// minimal failing scenario (the input itself if nothing smaller fails).
-pub fn shrink(failing: &Scenario) -> Scenario {
-    let mut current = *failing;
-    loop {
-        let mut improved = false;
-        for cand in shrink_candidates(&current) {
-            if check_scenario(&cand).is_some() {
-                current = cand;
-                improved = true;
-                break;
-            }
-        }
-        if !improved {
-            return current;
-        }
+/// minimal failing config (the input itself if nothing smaller fails).
+pub fn shrink(failing: &ModesConfig) -> ModesConfig {
+    let mut current = failing.clone();
+    while let Some(smaller) = shrink_candidates(&current)
+        .into_iter()
+        .find(|c| check_scenario(c).is_some())
+    {
+        current = smaller;
     }
-}
-
-/// Outcome of fuzzing one seed (what the binary and CI report).
-#[derive(Debug)]
-pub enum SeedOutcome {
-    /// All invariants held, schedulers agreed.
-    Pass,
-    /// Something failed; carries the original failure.
-    Fail(Box<Failure>),
-}
-
-/// Forced control-plane mode for a sweep (the `--mitigation` CLI flag).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ForceMitigation {
-    /// Strip the per-seed mitigation draw: baseline-only.
-    Off,
-    /// Pin a Pulser pause plane with a seed-derived notification loss.
-    Pulser,
-    /// Pin a distributed cwnd-cut plane with a seed-derived loss.
-    Distributed,
-}
-
-impl ForceMitigation {
-    /// The scenario field this mode pins. Loss walks the full per-mille
-    /// range (including 1000 = dead plane) as the seed advances, so a
-    /// forced sweep still covers every degradation regime.
-    pub fn pin(&self, seed: u64) -> Option<MitigationScenario> {
-        let loss_pm = ((seed % 11) * 100) as u32;
-        match self {
-            ForceMitigation::Off => None,
-            ForceMitigation::Pulser => Some(MitigationScenario {
-                distributed: false,
-                loss_pm,
-            }),
-            ForceMitigation::Distributed => Some(MitigationScenario {
-                distributed: true,
-                loss_pm,
-            }),
-        }
-    }
-}
-
-/// Fuzzes one seed: generate, run, check. `force_quic` pins the transport
-/// for the whole sweep (`Some(true)` = QUIC-only, `Some(false)` =
-/// TCP-only); `force_clos` pins the topology the same way (`Some(true)` =
-/// a seed-derived multi-rack Clos, `Some(false)` = dumbbell-only);
-/// `force_mitigation` pins the control plane (off, or a seed-derived lossy
-/// plane of either kind); `None` keeps the per-seed samples from
-/// [`Scenario::generate`].
-pub fn fuzz_seed_with(
-    seed: u64,
-    force_quic: Option<bool>,
-    force_clos: Option<bool>,
-    force_mitigation: Option<ForceMitigation>,
-) -> SeedOutcome {
-    let mut scenario = Scenario::generate(seed);
-    if let Some(quic) = force_quic {
-        scenario.quic = quic;
-    }
-    match force_clos {
-        Some(true) => {
-            scenario.clos = Some((2 + (seed % 3) as u8, 1 + (seed % 4) as u8));
-        }
-        Some(false) => scenario.clos = None,
-        None => {}
-    }
-    if let Some(force) = force_mitigation {
-        scenario.mitigation = force.pin(seed);
-    }
-    match check_scenario(&scenario) {
-        None => SeedOutcome::Pass,
-        Some(f) => SeedOutcome::Fail(Box::new(f)),
-    }
-}
-
-/// Fuzzes one seed with the per-seed transport sample.
-pub fn fuzz_seed(seed: u64) -> SeedOutcome {
-    fuzz_seed_with(seed, None, None, None)
+    current
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn quic(c: &ModesConfig) -> bool {
+        c.tcp.transport == TransportKind::Quic
+    }
+
     #[test]
     fn generation_is_deterministic() {
-        assert_eq!(Scenario::generate(17), Scenario::generate(17));
-        assert_ne!(Scenario::generate(17), Scenario::generate(18));
+        assert_eq!(generate(17), generate(17));
+        assert_ne!(generate(17), generate(18));
+    }
+
+    /// The texts of the configs seeds 0..200 draw, plain and under the
+    /// `--topology clos` and `--mitigation pulser` pins, hash to recorded
+    /// values. A change to the draw moves every seed's case and every
+    /// recorded failure, so a new hash must be a deliberate one.
+    #[test]
+    fn draws_and_pins_match_their_recorded_hashes() {
+        let hash = |pin: fn(&mut ModesConfig)| {
+            let mut text = String::new();
+            for seed in 0..200 {
+                let mut cfg = generate(seed);
+                pin(&mut cfg);
+                text += &stats::leaves::write(&cfg);
+                text.push('\n');
+            }
+            incast_core::cache::fnv1a64(&text)
+        };
+        assert_eq!(hash(|_| {}), 0x6bd7_9589_9f9f_1b0a, "draw");
+        assert_eq!(
+            hash(|c| pin_topology(c, true)),
+            0xd7b4_8c3b_b7ce_09ab,
+            "clos"
+        );
+        assert_eq!(
+            hash(|c| pin_mitigation(c, MitigationKind::Pulser)),
+            0x4589_aca8_2380_230f,
+            "pulser"
+        );
     }
 
     #[test]
     fn scenarios_cover_the_config_space() {
-        let scs: Vec<Scenario> = (0..200).map(Scenario::generate).collect();
-        assert!(scs.iter().any(|s| s.buffer.is_some()));
-        assert!(scs.iter().any(|s| s.buffer.is_none()));
-        assert!(scs.iter().any(|s| s.delayed_ack));
-        assert!(scs.iter().any(|s| s.grouping));
-        assert!(scs.iter().any(|s| s.periodic));
-        assert!(scs.iter().any(|s| s.ecn_threshold_pkts.is_none()));
-        assert!(scs.iter().any(|s| s.fault.is_empty()));
-        assert!(scs.iter().any(|s| s.fault.blackhole_us.is_some()));
-        assert!(scs.iter().any(|s| s.fault.loss_pm.is_some()));
-        assert!(scs.iter().any(|s| s.fault.straggler_us.is_some()));
-        assert!(scs.iter().any(|s| s.quic));
-        assert!(scs.iter().any(|s| !s.quic));
+        let cfgs: Vec<ModesConfig> = (0..200).map(generate).collect();
+        let any = |p: &dyn Fn(&ModesConfig) -> bool| cfgs.iter().any(p);
+        assert!(any(&|c| c.receiver_tor_buffer.is_some()));
+        assert!(any(&|c| c.receiver_tor_buffer.is_none()));
+        assert!(any(&|c| c.tcp.delayed_ack.is_some()));
+        assert!(any(&|c| c.grouping.is_some()));
+        assert!(any(&|c| matches!(
+            c.schedule,
+            BurstSchedule::Periodic { .. }
+        )));
+        assert!(any(&|c| c.tor_queue.ecn_threshold_pkts.is_none()));
+        assert!(any(&|c| c.faults.is_empty()));
+        assert!(any(&|c| c.faults.blackhole.is_some()));
+        assert!(any(&|c| c.faults.loss.is_some()));
+        assert!(any(&|c| c.faults.straggler.is_some()));
+        assert!(any(&|c| quic(c)));
+        assert!(any(&|c| !quic(c)));
         assert!(
-            scs.iter().any(|s| s.quic && !s.fault.is_empty()),
-            "no faulted QUIC scenario in the sample"
+            any(&|c| quic(c) && !c.faults.is_empty()),
+            "no faulted QUIC config in the sample"
         );
-        assert!(scs.iter().any(|s| s.clos.is_some()));
-        assert!(scs.iter().any(|s| s.clos.is_none()));
+        assert!(any(&|c| matches!(c.topology, TopologySpec::Clos { .. })));
+        assert!(any(&|c| c.topology == TopologySpec::Dumbbell));
         assert!(
-            scs.iter()
-                .any(|s| matches!(s.clos, Some((_, sp)) if sp > 1)),
-            "no multi-spine Clos scenario in the sample"
+            any(&|c| matches!(c.topology, TopologySpec::Clos { spines, .. } if spines > 1)),
+            "no multi-spine Clos config in the sample"
         );
-        assert!(scs.iter().any(|s| s.mitigation.is_some()));
-        assert!(scs.iter().any(|s| s.mitigation.is_none()));
+        assert!(any(&|c| !c.mitigation.is_off()));
+        assert!(any(&|c| c.mitigation.is_off()));
         assert!(
-            scs.iter()
-                .any(|s| matches!(s.mitigation, Some(m) if m.distributed)),
+            any(&|c| c.mitigation.kind == MitigationKind::Distributed),
             "no distributed control plane in the sample"
         );
         assert!(
-            scs.iter()
-                .any(|s| matches!(s.mitigation, Some(m) if !m.distributed && m.loss_pm > 0)),
+            any(&|c| c.mitigation.kind == MitigationKind::Pulser && c.mitigation.notif_loss > 0.0),
             "no lossy Pulser plane in the sample"
         );
-        for s in &scs {
-            assert!((2..=40).contains(&s.num_flows));
-            assert!((5..=40).contains(&s.burst_ms_x10));
-            if let Some(k) = s.ecn_threshold_pkts {
-                assert!(k < s.queue_capacity_pkts, "K below capacity");
+        for c in &cfgs {
+            assert!((2..=40).contains(&c.num_flows));
+            let t = tenths(c.burst_duration_ms);
+            assert!((5..=40).contains(&t));
+            assert_eq!(c.burst_duration_ms, t as f64 / 10.0, "on the 0.1 ms grid");
+            if let Some(k) = c.tor_queue.ecn_threshold_pkts {
+                assert!(k < c.tor_queue.capacity_pkts.unwrap(), "K below capacity");
             }
-            if let Some((r, sp)) = s.clos {
-                assert!((2..=4).contains(&r), "racks in range");
-                assert!((1..=4).contains(&sp), "spines in range");
+            if let TopologySpec::Clos { racks, spines } = c.topology {
+                assert!((2..=4).contains(&racks), "racks in range");
+                assert!((1..=4).contains(&spines), "spines in range");
             }
-            if let Some(m) = s.mitigation {
-                assert!(m.loss_pm <= 1000, "loss in per-mille range");
-            }
+            assert!(
+                (0.0..=1.0).contains(&c.mitigation.notif_loss),
+                "loss in range"
+            );
         }
     }
 
     #[test]
     fn mitigation_off_is_the_first_shrink_candidate() {
-        let sc = Scenario {
-            mitigation: Some(MitigationScenario {
-                distributed: true,
-                loss_pm: 300,
-            }),
-            ..Scenario::generate(1)
-        };
-        let cands = shrink_candidates(&sc);
+        let mut cfg = generate(1);
+        cfg.mitigation.kind = MitigationKind::Distributed;
+        cfg.mitigation.notif_loss = 0.3;
+        let cands = shrink_candidates(&cfg);
         assert_eq!(
             cands.first().map(|c| c.mitigation),
-            Some(None),
+            Some(MitigationSpec::default()),
             "shrinker must try turning the mitigation off first"
         );
     }
 
     #[test]
     fn forced_mitigation_pins_cover_the_loss_range() {
-        let pins: Vec<_> = (0..11)
-            .map(|s| ForceMitigation::Pulser.pin(s).unwrap())
-            .collect();
-        assert!(pins.iter().any(|m| m.loss_pm == 0));
-        assert!(pins.iter().any(|m| m.loss_pm == 1000));
-        assert!(pins.iter().all(|m| !m.distributed));
-        assert!(ForceMitigation::Distributed.pin(3).unwrap().distributed);
-        assert_eq!(ForceMitigation::Off.pin(3), None);
+        let pinned = |seed, kind| {
+            let mut cfg = generate(seed);
+            pin_mitigation(&mut cfg, kind);
+            cfg.mitigation
+        };
+        let pins: Vec<_> = (0..11).map(|s| pinned(s, MitigationKind::Pulser)).collect();
+        assert!(pins.iter().any(|m| m.notif_loss == 0.0));
+        assert!(pins.iter().any(|m| m.notif_loss == 1.0));
+        assert!(pins.iter().all(|m| m.kind == MitigationKind::Pulser));
+        assert_eq!(
+            pinned(3, MitigationKind::Distributed).kind,
+            MitigationKind::Distributed
+        );
+        assert_eq!(pinned(3, MitigationKind::Off), MitigationSpec::default());
     }
 
     #[test]
     fn shrink_candidates_are_strictly_smaller() {
-        let size = |s: &Scenario| {
-            s.num_flows as u64
-                + s.num_bursts as u64
-                + s.burst_ms_x10
-                + s.buffer.is_some() as u64
-                + s.grouping as u64
-                + s.delayed_ack as u64
-                + s.periodic as u64
-                + s.ecn_threshold_pkts.is_some() as u64
-                + (!s.fault.is_empty()) as u64
-                + s.fault.window_us()
-                + s.quic as u64
-                + s.clos.map(|(r, sp)| 1 + r as u64 + sp as u64).unwrap_or(0)
-                + s.mitigation.is_some() as u64
+        let size = |c: &ModesConfig| {
+            c.num_flows as u64
+                + c.num_bursts as u64
+                + tenths(c.burst_duration_ms)
+                + c.receiver_tor_buffer.is_some() as u64
+                + c.grouping.is_some() as u64
+                + c.tcp.delayed_ack.is_some() as u64
+                + matches!(c.schedule, BurstSchedule::Periodic { .. }) as u64
+                + c.tor_queue.ecn_threshold_pkts.is_some() as u64
+                + (!c.faults.is_empty()) as u64
+                + fault_window_us(&c.faults)
+                + quic(c) as u64
+                + match c.topology {
+                    TopologySpec::Clos { racks, spines } => 1 + racks as u64 + spines as u64,
+                    TopologySpec::Dumbbell => 0,
+                }
+                + (!c.mitigation.is_off()) as u64
         };
         // Cover both fault-free and faulted starting points.
         let mut faulted = 0;
         for seed in 0..40 {
-            let sc = Scenario::generate(seed);
-            faulted += (!sc.fault.is_empty()) as u64;
-            for cand in shrink_candidates(&sc) {
-                assert!(size(&cand) < size(&sc), "{cand:?} not smaller than {sc:?}");
+            let cfg = generate(seed);
+            faulted += (!cfg.faults.is_empty()) as u64;
+            for cand in shrink_candidates(&cfg) {
+                assert!(
+                    size(&cand) < size(&cfg),
+                    "{cand:?} not smaller than {cfg:?}"
+                );
             }
         }
-        assert!(faulted > 0, "no faulted scenario in the sample");
+        assert!(faulted > 0, "no faulted config in the sample");
+    }
+
+    /// A grouped draw's group size is derived from its fan-in, so a
+    /// candidate with fewer flows carries the group size a draw of that
+    /// fan-in would.
+    #[test]
+    fn shrinking_a_grouped_configs_flows_rederives_its_group_size() {
+        let cfg = (0..200)
+            .map(generate)
+            .find(|c| c.grouping.is_some() && c.num_flows >= 16)
+            .expect("a grouped draw of 16+ flows");
+        let fewer: Vec<_> = shrink_candidates(&cfg)
+            .into_iter()
+            .filter(|c| c.num_flows < cfg.num_flows)
+            .collect();
+        assert_eq!(fewer.len(), 2, "halved and minus one");
+        let grouping = cfg.grouping.unwrap();
+        for c in &fewer {
+            let g = c.grouping.expect("flow shrinks keep the grouping");
+            assert_eq!(g.group_size, group_size(c.num_flows));
+            assert_eq!(g.group_gap, grouping.group_gap);
+        }
+        assert!(
+            fewer[0].grouping.unwrap().group_size < grouping.group_size,
+            "halving the flows shrinks the groups"
+        );
     }
 }

@@ -5,33 +5,46 @@
 //! cargo run --release -p simcheck -- --seeds 200 --start 1000 --report out.txt
 //! ```
 //!
-//! Each seed becomes one random scenario, run on both schedulers plus a
-//! repeat run. Failures are shrunk to minimal scenarios and printed as
+//! Each seed becomes one random config, run on both schedulers plus a
+//! repeat run. Failures are shrunk to minimal configs and printed as
 //! reproducer files — one line, `{"config":…,"outcome":"…"}` — that
 //! `tests/repro.rs` replays once saved under `tests/repro/`; the process
 //! exits nonzero if anything failed.
 
 #![forbid(unsafe_code)]
 
+use incast_core::modes::MitigationKind;
 use incast_core::supervisor::{outcome, reproducer};
 use incast_core::{default_threads, par_map};
-use simcheck::{check_scenario, fuzz_seed_with, shrink, ForceMitigation, SeedOutcome};
+use simcheck::{check_scenario, generate, pin_mitigation, pin_topology, shrink};
 use std::io::Write;
+use transport::TransportKind;
 
+/// A sweep's settings; each `None` pin keeps the per-seed draw.
 struct Args {
     seeds: u64,
     start: u64,
     threads: usize,
     report: Option<String>,
-    /// `None` = per-seed sample; `Some(true)` = QUIC only; `Some(false)` =
-    /// TCP only.
-    force_quic: Option<bool>,
-    /// `None` = per-seed sample; `Some(true)` = multi-rack Clos only;
-    /// `Some(false)` = dumbbell only.
-    force_clos: Option<bool>,
-    /// `None` = per-seed sample; otherwise pin the control plane for the
-    /// whole sweep (off, or a seed-derived lossy plane of either kind).
-    force_mitigation: Option<ForceMitigation>,
+    transport: Option<TransportKind>,
+    /// `Some(true)` = a seed-derived multi-rack Clos, `Some(false)` =
+    /// dumbbell.
+    clos: Option<bool>,
+    mitigation: Option<MitigationKind>,
+}
+
+const USAGE: &str = "usage: simcheck [--seeds N] [--start S] [--threads T] \
+     [--transport tcp|quic|mix] [--topology dumbbell|clos|mix] \
+     [--mitigation off|pulser|distributed|mix] [--report FILE]";
+
+/// `value` as a variant label of `T`, or `None` for `mix`.
+fn pin<T: stats::Leaves>(flag: &str, value: &str) -> Result<Option<T>, String> {
+    match value {
+        "mix" => Ok(None),
+        v => stats::leaves::read_label(v)
+            .map(Some)
+            .map_err(|e| format!("{flag}: {} (or mix)", e.reason)),
+    }
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -40,9 +53,9 @@ fn parse_args() -> Result<Args, String> {
         start: 0,
         threads: default_threads(),
         report: None,
-        force_quic: None,
-        force_clos: None,
-        force_mitigation: None,
+        transport: None,
+        clos: None,
+        mitigation: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -54,41 +67,17 @@ fn parse_args() -> Result<Args, String> {
                 args.threads = value("--threads")?.parse().map_err(|e| format!("{e}"))?
             }
             "--report" => args.report = Some(value("--report")?),
-            "--transport" => {
-                args.force_quic = match value("--transport")?.as_str() {
-                    "mix" => None,
-                    "tcp" => Some(false),
-                    "quic" => Some(true),
-                    other => return Err(format!("unknown transport {other} (tcp|quic|mix)")),
-                }
-            }
+            "--transport" => args.transport = pin(&flag, &value(&flag)?)?,
             "--topology" => {
-                args.force_clos = match value("--topology")?.as_str() {
+                args.clos = match value("--topology")?.as_str() {
                     "mix" => None,
                     "dumbbell" => Some(false),
                     "clos" => Some(true),
                     other => return Err(format!("unknown topology {other} (dumbbell|clos|mix)")),
                 }
             }
-            "--mitigation" => {
-                args.force_mitigation = match value("--mitigation")?.as_str() {
-                    "mix" => None,
-                    "off" => Some(ForceMitigation::Off),
-                    "pulser" => Some(ForceMitigation::Pulser),
-                    "distributed" => Some(ForceMitigation::Distributed),
-                    other => {
-                        return Err(format!(
-                            "unknown mitigation {other} (off|pulser|distributed|mix)"
-                        ))
-                    }
-                }
-            }
-            "--help" | "-h" => {
-                return Err("usage: simcheck [--seeds N] [--start S] [--threads T] \
-                     [--transport tcp|quic|mix] [--topology dumbbell|clos|mix] \
-                     [--mitigation off|pulser|distributed|mix] [--report FILE]"
-                    .to_string())
-            }
+            "--mitigation" => args.mitigation = pin(&flag, &value(&flag)?)?,
+            "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -110,32 +99,24 @@ fn main() {
         args.start,
         args.start + args.seeds,
         args.threads,
-        match args.force_quic {
-            None => "mix",
-            Some(true) => "quic",
-            Some(false) => "tcp",
-        },
-        match args.force_clos {
-            None => "mix",
-            Some(true) => "clos",
-            Some(false) => "dumbbell",
-        },
-        match args.force_mitigation {
-            None => "mix",
-            Some(ForceMitigation::Off) => "off",
-            Some(ForceMitigation::Pulser) => "pulser",
-            Some(ForceMitigation::Distributed) => "distributed",
-        }
+        args.transport.map_or("mix", |t| t.label()),
+        args.clos
+            .map_or("mix", |c| if c { "clos" } else { "dumbbell" }),
+        args.mitigation.map_or("mix", |m| m.label()),
     );
     let t0 = std::time::Instant::now();
-    let force_quic = args.force_quic;
-    let force_clos = args.force_clos;
-    let force_mitigation = args.force_mitigation;
-    let outcomes = par_map(seeds.clone(), args.threads, |&seed| {
-        match fuzz_seed_with(seed, force_quic, force_clos, force_mitigation) {
-            SeedOutcome::Pass => None,
-            SeedOutcome::Fail(f) => Some((seed, f)),
+    let outcomes = par_map(seeds, args.threads, |&seed| {
+        let mut cfg = generate(seed);
+        if let Some(t) = args.transport {
+            cfg.tcp.transport = t;
         }
+        if let Some(clos) = args.clos {
+            pin_topology(&mut cfg, clos);
+        }
+        if let Some(kind) = args.mitigation {
+            pin_mitigation(&mut cfg, kind);
+        }
+        check_scenario(&cfg)
     });
     let failures: Vec<_> = outcomes.into_iter().flatten().collect();
     let elapsed = t0.elapsed();
@@ -147,16 +128,16 @@ fn main() {
         elapsed,
         failures.len()
     ));
-    // Shrink each failure (sequentially: shrinking re-runs scenarios and
+    // Shrink each failure (sequentially: shrinking re-runs configs and
     // uses the thread-local violation log).
-    for (seed, failure) in &failures {
-        let minimal = shrink(&failure.scenario);
+    for failure in &failures {
+        let minimal = shrink(&failure.config);
         let shrunk = check_scenario(&minimal).map_or(String::new(), |f| f.summary());
-        let cfg = minimal.to_config();
         report.push_str(&format!(
-            "\nseed {seed}: {}\n  shrunk: {shrunk}\n{}\n",
+            "\nseed {}: {}\n  shrunk: {shrunk}\n{}\n",
+            failure.config.seed,
             failure.summary(),
-            reproducer(&cfg, &outcome(&cfg, None, None))
+            reproducer(&minimal, &outcome(&minimal, None, None))
         ));
     }
     print!("{report}");

@@ -1,5 +1,5 @@
 //! The run cache's two addresses — the config itself (fingerprint, then
-//! `==`) and the rendered canonical key — agree over the fuzzer's scenario
+//! `==`) and the rendered canonical key — agree over the fuzzer's config
 //! space, and reach one entry for real runs.
 
 use std::collections::HashMap;
@@ -8,15 +8,15 @@ use std::sync::Arc;
 use incast_core::cache::{incast_fingerprint, incast_key};
 use incast_core::modes::ModesConfig;
 use incast_core::{run_incast_cached, run_incast_sweep, IncastRunResult, RunCache};
-use simcheck::Scenario;
+use simcheck::generate;
 
-/// The config of every scenario the fuzzer draws reads back from its text
+/// Every config the fuzzer draws reads back from its text
 /// bit-exactly (floats compared through the bit-folding fingerprint), so
 /// each is a reproducer's config.
 #[test]
-fn generated_scenario_configs_read_back_bit_exactly() {
+fn generated_configs_read_back_bit_exactly() {
     for seed in 0..200 {
-        let cfg = Scenario::generate(seed).to_config();
+        let cfg = generate(seed);
         let text = stats::leaves::write(&cfg);
         let back: ModesConfig = stats::leaves::read(&text).expect("reads back");
         assert_eq!(back, cfg, "seed {seed}");
@@ -25,16 +25,13 @@ fn generated_scenario_configs_read_back_bit_exactly() {
     }
 }
 
-/// Over the scenarios of seeds 0..2000, pairwise: two configs are `==`
+/// Over the configs of seeds 0..2000, pairwise: two configs are `==`
 /// exactly when they render the same key, and no two distinct configs share
 /// a fingerprint. The first hundred are drawn a second time, so that both
 /// sides of the equivalence occur.
 #[test]
-fn equality_key_and_fingerprint_agree_over_generated_scenarios() {
-    let cfgs: Vec<ModesConfig> = (0..2000)
-        .chain(0..100)
-        .map(|seed| Scenario::generate(seed).to_config())
-        .collect();
+fn equality_key_and_fingerprint_agree_over_generated_configs() {
+    let cfgs: Vec<ModesConfig> = (0..2000).chain(0..100).map(generate).collect();
     let keys: Vec<String> = cfgs.iter().map(incast_key).collect();
     for i in 0..cfgs.len() {
         for j in i..cfgs.len() {
@@ -55,14 +52,12 @@ fn equality_key_and_fingerprint_agree_over_generated_scenarios() {
     assert_eq!(by_fingerprint.len(), 2000);
 }
 
-/// Real runs of generated scenarios: what a sweep inserted by config is a
+/// Real runs of generated configs: what a sweep inserted by config is a
 /// memory hit by rendered key, and the reverse, one `mem_hits` per lookup
 /// and one entry per run.
 #[test]
 fn a_sweep_and_the_raw_key_api_share_their_entries() {
-    let cfgs: Vec<ModesConfig> = (0..4)
-        .map(|seed| Scenario::generate(seed).to_config())
-        .collect();
+    let cfgs: Vec<ModesConfig> = (0..4).map(generate).collect();
     let cache = RunCache::in_memory();
     let swept = run_incast_sweep(&cfgs, 2, &cache);
     for (cfg, run) in cfgs.iter().zip(&swept) {

@@ -1,19 +1,27 @@
 //! Smoke coverage of the fuzzer itself: a pinned seed range must pass
-//! cleanly, and a deliberately injected accounting bug must be caught and
-//! shrunk to a small reproducer.
+//! cleanly, a deliberately injected accounting bug must be caught and
+//! shrunk to a small reproducer, and the known Clos wedge must shrink to
+//! the reproducer checked in for it.
 
+use incast_core::modes::{MitigationKind, ModesConfig};
 use incast_core::supervisor::{outcome, replay, reproducer};
-use simcheck::{
-    check_scenario, fuzz_seed, fuzz_seed_with, shrink, ForceMitigation, Scenario, SeedOutcome,
-};
+use simcheck::{check_scenario, generate, pin_mitigation, pin_topology, shrink};
 
-/// A shrunk scenario's reproducer file, checked to replay as recorded.
-fn replayed_reproducer(sc: &Scenario) -> String {
-    let cfg = sc.to_config();
-    let text = reproducer(&cfg, &outcome(&cfg, None, None));
+/// A shrunk config's reproducer file, checked to replay as recorded.
+fn replayed_reproducer(cfg: &ModesConfig) -> String {
+    let text = reproducer(cfg, &outcome(cfg, None, None));
     let replay = replay(&text).expect("a reproducer");
     assert!(replay.reproduced(), "{replay:?}");
     text
+}
+
+/// Checks seed `seed`'s draw after `pin`, panicking with the failure.
+fn assert_clean(what: &str, seed: u64, pin: impl Fn(&mut ModesConfig)) {
+    let mut cfg = generate(seed);
+    pin(&mut cfg);
+    if let Some(f) = check_scenario(&cfg) {
+        panic!("{what} seed {seed} failed: {}", f.summary());
+    }
 }
 
 /// A fixed seed range runs with every invariant on and zero violations.
@@ -21,10 +29,7 @@ fn replayed_reproducer(sc: &Scenario) -> String {
 #[test]
 fn pinned_seed_range_is_clean() {
     for seed in 0..15 {
-        match fuzz_seed(seed) {
-            SeedOutcome::Pass => {}
-            SeedOutcome::Fail(f) => panic!("seed {seed} failed: {}", f.summary()),
-        }
+        assert_clean("mixed", seed, |_| {});
     }
 }
 
@@ -35,10 +40,7 @@ fn pinned_seed_range_is_clean() {
 #[test]
 fn pinned_clos_seed_range_is_clean() {
     for seed in 0..6 {
-        match fuzz_seed_with(seed, None, Some(true), None) {
-            SeedOutcome::Pass => {}
-            SeedOutcome::Fail(f) => panic!("clos seed {seed} failed: {}", f.summary()),
-        }
+        assert_clean("clos", seed, |c| pin_topology(c, true));
     }
 }
 
@@ -50,37 +52,52 @@ fn pinned_clos_seed_range_is_clean() {
 #[test]
 fn pinned_forced_mitigation_seed_ranges_are_clean() {
     for seed in 0..6 {
-        match fuzz_seed_with(seed, None, None, Some(ForceMitigation::Pulser)) {
-            SeedOutcome::Pass => {}
-            SeedOutcome::Fail(f) => panic!("pulser seed {seed} failed: {}", f.summary()),
-        }
+        assert_clean("pulser", seed, |c| {
+            pin_mitigation(c, MitigationKind::Pulser)
+        });
     }
     for seed in 0..3 {
-        match fuzz_seed_with(seed, None, None, Some(ForceMitigation::Distributed)) {
-            SeedOutcome::Pass => {}
-            SeedOutcome::Fail(f) => panic!("distributed seed {seed} failed: {}", f.summary()),
-        }
+        assert_clean("distributed", seed, |c| {
+            pin_mitigation(c, MitigationKind::Distributed)
+        });
     }
 }
 
-/// The acceptance-criteria scenario: flip the test-only buffer-accounting
+/// The whole loop against the checked-in artifact: the forced-Clos draw of
+/// seed 70 breaches the Pulser degradation envelope (ROADMAP item 2), and
+/// shrinking it yields exactly the reproducer `tests/repro/` holds for it.
+/// Re-record both together when the wedge is fixed.
+#[test]
+fn forced_clos_seed_70_shrinks_to_the_checked_in_reproducer() {
+    let mut cfg = generate(70);
+    pin_topology(&mut cfg, true);
+    let failure = check_scenario(&cfg).expect("seed 70 still wedges under a forced Clos");
+    let minimal = shrink(&failure.config);
+    let checked_in = include_str!("../../../tests/repro/known_wedge_clos_seed70.json");
+    assert_eq!(
+        reproducer(&minimal, &outcome(&minimal, None, None)),
+        checked_in.trim_end()
+    );
+}
+
+/// The acceptance-criteria config: flip the test-only buffer-accounting
 /// bug (a one-byte under-release per shared-buffer dequeue — invisible to
 /// capacity bounds checks, visible to the shadow ledger), and the checker
 /// must catch it and shrink it to a reproducer of at most 10 flows.
 #[test]
 fn injected_buffer_bug_is_caught_and_shrunk() {
-    // Find a generated scenario that exercises a shared buffer.
-    let scenario = (0..100)
-        .map(Scenario::generate)
-        .find(|s| s.buffer.is_some())
+    // Find a generated config that exercises a shared buffer.
+    let cfg = (0..100)
+        .map(generate)
+        .find(|c| c.receiver_tor_buffer.is_some())
         .expect("generator covers shared buffers");
 
     simnet::check::set_inject_buffer_underrelease(true);
-    let failure = check_scenario(&scenario);
-    let minimal = failure.as_ref().map(|f| shrink(&f.scenario));
-    // Sanity: with the bug off again, the same scenario passes.
+    let failure = check_scenario(&cfg);
+    let minimal = failure.as_ref().map(|f| shrink(&f.config));
+    // Sanity: with the bug off again, the same config passes.
     simnet::check::set_inject_buffer_underrelease(false);
-    let clean_again = check_scenario(&scenario);
+    let clean_again = check_scenario(&cfg);
 
     let failure = failure.expect("injected bug must be caught");
     assert!(
@@ -99,7 +116,7 @@ fn injected_buffer_bug_is_caught_and_shrunk() {
         minimal.num_flows
     );
     assert!(
-        minimal.buffer.is_some(),
+        minimal.receiver_tor_buffer.is_some(),
         "shrinking must keep the buffer (dropping it removes the failure)"
     );
 
@@ -109,26 +126,26 @@ fn injected_buffer_bug_is_caught_and_shrunk() {
         "{text}"
     );
 
-    assert!(clean_again.is_none(), "bug off: scenario must pass again");
+    assert!(clean_again.is_none(), "bug off: config must pass again");
 }
 
 /// Fault schedules are part of the fuzzed space: flip the test-only
 /// fault-drop-miscount bug (drops on an administratively-down link bypass
 /// the global `fault_drops` counter, so packet conservation stops
 /// balancing — invisible unless a FaultPlan takes a link down), and the
-/// checker must catch it on a generated blackhole scenario and shrink it
+/// checker must catch it on a generated blackhole config and shrink it
 /// to a minimal plan that *keeps* the fault.
 #[test]
 fn injected_fault_miscount_is_caught_and_shrunk_to_a_minimal_plan() {
     simnet::check::set_inject_fault_drop_miscount(true);
-    // Search generated scenarios for a blackhole whose window actually
+    // Search generated configs for a blackhole whose window actually
     // drops packets under the bug (the outage must overlap live traffic).
-    let (scenario, failure) = (0..300)
-        .map(Scenario::generate)
-        .filter(|s| s.fault.blackhole_us.is_some())
-        .find_map(|s| check_scenario(&s).map(|f| (s, f)))
-        .expect("some generated blackhole scenario must trip the bug");
-    let minimal = shrink(&scenario);
+    let (cfg, failure) = (0..300)
+        .map(generate)
+        .filter(|c| c.faults.blackhole.is_some())
+        .find_map(|c| check_scenario(&c).map(|f| (c, f)))
+        .expect("some generated blackhole config must trip the bug");
+    let minimal = shrink(&cfg);
     simnet::check::set_inject_fault_drop_miscount(false);
 
     assert!(
@@ -139,25 +156,26 @@ fn injected_fault_miscount_is_caught_and_shrunk_to_a_minimal_plan() {
         "expected a packet_conservation violation, got: {}",
         failure.summary()
     );
+    let window = |c: &ModesConfig| c.faults.blackhole.map(|(a, b)| b - a);
     assert!(
-        minimal.fault.blackhole_us.is_some(),
+        window(&minimal).is_some(),
         "shrinking must keep the fault (dropping it removes the failure): {minimal:?}"
     );
     assert!(
-        minimal.fault.window_us() <= scenario.fault.window_us(),
+        window(&minimal) <= window(&cfg),
         "shrinking never widens the fault window"
     );
     assert!(
-        minimal.num_flows <= scenario.num_flows,
+        minimal.num_flows <= cfg.num_flows,
         "shrinking never adds flows"
     );
     let text = replayed_reproducer(&minimal);
     assert!(text.contains(r#""blackhole":{"0":"#), "{text}");
 
-    // Bug off: the same scenario passes again (faults alone are benign).
+    // Bug off: the same config passes again (faults alone are benign).
     assert!(
-        check_scenario(&scenario).is_none(),
-        "bug off: faulted scenario must pass cleanly"
+        check_scenario(&cfg).is_none(),
+        "bug off: faulted config must pass cleanly"
     );
 }
 

@@ -1,12 +1,12 @@
 //! Every invalid config is rejected at the front door: over the fuzzer's
-//! scenario space, a config with one validation rule broken fails its
+//! config space, a config with one validation rule broken fails its
 //! supervised sweep with the typed reason, and no simulation starts (so
 //! nothing panics).
 
 use incast_core::modes::{ModesConfig, TopologySpec};
 use incast_core::supervisor::{supervised_incast_sweep, RunOutcome, SupervisorConfig};
 use incast_core::RunCache;
-use simcheck::Scenario;
+use simcheck::generate;
 use simnet::{BufferPolicy, SimTime};
 use transport::{CcaKind, PacingConfig, TransportKind};
 use workload::Grouping;
@@ -87,14 +87,14 @@ const RULES: [(&str, Break); 21] = [
 ];
 
 #[test]
-fn one_broken_rule_fails_each_drawn_scenario_with_its_typed_reason() {
+fn one_broken_rule_fails_each_drawn_config_with_its_typed_reason() {
     let sup = SupervisorConfig {
         threads: 1,
         quarantine_dir: None,
         ..SupervisorConfig::default()
     };
     for seed in 0..200u64 {
-        let mut cfg = Scenario::generate(seed).to_config();
+        let mut cfg = generate(seed);
         assert_eq!(cfg.validate(), Ok(()), "seed {seed} drew an invalid config");
         let (path, break_rule) = RULES[seed as usize % RULES.len()];
         break_rule(&mut cfg);

@@ -288,6 +288,13 @@ pub fn read<T: Leaves>(text: &str) -> Result<T, ConfigError> {
     Ok(value)
 }
 
+/// Reads a fieldless enum variant from its bare label, as a command line
+/// gives it (`quic` for `TransportKind::Quic`); an unknown label's error
+/// lists the known ones.
+pub fn read_label<T: Leaves>(label: &str) -> Result<T, ConfigError> {
+    read(&format!("\"{label}\""))
+}
+
 /// The [`Visit`] behind [`write`]. Names and labels are identifiers, so
 /// they are written unescaped.
 #[derive(Default)]
@@ -548,7 +555,15 @@ impl<'a> Reader<'a> {
             }
             Some(_) if fields => Err(self.error(leaf, "this variant has no fields")),
             Some(_) => Err(self.error(leaf, "this variant's fields are missing")),
-            None => Err(self.error(leaf, format!("unknown variant, {}", self.found()))),
+            None => {
+                let known: Vec<&str> = labels.iter().map(|l| l.0).collect();
+                let reason = format!(
+                    "unknown variant, {}; expected {}",
+                    self.found(),
+                    known.join("|")
+                );
+                Err(self.error(leaf, reason))
+            }
         }
     }
 
@@ -763,6 +778,20 @@ mod tests {
                 .unwrap_or_else(|| panic!("accepted {text}"));
             assert_eq!(err.path, path, "{err} in {text}");
         }
+    }
+
+    #[test]
+    fn a_bare_label_reads_its_variant_and_an_unknown_one_lists_the_labels() {
+        assert_eq!(read_label::<Shape>("dot"), Ok(Shape::Dot));
+        let err = read_label::<Shape>("dots").unwrap_err();
+        assert_eq!(
+            err.reason,
+            "unknown variant, found `\"dots\"`; expected dot|line"
+        );
+        assert!(
+            read_label::<Shape>("line").is_err(),
+            "its fields are missing"
+        );
     }
 
     #[test]

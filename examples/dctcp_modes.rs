@@ -8,22 +8,13 @@
 //!
 //! `--transport quic` swaps in the QUIC-style loss-recovery stack (packet
 //! numbers, PTO, no 200 ms min-RTO) — the quickest way to see that Mode 3
-//! is largely a TCP min-RTO artifact.
+//! is largely a TCP min-RTO artifact. Any other value exits 2.
 
 use incast_bursts::core_api::modes::{run_incast, ModesConfig};
 use incast_bursts::core_api::report::ascii_plot;
-use incast_bursts::transport::TransportKind;
 
 fn main() {
-    let transport = if std::env::args().any(|a| a == "--transport=quic")
-        || std::env::args()
-            .zip(std::env::args().skip(1))
-            .any(|(a, b)| a == "--transport" && b == "quic")
-    {
-        TransportKind::Quic
-    } else {
-        TransportKind::Tcp
-    };
+    let transport = bench::transport_arg();
     println!("transport: {transport:?}");
     for (flows, label) in [
         (
