@@ -4,7 +4,9 @@
 //!
 //! Runs as one sweep (`run_incast_sweep`) through the content-addressed
 //! run cache (`INCAST_RUN_CACHE=1` enables the disk layer, making repeat
-//! invocations nearly free).
+//! invocations nearly free). `-- --set path=value` edits every config
+//! (`--set tcp.transport=quic` re-runs it on the QUIC-style stack); fig6
+//! and fig7 take the same flag.
 
 use bench::{banner, f};
 use incast_core::full_scale;
@@ -25,8 +27,7 @@ fn main() {
     );
 
     let num_bursts = if full_scale() { 11 } else { 6 };
-    let transport = bench::transport_arg();
-    println!("transport: {transport:?}");
+    let (_, sets) = bench::args();
     // 80 flows is this reproduction's Mode-1 exemplar: the degenerate
     // point sits where N x 1 MSS > K + BDP (~90 packets in flight, as the
     // paper itself computes), so N=100 already pins the queue here.
@@ -34,17 +35,17 @@ fn main() {
     let cfgs: Vec<ModesConfig> = flow_counts
         .iter()
         .map(|&flows| {
-            let mut cfg = ModesConfig {
+            let cfg = ModesConfig {
                 num_flows: flows,
                 burst_duration_ms: 15.0,
                 num_bursts,
                 seed: 5,
                 ..ModesConfig::default()
             };
-            cfg.tcp.transport = transport;
-            cfg
+            bench::with_edits(cfg, &sets)
         })
         .collect();
+    println!("transport: {:?}", cfgs[0].tcp.transport);
 
     let cache = RunCache::global();
     let threads = default_threads();

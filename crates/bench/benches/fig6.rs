@@ -20,23 +20,22 @@ fn main() {
     );
 
     let num_bursts = if full_scale() { 11 } else { 6 };
-    let transport = bench::transport_arg();
-    println!("transport: {transport:?}");
+    let (_, sets) = bench::args();
     let flow_counts = [50usize, 100, 200, 500];
     let cfgs: Vec<ModesConfig> = flow_counts
         .iter()
         .map(|&flows| {
-            let mut cfg = ModesConfig {
+            let cfg = ModesConfig {
                 num_flows: flows,
                 burst_duration_ms: 2.0,
                 num_bursts,
                 seed: 3,
                 ..ModesConfig::default()
             };
-            cfg.tcp.transport = transport;
-            cfg
+            bench::with_edits(cfg, &sets)
         })
         .collect();
+    println!("transport: {:?}", cfgs[0].tcp.transport);
 
     let cache = RunCache::global();
     let t0 = std::time::Instant::now();

@@ -38,16 +38,12 @@ fn main() {
         (80usize, 65u32, "80 flows @ K=65"),
         (100, 89, "100 flows @ K=89 (production)"),
     ];
-    let transport = bench::transport_arg();
-    println!("transport: {transport:?}");
+    let (_, sets) = bench::args();
     let cfgs: Vec<_> = variants
         .iter()
-        .map(|&(flows, k, _)| {
-            let mut cfg = straggler_config(flows, k, bursts, 11);
-            cfg.tcp.transport = transport;
-            cfg
-        })
+        .map(|&(flows, k, _)| bench::with_edits(straggler_config(flows, k, bursts, 11), &sets))
         .collect();
+    println!("transport: {:?}", cfgs[0].tcp.transport);
     let cache = RunCache::global();
     let t0 = std::time::Instant::now();
     let runs = run_incast_sweep(&cfgs, default_threads(), cache);
@@ -79,10 +75,7 @@ fn main() {
                 f(s.max_over_median),
                 f(mean_kb(&body)),
                 f(mean_kb(&ramp)),
-                f(incast_core::mitigation::start_spike(
-                    r,
-                    simnet::SimTime::from_us(500),
-                )),
+                f(r.start_spike(simnet::SimTime::from_us(500))),
             ]);
         }
 

@@ -3,9 +3,14 @@
 //! Every bench target (see `benches/`) regenerates one table or figure of
 //! the paper and prints the paper's reported values next to the measured
 //! ones. Default runs use reduced scale; set `INCAST_FULL=1` for the
-//! paper's full parameters.
+//! paper's full parameters. The ablation and mitigation tables are sweep
+//! files (`sweeps/*.json`, [`incast_core::sweep::Sweep`]) that one driver,
+//! `benches/sweep.rs`, runs and renders through [`COLUMNS`].
 
 #![forbid(unsafe_code)]
+
+use incast_core::modes::{IncastRunResult, ModesConfig};
+use incast_core::sweep::apply_edits;
 
 /// Prints the standard bench banner.
 pub fn banner(id: &str, what: &str, paper_claim: &str) {
@@ -23,37 +28,70 @@ pub fn banner(id: &str, what: &str, paper_claim: &str) {
     println!("================================================================");
 }
 
-/// Loss-recovery stack selection for the figure harnesses and the
-/// `dctcp_modes` example: `--transport tcp|quic` on the command line
-/// (after `--` under `cargo bench`); defaults to TCP, the paper's stack.
-/// Lets every figure re-run under the QUIC-style engine to ask which
-/// findings are TCP artifacts (see EXPERIMENTS.md). An unknown value exits
-/// 2, listing the labels.
-pub fn transport_arg() -> transport::TransportKind {
-    parse_transport(std::env::args().skip(1)).unwrap_or_else(|msg| {
-        eprintln!("{msg}");
-        std::process::exit(2)
-    })
+/// The arguments a harness was given (after `--` under `cargo bench`),
+/// split by [`parse_args`]; a dangling `--set` exits 2.
+pub fn args() -> (Vec<String>, Vec<String>) {
+    parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| exit2(&msg))
 }
 
-/// The transport `--transport V` or `--transport=V` in `args` names (the
-/// last one given), read through `TransportKind`'s labels.
-pub fn parse_transport(
+/// Splits `args` into positional arguments and the edits of every
+/// `--set path=value` / `--set=path=value`. Other flags — `--bench`, which
+/// cargo passes — are dropped.
+pub fn parse_args(
     args: impl IntoIterator<Item = String>,
-) -> Result<transport::TransportKind, String> {
+) -> Result<(Vec<String>, Vec<String>), String> {
+    let (mut positional, mut edits) = (Vec::new(), Vec::new());
     let mut it = args.into_iter();
-    let mut choice = None;
-    while let Some(flag) = it.next() {
-        if flag == "--transport" {
-            choice = Some(it.next().ok_or("--transport: missing value (tcp|quic)")?);
-        } else if let Some(v) = flag.strip_prefix("--transport=") {
-            choice = Some(v.to_string());
+    while let Some(arg) = it.next() {
+        match arg.strip_prefix("--set=") {
+            Some(edit) => edits.push(edit.to_string()),
+            None if arg == "--set" => edits.push(it.next().ok_or("--set: missing path=value")?),
+            None if arg.starts_with("--") => {}
+            None => positional.push(arg),
         }
     }
-    match choice {
-        None => Ok(transport::TransportKind::Tcp),
-        Some(v) => stats::leaves::read_label(&v).map_err(|e| format!("--transport: {}", e.reason)),
-    }
+    Ok((positional, edits))
+}
+
+/// `cfg` with `edits` applied. One that does not apply exits 2: an
+/// unknown path lists the valid ones, a bad value names its path (and a
+/// variant's labels).
+pub fn with_edits(mut cfg: ModesConfig, edits: &[String]) -> ModesConfig {
+    apply_edits(&mut cfg, edits).unwrap_or_else(|e| exit2(&format!("--set: {e}")));
+    cfg
+}
+
+/// Prints `msg` and exits 2, the usage-error status.
+pub fn exit2(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
+
+/// A named table column: renders one run's cell.
+pub type Column = fn(&IncastRunResult) -> String;
+
+/// Every column a sweep file may name, by name.
+pub const COLUMNS: &[(&str, Column)] = &[
+    ("mode", |r| r.mode().label().to_string()),
+    ("steady BCT ms", |r| f(r.mean_bct_ms)),
+    ("mean queue pkts", |r| f(r.mean_steady_queue_pkts())),
+    ("peak queue pkts", |r| f(r.peak_steady_queue_pkts())),
+    ("steady drops", |r| r.steady_drops.to_string()),
+    ("steady timeouts", |r| r.steady_timeouts.to_string()),
+    ("steady retx KB", |r| f(r.steady_retx_bytes as f64 / 1024.0)),
+    ("mark share", |r| {
+        pc(r.marked_pkts as f64 / r.enqueued_pkts.max(1) as f64)
+    }),
+    ("burst-start spike pkts", |r| {
+        f(r.start_spike(simnet::SimTime::from_us(500)))
+    }),
+    ("drops", |r| r.drops.to_string()),
+    ("timeouts", |r| r.timeouts.to_string()),
+];
+
+/// The registered column named `name`.
+pub fn column(name: &str) -> Option<Column> {
+    COLUMNS.iter().find(|c| c.0 == name).map(|c| c.1)
 }
 
 /// Formats a float tersely.
@@ -77,16 +115,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn transport_flag_reads_the_labels_and_rejects_anything_else() {
+    fn set_flag_reads_paths_and_labels_and_rejects_anything_else() {
         use transport::TransportKind::{Quic, Tcp};
-        let parse = |args: &[&str]| parse_transport(args.iter().map(|a| a.to_string()));
-        assert_eq!(parse(&[]), Ok(Tcp));
-        assert_eq!(parse(&["--bench", "--transport", "tcp"]), Ok(Tcp));
-        assert_eq!(parse(&["--transport", "quic"]), Ok(Quic));
-        assert_eq!(parse(&["--transport=quic"]), Ok(Quic));
-        let err = parse(&["--transport", "quick"]).unwrap_err();
+        let transport = |args: &[&str]| {
+            let (_, edits) = parse_args(args.iter().map(|a| a.to_string()))?;
+            let mut cfg = ModesConfig::default();
+            apply_edits(&mut cfg, edits).map_err(|e| e.to_string())?;
+            Ok::<_, String>(cfg.tcp.transport)
+        };
+        assert_eq!(transport(&[]), Ok(Tcp));
+        let tcp = ["--bench", "--set", "tcp.transport=tcp"];
+        assert_eq!(transport(&tcp), Ok(Tcp));
+        assert_eq!(transport(&["--set", "tcp.transport=quic"]), Ok(Quic));
+        assert_eq!(transport(&["--set=tcp.transport=quic"]), Ok(Quic));
+        let err = transport(&["--set", "tcp.transport=quick"]).unwrap_err();
         assert!(err.contains("expected tcp|quic"), "{err}");
-        assert!(parse(&["--transport"]).is_err(), "a missing value");
+        let err = transport(&["--set", "no.such.path=1"]).unwrap_err();
+        assert!(err.contains("valid paths: num_flows, topology,"), "{err}");
+        assert!(transport(&["--set"]).is_err(), "a missing value");
+        assert!(transport(&["--set", "num_flows"]).is_err(), "no `=`");
+        let args = ["--bench", "a.json", "--set", "seed=3", "b.json"];
+        let (files, edits) = parse_args(args.map(String::from)).unwrap();
+        assert_eq!(
+            (files, edits),
+            (
+                vec!["a.json".into(), "b.json".into()],
+                vec!["seed=3".into()]
+            )
+        );
     }
 
     #[test]

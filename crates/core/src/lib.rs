@@ -3,18 +3,19 @@
 //! One module per experiment family, each with a config struct and a `run`
 //! function, so the bench targets are thin wrappers:
 //!
-//! - [`modes`]: the Section-4 cyclic-incast engine (Figures 5–7, ablations),
+//! - [`modes`]: the Section-4 cyclic-incast engine (Figures 5–7, ablations,
+//!   the Section-5 mitigations),
 //! - [`contention`]: simultaneous cross-rack incasts sharing a Clos spine
 //!   tier (the §3.4 rack-level contention observation),
 //! - [`production`]: the Section-3 fleet study (Figures 1, 2, 4; Table 1),
 //! - [`stability`]: flow-count stability over time and hosts (Figure 3),
 //! - [`straggler`]: per-flow in-flight skew (Figure 7),
-//! - [`mitigation`]: the Section-5 mitigation comparison,
 //! - [`runner`]: parallel execution of independent simulations (`par_map`
 //!   over scoped threads),
 //! - [`cache`]: the content-addressed run cache shared by sweeps,
 //! - [`sweep`]: the sweep engine tying cache + `par_map` + streaming
-//!   reducers,
+//!   reducers, and [`sweep::Sweep`], a sweep as data (config edits by
+//!   path over labelled axes; the ablation and mitigation tables),
 //! - [`supervisor`]: failure-tolerant sweep execution (panic isolation,
 //!   run budgets, quarantine reproducers, coverage accounting),
 //! - [`report`]: ASCII tables/plots for bench output.
@@ -23,7 +24,6 @@
 
 pub mod cache;
 pub mod contention;
-pub mod mitigation;
 pub mod modes;
 pub mod production;
 pub mod report;

@@ -2,8 +2,8 @@
 //! dumbbell, cyclic bursts, queue traces, and the three operating modes.
 //!
 //! This is the engine behind Figures 5 and 6, the straggler analysis of
-//! Figure 7, every ablation, and the mitigation comparison: one
-//! configuration struct in, one [`IncastRunResult`] out.
+//! Figure 7, and every ablation and mitigation sweep: one configuration
+//! struct in, one [`IncastRunResult`] out.
 
 use simnet::{
     build_clos_with, BufferPolicy, ClosConfig, ControlConfig, CtrlAction, FaultPlan, QueueConfig,
@@ -460,6 +460,26 @@ impl IncastRunResult {
     /// Peak queue depth over steady-state burst windows.
     pub fn peak_steady_queue_pkts(&self) -> f64 {
         self.steady_burst_samples().into_iter().fold(0.0, f64::max)
+    }
+
+    /// Mean queue spike over the first `window` of each burst after the
+    /// first: the §4.3 straggler signature (Figure 7, ablation A7, the
+    /// mitigation lineup).
+    pub fn start_spike(&self, window: SimTime) -> f64 {
+        let spikes: Vec<f64> = self
+            .burst_windows
+            .iter()
+            .skip(1)
+            .map(|&(s_ms, _)| {
+                let t0 = (s_ms * 1e9) as u64;
+                millisampler::peak_in_window(&self.queue_pkts, t0, t0 + window.as_ps())
+            })
+            .collect();
+        if spikes.is_empty() {
+            0.0
+        } else {
+            spikes.iter().sum::<f64>() / spikes.len() as f64
+        }
     }
 
     /// The queue trace as `(ms, packets)` points for plotting.

@@ -17,6 +17,11 @@
 //! thread counts and cache states. The sweep differential test
 //! (`tests/sweep_equivalence.rs`) enforces this.
 //!
+//! A [`Sweep`] is the data that says which configs to run: edits by path
+//! to the default config, and labelled axes of further edits whose
+//! cartesian product is the runs (the ablation and mitigation tables are
+//! `crates/bench/sweeps/*.json`).
+//!
 //! [`digest`]: IncastSweepAggregate::digest
 
 use std::sync::Arc;
@@ -24,7 +29,7 @@ use std::sync::Arc;
 use crate::cache::RunCache;
 use crate::modes::{run_incast, IncastRunResult, ModesConfig};
 use crate::runner::par_map;
-use stats::{Histogram, QuantileSketch, Summary};
+use stats::{ConfigError, Histogram, QuantileSketch, Summary};
 use telemetry::json::write_f64;
 use telemetry::{LoopProfile, RunManifest};
 
@@ -70,6 +75,99 @@ pub fn run_incast_sweep(
     runs.into_iter()
         .map(|run| run.expect("every config was held or computed"))
         .collect()
+}
+
+/// A sweep as data, read by [`stats::leaves::read`]: a report's banner
+/// (`title`, `what`, `paper`), the edits every run gets, the axes whose
+/// product is the runs, the table's named columns, and the lines printed
+/// under it. Every edit is `path=value` ([`stats::leaves::edit`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Sweep {
+    /// Report id, e.g. `Ablation A3`.
+    pub title: String,
+    /// What the sweep varies.
+    pub what: String,
+    /// What the paper claims about it.
+    pub paper: String,
+    /// Edits applied to the default config for every run.
+    pub base: Vec<String>,
+    /// Edits applied after `base` at paper scale (`INCAST_FULL=1`).
+    pub full: Vec<String>,
+    /// The axes, outermost first.
+    pub axes: Vec<Axis>,
+    /// Named result columns, after one column per axis.
+    pub columns: Vec<String>,
+    /// Lines printed under the table.
+    pub reading: Vec<String>,
+}
+
+stats::leaves!(Sweep: title, what, paper, base, full, axes, columns, reading);
+
+/// One swept dimension: its column header and its levels.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Axis {
+    /// Column header.
+    pub name: String,
+    /// The levels, in table order.
+    pub levels: Vec<Level>,
+}
+
+stats::leaves!(Axis: name, levels);
+
+/// One value of an [`Axis`]: its cell text and the edits that make it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Level {
+    /// Cell text.
+    pub label: String,
+    /// Edits applied after the base's.
+    pub set: Vec<String>,
+}
+
+stats::leaves!(Level: label, set);
+
+impl Sweep {
+    /// Reads a sweep file's text; trailing whitespace is ignored.
+    pub fn read(text: &str) -> Result<Sweep, ConfigError> {
+        stats::leaves::read(text.trim_end())
+    }
+
+    /// Every run, outer axis first: its level labels and its validated
+    /// config — the default with the base edits, then (`full`) the full
+    /// edits, then one level's edits per axis.
+    pub fn expand(&self, full: bool) -> Result<Vec<(Vec<String>, ModesConfig)>, ConfigError> {
+        let mut base = ModesConfig::default();
+        let full = if full { &self.full[..] } else { &[] };
+        apply_edits(&mut base, self.base.iter().chain(full))?;
+        let mut runs = vec![(Vec::new(), base)];
+        for axis in &self.axes {
+            let mut next = Vec::with_capacity(runs.len() * axis.levels.len());
+            for (labels, cfg) in &runs {
+                for level in &axis.levels {
+                    let mut cfg = cfg.clone();
+                    apply_edits(&mut cfg, &level.set)?;
+                    let mut labels = labels.clone();
+                    labels.push(level.label.clone());
+                    next.push((labels, cfg));
+                }
+            }
+            runs = next;
+        }
+        for (_, cfg) in &runs {
+            cfg.validate()?;
+        }
+        Ok(runs)
+    }
+}
+
+/// Applies `path=value` edits to `cfg` in order, stopping at the first
+/// that fails.
+pub fn apply_edits(
+    cfg: &mut ModesConfig,
+    edits: impl IntoIterator<Item = impl AsRef<str>>,
+) -> Result<(), ConfigError> {
+    edits
+        .into_iter()
+        .try_for_each(|e| stats::leaves::edit(cfg, e.as_ref()))
 }
 
 /// Streaming, mergeable reduction of an incast sweep: fixed memory
@@ -321,6 +419,74 @@ mod tests {
         let right = IncastSweepAggregate::from_runs(runs[2..].iter().map(|r| &**r));
         left.merge(&right);
         assert_eq!(left.digest(), whole.digest());
+    }
+
+    #[test]
+    fn edits_reach_variant_fields_and_bare_labels() {
+        let mut cfg = ModesConfig::default();
+        let edits = [
+            "tcp.cca.g=0.25",
+            "tcp.transport=quic",
+            "grouping={\"group_size\":5,\"group_gap\":7}",
+        ];
+        apply_edits(&mut cfg, edits).expect("edits apply");
+        assert_eq!(cfg.tcp.cca, transport::CcaKind::Dctcp { g: 0.25 });
+        assert_eq!(cfg.tcp.transport, transport::TransportKind::Quic);
+        assert_eq!(cfg.grouping.map(|g| g.group_size), Some(5));
+        let err = apply_edits(&mut cfg, ["tcp.transport=quick"]).unwrap_err();
+        assert_eq!(err.path, "tcp.transport");
+        assert!(err.reason.ends_with("expected tcp|quic"), "{err}");
+    }
+
+    #[test]
+    fn a_sweep_expands_to_the_product_of_its_axes_outer_first() {
+        let level = |label: &str, set: &[&str]| Level {
+            label: label.to_string(),
+            set: set.iter().map(|e| e.to_string()).collect(),
+        };
+        let sweep = Sweep {
+            title: "t".into(),
+            what: "w".into(),
+            paper: "p".into(),
+            base: vec!["num_flows=7".into()],
+            full: vec!["num_bursts=3".into()],
+            axes: vec![
+                Axis {
+                    name: "seed".into(),
+                    levels: vec![level("a", &["seed=1"]), level("b", &["seed=2"])],
+                },
+                Axis {
+                    name: "k".into(),
+                    levels: (1..4)
+                        .map(|k| level("", &[&format!("tor_queue.ecn_threshold_pkts={k}")]))
+                        .collect(),
+                },
+            ],
+            columns: vec!["mode".into()],
+            reading: vec![],
+        };
+        let text = stats::leaves::write(&sweep);
+        assert_eq!(Sweep::read(&format!("{text}\n")), Ok(sweep.clone()));
+        let runs = sweep.expand(false).expect("expands");
+        assert_eq!(runs.len(), 6);
+        assert_eq!(runs[0].0, ["a", ""]);
+        assert_eq!(runs[3].0, ["b", ""]);
+        let pick = |i: usize| (runs[i].1.seed, runs[i].1.tor_queue.ecn_threshold_pkts);
+        assert_eq!(
+            [pick(0), pick(2), pick(5)],
+            [(1, Some(1)), (1, Some(3)), (2, Some(3))]
+        );
+        assert!(runs
+            .iter()
+            .all(|r| r.1.num_flows == 7 && r.1.num_bursts == 11));
+        assert_eq!(sweep.expand(true).expect("full")[0].1.num_bursts, 3);
+        let mut bad = sweep;
+        bad.base.push("num_flows=0".into());
+        assert_eq!(
+            bad.expand(false).unwrap_err().path,
+            "num_flows",
+            "validated"
+        );
     }
 
     #[test]

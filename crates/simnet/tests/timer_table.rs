@@ -398,12 +398,15 @@ thread_local! {
     static SUPERSEDED: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Per timer `(node, key)`, its pending `(time, generation, dead)` events.
+type Pending = HashMap<(u32, u64), Vec<(SimTime, u64, bool)>>;
+
 /// Forwards to `S` and watches the timer events pass: per timer, the
 /// pending `(time, generation, dead)` entries.
 #[derive(Default)]
 struct Watched<S: Scheduler> {
     inner: S,
-    pending: HashMap<(u32, u64), Vec<(SimTime, u64, bool)>>,
+    pending: Pending,
 }
 
 impl<S: Scheduler> Watched<S> {

@@ -22,8 +22,15 @@
 //! its path — the `'static` names from the root down, joined by `.`
 //! (`tcp.delayed_ack.timeout`, `faults.loss.2`; the root and sequence
 //! elements are named `""`).
+//!
+//! [`set`] edits one leaf (or subtree) by that path, in that text: it
+//! writes the value, swaps the new text in at the path and reads the
+//! result back. [`edit`] takes the `path=value` form the command line and
+//! sweep files spell it in. The reader skips JSON whitespace between tokens,
+//! so a hand-written file may span lines; [`write`] never emits any.
 
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::time::Duration;
 
 /// Receives a value's leaves in declaration order.
@@ -295,6 +302,137 @@ pub fn read_label<T: Leaves>(label: &str) -> Result<T, ConfigError> {
     read(&format!("\"{label}\""))
 }
 
+/// Sets the value at dotted `path` in `value` (a leaf, `tcp.mss`, or a
+/// subtree, `tcp.cca`) to `text`, spelled as [`write`] spells it; a string
+/// or a fieldless variant may be given bare (`quic` for `"quic"`). A `None`
+/// is addressed by its own path, not by paths under it. An unknown path is
+/// a [`ConfigError`] listing the valid ones, a value the reader rejects an
+/// error at its path; either way `value` is left unchanged.
+pub fn set<T: Leaves>(value: &mut T, path: &str, text: &str) -> Result<(), ConfigError> {
+    let mut spans = Spans::default();
+    value.walk("", &mut spans);
+    let found = spans.found.iter().find(|s| !path.is_empty() && s.0 == path);
+    let Some((_, at, bare)) = found.cloned() else {
+        let paths: Vec<&str> = spans.found[1..].iter().map(|s| s.0.as_str()).collect();
+        let reason = format!("unknown path; valid paths: {}", paths.join(", "));
+        return Err(ConfigError::new(path, reason));
+    };
+    let mut quoted = Writer::default();
+    let text = if bare && !text.starts_with(['"', '{']) {
+        quoted.str("", text);
+        &quoted.out
+    } else {
+        text
+    };
+    let mut out = spans.w.out;
+    out.replace_range(at, text);
+    *value = read(&out).map_err(|e| match e.path.strip_prefix(path) {
+        Some(under) if under.is_empty() || under.starts_with('.') => e,
+        _ => ConfigError::new(path, format!("`{text}` does not read here: {e}")),
+    })?;
+    Ok(())
+}
+
+/// [`set`] from one `path=value` edit, the form the command line's `--set`
+/// and sweep files share.
+pub fn edit<T: Leaves>(value: &mut T, edit: &str) -> Result<(), ConfigError> {
+    let (path, text) = edit
+        .split_once('=')
+        .ok_or_else(|| ConfigError::new(edit, "expected path=value"))?;
+    set(value, path, text)
+}
+
+/// The [`Visit`] behind [`set`]: [`write`]'s text, and where in it each
+/// path's value stands. A sequence's elements are named by position.
+#[derive(Default)]
+struct Spans {
+    w: Writer,
+    /// Path, byte range of its value, and whether a bare word may stand for
+    /// it (a string or a variant), in walk order; the root first.
+    found: Vec<(String, Range<usize>, bool)>,
+    /// Open containers: index into `found`, and for a sequence the next
+    /// element's position.
+    open: Vec<(usize, Option<usize>)>,
+}
+
+impl Spans {
+    /// Records the value `name` is about to get, at the writer's next
+    /// value; `write` then writes it and the range ends where it stopped.
+    fn record(&mut self, name: &str, bare: bool, write: impl FnOnce(&mut Writer)) -> usize {
+        let start = self.w.out.len()
+            + self.w.started as usize
+            + if name.is_empty() { 0 } else { name.len() + 3 };
+        let path = match self.open.last_mut() {
+            None => name.to_string(),
+            Some((parent, index)) => {
+                let name = match index {
+                    Some(i) => {
+                        *i += 1;
+                        (*i - 1).to_string()
+                    }
+                    None => name.to_string(),
+                };
+                match self.found[*parent].0.as_str() {
+                    "" => name,
+                    parent => format!("{parent}.{name}"),
+                }
+            }
+        };
+        write(&mut self.w);
+        self.found.push((path, start..self.w.out.len(), bare));
+        self.found.len() - 1
+    }
+
+    fn open(&mut self, name: &str, seq: bool, bare: bool, write: impl FnOnce(&mut Writer)) {
+        let at = self.record(name, bare, write);
+        self.open.push((at, seq.then_some(0)));
+    }
+}
+
+impl Visit for Spans {
+    fn int(&mut self, name: &'static str, v: u64) {
+        self.record(name, false, |w| w.int(name, v));
+    }
+
+    fn float(&mut self, name: &'static str, v: f64) {
+        self.record(name, false, |w| w.float(name, v));
+    }
+
+    fn str(&mut self, name: &'static str, v: &str) {
+        self.record(name, true, |w| w.str(name, v));
+    }
+
+    fn variant(&mut self, name: &'static str, label: &'static str, fields: bool) {
+        if fields {
+            self.open(name, false, true, |w| w.variant(name, label, true));
+        } else {
+            self.record(name, true, |w| w.variant(name, label, false));
+        }
+    }
+
+    /// A `Some` writes nothing itself: its payload is the path's value.
+    fn option(&mut self, name: &'static str, some: bool) {
+        if !some {
+            self.record(name, false, |w| w.option(name, false));
+        }
+    }
+
+    fn enter(&mut self, name: &'static str) {
+        self.open(name, false, false, |w| w.enter(name));
+    }
+
+    fn seq(&mut self, name: &'static str, len: usize) {
+        self.open(name, true, false, |w| w.seq(name, len));
+    }
+
+    fn leave(&mut self) {
+        self.w.leave();
+        if let Some((at, _)) = self.open.pop() {
+            self.found[at].1.end = self.w.out.len();
+        }
+    }
+}
+
 /// The [`Visit`] behind [`write`]. Names and labels are identifiers, so
 /// they are written unescaped.
 #[derive(Default)]
@@ -417,6 +555,14 @@ impl<'a> Reader<'a> {
         &self.text[self.pos..]
     }
 
+    /// Skips JSON whitespace, which [`write`] never emits but a
+    /// hand-written text may put between tokens.
+    fn ws(&mut self) {
+        while let Some(b' ' | b'\n' | b'\r' | b'\t') = self.text.as_bytes().get(self.pos) {
+            self.pos += 1;
+        }
+    }
+
     fn eat(&mut self, lit: &str) -> bool {
         let hit = self.rest().starts_with(lit);
         if hit {
@@ -433,11 +579,19 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Takes the separator and `"name":` (just the separator for `""`).
+    /// Takes the separator and `"name":` (just the separator for `""`),
+    /// and the whitespace around them.
     fn key(&mut self, name: &'static str) -> Result<(), ConfigError> {
         let at = self.pos;
+        self.ws();
         let separated = !std::mem::replace(&mut self.started, true) || self.eat(",");
-        let keyed = name.is_empty() || (self.eat("\"") && self.eat(name) && self.eat("\":"));
+        self.ws();
+        let keyed = name.is_empty()
+            || (self.eat("\"") && self.eat(name) && self.eat("\"") && {
+                self.ws();
+                self.eat(":")
+            });
+        self.ws();
         if separated && keyed {
             return Ok(());
         }
@@ -594,12 +748,14 @@ impl<'a> Reader<'a> {
     }
 
     /// Whether the open sequence has another element.
-    pub(crate) fn more(&self) -> bool {
+    pub(crate) fn more(&mut self) -> bool {
+        self.ws();
         !self.rest().starts_with(']')
     }
 
     /// Closes the innermost container: its last leaf must have been read.
     pub fn leave(&mut self) -> Result<(), ConfigError> {
+        self.ws();
         let close = self.open.last().map_or("", |o| o.1);
         if !self.eat(close) {
             return Err(self.error("", format!("expected `{close}`, {}", self.found())));
@@ -792,6 +948,63 @@ mod tests {
             read_label::<Shape>("line").is_err(),
             "its fields are missing"
         );
+    }
+
+    #[test]
+    fn set_edits_a_leaf_by_its_path() {
+        let mut o = outer();
+        set(&mut o, "inner.a", "12").expect("a plain leaf");
+        assert_eq!(o.inner.a, 12);
+        set(&mut o, "off", "5").expect("None to Some");
+        assert_eq!(o.off, Some(5));
+        set(&mut o, "inner.b", "null").expect("Some to None");
+        assert!(o.inner.b.is_none());
+        set(&mut o, "shapes.1.len", "9").expect("a variant's field");
+        assert_eq!(o.shapes[1], Shape::Line { len: 9 });
+        set(&mut o, "shapes.0", "line").unwrap_err();
+        set(&mut o, "shapes.1", "dot").expect("a bare label");
+        assert_eq!(o.shapes, [Shape::Dot, Shape::Dot]);
+        set(&mut o, "note", "x\"y").expect("a bare string");
+        assert_eq!(o.note, "x\"y");
+        edit(&mut o, "shapes=[{\"kind\":\"line\",\"len\":2}]").expect("a subtree");
+        assert_eq!(o.shapes, [Shape::Line { len: 2 }]);
+    }
+
+    #[test]
+    fn a_failed_set_names_the_path_and_leaves_the_value_unchanged() {
+        let mut o = outer();
+        let before = write(&o);
+        let err = set(&mut o, "inner.c", "1").unwrap_err();
+        assert_eq!(err.path, "inner.c");
+        assert!(
+            err.reason.ends_with("valid paths: n, inner, inner.a, inner.b, inner.b.0, inner.b.1, off, shapes, shapes.0, shapes.1, shapes.1.len, note"),
+            "{err}"
+        );
+        let err = set(&mut o, "off.0", "1").unwrap_err();
+        assert!(
+            err.reason.starts_with("unknown path"),
+            "under a None: {err}"
+        );
+        let err = set(&mut o, "n", "\"3\"").unwrap_err();
+        assert_eq!(
+            (err.path.as_str(), &err.reason[..18]),
+            ("n", "expected an intege")
+        );
+        let err = set(&mut o, "inner.a", "1,\"z\":2").unwrap_err();
+        assert_eq!(err.path, "inner.a", "{err}");
+        let err = set(&mut o, "shapes.1", "blob").unwrap_err();
+        assert!(err.reason.ends_with("expected dot|line"), "{err}");
+        assert!(edit(&mut o, "n").is_err(), "no `=`");
+        assert_eq!(write(&o), before);
+    }
+
+    #[test]
+    fn the_reader_skips_whitespace_between_tokens_and_write_emits_none() {
+        let spaced = "{ \"n\" : 3,\n \"inner\": {\"a\":7, \"b\":{\"0\":9,\"1\":0.5} },\r\n\t\"off\": null,\n \"shapes\": [ \"dot\" , { \"kind\": \"line\", \"len\": 4 } ], \"note\": \"a \\\"b\\\\\\u000a\\u0001é\"\n}";
+        let back: Outer = read(spaced).expect("reads");
+        assert_eq!(write(&back), OUTER);
+        let empty: Vec<u32> = read("[ ]").expect("an empty sequence");
+        assert!(empty.is_empty());
     }
 
     #[test]

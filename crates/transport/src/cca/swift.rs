@@ -16,7 +16,7 @@
 //! Delay responds to *any* queueing, immediately and in proportion — unlike
 //! DCTCP's alpha-gated cuts, which are weak for a flow whose alpha has
 //! decayed. That difference is exactly why Swift survives O(10k) incasts
-//! where window DCTCP collapses (bench `swift_pacing`).
+//! where window DCTCP collapses (sweep `swift_pacing.json`).
 
 use super::{Cca, CcaCtx};
 use simnet::SimTime;

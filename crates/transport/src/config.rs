@@ -8,8 +8,8 @@ use stats::ConfigError;
 ///
 /// The paper disables delayed ACKs in its simulations "because it
 /// exacerbates burstiness and masks the impact of DCTCP's congestion
-/// control" (§4); we default to disabled and ablate the choice (bench
-/// `ablation_delack`).
+/// control" (§4); we default to disabled and ablate the choice (the
+/// sweep `ablation_delack.json`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayedAckConfig {
     /// ACK at latest after this many full-size segments (2 is standard).
