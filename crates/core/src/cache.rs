@@ -852,7 +852,7 @@ mod tests {
         let back = IncastRunResult::decode(&text).expect("decode");
         assert_eq!(back.encode(), text);
         assert_eq!(back.mean_bct_ms.to_bits(), r.mean_bct_ms.to_bits());
-        assert_eq!(back.queue_pkts.values(), r.queue_pkts.values());
+        assert!(back.queue_pkts.iter().eq(r.queue_pkts.iter()));
         assert_eq!(back.truncated, r.truncated);
         assert_eq!(back.profile.wall, r.profile.wall);
         assert!(text.contains(r#""truncated":"wall_clock""#), "{text}");

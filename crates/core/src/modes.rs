@@ -418,9 +418,8 @@ impl IncastRunResult {
         for &(s, e) in self.burst_windows.iter().skip(self.warmup_bursts as usize) {
             let first = (s / interval_ms) as usize;
             let last = (e / interval_ms) as usize;
-            for i in first..=last.min(self.queue_pkts.len().saturating_sub(1)) {
-                out.push(self.queue_pkts.get(i));
-            }
+            let end = last.min(self.queue_pkts.len().saturating_sub(1)) + 1;
+            out.extend(self.queue_pkts.window(first..end));
         }
         out
     }

@@ -37,10 +37,11 @@ pub fn flight_skew(flights: &[TimeSeries]) -> Vec<FlightSkewPoint> {
         .map(|f| f.interval() as f64 / 1e9)
         .unwrap_or(0.0);
     let mut out = Vec::with_capacity(buckets);
+    let mut walks: Vec<_> = flights.iter().map(|f| f.window(0..buckets)).collect();
     for b in 0..buckets {
         let mut cdf = Cdf::new();
-        for f in flights {
-            let v = f.get(b);
+        for walk in &mut walks {
+            let v = walk.next().expect("every walk spans every bucket");
             if v > 0.0 {
                 cdf.add(v);
             }

@@ -15,7 +15,7 @@ pub fn peak_in_window(series: &TimeSeries, t0_ps: u64, t1_ps: u64) -> f64 {
     }
     let first = (t0_ps / series.interval()) as usize;
     let last = ((t1_ps - 1) / series.interval()) as usize;
-    (first..=last).map(|i| series.get(i)).fold(0.0, f64::max)
+    series.window(first..last + 1).fold(0.0, f64::max)
 }
 
 /// Reduces a fine-grained depth series into per-`window_ps` high watermarks

@@ -148,7 +148,9 @@ pub struct EcnQueue<T: QueueItem = Packet> {
     fifo: VecDeque<T>,
     bytes: u64,
     stats: QueueStats,
-    monitor: Option<TimeSeries>,
+    /// Boxed: one link in a fabric records depth, and every link carries
+    /// the field.
+    monitor: Option<Box<TimeSeries>>,
 }
 
 impl<T: QueueItem> EcnQueue<T> {
@@ -168,19 +170,19 @@ impl<T: QueueItem> EcnQueue<T> {
     /// `interval`-wide bucket is retained (this is what the paper's Fig. 5–6
     /// plot, and — with a 60 s interval — the production "high watermark").
     pub fn enable_monitor(&mut self, interval: SimTime) {
-        self.monitor = Some(TimeSeries::new(interval.as_ps()));
+        self.monitor = Some(Box::new(TimeSeries::new(interval.as_ps())));
     }
 
     /// The recorded depth series, if monitoring was enabled.
     pub fn monitor(&self) -> Option<&TimeSeries> {
-        self.monitor.as_ref()
+        self.monitor.as_deref()
     }
 
-    /// Moves the recorded depth series out, shrunk to its length, and ends
+    /// Moves the recorded depth series out, shrunk to what it stores, and ends
     /// monitoring. The series leaves here to be kept — in a run result, and
     /// in whatever caches the result — so its growth slack goes here too.
     pub fn take_monitor(&mut self) -> Option<TimeSeries> {
-        let mut series = self.monitor.take()?;
+        let mut series = *self.monitor.take()?;
         series.shrink_to_fit();
         Some(series)
     }
@@ -497,7 +499,7 @@ mod tests {
         }
         let shown = q.monitor().unwrap().clone();
         let taken = q.take_monitor().unwrap();
-        assert_eq!(taken.values(), shown.values());
+        assert!(taken.iter().eq(shown.iter()));
         assert_eq!(taken.interval(), shown.interval());
         assert_eq!(taken.len(), 300);
         assert!(q.monitor().is_none());

@@ -537,6 +537,11 @@ impl<S: Scheduler> Simulator<S> {
                 self.dispatch_endpoint(NodeId(idx as u32), |ep, ctx| ep.on_start(ctx));
             }
         }
+        // Start-up is the one dispatch that may dwarf the rest (the fleet
+        // coordinator arms a timer per burst and worker, ~7 k commands):
+        // give its capacity back, and let the run regrow the buffer once to
+        // its own largest dispatch.
+        self.cmd_buf = Vec::new();
     }
 
     /// Runs until the event list is empty.
@@ -1499,6 +1504,49 @@ mod tests {
         fn on_packet(&mut self, ctx: &mut Ctx, pkt: Packet) {
             self.log.borrow_mut().push((ctx.now(), pkt.id));
         }
+    }
+
+    /// Arms `count` timers at start, one dispatch's worth of commands; the
+    /// first to fire arms `later` more in one dispatch.
+    struct Armer {
+        count: u64,
+        later: u64,
+    }
+    impl Endpoint for Armer {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            for key in 0..self.count {
+                ctx.set_timer(key, SimTime::from_us(key + 1));
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx, key: u64) {
+            if key == 0 {
+                for k in 0..self.later {
+                    ctx.set_timer(self.count + k, SimTime::from_us(self.count + k + 1));
+                }
+            }
+        }
+
+        fn on_packet(&mut self, _: &mut Ctx, _: Packet) {}
+    }
+
+    #[test]
+    fn command_buffer_gives_back_its_start_up_high_water_mark() {
+        let (count, later) = (10_000, 100);
+        let (mut sim, a, _) = two_hosts(Rate::gbps(10), SimTime::from_us(1));
+        sim.set_endpoint(a, Box::new(Armer { count, later }));
+        sim.run_until(SimTime::ZERO);
+        assert_eq!(sim.cmd_buf.capacity(), 0, "start-up capacity kept");
+        sim.run_until(SimTime::from_us(1));
+        // The run regrows the buffer to its own largest dispatch and keeps it.
+        let cap = sim.cmd_buf.capacity();
+        assert!(
+            (later as usize..=2 * later as usize).contains(&cap),
+            "{cap}"
+        );
+        sim.run();
+        assert_eq!(sim.cmd_buf.capacity(), cap);
+        assert_eq!(sim.counters().events_processed, count + later);
     }
 
     fn two_hosts(rate: Rate, prop: SimTime) -> (Simulator, NodeId, NodeId) {

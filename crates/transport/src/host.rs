@@ -36,6 +36,11 @@ pub struct FlowTable<T> {
 /// opened.
 const VACANT: u32 = u32::MAX;
 
+/// Connections below which `FlowTable::entries` grows one slot at a time.
+/// A worker opens one flow, two in the fleet, where `Vec::push` would make
+/// room for four.
+const EXACT_BELOW: usize = 4;
+
 impl<T> FlowTable<T> {
     fn new() -> Self {
         FlowTable {
@@ -89,6 +94,9 @@ impl<T> FlowTable<T> {
             self.index.resize(off + 1, VACANT);
         }
         self.index[off] = self.entries.len() as u32;
+        if self.entries.len() < EXACT_BELOW {
+            self.entries.reserve_exact(1);
+        }
         self.entries.push(make());
         self.entries.last_mut().expect("entry just pushed")
     }
@@ -593,18 +601,31 @@ mod tests {
         // 1000 slots of `Option<Sender>`.
         let t = table(&[999]);
         assert_eq!((t.index.len(), t.entries.len()), (1, 1));
+        assert_eq!(t.entries.capacity(), 1);
 
         // A worker serving two coordinators (`flow_base = worker_pool`):
         // the gap costs index slots only, at most 8 bytes each.
         for i in [0, 1, 999] {
             let t = table(&[i, 1000 + i]);
             assert_eq!((t.index.len(), t.entries.len()), (1001, 2));
+            assert_eq!(t.entries.capacity(), 2);
             let vacant = t.index.len() - t.entries.len();
             let index_bytes = t.index.capacity() * std::mem::size_of::<u32>();
             assert!(
                 index_bytes <= 8 * vacant,
                 "{index_bytes} B of index for {vacant} vacant slots"
             );
+        }
+
+        // Exact while small; from four connections on, `Vec` growth, which
+        // leaves at most as much room again.
+        for n in 1..=9 {
+            let cap = table(&(0..n).collect::<Vec<_>>()).entries.capacity();
+            if n < EXACT_BELOW as u32 {
+                assert_eq!(cap, n as usize);
+            } else {
+                assert!((n as usize..=2 * n as usize).contains(&cap), "{n}: {cap}");
+            }
         }
     }
 

@@ -126,8 +126,9 @@ fn traced_and_untraced(flows: usize) -> (HeapWork, HeapWork, usize) {
 }
 
 /// Few flows, bursts 600 ms apart: a 6 s run whose largest allocation is
-/// its bottleneck's depth series. The heap work, and the series' length.
-fn depth_dominated(queue_sample: SimTime) -> (HeapWork, usize) {
+/// its bottleneck's depth series. The heap work, the series' length, and
+/// its non-empty buckets.
+fn depth_dominated(queue_sample: SimTime) -> (HeapWork, usize, usize) {
     let cfg = ModesConfig {
         num_flows: 4,
         burst_duration_ms: 0.5,
@@ -140,14 +141,15 @@ fn depth_dominated(queue_sample: SimTime) -> (HeapWork, usize) {
         seed: 11,
         ..ModesConfig::default()
     };
-    let mut len = 0;
+    let (mut len, mut nonempty) = (0, 0);
     let work = measure(|| {
         let r = run_incast(&cfg);
         assert_eq!(r.bcts_ms.len(), 11, "the bursts did not complete");
         len = r.queue_pkts.len();
+        nonempty = r.queue_pkts.iter().filter(|&(_, v)| v != 0.0).count();
         r
     });
-    (work, len)
+    (work, len, nonempty)
 }
 
 /// `num_bursts` loss-free 5 ms bursts from 80 senders (the paper's Mode 1),
@@ -332,14 +334,22 @@ fn doubling_the_flows_at_most_doubles_and_a_half_the_heap_work() {
     // the series once, with bounded slack: moved into the result, not
     // cloned out of a live copy whose capacity doubled past it. The rest of
     // the run is the same one with 1 s buckets.
-    let (series, len) = depth_dominated(SimTime::from_us(20));
-    let (fixed, few) = depth_dominated(SimTime::from_secs(1));
-    eprintln!("depth series of {len} buckets: {series:?}; with {few}: {fixed:?}");
+    let (series, len, nonempty) = depth_dominated(SimTime::from_us(20));
+    let (fixed, few, _) = depth_dominated(SimTime::from_secs(1));
+    eprintln!(
+        "depth series of {len} buckets, {nonempty} non-empty: {series:?}; with {few}: {fixed:?}"
+    );
     assert!(len > 280_000, "the series is only {len} buckets");
+    let cost = series.peak_bytes.saturating_sub(fixed.peak_bytes);
     assert!(
-        series.peak_bytes as f64 <= fixed.peak_bytes as f64 + 1.3 * 8.0 * len as f64,
-        "a {len}-bucket depth series costs {} B of peak heap",
-        series.peak_bytes - fixed.peak_bytes
+        cost as f64 <= 1.3 * 8.0 * len as f64,
+        "a {len}-bucket depth series costs {cost} B of peak heap"
+    );
+    // And it stores the time the queue was busy, not the idle time between
+    // bursts: at most 24 B per non-empty bucket, plus 4 KiB.
+    assert!(
+        cost <= 24 * nonempty as u64 + 4096,
+        "a depth series with {nonempty} non-empty buckets costs {cost} B of peak heap"
     );
 
     // Twice the racks: twice the hosts *and* nearly twice the switches, so
