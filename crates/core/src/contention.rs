@@ -55,6 +55,21 @@ impl Default for ContentionConfig {
     }
 }
 
+impl ContentionConfig {
+    /// Rejects what [`run_contention`] cannot run, before any host is
+    /// built: fewer than two racks, a burst duration that is not positive
+    /// (NaN included), or an invalid [`TcpConfig`].
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.racks < 2 {
+            return Err(ConfigError::new("racks", "must be at least 2"));
+        }
+        if self.burst_duration_ms.is_nan() || self.burst_duration_ms <= 0.0 {
+            return Err(ConfigError::new("burst_duration_ms", "must be positive"));
+        }
+        self.tcp.validate()
+    }
+}
+
 /// Everything a contention run produces.
 #[derive(Debug)]
 pub struct ContentionResult {
@@ -84,8 +99,7 @@ pub fn run_contention(
 pub fn run_contention_with<S: Scheduler>(
     cfg: &ContentionConfig,
 ) -> Result<(ContentionResult, RunManifest), ConfigError> {
-    assert!(cfg.racks >= 2, "contention needs at least two racks");
-    assert!(cfg.burst_duration_ms > 0.0);
+    cfg.validate()?;
     // Host 0 of each rack is its group's coordinator; host `1 + g` of
     // every other rack serves group `g` — so each rack needs one
     // coordinator slot plus one worker slot per foreign group.
@@ -206,6 +220,37 @@ mod tests {
             num_bursts: 2,
             ..ContentionConfig::default()
         }
+    }
+
+    fn rejected_at(cfg: &ContentionConfig) -> String {
+        run_contention(cfg)
+            .expect_err("config must be rejected")
+            .path
+    }
+
+    #[test]
+    fn fewer_than_two_racks_is_an_error() {
+        for racks in [0, 1] {
+            assert_eq!(rejected_at(&quick(racks, 2)), "racks");
+        }
+    }
+
+    #[test]
+    fn non_positive_burst_duration_is_an_error() {
+        for ms in [0.0, -1.0, f64::NAN] {
+            let cfg = ContentionConfig {
+                burst_duration_ms: ms,
+                ..quick(3, 2)
+            };
+            assert_eq!(rejected_at(&cfg), "burst_duration_ms", "{ms}");
+        }
+    }
+
+    #[test]
+    fn invalid_tcp_is_an_error() {
+        let mut cfg = quick(3, 2);
+        cfg.tcp.mss = 0;
+        assert_eq!(rejected_at(&cfg), "tcp.mss");
     }
 
     #[test]

@@ -31,7 +31,7 @@ impl Default for DelayedAckConfig {
 
 /// Which loss-recovery stack a host's connections run. Both stacks share
 /// the congestion controllers in `cca/`; only the recovery machinery
-/// behind the `Recovery` trait differs.
+/// in the `Recovery` enum differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
     /// TCP NewReno: cumulative ACKs, dupACK-threshold fast retransmit,

@@ -1,8 +1,8 @@
 //! # transport — TCP and QUIC-style endpoints for the incast simulator
 //!
 //! A window-based transport implementation faithful to the mechanisms the
-//! paper's analysis rests on. Loss recovery sits behind the [`Recovery`]
-//! trait with two engines selected by [`config::TransportKind`]:
+//! paper's analysis rests on. Loss recovery sits in the [`Recovery`]
+//! enum, one engine per [`config::TransportKind`]:
 //!
 //! - **Reliability (TCP, default)**: cumulative ACKs, out-of-order
 //!   reassembly, fast retransmit on triple duplicate ACKs with NewReno

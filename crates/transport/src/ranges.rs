@@ -1,133 +1,155 @@
 //! Sorted, disjoint half-open ranges over a `u64` space.
 //!
-//! [`AckRanges`] is the arithmetic core of the QUIC-style stack: receivers
-//! track received packet numbers in one (capped, so the ACK frame stays
-//! bounded like a real one), senders track acknowledged stream bytes and
-//! pending retransmission bytes in others. A packet number `n` is stored as
-//! the byte range `[n, n+1)`.
+//! [`AckRanges`] is the one range set of both stacks: receivers track
+//! received packet numbers (capped on insert, so the ACK frame stays
+//! bounded like a real one) and out-of-order stream bytes in it, QUIC
+//! senders track acknowledged stream bytes and pending retransmission
+//! bytes. A packet number `n` is stored as the byte range `[n, n+1)`.
+//!
+//! The first range is held in place, which is every set's steady state (a
+//! contiguous prefix, or nothing). A second range moves the set to a `Vec`
+//! for good, so a set that has once had a hole never allocates again.
 //!
 //! Invariants (checked by the property suite in
 //! `tests/ranges_properties.rs` against a `BTreeSet` model):
 //! - ranges are sorted ascending, non-empty, and pairwise disjoint;
 //! - adjacent ranges are merged (`[0,3)` + `[3,5)` becomes `[0,5)`);
-//! - a capped set only ever forgets its *lowest* ranges, so the largest
+//! - a capped insert only ever forgets the *lowest* ranges, so the largest
 //!   element is exact and monotone.
+
+use std::ops::Range;
 
 use simnet::packet::{AckBlocks, MAX_ACK_BLOCKS};
 
 use crate::seq;
 
 /// A set of `u64` values stored as sorted, disjoint, half-open ranges.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AckRanges {
+/// Compare sets by [`AckRanges::ranges`]: one range may be held either way.
+#[derive(Debug, Clone)]
+pub struct AckRanges(Store);
+
+#[derive(Debug, Clone)]
+enum Store {
+    /// At most one range, in place.
+    Inline(Option<(u64, u64)>),
     /// Sorted ascending; each `(lo, hi)` is non-empty (`lo < hi`), and
     /// consecutive ranges neither overlap nor touch.
-    ranges: Vec<(u64, u64)>,
-    /// Maximum ranges retained (0 = unbounded). On overflow the lowest
-    /// range is dropped, mirroring a receiver that forgets old gaps.
-    cap: usize,
+    Spilled(Vec<(u64, u64)>),
+}
+
+impl Default for AckRanges {
+    fn default() -> Self {
+        AckRanges(Store::Inline(None))
+    }
 }
 
 impl AckRanges {
-    /// An unbounded empty set.
+    /// An empty set.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty set that retains at most `cap` ranges.
-    pub fn with_cap(cap: usize) -> Self {
-        assert!(cap > 0, "zero-capacity range set");
-        AckRanges {
-            ranges: Vec::new(),
-            cap,
-        }
-    }
-
     /// True if nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
+        self.ranges().is_empty()
     }
 
-    /// Empties the set, keeping its allocation (for scratch reuse).
+    /// Empties the set, keeping a spilled set's allocation.
     pub fn clear(&mut self) {
-        self.ranges.clear();
+        match &mut self.0 {
+            Store::Inline(r) => *r = None,
+            Store::Spilled(v) => v.clear(),
+        }
     }
 
     /// Number of stored ranges.
     pub fn num_ranges(&self) -> usize {
-        self.ranges.len()
+        self.ranges().len()
     }
 
     /// The stored ranges, ascending.
     pub fn ranges(&self) -> &[(u64, u64)] {
-        &self.ranges
+        match &self.0 {
+            Store::Inline(r) => r.as_slice(),
+            Store::Spilled(v) => v,
+        }
     }
 
-    /// Total values covered.
-    pub fn covered(&self) -> u64 {
-        self.ranges.iter().map(|&(lo, hi)| hi - lo).sum()
+    fn ranges_mut(&mut self) -> &mut [(u64, u64)] {
+        match &mut self.0 {
+            Store::Inline(r) => r.as_mut_slice(),
+            Store::Spilled(v) => v,
+        }
+    }
+
+    /// Puts `r` at index `i`, spilling if the inline slot is taken.
+    fn insert_at(&mut self, i: usize, r: (u64, u64)) {
+        match &mut self.0 {
+            Store::Inline(slot @ None) => *slot = Some(r),
+            Store::Inline(Some(first)) => {
+                // The capacity a first push would allocate.
+                let mut v = Vec::with_capacity(4);
+                v.push(*first);
+                v.insert(i, r);
+                self.0 = Store::Spilled(v);
+            }
+            Store::Spilled(v) => v.insert(i, r),
+        }
+    }
+
+    /// Drops the ranges at indices `at` (inline, `at` is empty or `0..1`).
+    fn drain(&mut self, at: Range<usize>) {
+        match &mut self.0 {
+            Store::Inline(r) => *r = r.filter(|_| at.is_empty()),
+            Store::Spilled(v) => drop(v.drain(at)),
+        }
     }
 
     /// One past the largest stored value (0 if empty).
     pub fn end(&self) -> u64 {
-        self.ranges.last().map_or(0, |&(_, hi)| hi)
-    }
-
-    /// Largest stored value.
-    pub fn largest(&self) -> Option<u64> {
-        self.ranges.last().map(|&(_, hi)| hi - 1)
+        self.ranges().last().map_or(0, |&(_, hi)| hi)
     }
 
     /// End of the contiguous prefix starting at 0 (0 if the set does not
     /// contain 0). For a sender's acked-bytes set this is the delivered
     /// prefix — the QUIC analogue of `SND.UNA`.
     pub fn prefix_end(&self) -> u64 {
-        match self.ranges.first() {
+        match self.ranges().first() {
             Some(&(0, hi)) => hi,
             _ => 0,
         }
     }
 
-    /// True if `v` is stored.
-    pub fn contains(&self, v: u64) -> bool {
-        self.ranges
-            .binary_search_by(|&(lo, hi)| {
-                if v < lo {
-                    std::cmp::Ordering::Greater
-                } else if v >= hi {
-                    std::cmp::Ordering::Less
-                } else {
-                    std::cmp::Ordering::Equal
-                }
-            })
-            .is_ok()
-    }
-
     /// Inserts `[lo, hi)`, merging with overlapping or touching neighbours.
-    /// Returns true if any value was newly added.
-    pub fn insert(&mut self, lo: u64, hi: u64) -> bool {
+    /// Returns how many values were newly added.
+    pub fn insert(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "empty or inverted range [{lo}, {hi})");
+        let ranges = self.ranges();
         // First range whose end reaches our start (a candidate to merge).
-        let i = self.ranges.partition_point(|&(_, h)| h < lo);
+        let i = ranges.partition_point(|&(_, h)| h < lo);
         // Ranges [i, j) overlap or touch [lo, hi).
-        let j = i + self.ranges[i..].partition_point(|&(l, _)| l <= hi);
+        let j = i + ranges[i..].partition_point(|&(l, _)| l <= hi);
         if i == j {
-            self.ranges.insert(i, (lo, hi));
-            self.enforce_cap();
-            return true;
+            self.insert_at(i, (lo, hi));
+            return hi - lo;
         }
-        let merged_lo = self.ranges[i].0.min(lo);
-        let merged_hi = self.ranges[j - 1].1.max(hi);
-        let had: u64 = self.ranges[i..j].iter().map(|&(l, h)| h - l).sum();
-        self.ranges[i] = (merged_lo, merged_hi);
-        self.ranges.drain(i + 1..j);
-        self.enforce_cap();
-        merged_hi - merged_lo > had
+        let merged = (ranges[i].0.min(lo), ranges[j - 1].1.max(hi));
+        let had: u64 = ranges[i..j].iter().map(|&(l, h)| h - l).sum();
+        self.ranges_mut()[i] = merged;
+        self.drain(i + 1..j);
+        merged.1 - merged.0 - had
     }
 
-    /// Inserts the single value `v`.
+    /// Inserts the single value `v`. Returns true if it was new.
     pub fn insert_one(&mut self, v: u64) -> bool {
-        self.insert(v, v + 1)
+        self.insert(v, v + 1) > 0
+    }
+
+    /// Inserts `[lo, hi)`, then forgets the lowest ranges past `cap`,
+    /// mirroring a receiver that drops old gaps to bound its ACK state.
+    pub fn insert_capped(&mut self, lo: u64, hi: u64, cap: usize) {
+        self.insert(lo, hi);
+        self.drain(0..self.num_ranges().saturating_sub(cap));
     }
 
     /// Removes `[lo, hi)` from the set (values outside are untouched).
@@ -136,39 +158,37 @@ impl AckRanges {
     /// shrinks to at most a left and a right remnant. The ACK hot path
     /// calls this per acknowledged packet, so the no-overlap and
     /// single-range cases must not touch the heap (only a mid-range split
-    /// can grow the vector, and then only past its retained capacity).
+    /// can grow the set, and then only past its retained capacity).
     pub fn remove(&mut self, lo: u64, hi: u64) {
         assert!(lo < hi, "empty or inverted range [{lo}, {hi})");
+        let ranges = self.ranges();
         // Ranges entirely below `lo` keep; the run [i, j) overlaps [lo, hi).
-        let i = self.ranges.partition_point(|&(_, h)| h <= lo);
-        let j = i + self.ranges[i..].partition_point(|&(l, _)| l < hi);
+        let i = ranges.partition_point(|&(_, h)| h <= lo);
+        let j = i + ranges[i..].partition_point(|&(l, _)| l < hi);
         if i == j {
             return;
         }
-        let left = self.ranges[i].0 < lo;
-        let right = self.ranges[j - 1].1 > hi;
-        match (left, right) {
+        let left = ranges[i].0 < lo;
+        let end = ranges[j - 1].1;
+        match (left, end > hi) {
             (true, true) => {
-                let r = (hi, self.ranges[j - 1].1);
-                self.ranges[i].1 = lo;
+                self.ranges_mut()[i].1 = lo;
                 if j - i == 1 {
-                    self.ranges.insert(i + 1, r);
+                    self.insert_at(i + 1, (hi, end));
                 } else {
-                    self.ranges[i + 1] = r;
-                    self.ranges.drain(i + 2..j);
+                    self.ranges_mut()[i + 1] = (hi, end);
+                    self.drain(i + 2..j);
                 }
             }
             (true, false) => {
-                self.ranges[i].1 = lo;
-                self.ranges.drain(i + 1..j);
+                self.ranges_mut()[i].1 = lo;
+                self.drain(i + 1..j);
             }
             (false, true) => {
-                self.ranges[j - 1].0 = hi;
-                self.ranges.drain(i..j - 1);
+                self.ranges_mut()[j - 1].0 = hi;
+                self.drain(i..j - 1);
             }
-            (false, false) => {
-                self.ranges.drain(i..j);
-            }
+            (false, false) => self.drain(i..j),
         }
     }
 
@@ -177,33 +197,35 @@ impl AckRanges {
     /// off in MSS-sized chunks, lowest offset first.
     pub fn take_prefix(&mut self, max: u64) -> Option<(u64, u64)> {
         assert!(max > 0, "zero take");
-        let &(lo, hi) = self.ranges.first()?;
+        let &(lo, hi) = self.ranges().first()?;
         let len = (hi - lo).min(max);
         if lo + len == hi {
-            self.ranges.remove(0);
+            self.drain(0..1);
         } else {
-            self.ranges[0].0 = lo + len;
+            self.ranges_mut()[0].0 = lo + len;
         }
         Some((lo, len))
     }
 
-    /// Appends the sub-ranges of `[lo, hi)` *not* stored in the set to
-    /// `out`. Used to find the still-unacknowledged bytes of a lost packet.
-    pub fn missing_in(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) {
+    /// Calls `f(lo, hi)` for each sub-range of `[lo, hi)` *not* stored in
+    /// the set, ascending. Finds the still-unacknowledged bytes of a lost
+    /// packet.
+    pub fn for_each_missing(&self, lo: u64, hi: u64, mut f: impl FnMut(u64, u64)) {
         assert!(lo <= hi, "inverted range [{lo}, {hi})");
         let mut cursor = lo;
-        let start = self.ranges.partition_point(|&(_, h)| h <= lo);
-        for &(l, h) in &self.ranges[start..] {
+        let ranges = self.ranges();
+        let start = ranges.partition_point(|&(_, h)| h <= lo);
+        for &(l, h) in &ranges[start..] {
             if l >= hi {
                 break;
             }
             if l > cursor {
-                out.push((cursor, l));
+                f(cursor, l);
             }
             cursor = cursor.max(h);
         }
         if cursor < hi {
-            out.push((cursor, hi));
+            f(cursor, hi);
         }
     }
 
@@ -211,19 +233,12 @@ impl AckRanges {
     /// frame of inclusive, wrapped packet numbers. Panics if empty.
     pub fn to_blocks(&self) -> AckBlocks {
         let mut blocks = [(0u32, 0u32); MAX_ACK_BLOCKS];
-        let n = self.ranges.len().min(MAX_ACK_BLOCKS);
-        for (b, &(lo, hi)) in blocks.iter_mut().zip(self.ranges.iter().rev().take(n)) {
+        let ranges = self.ranges();
+        let n = ranges.len().min(MAX_ACK_BLOCKS);
+        for (b, &(lo, hi)) in blocks.iter_mut().zip(ranges.iter().rev().take(n)) {
             *b = (seq::wrap(lo), seq::wrap(hi - 1));
         }
         AckBlocks::new(&blocks[..n])
-    }
-
-    fn enforce_cap(&mut self) {
-        if self.cap > 0 {
-            while self.ranges.len() > self.cap {
-                self.ranges.remove(0);
-            }
-        }
     }
 }
 
@@ -234,27 +249,23 @@ mod tests {
     #[test]
     fn insert_merges_overlapping_and_touching() {
         let mut r = AckRanges::new();
-        assert!(r.insert(10, 20));
-        assert!(r.insert(30, 40));
+        assert_eq!(r.insert(10, 20), 10);
+        assert_eq!(r.insert(30, 40), 10);
         assert_eq!(r.ranges(), &[(10, 20), (30, 40)]);
         // Touching on the left, overlapping on the right: one range left.
-        assert!(r.insert(20, 35));
+        assert_eq!(r.insert(20, 35), 10);
         assert_eq!(r.ranges(), &[(10, 40)]);
         // Fully covered insert adds nothing.
-        assert!(!r.insert(12, 18));
-        assert_eq!(r.covered(), 30);
+        assert_eq!(r.insert(12, 18), 0);
     }
 
     #[test]
-    fn contains_and_prefix() {
+    fn prefix_and_end() {
         let mut r = AckRanges::new();
         r.insert(0, 5);
         r.insert(8, 10);
-        assert!(r.contains(0) && r.contains(4) && !r.contains(5));
-        assert!(r.contains(9) && !r.contains(10));
         assert_eq!(r.prefix_end(), 5);
         assert_eq!(r.end(), 10);
-        assert_eq!(r.largest(), Some(9));
         r.insert(5, 8);
         assert_eq!(r.prefix_end(), 10);
     }
@@ -293,21 +304,41 @@ mod tests {
         r.insert(5, 10);
         r.insert(15, 20);
         let mut holes = Vec::new();
-        r.missing_in(0, 25, &mut holes);
+        r.for_each_missing(0, 25, |lo, hi| holes.push((lo, hi)));
         assert_eq!(holes, vec![(0, 5), (10, 15), (20, 25)]);
         holes.clear();
-        r.missing_in(6, 9, &mut holes);
+        r.for_each_missing(6, 9, |lo, hi| holes.push((lo, hi)));
         assert!(holes.is_empty());
     }
 
     #[test]
     fn cap_drops_lowest_ranges_only() {
-        let mut r = AckRanges::with_cap(2);
-        r.insert_one(1);
-        r.insert_one(5);
-        r.insert_one(9);
+        let mut r = AckRanges::new();
+        for v in [1, 5, 9] {
+            r.insert_capped(v, v + 1, 2);
+        }
         assert_eq!(r.ranges(), &[(5, 6), (9, 10)]);
-        assert_eq!(r.largest(), Some(9));
+    }
+
+    /// The set stays spilled once it has held two ranges, so emptying and
+    /// refilling it reuses the allocation.
+    #[test]
+    fn spill_is_kept_across_shrinking() {
+        let mut r = AckRanges::new();
+        r.insert(0, 5);
+        assert!(matches!(r.0, Store::Inline(Some((0, 5)))));
+        r.insert(8, 10);
+        r.remove(0, 10);
+        assert!(r.is_empty());
+        assert!(matches!(&r.0, Store::Spilled(v) if v.capacity() >= 2));
+    }
+
+    /// One range in place beside the spill `Vec`: no larger than the
+    /// `Vec` plus the `usize` cap field the set used to carry.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn ack_ranges_does_not_grow() {
+        assert!(std::mem::size_of::<AckRanges>() <= 32);
     }
 
     #[test]

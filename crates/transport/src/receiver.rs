@@ -12,7 +12,6 @@ use crate::ranges::AckRanges;
 use crate::seq;
 use crate::stats::ReceiverStats;
 use simnet::{Ctx, FlowId, NodeId, Packet, SimTime};
-use std::collections::BTreeMap;
 
 /// Ranges of received packet numbers a QUIC-mode receiver remembers.
 /// Old gaps beyond this are forgotten, keeping the state (and the wire
@@ -27,9 +26,10 @@ pub struct Receiver {
     peer: NodeId,
     /// Next in-order byte expected (absolute).
     rcv_nxt: u64,
-    /// Out-of-order ranges, disjoint and above `rcv_nxt`: start -> end.
-    ooo: BTreeMap<u64, u64>,
-    /// Received packet numbers (QUIC mode only; stays empty under TCP).
+    /// Out-of-order byte ranges, all above `rcv_nxt`.
+    ooo: AckRanges,
+    /// Received packet numbers, at most [`PN_RANGE_CAP`] ranges (QUIC
+    /// mode only; stays empty under TCP).
     pns: AckRanges,
     delack: Option<DelayedAckConfig>,
     /// The delayed-ACK timer is armed (an ACK cancels it only then).
@@ -50,8 +50,8 @@ impl Receiver {
             flow,
             peer,
             rcv_nxt: 0,
-            ooo: BTreeMap::new(),
-            pns: AckRanges::with_cap(PN_RANGE_CAP),
+            ooo: AckRanges::new(),
+            pns: AckRanges::new(),
             delack: cfg.delayed_ack,
             delack_armed: false,
             ce_state: false,
@@ -73,7 +73,7 @@ impl Receiver {
 
     /// Outstanding out-of-order ranges (diagnostic).
     pub fn ooo_ranges(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.ooo.iter().map(|(&s, &e)| (s, e))
+        self.ooo.ranges().iter().copied()
     }
 
     fn send_ack(&mut self, ctx: &mut Ctx, ece: bool) {
@@ -136,55 +136,18 @@ impl Receiver {
         ts: SimTime,
     ) -> u64 {
         debug_assert!(payload > 0, "empty data segment");
-        self.stats.segs_received += 1;
-        if ce {
-            self.stats.ce_segs += 1;
-        }
-        self.last_ts = ts;
-
         let s = seq::unwrap(seq_wire, self.rcv_nxt);
-        let e = s + payload as u64;
-
-        // Duplicate accounting: bytes overlapping anything already received.
-        self.stats.dup_bytes += self.overlap_bytes(s, e);
-
         let before = self.rcv_nxt;
-        let in_order = s <= self.rcv_nxt && e > self.rcv_nxt;
-        let pure_dup = e <= self.rcv_nxt;
-
-        if pure_dup {
-            // Old data: ACK immediately (this is what produces duplicate
-            // ACKs for the sender after a retransmission raced delivery).
+        let newly = self.reassemble(s, s + payload as u64, ce, ts);
+        if newly == 0 {
+            // Old data or a gap: ACK immediately. Old data is what produces
+            // duplicate ACKs for the sender after a retransmission raced
+            // delivery; a gap needs an immediate dup ACK so fast retransmit
+            // can trigger (RFC 5681 §4.2).
             let ece = self.current_ece(ce);
             self.send_ack(ctx, ece);
             return 0;
         }
-
-        if in_order {
-            self.rcv_nxt = e;
-            self.absorb_contiguous();
-            #[cfg(feature = "check")]
-            if self.rcv_nxt < before {
-                simnet::check::violated(
-                    crate::spec::keys::RCV_NXT_MONOTONIC,
-                    format_args!(
-                        "flow {}: rcv_nxt moved backwards {} -> {}",
-                        self.flow.0, before, self.rcv_nxt
-                    ),
-                );
-            }
-        } else {
-            // A gap: store and ACK immediately (RFC 5681 §4.2 requires an
-            // immediate dup ACK so fast retransmit can trigger).
-            self.stats.ooo_segs += 1;
-            self.insert_ooo(s, e);
-            let ece = self.current_ece(ce);
-            self.send_ack(ctx, ece);
-            return 0;
-        }
-
-        let newly = self.rcv_nxt - before;
-        self.stats.bytes_delivered += newly;
 
         match self.delack {
             None => {
@@ -213,45 +176,15 @@ impl Receiver {
         ts: SimTime,
     ) -> u64 {
         debug_assert!(payload > 0, "empty data packet");
-        self.stats.segs_received += 1;
-        if ce {
-            self.stats.ce_segs += 1;
-        }
-        self.last_ts = ts;
-
         let pn = seq::unwrap(pn_wire, self.pns.end());
-        let s = seq::unwrap(offset_wire, self.rcv_nxt);
-        let e = s + payload as u64;
-
+        self.pns.insert_capped(pn, pn + 1, PN_RANGE_CAP);
         // A packet number arriving twice means the network duplicated the
         // frame; stream-byte overlap (retransmitted data racing delivery)
-        // is the interesting duplicate measure, same as TCP.
-        self.stats.dup_bytes += self.overlap_bytes(s, e);
-        self.pns.insert_one(pn);
-
-        let before = self.rcv_nxt;
-        if e <= self.rcv_nxt {
-            // Stale stream bytes under a fresh packet number: the ACK
-            // below still reports the pn so the sender can retire it.
-        } else if s <= self.rcv_nxt {
-            self.rcv_nxt = e;
-            self.absorb_contiguous();
-            #[cfg(feature = "check")]
-            if self.rcv_nxt < before {
-                simnet::check::violated(
-                    crate::spec::keys::RCV_NXT_MONOTONIC,
-                    format_args!(
-                        "flow {}: rcv_nxt moved backwards {} -> {}",
-                        self.flow.0, before, self.rcv_nxt
-                    ),
-                );
-            }
-        } else {
-            self.stats.ooo_segs += 1;
-            self.insert_ooo(s, e);
-        }
-        let newly = self.rcv_nxt - before;
-        self.stats.bytes_delivered += newly;
+        // is the interesting duplicate measure, same as TCP. Stale stream
+        // bytes under a fresh packet number are still acknowledged, so the
+        // sender can retire the packet.
+        let s = seq::unwrap(offset_wire, self.rcv_nxt);
+        let newly = self.reassemble(s, s + payload as u64, ce, ts);
         self.send_quic_ack(ctx, ce);
         newly
     }
@@ -349,37 +282,54 @@ impl Receiver {
     fn overlap_bytes(&self, s: u64, e: u64) -> u64 {
         let mut dup = e.min(self.rcv_nxt).saturating_sub(s);
         // Overlap with stored out-of-order ranges.
-        for (&rs, &re) in self.ooo.range(..e) {
-            if re > s {
-                dup += re.min(e).saturating_sub(rs.max(s));
-            }
+        for &(rs, re) in self.ooo.ranges().iter().take_while(|&&(rs, _)| rs < e) {
+            dup += re.min(e).saturating_sub(rs.max(s));
         }
         dup
     }
 
-    fn insert_ooo(&mut self, s: u64, e: u64) {
-        let mut new_s = s;
-        let mut new_e = e;
-        // Merge every range that overlaps or touches [s, e), one at a time
-        // (stored ranges are disjoint, so each removal strictly widens the
-        // merged range and the scan converges without a scratch list).
-        while let Some((&rs, &re)) = self.ooo.range(..=new_e).find(|(_, &re)| re >= new_s) {
-            self.ooo.remove(&rs);
-            new_s = new_s.min(rs);
-            new_e = new_e.max(re);
+    /// Counts an arriving segment carrying stream bytes `[s, e)` and takes
+    /// them in: `rcv_nxt` advances over them and every stored range they
+    /// reach, or they are stored out of order. Returns the bytes newly
+    /// delivered in order (0 for old data and for a gap).
+    fn reassemble(&mut self, s: u64, e: u64, ce: bool, ts: SimTime) -> u64 {
+        self.stats.segs_received += 1;
+        if ce {
+            self.stats.ce_segs += 1;
         }
-        self.ooo.insert(new_s, new_e);
-    }
-
-    fn absorb_contiguous(&mut self) {
-        while let Some((&rs, &re)) = self.ooo.first_key_value() {
-            if rs <= self.rcv_nxt {
-                self.ooo.remove(&rs);
-                self.rcv_nxt = self.rcv_nxt.max(re);
-            } else {
+        self.last_ts = ts;
+        // Duplicate accounting: bytes overlapping anything already received.
+        self.stats.dup_bytes += self.overlap_bytes(s, e);
+        let before = self.rcv_nxt;
+        if e <= before {
+            return 0;
+        }
+        if s > before {
+            self.stats.ooo_segs += 1;
+            self.ooo.insert(s, e);
+            return 0;
+        }
+        self.rcv_nxt = e;
+        while let Some(&(rs, re)) = self.ooo.ranges().first() {
+            if rs > self.rcv_nxt {
                 break;
             }
+            self.ooo.take_prefix(re - rs);
+            self.rcv_nxt = self.rcv_nxt.max(re);
         }
+        #[cfg(feature = "check")]
+        if self.rcv_nxt < before {
+            simnet::check::violated(
+                crate::spec::keys::RCV_NXT_MONOTONIC,
+                format_args!(
+                    "flow {}: rcv_nxt moved backwards {} -> {}",
+                    self.flow.0, before, self.rcv_nxt
+                ),
+            );
+        }
+        let newly = self.rcv_nxt - before;
+        self.stats.bytes_delivered += newly;
+        newly
     }
 }
 
@@ -429,6 +379,14 @@ mod tests {
             self.cmds.clear();
             out
         }
+    }
+
+    /// Every flow holds one `Receiver`; its two range sets keep their
+    /// first range in place.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn receiver_does_not_grow() {
+        assert!(std::mem::size_of::<Receiver>() <= 168);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Loss-recovery engines behind the [`Recovery`] trait.
+//! The two loss-recovery engines and the [`Recovery`] enum over them.
 //!
 //! The [`crate::sender::Sender`] owns everything both stacks share — the
 //! congestion controller, the RTT estimator, counters, probes, demand — and
@@ -178,48 +178,98 @@ impl TxCtx<'_, '_> {
 /// A loss-recovery engine: owns the sequence/packet-number space, decides
 /// what to transmit, interprets acknowledgments, and reacts to its
 /// retransmission-or-probe timer.
-pub trait Recovery: std::fmt::Debug {
+///
+/// TCP's engine is held in place. QUIC's, about four times its size, stays
+/// boxed so that it does not grow every TCP sender (DESIGN.md §16).
+#[derive(Debug)]
+pub enum Recovery {
+    /// NewReno (`transport = tcp`).
+    Tcp(tcp::TcpRecovery),
+    /// RFC 9002 (`transport = quic`).
+    Quic(Box<quic::QuicRecovery>),
+}
+
+/// Evaluates `$call` with `$e` bound to whichever engine `$rec` holds.
+macro_rules! dispatch {
+    ($rec:expr, $e:ident => $call:expr) => {
+        match $rec {
+            Recovery::Tcp($e) => $call,
+            Recovery::Quic($e) => $call,
+        }
+    };
+}
+
+impl Recovery {
+    /// Builds the engine selected by `cfg.transport`.
+    pub fn new(cfg: &TcpConfig, flow: FlowId) -> Self {
+        match cfg.transport {
+            TransportKind::Tcp => Recovery::Tcp(tcp::TcpRecovery::new(cfg, flow)),
+            TransportKind::Quic => Recovery::Quic(Box::new(quic::QuicRecovery::new(cfg))),
+        }
+    }
+
     /// Which stack this engine implements.
-    fn kind(&self) -> TransportKind;
+    pub fn kind(&self) -> TransportKind {
+        match self {
+            Recovery::Tcp(_) => TransportKind::Tcp,
+            Recovery::Quic(_) => TransportKind::Quic,
+        }
+    }
 
     /// Bytes delivered contiguously from the start of the stream — the
     /// `SND.UNA` analogue. Drives idle/`AllAcked` detection.
-    fn acked_prefix(&self) -> u64;
+    pub fn acked_prefix(&self) -> u64 {
+        dispatch!(self, e => e.acked_prefix())
+    }
 
     /// Highest stream byte handed to the wire at least once (`SND.NXT`).
-    fn sent_end(&self) -> u64;
+    pub fn sent_end(&self) -> u64 {
+        dispatch!(self, e => e.sent_end())
+    }
 
     /// Bytes currently considered outstanding.
-    fn in_flight(&self) -> u64;
+    pub fn in_flight(&self) -> u64 {
+        dispatch!(self, e => e.in_flight())
+    }
 
     /// True while in a loss-recovery episode.
-    fn in_recovery(&self) -> bool;
+    pub fn in_recovery(&self) -> bool {
+        dispatch!(self, e => e.in_recovery())
+    }
 
-    /// True between a timeout and the next acknowledgment.
-    fn backing_off(&self) -> bool;
+    /// Backoff between a timeout and the next acknowledgment, else
+    /// recovery or open.
+    pub fn state(&self) -> FlowState {
+        dispatch!(self, e => e.state())
+    }
 
-    /// A fresh burst is starting after idle (pacing clocks re-seed here).
-    fn on_burst_start(&mut self, tx: &mut TxCtx);
+    /// A fresh burst is starting after idle (TCP's pacing clock re-seeds).
+    pub fn on_burst_start(&mut self, tx: &mut TxCtx) {
+        if let Recovery::Tcp(e) = self {
+            e.on_burst_start(tx);
+        }
+    }
 
     /// Transmits while the window (and any recovery rate limit) allows.
-    fn fill(&mut self, tx: &mut TxCtx);
+    pub fn fill(&mut self, tx: &mut TxCtx) {
+        dispatch!(self, e => e.fill(tx))
+    }
 
     /// Processes an acknowledgment.
-    fn on_ack(&mut self, tx: &mut TxCtx, ack: AckView);
+    pub fn on_ack(&mut self, tx: &mut TxCtx, ack: AckView) {
+        dispatch!(self, e => e.on_ack(tx, ack))
+    }
 
     /// The retransmission (TCP RTO) or probe (QUIC PTO) timer fired.
-    fn on_retx_timer(&mut self, tx: &mut TxCtx);
-
-    /// The pacing timer fired (sub-MSS window mode; TCP only).
-    fn on_pace_timer(&mut self, tx: &mut TxCtx) {
-        let _ = tx;
+    pub fn on_retx_timer(&mut self, tx: &mut TxCtx) {
+        dispatch!(self, e => e.on_retx_timer(tx))
     }
-}
 
-/// Builds the engine selected by `cfg.transport`.
-pub fn build(cfg: &TcpConfig, flow: FlowId) -> Box<dyn Recovery> {
-    match cfg.transport {
-        TransportKind::Tcp => Box::new(tcp::TcpRecovery::new(cfg, flow)),
-        TransportKind::Quic => Box::new(quic::QuicRecovery::new(cfg)),
+    /// The pacing timer fired (sub-MSS window mode; TCP only): release
+    /// the next paced packet.
+    pub fn on_pace_timer(&mut self, tx: &mut TxCtx) {
+        if let Recovery::Tcp(e) = self {
+            e.fill(tx);
+        }
     }
 }

@@ -16,13 +16,14 @@
 //! `specs/rfc9002/` and `specs/rfc9000/`, keyed to the `check`-feature
 //! invariants below via [`crate::spec::keys`].
 
-use super::{AckView, Recovery, TxCtx};
-use crate::config::{TcpConfig, TransportKind};
+use super::{AckView, TxCtx};
+use crate::config::TcpConfig;
 use crate::keys;
 use crate::ranges::AckRanges;
 use crate::seq;
 #[cfg(feature = "check")]
 use crate::spec;
+use simnet::packet::MAX_ACK_BLOCKS;
 use simnet::SimTime;
 use std::collections::VecDeque;
 use telemetry::{FlowState, WindowTrigger};
@@ -77,10 +78,6 @@ pub struct QuicRecovery {
     backing_off: bool,
     /// Timer granularity (RFC 9002 kGranularity).
     granularity: SimTime,
-    /// Scratch buffer for hole computation (avoids per-ack allocation).
-    holes: Vec<(u64, u64)>,
-    /// Scratch set for unwrapped ack blocks (avoids per-ack allocation).
-    acked_pns: AckRanges,
 }
 
 impl QuicRecovery {
@@ -103,12 +100,10 @@ impl QuicRecovery {
             recoverfs: 0,
             backing_off: false,
             granularity: cfg.pto_granularity,
-            holes: Vec::new(),
-            acked_pns: AckRanges::new(),
         }
     }
 
-    fn state(&self) -> FlowState {
+    pub fn state(&self) -> FlowState {
         if self.backing_off {
             FlowState::Backoff
         } else if self.in_recovery {
@@ -303,36 +298,27 @@ impl QuicRecovery {
     }
 }
 
-impl Recovery for QuicRecovery {
-    fn kind(&self) -> TransportKind {
-        TransportKind::Quic
-    }
-
-    fn acked_prefix(&self) -> u64 {
+/// The engine interface [`super::Recovery`] dispatches to.
+impl QuicRecovery {
+    pub fn acked_prefix(&self) -> u64 {
         self.acked.prefix_end()
     }
 
-    fn sent_end(&self) -> u64 {
+    pub fn sent_end(&self) -> u64 {
         self.snd_nxt
     }
 
-    fn in_flight(&self) -> u64 {
+    pub fn in_flight(&self) -> u64 {
         self.bytes_in_flight
     }
 
-    fn in_recovery(&self) -> bool {
+    pub fn in_recovery(&self) -> bool {
         self.in_recovery
     }
 
-    fn backing_off(&self) -> bool {
-        self.backing_off
-    }
-
-    fn on_burst_start(&mut self, _tx: &mut TxCtx) {}
-
     /// Transmits — retransmissions first, then new data — while the window
     /// and the PRR allowance permit. Whole segments only.
-    fn fill(&mut self, tx: &mut TxCtx) {
+    pub fn fill(&mut self, tx: &mut TxCtx) {
         // Control-plane pause gate: nothing leaves via the window path
         // while paused (the PTO probe path is independent). The sender's
         // guard timer re-fills at the bounded pause deadline.
@@ -374,7 +360,7 @@ impl Recovery for QuicRecovery {
         self.oracle_state(tx);
     }
 
-    fn on_ack(&mut self, tx: &mut TxCtx, ack: AckView) {
+    pub fn on_ack(&mut self, tx: &mut TxCtx, ack: AckView) {
         let AckView::Quic {
             blocks,
             ece,
@@ -397,19 +383,19 @@ impl Recovery for QuicRecovery {
                 ),
             );
         }
-        self.acked_pns.clear();
-        for &(lo_w, hi_w) in blocks.ranges() {
+        let mut acked_pns = [(0u64, 0u64); MAX_ACK_BLOCKS];
+        for (pns, &(lo_w, hi_w)) in acked_pns.iter_mut().zip(blocks.ranges()) {
             let hi = seq::unwrap(hi_w, reference);
             let span = hi_w.wrapping_sub(lo_w) as u64;
-            let lo = hi.saturating_sub(span);
-            self.acked_pns.insert(lo, hi + 1);
+            *pns = (hi.saturating_sub(span), hi + 1);
         }
+        let acked_pns = &acked_pns[..blocks.ranges().len()];
         self.largest_acked = Some(self.largest_acked.map_or(largest, |l| l.max(largest)));
 
         // Retire every newly acknowledged packet; its stream bytes are
         // delivered and need no retransmission.
-        let covered_before = self.acked.covered();
         let mut newly = 0u64;
+        let mut first_acked = 0u64;
         let mut acked_any = false;
         let mut i = 0;
         while i < self.sent.len() {
@@ -417,12 +403,12 @@ impl Recovery for QuicRecovery {
             if p.pn > largest {
                 break;
             }
-            if self.acked_pns.contains(p.pn) {
+            if acked_pns.iter().any(|&(lo, hi)| (lo..hi).contains(&p.pn)) {
                 self.sent.remove(i);
                 self.bytes_in_flight -= p.len as u64;
                 newly += p.len as u64;
                 acked_any = true;
-                self.acked.insert(p.offset, p.offset + p.len as u64);
+                first_acked += self.acked.insert(p.offset, p.offset + p.len as u64);
                 self.retx_queue.remove(p.offset, p.offset + p.len as u64);
             } else {
                 i += 1;
@@ -431,7 +417,7 @@ impl Recovery for QuicRecovery {
 
         // Unique stream bytes first acknowledged by this frame
         // (retransmitted copies of already-acked bytes do not count).
-        tx.stats.bytes_acked += self.acked.covered() - covered_before;
+        tx.stats.bytes_acked += first_acked;
 
         // RTT sample: fresh packet numbers make every sample unambiguous
         // (no Karn phase needed, unlike TCP).
@@ -474,14 +460,10 @@ impl Recovery for QuicRecovery {
                 self.sent.pop_front();
                 self.bytes_in_flight -= p.len as u64;
                 lost_bytes += p.len as u64;
-                self.holes.clear();
                 self.acked
-                    .missing_in(p.offset, p.offset + p.len as u64, &mut self.holes);
-                let holes = std::mem::take(&mut self.holes);
-                for &(lo, hi) in &holes {
-                    self.retx_queue.insert(lo, hi);
-                }
-                self.holes = holes;
+                    .for_each_missing(p.offset, p.offset + p.len as u64, |lo, hi| {
+                        self.retx_queue.insert(lo, hi);
+                    });
             }
         }
 
@@ -512,7 +494,7 @@ impl Recovery for QuicRecovery {
 
     /// The probe timeout fired: back off, send one probe (RFC 9002 §6.2.4
     /// MUST), and treat repeated expiries as persistent congestion.
-    fn on_retx_timer(&mut self, tx: &mut TxCtx) {
+    pub fn on_retx_timer(&mut self, tx: &mut TxCtx) {
         self.pto_armed = false;
         if self.bytes_in_flight == 0 && self.retx_queue.is_empty() {
             return; // stale

@@ -1,6 +1,6 @@
 //! NewReno-style TCP loss recovery.
 //!
-//! The original stack, extracted behind [`Recovery`]:
+//! The original stack, one arm of [`super::Recovery`]:
 //!
 //! - transmit while `in_flight < cwnd` (plus transient fast-recovery
 //!   inflation per RFC 5681),
@@ -13,8 +13,8 @@
 //! produces the paper's Mode 3 burst completion times; the QUIC engine in
 //! [`super::quic`] exists to test exactly that attribution.
 
-use super::{AckView, Recovery, TxCtx};
-use crate::config::{TcpConfig, TransportKind};
+use super::{AckView, TxCtx};
+use crate::config::TcpConfig;
 use crate::keys;
 use crate::seq;
 #[cfg(feature = "check")]
@@ -67,7 +67,7 @@ impl TcpRecovery {
         }
     }
 
-    fn state(&self) -> FlowState {
+    pub fn state(&self) -> FlowState {
         if self.backing_off {
             FlowState::Backoff
         } else if self.in_recovery {
@@ -169,32 +169,25 @@ impl TcpRecovery {
     }
 }
 
-impl Recovery for TcpRecovery {
-    fn kind(&self) -> TransportKind {
-        TransportKind::Tcp
-    }
-
-    fn acked_prefix(&self) -> u64 {
+/// The engine interface [`super::Recovery`] dispatches to.
+impl TcpRecovery {
+    pub fn acked_prefix(&self) -> u64 {
         self.snd_una
     }
 
-    fn sent_end(&self) -> u64 {
+    pub fn sent_end(&self) -> u64 {
         self.snd_nxt
     }
 
-    fn in_flight(&self) -> u64 {
+    pub fn in_flight(&self) -> u64 {
         self.snd_nxt - self.snd_una
     }
 
-    fn in_recovery(&self) -> bool {
+    pub fn in_recovery(&self) -> bool {
         self.in_recovery
     }
 
-    fn backing_off(&self) -> bool {
-        self.backing_off
-    }
-
-    fn on_burst_start(&mut self, tx: &mut TxCtx) {
+    pub fn on_burst_start(&mut self, tx: &mut TxCtx) {
         // Pacing mode: the pacer's clock free-runs at the floor rate;
         // a flow whose tick passed while idle waits for its next
         // phase-aligned tick before transmitting. This is what spreads
@@ -208,7 +201,7 @@ impl Recovery for TcpRecovery {
     }
 
     /// Transmits new segments while the window allows.
-    fn fill(&mut self, tx: &mut TxCtx) {
+    pub fn fill(&mut self, tx: &mut TxCtx) {
         // Control-plane pause gate: no new data while paused. Recovery
         // retransmissions and the RTO machinery run underneath, and the
         // sender's guard timer re-fills at the (bounded) deadline.
@@ -244,7 +237,7 @@ impl Recovery for TcpRecovery {
         self.oracle_state(tx);
     }
 
-    fn on_ack(&mut self, tx: &mut TxCtx, ack: AckView) {
+    pub fn on_ack(&mut self, tx: &mut TxCtx, ack: AckView) {
         let AckView::Tcp {
             ack_wire,
             ece,
@@ -351,7 +344,7 @@ impl Recovery for TcpRecovery {
     }
 
     /// The retransmission timer fired.
-    fn on_retx_timer(&mut self, tx: &mut TxCtx) {
+    pub fn on_retx_timer(&mut self, tx: &mut TxCtx) {
         self.rto_armed = false;
         if self.in_flight() == 0 {
             return; // stale
@@ -387,10 +380,5 @@ impl Recovery for TcpRecovery {
         self.probe_window(tx, WindowTrigger::Rto);
         #[cfg(feature = "check")]
         self.oracle_state(tx);
-    }
-
-    /// The pacing timer fired: try to release the next paced packet.
-    fn on_pace_timer(&mut self, tx: &mut TxCtx) {
-        self.fill(tx);
     }
 }

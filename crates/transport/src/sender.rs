@@ -17,7 +17,7 @@
 use crate::cca::{Cca, CcaCtx};
 use crate::config::{TcpConfig, TransportKind};
 use crate::keys;
-use crate::recovery::{self, AckView, Recovery, TxCtx};
+use crate::recovery::{AckView, Recovery, TxCtx};
 use crate::rtt::RttEstimator;
 use crate::stats::SenderStats;
 use simnet::{AckBlocks, Ctx, FlowId, NodeId, SimTime};
@@ -104,7 +104,7 @@ pub struct Sender {
     /// Application demand: absolute end of the byte stream to deliver.
     demand_end: u64,
     /// The loss-recovery engine (sequence space, retransmission, timers).
-    recovery: Box<dyn Recovery>,
+    recovery: Recovery,
     stats: SenderStats,
     probe: Option<FlowProbe>,
     /// RFC 2861 window validation: restart threshold and the parameters
@@ -143,7 +143,7 @@ impl Sender {
             cca: cfg.cca.build(cfg.init_cwnd_bytes(), cfg.mss_bytes()),
             rtt: RttEstimator::new(cfg.initial_rto, cfg.min_rto, cfg.max_rto),
             demand_end: 0,
-            recovery: recovery::build(cfg, flow),
+            recovery: Recovery::new(cfg, flow),
             stats: SenderStats::default(),
             probe: None,
             idle_restart: cfg
@@ -158,9 +158,9 @@ impl Sender {
     /// Splits the sender into its recovery engine and the context the
     /// engine acts through. Rebuilt per event so scalar copies (like
     /// `demand_end`) are current.
-    fn split<'a, 'c>(&'a mut self, ctx: &'a mut Ctx<'c>) -> (&'a mut dyn Recovery, TxCtx<'a, 'c>) {
+    fn split<'a, 'c>(&'a mut self, ctx: &'a mut Ctx<'c>) -> (&'a mut Recovery, TxCtx<'a, 'c>) {
         (
-            &mut *self.recovery,
+            &mut self.recovery,
             TxCtx {
                 ctx,
                 flow: self.flow,
@@ -224,20 +224,13 @@ impl Sender {
     /// Emits a [`EventKind::FlowWindow`] transition if a probe is attached.
     fn probe_window(&self, now: SimTime, trigger: WindowTrigger) {
         let Some(p) = &self.probe else { return };
-        let state = if self.recovery.backing_off() {
-            FlowState::Backoff
-        } else if self.recovery.in_recovery() {
-            FlowState::Recovery
-        } else {
-            FlowState::Open
-        };
         p.emit_window(
             now,
             self.flow,
             self.cwnd(),
             self.cca.ssthresh(),
             self.recovery.in_flight(),
-            state,
+            self.recovery.state(),
             trigger,
         );
     }
@@ -543,6 +536,16 @@ mod tests {
             self.cmds.clear();
             out
         }
+    }
+
+    /// Every flow holds one `Sender`, so a field that grows it grows every
+    /// run's heap. 320 B holds TCP's recovery engine in place; QUIC's is
+    /// boxed behind the same enum.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn sender_does_not_grow() {
+        assert!(std::mem::size_of::<Sender>() <= 320);
+        assert!(std::mem::size_of::<Recovery>() <= 56);
     }
 
     #[test]

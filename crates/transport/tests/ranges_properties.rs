@@ -1,18 +1,21 @@
-//! Property tests for [`transport::AckRanges`] — the ACK-range arithmetic
-//! under the QUIC-style stack (satellite of the transport-trait PR).
+//! Property tests for [`transport::AckRanges`] — the range arithmetic under
+//! both stacks' reassembly and the QUIC-style ACK machinery.
 //!
 //! Strategy: drive an `AckRanges` and a `BTreeSet<u64>` model through the
 //! same random operation sequences (insert, insert_one, remove,
-//! take_prefix, missing_in queries) and assert after every step that
+//! take_prefix, for_each_missing queries) and assert after every step that
 //!
 //! - the stored ranges are sorted, non-empty, disjoint, and non-touching
 //!   (adjacent ranges merged);
 //! - the set of covered values equals the model exactly (uncapped case) —
 //!   nothing lost, nothing invented;
-//! - under a cap, the survivors are a *suffix* of the model (only the
-//!   lowest ranges are forgotten) and `largest()` is exact and monotone;
-//! - derived views (`covered`, `prefix_end`, `contains`, `missing_in`,
-//!   `to_blocks`) agree with the model.
+//! - under a capped insert, the survivors are a *suffix* of the model (only
+//!   the lowest ranges are forgotten) and the largest value is exact and
+//!   monotone;
+//! - derived views (`prefix_end`, `end`, `for_each_missing`, `to_blocks`)
+//!   agree with the model;
+//! - all of this holds on both sides of the set's storage boundary (one
+//!   range in place, more in a `Vec` the set keeps once it has one).
 
 use std::collections::BTreeSet;
 
@@ -35,10 +38,11 @@ fn check_structure(r: &AckRanges) {
             w[1]
         );
     }
-    let covered: u64 = ranges.iter().map(|&(lo, hi)| hi - lo).sum();
-    assert_eq!(covered, r.covered());
-    assert_eq!(r.largest(), ranges.last().map(|&(_, hi)| hi - 1));
     assert_eq!(r.end(), ranges.last().map_or(0, |&(_, hi)| hi));
+}
+
+fn largest(r: &AckRanges) -> Option<u64> {
+    r.ranges().last().map(|&(_, hi)| hi - 1)
 }
 
 fn as_set(r: &AckRanges) -> BTreeSet<u64> {
@@ -47,29 +51,29 @@ fn as_set(r: &AckRanges) -> BTreeSet<u64> {
 
 /// One random mutation applied to both implementations. Returns a label
 /// for failure messages.
-fn step(rng: &mut Rng, r: &mut AckRanges, model: &mut BTreeSet<u64>) -> String {
+fn step(rng: &mut Rng, r: &mut AckRanges, model: &mut BTreeSet<u64>, universe: u64) -> String {
     match rng.below(4) {
         0 => {
-            let lo = rng.below(UNIVERSE);
+            let lo = rng.below(universe);
             let hi = lo + 1 + rng.below(12);
             let grew = r.insert(lo, hi);
             let before = model.len();
             model.extend(lo..hi);
             assert_eq!(
                 grew,
-                model.len() > before,
+                (model.len() - before) as u64,
                 "insert [{lo}, {hi}) growth disagrees with model"
             );
             format!("insert [{lo}, {hi})")
         }
         1 => {
-            let v = rng.below(UNIVERSE);
+            let v = rng.below(universe);
             let grew = r.insert_one(v);
             assert_eq!(grew, model.insert(v), "insert_one({v}) disagrees");
             format!("insert_one({v})")
         }
         2 => {
-            let lo = rng.below(UNIVERSE);
+            let lo = rng.below(universe);
             let hi = lo + 1 + rng.below(20);
             r.remove(lo, hi);
             model.retain(|&v| v < lo || v >= hi);
@@ -104,21 +108,18 @@ fn check_views(rng: &mut Rng, r: &AckRanges, model: &BTreeSet<u64>) {
         prefix += 1;
     }
     assert_eq!(r.prefix_end(), prefix);
-    for _ in 0..8 {
-        let v = rng.below(UNIVERSE + 10);
-        assert_eq!(r.contains(v), model.contains(&v), "contains({v}) disagrees");
-    }
-    // missing_in over a random window = model complement within it.
+    // for_each_missing over a random window = model complement within it,
+    // as maximal runs.
     let lo = rng.below(UNIVERSE);
     let hi = lo + rng.below(40);
     let mut holes = Vec::new();
-    r.missing_in(lo, hi, &mut holes);
+    r.for_each_missing(lo, hi, |l, h| holes.push((l, h)));
     let expect: BTreeSet<u64> = (lo..hi).filter(|v| !model.contains(v)).collect();
-    let got: BTreeSet<u64> = holes.iter().flat_map(|&(l, h)| l..h).collect();
-    assert_eq!(got, expect, "missing_in([{lo}, {hi})) disagrees");
-    for w in holes.windows(2) {
-        assert!(w[0].1 < w[1].0, "holes not sorted/disjoint: {holes:?}");
-    }
+    assert_eq!(
+        holes,
+        runs(&expect),
+        "for_each_missing([{lo}, {hi})) disagrees"
+    );
 }
 
 #[test]
@@ -128,7 +129,7 @@ fn uncapped_matches_btreeset_model() {
         let mut r = AckRanges::new();
         let mut model = BTreeSet::new();
         for i in 0..200 {
-            let op = step(&mut rng, &mut r, &mut model);
+            let op = step(&mut rng, &mut r, &mut model, UNIVERSE);
             check_structure(&r);
             check_views(&mut rng, &r, &model);
             assert!(
@@ -151,12 +152,52 @@ fn runs(set: &BTreeSet<u64>) -> Vec<(u64, u64)> {
     out
 }
 
+/// Sets that cross between one range and several again and again: a
+/// narrow universe keeps holes opening and closing, and a fresh set every
+/// few dozen steps makes each one start in place and spill anew (by a
+/// disjoint insert or by a remove that splits its only range).
+#[test]
+fn crossing_the_inline_boundary_matches_the_model() {
+    const NARROW: u64 = 40;
+    let (mut spills, mut returns) = (0u32, 0u32);
+    for seed in 0..50u64 {
+        let mut rng = Rng::new(0x1A11_0000 + seed);
+        let mut r = AckRanges::new();
+        let mut model = BTreeSet::new();
+        for i in 0..400 {
+            if rng.below(30) == 0 {
+                if rng.below(2) == 0 {
+                    r = AckRanges::new();
+                } else {
+                    r.clear();
+                }
+                model.clear();
+            }
+            let before = r.num_ranges();
+            let op = step(&mut rng, &mut r, &mut model, NARROW);
+            check_structure(&r);
+            check_views(&mut rng, &r, &model);
+            let after = r.num_ranges();
+            spills += u32::from(before <= 1 && after >= 2);
+            returns += u32::from(before >= 2 && after <= 1);
+            assert!(
+                after <= model.len(),
+                "seed {seed} step {i} ({op}): more ranges than elements"
+            );
+        }
+    }
+    assert!(
+        spills > 500 && returns > 500,
+        "the boundary was crossed too rarely to test it ({spills} up, {returns} down)"
+    );
+}
+
 #[test]
 fn capped_forgets_lowest_only_and_largest_is_monotone() {
     for seed in 0..50u64 {
         let mut rng = Rng::new(0xCA90_0000 + seed);
         let cap = 1 + rng.below(4) as usize;
-        let mut r = AckRanges::with_cap(cap);
+        let mut r = AckRanges::new();
         // Exact step-wise shadow: what the capped set currently stores.
         let mut shadow: BTreeSet<u64> = BTreeSet::new();
         let mut ever: BTreeSet<u64> = BTreeSet::new();
@@ -166,7 +207,7 @@ fn capped_forgets_lowest_only_and_largest_is_monotone() {
             // over insert overflow.
             let lo = rng.below(UNIVERSE);
             let hi = lo + 1 + rng.below(6);
-            r.insert(lo, hi);
+            r.insert_capped(lo, hi, cap);
             check_structure(&r);
             assert!(r.num_ranges() <= cap, "cap {cap} exceeded");
 
@@ -186,12 +227,12 @@ fn capped_forgets_lowest_only_and_largest_is_monotone() {
                  the lowest ranges"
             );
 
-            // Nothing is ever invented, and largest() is exact — the cap
-            // never touches the top — and monotone under inserts.
+            // Nothing is ever invented, and the largest value is exact —
+            // the cap never touches the top — and monotone under inserts.
             assert!(as_set(&r).is_subset(&ever), "invented values");
-            assert_eq!(r.largest(), ever.iter().next_back().copied());
-            assert!(r.largest() >= prev_largest, "largest went backwards");
-            prev_largest = r.largest();
+            assert_eq!(largest(&r), ever.iter().next_back().copied());
+            assert!(largest(&r) >= prev_largest, "largest went backwards");
+            prev_largest = largest(&r);
         }
     }
 }
@@ -211,7 +252,7 @@ fn to_blocks_reports_highest_ranges_descending() {
         let blocks = r.to_blocks();
         let ranges = blocks.ranges();
         assert!(!ranges.is_empty());
-        assert_eq!(u64::from(blocks.largest()), r.largest().unwrap());
+        assert_eq!(u64::from(blocks.largest()), largest(&r).unwrap());
         for w in ranges.windows(2) {
             // Descending, disjoint, inclusive (lo, hi) pairs.
             assert!(
