@@ -1,24 +1,27 @@
 //! The sweep driver: runs sweep files (`sweeps/*.json`, see
-//! `incast_core::sweep::Sweep`) and prints each as a banner, a table of one
-//! column per axis plus the file's named columns (`bench::COLUMNS`), and
-//! its reading lines. The Section-4 ablations and the Section-5
+//! `incast_core::sweep::Sweep`) and prints each as a banner, its plots, a
+//! table of one column per axis plus the file's named columns
+//! ([`bench::render`]), a footer (the merged `perf:` profile, the sweep's
+//! wall-clock, the cache's counts and the aggregate's `digest:`) and its
+//! reading lines. Figures 5–7, the Section-4 ablations and the Section-5
 //! mitigations are sweep files.
 //!
 //! ```sh
 //! cargo bench -p bench --bench sweep                              # every file, in name order
-//! cargo bench -p bench --bench sweep -- sweeps/ablation_ecn.json  # one file
-//! cargo bench -p bench --bench sweep -- sweeps/ablation_ecn.json --set tcp.transport=quic
+//! cargo bench -p bench --bench sweep -- sweeps/fig5.json          # one file
+//! cargo bench -p bench --bench sweep -- sweeps/fig5.json --set tcp.transport=quic
 //! ```
 //!
 //! `--set path=value` edits apply to every run after the file's base
-//! edits, before its `full` and axis edits. Runs go through
-//! `run_incast_sweep`, in parallel and through the run cache. A file, edit
-//! or column that does not check out exits 2 before anything runs.
+//! edits. An edit the file's `full` or axis edits would overwrite exits 2
+//! ([`bench::add_sets`]). Runs go through `run_incast_sweep`, in parallel
+//! and through the run cache. A file, edit, column or plot that does not
+//! check out exits 2 before anything runs.
 
-use bench::{banner, exit2, Column};
+use bench::{banner, exit2};
 use incast_core::modes::ModesConfig;
-use incast_core::report::Table;
-use incast_core::sweep::{run_incast_sweep, Sweep};
+use incast_core::runner::profile_footer;
+use incast_core::sweep::{run_incast_sweep, IncastSweepAggregate, Sweep};
 use incast_core::{default_threads, full_scale, RunCache};
 
 fn main() {
@@ -34,16 +37,21 @@ fn main() {
         files.sort();
     }
     let plans: Vec<_> = files.iter().map(|file| load(file, &sets)).collect();
-    for (sweep, columns, runs) in plans {
+    let (cache, threads) = (RunCache::global(), default_threads());
+    for (sweep, cells, cfgs) in plans {
         banner(&sweep.title, &sweep.what, &sweep.paper);
-        let cfgs: Vec<ModesConfig> = runs.iter().map(|r| r.1.clone()).collect();
-        let results = run_incast_sweep(&cfgs, default_threads(), RunCache::global());
-        let axes = sweep.axes.iter().map(|a| a.name.as_str());
-        let mut t = Table::new(axes.chain(sweep.columns.iter().map(String::as_str)));
-        for ((labels, _), r) in runs.iter().zip(&results) {
-            t.row(labels.iter().cloned().chain(columns.iter().map(|c| c(r))));
-        }
-        println!("{}", t.render());
+        let t0 = std::time::Instant::now();
+        let runs = run_incast_sweep(&cfgs, threads, cache);
+        let wall = t0.elapsed();
+        print!("{}", bench::render(&sweep, &cells, &runs));
+        println!("{}", profile_footer(runs.iter().map(|r| &r.profile)));
+        let agg = IncastSweepAggregate::from_runs(runs.iter().map(|r| &**r));
+        println!(
+            "sweep: {} runs in {wall:.2?} on {threads} threads",
+            agg.runs
+        );
+        println!("{}", cache.stats().summary());
+        println!("digest: {}", agg.digest());
         if !sweep.reading.is_empty() {
             println!();
         }
@@ -53,22 +61,16 @@ fn main() {
     }
 }
 
-type Runs = Vec<(Vec<String>, ModesConfig)>;
-
-/// Reads, edits and expands one file, and resolves its columns; anything
-/// wrong exits 2, naming the file.
-fn load(file: &str, sets: &[String]) -> (Sweep, Vec<Column>, Runs) {
+/// Reads, edits, expands and checks one file; anything wrong exits 2,
+/// naming the file.
+fn load(file: &str, sets: &[String]) -> (Sweep, Vec<Vec<String>>, Vec<ModesConfig>) {
     let fail = |msg: String| -> ! { exit2(&format!("{file}: {msg}")) };
     let text = std::fs::read_to_string(file).unwrap_or_else(|e| fail(e.to_string()));
     let mut sweep = Sweep::read(&text).unwrap_or_else(|e| fail(e.to_string()));
-    sweep.base.extend_from_slice(sets);
-    let runs = sweep
-        .expand(full_scale())
-        .unwrap_or_else(|e| fail(e.to_string()));
-    let columns = sweep
-        .columns
-        .iter()
-        .map(|name| bench::column(name).unwrap_or_else(|| fail(format!("no column `{name}`"))))
-        .collect();
-    (sweep, columns, runs)
+    bench::add_sets(&mut sweep, sets).unwrap_or_else(|e| fail(e));
+    let runs = sweep.expand(full_scale());
+    let runs = runs.unwrap_or_else(|e| fail(e.to_string()));
+    let (cells, cfgs): (Vec<_>, _) = runs.into_iter().unzip();
+    bench::check(&sweep, &cells).unwrap_or_else(|e| fail(e));
+    (sweep, cells, cfgs)
 }

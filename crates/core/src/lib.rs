@@ -5,8 +5,6 @@
 //!
 //! - [`modes`]: the Section-4 cyclic-incast engine (Figures 5–7, ablations,
 //!   the Section-5 mitigations),
-//! - [`contention`]: simultaneous cross-rack incasts sharing a Clos spine
-//!   tier (the §3.4 rack-level contention observation),
 //! - [`production`]: the Section-3 fleet study (Figures 1, 2, 4; Table 1),
 //! - [`stability`]: flow-count stability over time and hosts (Figure 3),
 //! - [`straggler`]: per-flow in-flight skew (Figure 7),
@@ -15,7 +13,8 @@
 //! - [`cache`]: the content-addressed run cache shared by sweeps,
 //! - [`sweep`]: the sweep engine tying cache + `par_map` + streaming
 //!   reducers, and [`sweep::Sweep`], a sweep as data (config edits by
-//!   path over labelled axes; the ablation and mitigation tables),
+//!   path over labelled axes, plots and columns; Figures 5–7, the
+//!   ablation and mitigation tables),
 //! - [`supervisor`]: failure-tolerant sweep execution (panic isolation,
 //!   run budgets, quarantine reproducers, coverage accounting),
 //! - [`report`]: ASCII tables/plots for bench output.
@@ -23,7 +22,6 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
-pub mod contention;
 pub mod modes;
 pub mod production;
 pub mod report;
@@ -34,7 +32,6 @@ pub mod supervisor;
 pub mod sweep;
 
 pub use cache::RunCache;
-pub use contention::{run_contention, ContentionConfig, ContentionResult};
 pub use modes::{
     run_incast, FaultSpec, IncastRunResult, ModesConfig, OperatingMode, RunBudget, TopologySpec,
     TruncationCause,

@@ -4,11 +4,10 @@
 //! incast and plots its distribution over time: a long tail (p95/p100)
 //! transmits several times the median, and at burst end the stragglers
 //! ramp up, "unlearning" the in-burst window and spiking the next burst's
-//! queue. [`run_straggler`] reruns that experiment; [`flight_skew`] turns
-//! the polled per-flow series into distribution-over-time points.
+//! queue. `crates/bench/sweeps/fig7.json` reruns that experiment (a run
+//! with `flight_sample` set polls every flow); [`flight_skew`] turns the
+//! polled per-flow series into distribution-over-time points.
 
-use crate::modes::{run_incast, IncastRunResult, ModesConfig};
-use simnet::SimTime;
 use stats::{Cdf, TimeSeries};
 
 /// One time point of the per-flow in-flight distribution.
@@ -83,38 +82,11 @@ pub fn skew_summary(points: &[FlightSkewPoint]) -> Option<SkewSummary> {
     })
 }
 
-/// Builds the Figure-7 configuration: a 15 ms cyclic incast with per-flow
-/// in-flight polling and an explicit ECN threshold.
-///
-/// The paper runs 100 flows in its Mode 1; with this reproduction's exact
-/// window floor, Mode 1 needs either <90 flows at K=65 or the production
-/// threshold K=89 at 100 flows — the bench shows both.
-pub fn straggler_config(
-    num_flows: usize,
-    ecn_threshold_pkts: u32,
-    num_bursts: u32,
-    seed: u64,
-) -> ModesConfig {
-    let mut cfg = ModesConfig {
-        num_flows,
-        burst_duration_ms: 15.0,
-        num_bursts,
-        flight_sample: Some(SimTime::from_us(100)),
-        seed,
-        ..ModesConfig::default()
-    };
-    cfg.tor_queue.ecn_threshold_pkts = Some(ecn_threshold_pkts);
-    cfg
-}
-
-/// Runs the paper's Figure-7 experiment with the default K=65 threshold.
-pub fn run_straggler(num_flows: usize, num_bursts: u32, seed: u64) -> IncastRunResult {
-    run_incast(&straggler_config(num_flows, 65, num_bursts, seed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modes::{run_incast, ModesConfig};
+    use simnet::SimTime;
 
     #[test]
     fn skew_math_on_synthetic_series() {

@@ -17,9 +17,10 @@
 //! thread counts and cache states. The sweep differential test
 //! (`tests/sweep_equivalence.rs`) enforces this.
 //!
-//! A [`Sweep`] is the data that says which configs to run: edits by path
-//! to the default config, and labelled axes of further edits whose
-//! cartesian product is the runs (the ablation and mitigation tables are
+//! A [`Sweep`] is the data that says which configs to run and what to
+//! print of them: edits by path to the default config, labelled axes of
+//! further edits whose cartesian product is the runs, [`Plot`]s and table
+//! columns (the Section-4 figures, ablations and mitigations are
 //! `crates/bench/sweeps/*.json`).
 //!
 //! [`digest`]: IncastSweepAggregate::digest
@@ -79,8 +80,9 @@ pub fn run_incast_sweep(
 
 /// A sweep as data, read by [`stats::leaves::read`]: a report's banner
 /// (`title`, `what`, `paper`), the edits every run gets, the axes whose
-/// product is the runs, the table's named columns, and the lines printed
-/// under it. Every edit is `path=value` ([`stats::leaves::edit`]).
+/// product is the runs, the plots, the table's named columns, and the
+/// lines printed under it. Every edit is `path=value`
+/// ([`stats::leaves::edit`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sweep {
     /// Report id, e.g. `Ablation A3`.
@@ -95,13 +97,15 @@ pub struct Sweep {
     pub full: Vec<String>,
     /// The axes, outermost first.
     pub axes: Vec<Axis>,
+    /// Plots printed above the table.
+    pub plots: Vec<Plot>,
     /// Named result columns, after one column per axis.
     pub columns: Vec<String>,
     /// Lines printed under the table.
     pub reading: Vec<String>,
 }
 
-stats::leaves!(Sweep: title, what, paper, base, full, axes, columns, reading);
+stats::leaves!(Sweep: title, what, paper, base, full, axes, plots, columns, reading);
 
 /// One swept dimension: its column header and its levels.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,6 +128,43 @@ pub struct Level {
 }
 
 stats::leaves!(Level: label, set);
+
+/// One plot of a [`Sweep`]: a named series (`bench::SERIES`) over a window
+/// around each plotted run's first steady burst, in ms from its start. A
+/// cell's label is its level labels joined by `, `.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Plot {
+    /// The plotted quantity.
+    pub series: String,
+    /// How long before the burst's start the window opens, in ms.
+    pub before_ms: f64,
+    /// How long after the burst's end it closes, in ms.
+    pub after_ms: f64,
+    /// One plot per plotted cell, or one for them all.
+    pub per: PlotPer,
+    /// The plotted cells, by label; empty for every cell.
+    pub cells: Vec<String>,
+    /// The title; in a per-cell plot `{label}` is the cell's label.
+    pub title: String,
+    /// Each line's legend name: `{label}` is its cell's label, `{line}`
+    /// the series' name for the line.
+    pub name: String,
+    /// Rows of the plot area (its width is 110 columns).
+    pub height: usize,
+}
+
+stats::leaves!(Plot: series, before_ms, after_ms, per, cells, title, name, height);
+
+/// Whether a [`Plot`] draws each plotted cell on its own or all together.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlotPer {
+    /// One plot per cell.
+    Cell,
+    /// One plot for the file.
+    File,
+}
+
+stats::variants!(PlotPer { Cell => "cell", File => "file" });
 
 impl Sweep {
     /// Reads a sweep file's text; trailing whitespace is ignored.
@@ -462,6 +503,16 @@ mod tests {
                         .collect(),
                 },
             ],
+            plots: vec![Plot {
+                series: "queue pkts".into(),
+                before_ms: 0.3,
+                after_ms: 1.0,
+                per: PlotPer::File,
+                cells: vec!["a, ".into()],
+                title: "t".into(),
+                name: "{label} {line}".into(),
+                height: 16,
+            }],
             columns: vec!["mode".into()],
             reading: vec![],
         };
