@@ -1,11 +1,12 @@
-//! Shared helpers for the figure/table bench harnesses.
+//! Shared helpers for the figure/table bench harnesses and the `incast`
+//! binary.
 //!
 //! Every bench target (see `benches/`) regenerates tables or figures of
 //! the paper and prints the paper's reported values next to the measured
 //! ones. Default runs use reduced scale; set `INCAST_FULL=1` for the
 //! paper's full parameters. Figures 5–7, the ablations and the mitigation
 //! tables are sweep files (`sweeps/*.json`,
-//! [`incast_core::sweep::Sweep`]) that one driver, `benches/sweep.rs`,
+//! [`incast_core::sweep::Sweep`]) that `incast sweep` (`src/bin/incast.rs`)
 //! runs and prints through [`render`], which draws [`SERIES`] and
 //! [`COLUMNS`].
 
@@ -34,29 +35,35 @@ pub fn banner(id: &str, what: &str, paper_claim: &str) {
     println!("================================================================");
 }
 
-/// The arguments a harness was given (after `--` under `cargo bench`),
-/// split by [`parse_args`]; a dangling `--set` exits 2.
-pub fn args() -> (Vec<String>, Vec<String>) {
-    parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| exit2(&msg))
-}
+/// A command line's positional arguments and `(flag, value)` pairs.
+pub type Args = (Vec<String>, Vec<(&'static str, String)>);
 
-/// Splits `args` into positional arguments and the edits of every
-/// `--set path=value` / `--set=path=value`. Other flags — `--bench`, which
-/// cargo passes — are dropped.
+/// Splits `args` into positional arguments and the `(flag, value)` pair
+/// of every `--flag value` / `--flag=value` whose flag is in `flags`, in
+/// order. Any other `--…` argument, or a flag without its value, is an
+/// error.
 pub fn parse_args(
     args: impl IntoIterator<Item = String>,
-) -> Result<(Vec<String>, Vec<String>), String> {
-    let (mut positional, mut edits) = (Vec::new(), Vec::new());
+    flags: &[&'static str],
+) -> Result<Args, String> {
+    let (mut positional, mut given) = (Vec::new(), Vec::new());
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
-        match arg.strip_prefix("--set=") {
-            Some(edit) => edits.push(edit.to_string()),
-            None if arg == "--set" => edits.push(it.next().ok_or("--set: missing path=value")?),
-            None if arg.starts_with("--") => {}
-            None => positional.push(arg),
+        if !arg.starts_with("--") {
+            positional.push(arg);
+            continue;
         }
+        let (name, value) = match arg.split_once('=') {
+            Some((name, value)) => (name, Some(value.to_string())),
+            None => (arg.as_str(), None),
+        };
+        let Some(&flag) = flags.iter().find(|f| **f == name) else {
+            return Err(format!("unknown flag `{name}`"));
+        };
+        let value = value.or_else(|| it.next());
+        given.push((flag, value.ok_or(format!("{flag}: missing value"))?));
     }
-    Ok((positional, edits))
+    Ok((positional, given))
 }
 
 /// Appends the command line's `--set` edits to `sweep`'s base. An edit
@@ -320,14 +327,17 @@ mod tests {
     fn set_flag_reads_paths_and_labels_and_rejects_anything_else() {
         use transport::TransportKind::{Quic, Tcp};
         let transport = |args: &[&str]| {
-            let (_, edits) = parse_args(args.iter().map(|a| a.to_string()))?;
+            let (_, given) = parse_args(args.iter().map(|a| a.to_string()), &["--set"])?;
             let mut cfg = ModesConfig::default();
+            let edits = given.into_iter().map(|(_, edit)| edit);
             apply_edits(&mut cfg, edits).map_err(|e| e.to_string())?;
             Ok::<_, String>(cfg.tcp.transport)
         };
         assert_eq!(transport(&[]), Ok(Tcp));
         let tcp = ["--bench", "--set", "tcp.transport=tcp"];
-        assert_eq!(transport(&tcp), Ok(Tcp));
+        assert_eq!(transport(&tcp), Err("unknown flag `--bench`".into()));
+        let typo = ["--sett", "num_flows=1"];
+        assert_eq!(transport(&typo), Err("unknown flag `--sett`".into()));
         assert_eq!(transport(&["--set", "tcp.transport=quic"]), Ok(Quic));
         assert_eq!(transport(&["--set=tcp.transport=quic"]), Ok(Quic));
         let err = transport(&["--set", "tcp.transport=quick"]).unwrap_err();
@@ -337,12 +347,15 @@ mod tests {
         assert!(transport(&["--set"]).is_err(), "a missing value");
         assert!(transport(&["--set", "num_flows"]).is_err(), "no `=`");
         let args = ["--bench", "a.json", "--set", "seed=3", "b.json"];
-        let (files, edits) = parse_args(args.map(String::from)).unwrap();
+        let err = parse_args(args.map(String::from), &["--set"]).unwrap_err();
+        assert_eq!(err, "unknown flag `--bench`");
+        let args = ["a.json", "--set", "seed=3", "b.json", "--trace=text"];
+        let (files, given) = parse_args(args.map(String::from), &["--set", "--trace"]).unwrap();
         assert_eq!(
-            (files, edits),
+            (files, given),
             (
                 vec!["a.json".into(), "b.json".into()],
-                vec!["seed=3".into()]
+                vec![("--set", "seed=3".into()), ("--trace", "text".into())]
             )
         );
     }

@@ -168,7 +168,7 @@ pub fn trace_snapshot_key(cfg: &TraceConfig, snapshot: &SnapshotModel) -> String
 
 /// A value the cache can persist: a one-line encoding that decodes back
 /// bit-exactly. The run cache's own values are written and read through
-/// their leaf lists ([`stats::leaves`]).
+/// their leaf lists ([`mod@stats::leaves`]).
 pub trait CacheValue: Send + Sync + Sized + 'static {
     /// Encodes as a single line (no interior newlines).
     fn encode(&self) -> String;

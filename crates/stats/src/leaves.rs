@@ -10,7 +10,7 @@
 //! fingerprint, the tests that keep hand-written perturbation lists honest),
 //! and the read, its inverse.
 //!
-//! [`write`] / [`read`] are the text every config, cache key, cached result
+//! [`write()`] / [`read`] are the text every config, cache key, cached result
 //! and reproducer is in: JSON with every leaf in declaration order under
 //! its field name — integers (times in picoseconds, durations in
 //! nanoseconds) as digits, floats in Rust's shortest round-trip form (the
@@ -27,7 +27,7 @@
 //! writes the value, swaps the new text in at the path and reads the
 //! result back. [`edit`] takes the `path=value` form the command line and
 //! sweep files spell it in. The reader skips JSON whitespace between tokens,
-//! so a hand-written file may span lines; [`write`] never emits any.
+//! so a hand-written file may span lines; [`write()`] never emits any.
 
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -56,7 +56,7 @@ pub trait Visit {
     fn leave(&mut self) {}
 }
 
-/// A value whose leaves can be walked, and read back from [`write`]'s text.
+/// A value whose leaves can be walked, and read back from [`write()`]'s text.
 pub trait Leaves: Sized {
     /// Reports every leaf under `self` to `v`, `self` being named `name`.
     fn walk<V: Visit>(&self, name: &'static str, v: &mut V);
@@ -281,7 +281,7 @@ pub fn write<T: Leaves>(value: &T) -> String {
     w.out
 }
 
-/// Reads a whole text [`write`] wrote; anything else is a [`ConfigError`]
+/// Reads a whole text [`write()`] wrote; anything else is a [`ConfigError`]
 /// at the path where it stops matching.
 pub fn read<T: Leaves>(text: &str) -> Result<T, ConfigError> {
     let mut r = Reader {
@@ -303,7 +303,7 @@ pub fn read_label<T: Leaves>(label: &str) -> Result<T, ConfigError> {
 }
 
 /// Sets the value at dotted `path` in `value` (a leaf, `tcp.mss`, or a
-/// subtree, `tcp.cca`) to `text`, spelled as [`write`] spells it; a string
+/// subtree, `tcp.cca`) to `text`, spelled as [`write()`] spells it; a string
 /// or a fieldless variant may be given bare (`quic` for `"quic"`). A `None`
 /// is addressed by its own path, not by paths under it. An unknown path is
 /// a [`ConfigError`] listing the valid ones, a value the reader rejects an
@@ -529,7 +529,7 @@ impl Visit for Writer {
     }
 }
 
-/// A strict cursor over [`write`]'s text, what [`Leaves::read`] consumes:
+/// A strict cursor over [`write()`]'s text, what [`Leaves::read`] consumes:
 /// each method takes exactly the production the writer emits for one leaf
 /// or container, or fails with the leaf's path.
 #[derive(Default)]

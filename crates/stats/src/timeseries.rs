@@ -30,7 +30,7 @@ const JOIN: usize = 2;
 ///
 /// Only buckets whose bits are `+0.0` may be left out: a bucket is stored
 /// once a write leaves anything else in it (`-0.0` and NaN included), and
-/// stored buckets sit in runs more than [`JOIN`] buckets apart.
+/// stored buckets sit in runs more than `JOIN` (2) buckets apart.
 #[derive(Debug, Clone)]
 pub struct TimeSeries {
     interval: u64,

@@ -8,7 +8,8 @@
 //!    plane), and burst completions are byte-identical to a
 //!    mitigation-off run — on both schedulers.
 //! 2. **Partial loss degrades, never deadlocks.** Sweeping notification
-//!    loss 0 → 100 % on a seeded incast, every burst still completes
+//!    loss 0 → 100 % on a seeded incast, for the Pulser and the
+//!    distributed plane alike, every burst still completes
 //!    (the guard timer bounds every pause, so a lost notification can
 //!    delay but never wedge a flow), burst completion times stay inside
 //!    a generous degradation envelope around the mitigation-off
@@ -32,11 +33,15 @@ fn incast(seed: u64) -> ModesConfig {
     }
 }
 
-fn pulser(seed: u64, notif_loss: f64) -> ModesConfig {
+fn plane(kind: MitigationKind, seed: u64, notif_loss: f64) -> ModesConfig {
     let mut cfg = incast(seed);
-    cfg.mitigation.kind = MitigationKind::Pulser;
+    cfg.mitigation.kind = kind;
     cfg.mitigation.notif_loss = notif_loss;
     cfg
+}
+
+fn pulser(seed: u64, notif_loss: f64) -> ModesConfig {
+    plane(MitigationKind::Pulser, seed, notif_loss)
 }
 
 #[test]
@@ -104,53 +109,66 @@ fn notification_loss_sweep_degrades_within_envelope_and_never_deadlocks() {
     // the full guard bound per burst (MAX_PAUSE = 5 ms).
     let envelope_ms = mean_off * 5.0 + 250.0;
 
-    let mut lost_total = 0u64;
-    for loss in [0.0, 0.25, 0.5, 0.75, 1.0] {
-        let cfg = pulser(seed, loss);
-        let (s_w, m_w, c_w, b_w) = observe::<TimingWheel>(&cfg);
-        let (s_h, m_h, _, b_h) = observe::<EventQueue>(&cfg);
-        assert_eq!(s_w, s_h, "wheel/heap diverged at loss {loss}");
-        assert_eq!(m_w, m_h, "manifests diverged at loss {loss}");
-        assert_eq!(b_w, b_h, "completions diverged at loss {loss}");
+    for kind in [MitigationKind::Pulser, MitigationKind::Distributed] {
+        let mut lost_total = 0u64;
+        for loss in [0.0, 0.25, 0.5, 0.75, 0.9, 1.0] {
+            let cfg = plane(kind, seed, loss);
+            let (s_w, m_w, c_w, b_w) = observe::<TimingWheel>(&cfg);
+            let (s_h, m_h, _, b_h) = observe::<EventQueue>(&cfg);
+            assert_eq!(s_w, s_h, "{kind:?}: wheel/heap diverged at loss {loss}");
+            assert_eq!(m_w, m_h, "{kind:?}: manifests diverged at loss {loss}");
+            assert_eq!(b_w, b_h, "{kind:?}: completions diverged at loss {loss}");
 
-        // No deadlock: every burst completed inside the horizon even with
-        // the control path arbitrarily unreliable.
-        assert_eq!(b_w.len(), 3, "bursts lost at loss {loss} (deadlock?)");
-        let mean = b_w.iter().sum::<f64>() / b_w.len() as f64;
-        assert!(
-            mean <= envelope_ms,
-            "BCT {mean:.3} ms breached the degradation envelope \
-             {envelope_ms:.3} ms at loss {loss}"
-        );
+            // No deadlock: every burst completed inside the horizon even with
+            // the control path arbitrarily unreliable.
+            assert_eq!(
+                b_w.len(),
+                3,
+                "{kind:?}: bursts lost at loss {loss} (deadlock?)"
+            );
+            let mean = b_w.iter().sum::<f64>() / b_w.len() as f64;
+            assert!(
+                mean <= envelope_ms,
+                "{kind:?}: BCT {mean:.3} ms breached the degradation envelope \
+                 {envelope_ms:.3} ms at loss {loss}"
+            );
 
-        let c = c_w.expect("control rollup");
-        let grab = |key: &str| -> u64 {
-            let tail = &c[c.find(key).unwrap_or_else(|| panic!("{key} in {c}")) + key.len()..];
-            tail.chars()
-                .take_while(|ch| ch.is_ascii_digit())
-                .collect::<String>()
-                .parse()
-                .unwrap()
-        };
-        let (sent, acked, lost) = (
-            grab("\"notif_sent\":"),
-            grab("\"notif_acked\":"),
-            grab("\"notif_lost\":"),
-        );
-        if loss == 0.0 {
-            assert!(sent > 0, "lossless plane never fired: {c}");
-            assert_eq!(lost, 0, "{c}");
-            assert_eq!(acked, sent, "lossless plane dropped acks: {c}");
-        } else if loss == 1.0 {
-            // A fully dead plane is structurally inert: it takes no
-            // RNG draws and counts nothing — not even suppressions —
-            // which is what makes it byte-identical to no plane.
-            assert_eq!(sent, 0, "dead plane reached the wire: {c}");
-            assert_eq!(lost, 0, "dead plane left counter residue: {c}");
+            let c = c_w.expect("control rollup");
+            let grab = |key: &str| -> u64 {
+                let tail = &c[c.find(key).unwrap_or_else(|| panic!("{key} in {c}")) + key.len()..];
+                tail.chars()
+                    .take_while(|ch| ch.is_ascii_digit())
+                    .collect::<String>()
+                    .parse()
+                    .unwrap()
+            };
+            let (sent, acked, lost) = (
+                grab("\"notif_sent\":"),
+                grab("\"notif_acked\":"),
+                grab("\"notif_lost\":"),
+            );
+            if loss == 0.0 {
+                assert!(sent > 0, "lossless plane never fired: {c}");
+                assert_eq!(lost, 0, "{c}");
+                assert_eq!(acked, sent, "lossless plane dropped acks: {c}");
+            } else if loss == 1.0 {
+                // A fully dead plane is structurally inert: it takes no
+                // RNG draws and counts nothing — not even suppressions —
+                // which is what makes it byte-identical to no plane.
+                assert_eq!(sent, 0, "dead plane reached the wire: {c}");
+                assert_eq!(lost, 0, "dead plane left counter residue: {c}");
+                assert_eq!(b_w, bcts_off, "{kind:?}: dead plane moved completions");
+            }
+            lost_total += lost;
         }
-        lost_total += lost;
+        assert!(
+            lost_total > 0,
+            "{kind:?}: sweep never exercised notification loss"
+        );
     }
-    assert!(lost_total > 0, "sweep never exercised notification loss");
+    // With the `check` feature every run above carried the pause-guard
+    // oracle and the shadow ledgers; without it this reads 0.
+    assert_eq!(incast_bursts::simnet::check::violation_count(), 0);
 }
 
 /// QUIC flows honor the same notifications: a Pulser plane over the QUIC

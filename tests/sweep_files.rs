@@ -1,5 +1,5 @@
 //! The checked-in sweep files (`crates/bench/sweeps/*.json`, run by
-//! `cargo bench -p bench --bench sweep`): each reads, every edit applies,
+//! `incast sweep`): each reads, every edit applies,
 //! every run validates, every column and plotted series is registered and
 //! every plot template resolves; the driver's rendering and `--set` rule;
 //! and the mitigation lineup's behaviour at a small scale.
